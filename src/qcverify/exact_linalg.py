@@ -17,6 +17,7 @@ to linear time on them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 __all__ = [
     "FieldSpec",
@@ -216,15 +217,6 @@ class Mat:
         return m
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows, ncols: int | None = None) -> "Mat":
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            if not rows:
-                raise ValueError("need ncols for an empty row list")
-            ncols = len(rows[0])
-        return cls(field, len(rows), ncols, rows)
-
-    @classmethod
     def from_cols(cls, field: FieldSpec, cols, nrows: int) -> "Mat":
         cols = [list(c) for c in cols]
         z = field.zero
@@ -236,9 +228,29 @@ class Mat:
         )
 
     @classmethod
-    def column(cls, field: FieldSpec, entries) -> "Mat":
-        entries = list(entries)
-        return cls(field, len(entries), 1, [[e] for e in entries])
+    def block(cls, field: FieldSpec, blocks: dict, row_dims=None, col_dims=None) -> "Mat":
+        """The matrix with blocks[i, j] in block row i and block column j.
+
+        Absent blocks are zero.  row_dims and col_dims are the heights of
+        the block rows and the widths of the block columns; either may be
+        left out when every block row (column) holds a block to read it
+        from.  Only the nonzero entries of the blocks are visited.
+        """
+        row_dims = _block_dims(blocks, row_dims, 0)
+        col_dims = _block_dims(blocks, col_dims, 1)
+        row_off = list(accumulate(row_dims, initial=0))
+        col_off = list(accumulate(col_dims, initial=0))
+        z = field.zero
+        rows = [[z] * col_off[-1] for _ in range(row_off[-1])]
+        for (i, j), b in blocks.items():
+            if (b.nrows, b.ncols) != (row_dims[i], col_dims[j]):
+                raise ValueError(f"block ({i}, {j}) does not fit its block row and column")
+            r0, c0 = row_off[i], col_off[j]
+            for r, sup in enumerate(b.row_support()):
+                out = rows[r0 + r]
+                for c, e in sup:
+                    out[c0 + c] = e
+        return cls(field, row_off[-1], col_off[-1], rows)
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
@@ -285,12 +297,17 @@ class Mat:
         )
 
     def __neg__(self) -> "Mat":
-        return Mat(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [[-a for a in row] for row in self.data],
-        )
+        z = self.field.zero
+        rows = [[z] * self.ncols for _ in range(self.nrows)]
+        supp = []
+        for out, sup in zip(rows, self.row_support()):
+            neg = tuple((j, -v) for j, v in sup)
+            for j, v in neg:
+                out[j] = v
+            supp.append(neg)
+        m = Mat(self.field, self.nrows, self.ncols, rows)
+        m._rowsupp = supp
+        return m
 
     def scale(self, c) -> "Mat":
         if c == self.field.one:
@@ -381,6 +398,20 @@ class Mat:
             return f"Mat({self.nrows}x{self.ncols})"
         body = "; ".join(" ".join(str(e) for e in row) for row in self.data)
         return f"Mat[{body}]"
+
+
+def _block_dims(blocks: dict, dims, axis: int) -> list:
+    """Block heights (axis 0) or widths (axis 1): the given ones, or those
+    read off the blocks when none are given."""
+    if dims is not None:
+        return list(dims)
+    size = 1 + max((key[axis] for key in blocks), default=-1)
+    out = [None] * size
+    for key, b in blocks.items():
+        out[key[axis]] = b.ncols if axis else b.nrows
+    if None in out:
+        raise ValueError("a block row or column without blocks needs explicit dims")
+    return out
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

@@ -27,11 +27,11 @@ from .localization_cech import (
     DEFAULT_CAP_POLICY,
     DEFAULT_WINDOW,
     CapPolicy,
-    CechComplexWindow,
+    H1Result,
     OpenSubset,
     SectionElement,
     SectionsModule,
-    _blockdiag,
+    _CechComplexes,
     _stabilize,
     h1_window,
     restriction_to_sections,
@@ -299,7 +299,7 @@ class SheafMap:
         field = self.source.scheme.ring.field
 
         def matrix(d: int) -> Mat:
-            both = _blockdiag(field, [self.u_U.matrix(d), self.u_V.matrix(d)])
+            both = Mat.block(field, {(0, 0): self.u_U.matrix(d), (1, 1): self.u_V.matrix(d)})
             img = both @ ks.inclusion.matrix(d)
             sol = solve(kt.inclusion.matrix(d), img)
             if sol is None:
@@ -362,18 +362,16 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
     for d in range(lo, hi + 1):
         t = tensor_realization(f, s_o, d)
         tgt_dim = s_f.piece(d).dim
-        blocks = []
+        blocks = {}
+        col_dims = []
         for i, e in enumerate(f.gen_degrees):
             src_dim = s_o.piece(d - e).dim
-            if src_dim == 0 or tgt_dim == 0:
-                blocks.append(Mat.zeros(field, tgt_dim, src_dim))
-                continue
-            blocks.append(
-                section_mult_block(s_o, d - e, Mat.identity(field, src_dim), gen_secs[i])
-            )
-        free_map = blocks[0]
-        for b in blocks[1:]:
-            free_map = free_map.hstack(b)
+            col_dims.append(src_dim)
+            if src_dim and tgt_dim:
+                blocks[0, i] = section_mult_block(
+                    s_o, d - e, Mat.identity(field, src_dim), gen_secs[i]
+                )
+        free_map = Mat.block(field, blocks, [tgt_dim], col_dims)
         if t.rel_matrix.ncols and not (free_map @ t.rel_matrix).is_zero():
             raise ArithmeticError(
                 f"comparison map fails to kill a tensor relation in degree {d}"
@@ -434,20 +432,12 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
             )
     scheme = s.scheme
     cover = scheme.overlap
-    m = s.m_U
     o = scheme.structure_module()
     field = scheme.ring.field
     pol = policy or s.policy
-
-    complexes_m: dict[int, CechComplexWindow] = {}
-    complexes_o: dict[int, CechComplexWindow] = {}
-
-    def complex_of(table: dict, module: DegreewiseModule, cap: int) -> CechComplexWindow:
-        got = table.get(cap)
-        if got is None:
-            got = CechComplexWindow(module, cover, window, cap)
-            table[cap] = got
-        return got
+    # the U-module's complexes are those of the sheaf's W-sections
+    complexes_m = s.w_sections(window, policy, compare=False).complexes
+    complexes_o = _CechComplexes(o, cover, window)
 
     def gen_mult(i: int, alpha: int) -> Mat:
         # p |-> p * gen_i in free coordinates is column selection from proj
@@ -456,19 +446,19 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
         return r.proj.take_cols(cols)
 
     def table_at(cap: int) -> tuple:
-        cm = complex_of(complexes_m, m, cap)
-        co = complex_of(complexes_o, o, cap)
+        cm, co = complexes_m[cap], complexes_o[cap]
         out = []
         for d in range(lo, hi + 1):
             deg_m = cm.degree(d)
             a = deg_m.h0_basis()
-            prod_cols: list = []
+            blocks = {}
+            col_dims = []
             for i, e in enumerate(fp.gen_degrees):
                 deg_o = co.degree(d - e)
                 b = deg_o.h0_basis()
+                col_dims.append(b.ncols)
                 if b.ncols == 0:
                     continue
-                parts = []
                 for j in range(cover.n):
                     lp_o = deg_o.levels[0][j]
                     lp_m = deg_m.levels[0][j]
@@ -476,17 +466,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
                     rows = [b.data[off + r] for r in range(lp_o.dim)]
                     numer = lp_o.incl @ Mat(field, lp_o.dim, b.ncols, rows)
                     alpha = (d - e) + cap * cover.denoms[j].degree
-                    parts.append(lp_m.proj @ (gen_mult(i, alpha) @ numer))
-                stacked = parts[0]
-                for p in parts[1:]:
-                    stacked = stacked.vstack(p)
-                prod_cols.append(stacked)
-            if prod_cols:
-                p_mat = prod_cols[0]
-                for p in prod_cols[1:]:
-                    p_mat = p_mat.hstack(p)
-            else:
-                p_mat = Mat.zeros(field, a.nrows, 0)
+                    blocks[j, i] = lp_m.proj @ (gen_mult(i, alpha) @ numer)
+            row_dims = [lp.dim for lp in deg_m.levels[0]]
+            p_mat = Mat.block(field, blocks, row_dims, col_dims)
             if rank(a.hstack(p_mat)) != a.ncols:
                 raise ArithmeticError(
                     f"a generator multiple is not a section in degree {d} at cap {cap}"
@@ -540,17 +522,25 @@ def _laurent_string(ring: PolyRing, numerator: HomogPoly, shift) -> str:
 
 def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
                       module: DegreewiseModule | None = None,
-                      policy: CapPolicy | None = None) -> NonaffineWitness | None:
+                      policy: CapPolicy | None = None,
+                      h1: H1Result | None = None) -> NonaffineWitness | None:
     """A nonzero H^1 class over W with explicit representative, if one exists
     in the window.  Returns None otherwise (absence proves nothing outside
-    the window; a single-set cover never has one)."""
+    the window; a single-set cover never has one).
+
+    h1, when given, is the H^1 of the module on w already computed by the
+    caller; its module, window and policy are used, and nothing is
+    recomputed."""
     if w.n == 1:
         return None
-    if module is None:
-        module = free_module(w.ring, (0,)).module()
-    ring = module.ring
-    field = ring.field
-    h1 = h1_window(module, w, window, policy)
+    if h1 is None:
+        if module is None:
+            module = free_module(w.ring, (0,)).module()
+        h1 = h1_window(module, w, window, policy)
+    elif h1.cover is not w or (module is not None and h1.module is not module):
+        raise ValueError("the H^1 result belongs to another module or cover")
+    module = h1.module
+    field = module.ring.field
     lo, hi = h1.window
     found = None
     for d in range(hi, lo - 1, -1):
@@ -584,24 +574,20 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         raise ArithmeticError("witness candidate is a coboundary")
 
     # re-verify at the next cap: a stable class must survive the lift
-    pol = policy or DEFAULT_CAP_POLICY
-    cap2 = cap + pol.step
-    cech2 = h1._complex(cap2).degree(found)
+    cap2 = cap + h1.policy.step
+    cech2 = h1.complexes[cap2].degree(found)
     pieces = cech.levels[1]
-    lifted_blocks = []
+    lifted_blocks = {}
     pos = 0
     pairs = list(_level1_subsets(w))
     for k, lp in enumerate(pieces):
         block = Mat(field, lp.dim, 1, [witness.data[pos + r] for r in range(lp.dim)])
         pos += lp.dim
         f_s = w.product(pairs[k])
-        lift = cech2.levels[1][k].proj @ (
+        lifted_blocks[k, 0] = cech2.levels[1][k].proj @ (
             module.power_act(f_s, cap2 - cap, lp.num_degree) @ (lp.incl @ block)
         )
-        lifted_blocks.append(lift)
-    lifted = lifted_blocks[0]
-    for b in lifted_blocks[1:]:
-        lifted = lifted.vstack(b)
+    lifted = Mat.block(field, lifted_blocks)
     d0_next = cech2.diffs[0]
     if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
         raise ArithmeticError("witness class dies at the next cap")

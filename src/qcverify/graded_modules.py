@@ -27,7 +27,6 @@ from math import comb
 from .exact_linalg import (
     FieldSpec,
     Mat,
-    image_quotient,
     kernel_basis,
     rref,
     solve,
@@ -43,8 +42,6 @@ __all__ = [
     "DegreewiseModule",
     "FPGradedModule",
     "GradedModuleMap",
-    "realize_piece",
-    "act_matrix",
     "map_from_gen_images",
     "kernel_dw",
     "image_dw",
@@ -708,14 +705,6 @@ def free_module(ring: PolyRing, shifts=(0,), name: str | None = None) -> FPGrade
     return FPGradedModule(ring, shifts, (), name=name)
 
 
-def realize_piece(m: FPGradedModule, d: int) -> GradedPiece:
-    return m.realize_piece(d)
-
-
-def act_matrix(m: FPGradedModule, var: int, d: int) -> Mat:
-    return m.act_matrix(var, d)
-
-
 class GradedModuleMap:
     """A degree-preserving map of graded modules, one matrix per degree."""
 
@@ -725,10 +714,6 @@ class GradedModuleMap:
         self.name = name
         self._matrix_fn = matrix_fn
         self._matrices: dict[int, Mat] = {}
-
-    @property
-    def shift(self) -> int:
-        return 0
 
     def matrix(self, d: int) -> Mat:
         got = self._matrices.get(d)
@@ -748,15 +733,6 @@ class GradedModuleMap:
             module,
             lambda d: Mat.identity(module.ring.field, module.piece(d).dim),
             name="id",
-        )
-
-    @classmethod
-    def zero(cls, source: DegreewiseModule, target: DegreewiseModule) -> "GradedModuleMap":
-        return cls(
-            source,
-            target,
-            lambda d: Mat.zeros(source.ring.field, target.piece(d).dim, source.piece(d).dim),
-            name="0",
         )
 
     def compose(self, other: "GradedModuleMap") -> "GradedModuleMap":
@@ -908,54 +884,33 @@ def image_dw(f: GradedModuleMap) -> DegreewiseModule:
 
 
 def cokernel_dw(f: GradedModuleMap) -> DegreewiseModule:
-    """The degreewise cokernel of f, with projection from the target."""
-    mod = _QuotientModule(
+    """The degreewise cokernel of f."""
+    return _QuotientModule(
         f.target.ring, f.target, lambda d: f.matrix(d), name=f"coker({f.name})"
     )
-    mod.projection = GradedModuleMap(f.target, mod, mod.project, name=f"->coker({f.name})")
-    return mod
 
 
 def hom_piece(m: FPGradedModule, n: DegreewiseModule, d: int) -> GradedPiece:
     """Hom(m, n)_d: tuples of elements b_i in n_{e_i + d} killing all relations."""
     field = n.ring.field
-    block_dims = [n.piece(e + d).dim for e in m.gen_degrees]
-    total = sum(block_dims)
-    offsets = []
-    acc = 0
-    for bd in block_dims:
-        offsets.append(acc)
-        acc += bd
-    rows: list[list] = []
-    for entries, c in m.relations:
-        rdim = n.piece(c + d).dim
-        block = [[field.zero] * total for _ in range(rdim)]
+    col_dims = [n.piece(e + d).dim for e in m.gen_degrees]
+    row_dims = []
+    blocks = {}
+    for k, (entries, c) in enumerate(m.relations):
+        row_dims.append(n.piece(c + d).dim)
         for i, p in enumerate(entries):
-            if p is None:
-                continue
-            a = n.poly_act(p, m.gen_degrees[i] + d)
-            for r in range(rdim):
-                arow = a.data[r]
-                brow = block[r]
-                for cidx in range(block_dims[i]):
-                    if arow[cidx]:
-                        brow[offsets[i] + cidx] = brow[offsets[i] + cidx] + arow[cidx]
-        rows.extend(block)
-    mat = Mat(field, len(rows), total, rows)
-    k = kernel_basis(mat)
-    piece = GradedPiece(field, tuple(("hom", j) for j in range(k.ncols)))
-    return piece
+            if p is not None:
+                blocks[k, i] = n.poly_act(p, m.gen_degrees[i] + d)
+    k = kernel_basis(Mat.block(field, blocks, row_dims, col_dims))
+    return GradedPiece(field, tuple(("hom", j) for j in range(k.ncols)))
 
 
 class _TensorRealization:
-    __slots__ = ("piece", "incl", "proj", "free_labels", "block_slices", "rel_matrix")
+    __slots__ = ("piece", "incl", "rel_matrix")
 
-    def __init__(self, piece, incl, proj, free_labels, block_slices, rel_matrix):
+    def __init__(self, piece, incl, rel_matrix):
         self.piece = piece
         self.incl = incl
-        self.proj = proj
-        self.free_labels = free_labels
-        self.block_slices = block_slices
         self.rel_matrix = rel_matrix
 
 
@@ -963,46 +918,30 @@ def tensor_realization(m: FPGradedModule, n: DegreewiseModule, d: int) -> _Tenso
     """(m tensor n)_d as a quotient of the free part ⊕_i n_{d - e_i}.
 
     Returns the realized piece together with the inclusion (free-cover
-    representatives), the projection, the block layout, and the matrix
-    whose columns span the relation image (useful to sanity-check that an
-    induced map kills it).
+    representatives) and the matrix whose columns span the relation image
+    (useful to sanity-check that an induced map kills it).
     """
     field = n.ring.field
     free_labels = []
-    block_slices = []
-    start = 0
+    row_dims = []
     for i, e in enumerate(m.gen_degrees):
         p = n.piece(d - e)
         free_labels.extend((i, lab) for lab in p.labels)
-        block_slices.append((start, start + p.dim))
-        start += p.dim
-    total = start
-    cols = []
+        row_dims.append(p.dim)
+    blocks = {}
+    col_dims = []
     for entries, c in m.relations:
         src_dim = n.piece(d - c).dim
         if src_dim == 0:
             continue
-        blocks = []
         for i, p in enumerate(entries):
-            if p is None:
-                blocks.append(None)
-            else:
-                blocks.append(n.poly_act(p, d - c))
-        for s in range(src_dim):
-            v = [field.zero] * total
-            for i, b in enumerate(blocks):
-                if b is None:
-                    continue
-                lo, _hi = block_slices[i]
-                for r in range(b.nrows):
-                    e = b.data[r][s]
-                    if e:
-                        v[lo + r] = v[lo + r] + e
-            cols.append(v)
-    rel = Mat.from_cols(field, cols, total)
-    coset, proj, idx = _quotient_with_indices(rel, total)
+            if p is not None:
+                blocks[i, len(col_dims)] = n.poly_act(p, d - c)
+        col_dims.append(src_dim)
+    rel = Mat.block(field, blocks, row_dims, col_dims)
+    coset, _proj, idx = _quotient_with_indices(rel, len(free_labels))
     piece = GradedPiece(field, tuple(free_labels[j] for j in idx))
-    return _TensorRealization(piece, coset, proj, tuple(free_labels), tuple(block_slices), rel)
+    return _TensorRealization(piece, coset, rel)
 
 
 def tensor_piece(m: FPGradedModule, n: DegreewiseModule, d: int) -> GradedPiece:
@@ -1027,22 +966,7 @@ def direct_sum(mods, name: str | None = None) -> DegreewiseModule:
         return GradedPiece(ring.field, labels)
 
     def act_fn(var: int, d: int) -> Mat:
-        blocks = [m.act(var, d) for m in mods]
-        nr = sum(b.nrows for b in blocks)
-        nc = sum(b.ncols for b in blocks)
-        z = ring.field.zero
-        rows = [[z] * nc for _ in range(nr)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.nrows):
-                row = rows[r0 + i]
-                brow = b.data[i]
-                for j in range(b.ncols):
-                    if brow[j]:
-                        row[c0 + j] = brow[j]
-            r0 += b.nrows
-            c0 += b.ncols
-        return Mat(ring.field, nr, nc, rows)
+        return Mat.block(ring.field, {(k, k): m.act(var, d) for k, m in enumerate(mods)})
 
     mins = [m.min_degree for m in mods]
     min_degree = None if any(x is None for x in mins) else min(mins)
@@ -1059,12 +983,10 @@ def direct_sum(mods, name: str | None = None) -> DegreewiseModule:
             return None  # mixed certificates do not combine into one bound
         return max(bounds)
 
-    out = DegreewiseModule(
+    return DegreewiseModule(
         ring, piece_fn, act_fn, name=name,
         min_degree=min_degree, max_degree=max_degree, torsion_fn=torsion_fn
     )
-    out.summands = tuple(mods)
-    return out
 
 
 def verify_action_commutation(module: DegreewiseModule, lo: int, hi: int) -> None:

@@ -61,23 +61,6 @@ __all__ = [
 DEFAULT_WINDOW = (-6, 6)
 
 
-def _blockdiag(field, blocks) -> Mat:
-    nr = sum(b.nrows for b in blocks)
-    nc = sum(b.ncols for b in blocks)
-    rows = [[field.zero] * nc for _ in range(nr)]
-    r0 = c0 = 0
-    for b in blocks:
-        for r in range(b.nrows):
-            brow = b.data[r]
-            out = rows[r0 + r]
-            for c in range(b.ncols):
-                if brow[c]:
-                    out[c0 + c] = brow[c]
-        r0 += b.nrows
-        c0 += b.ncols
-    return Mat(field, nr, nc, rows)
-
-
 class CapExhausted(RuntimeError):
     """Dimensions failed to stabilize within the cap escalation budget."""
 
@@ -308,10 +291,7 @@ class CechComplexWindow:
         diffs = []
         for k in range(n - 1):
             src_pieces, tgt_pieces = levels[k], levels[k + 1]
-            src_off, tgt_off = offsets[k], offsets[k + 1]
-            nrows = sum(p.dim for p in tgt_pieces)
-            ncols = sum(p.dim for p in src_pieces)
-            rows = [[field.zero] * ncols for _ in range(nrows)]
+            blocks = {}
             for ti, T in enumerate(self._subsets[k + 1]):
                 tgt = tgt_pieces[ti]
                 if tgt.dim == 0:
@@ -325,13 +305,9 @@ class CechComplexWindow:
                         continue
                     mult = self.module.power_act(self.cover.denoms[i], self.cap, src.num_degree)
                     block = tgt.proj @ mult @ src.incl
-                    neg = pos % 2 == 1
-                    r0, c0 = tgt_off[ti], src_off[si]
-                    for r, sup in enumerate(block.row_support()):
-                        out = rows[r0 + r]
-                        for c, e in sup:
-                            out[c0 + c] = out[c0 + c] + (-e if neg else e)
-            diffs.append(Mat(field, nrows, ncols, rows))
+                    blocks[ti, si] = -block if pos % 2 else block
+            diffs.append(Mat.block(field, blocks, [p.dim for p in tgt_pieces],
+                                   [p.dim for p in src_pieces]))
         for k in range(len(diffs) - 1):
             if not (diffs[k + 1] @ diffs[k]).is_zero():
                 raise ArithmeticError(
@@ -339,6 +315,26 @@ class CechComplexWindow:
                 )
         got = _CechDegree(levels, offsets, diffs, n, field)
         self._degrees[d] = got
+        return got
+
+
+class _CechComplexes(dict):
+    """cap -> CechComplexWindow of one module on one cover, built on first use.
+
+    This is the one cache of Cech complexes.  Whoever holds it (a sections
+    module, an H^1 result, one obstruction scan) owns the complexes, and
+    they die with their owner: a cache kept on the module object would
+    hold every complex of a run until the run ends.
+    """
+
+    def __init__(self, module: DegreewiseModule, cover: OpenSubset, window):
+        super().__init__()
+        self.module = module
+        self.cover = cover
+        self.window = tuple(window)
+
+    def __missing__(self, cap: int) -> CechComplexWindow:
+        got = self[cap] = CechComplexWindow(self.module, self.cover, self.window, cap)
         return got
 
 
@@ -389,7 +385,7 @@ class SectionsModule(DegreewiseModule):
         self.cover = cover
         self.window = tuple(window)
         self.policy = policy or DEFAULT_CAP_POLICY
-        self._complexes: dict[int, CechComplexWindow] = {}
+        self.complexes = _CechComplexes(base, cover, self.window)
         self._loc_memo: dict[tuple, LocalizedPiece] = {}
         self._lift_memo: dict[tuple, Mat] = {}
         self._sec: dict[int, _SecPiece] = {}
@@ -400,24 +396,17 @@ class SectionsModule(DegreewiseModule):
             name=name or f"sections({base.name})",
         )
 
-    def _complex(self, cap: int) -> CechComplexWindow:
-        got = self._complexes.get(cap)
-        if got is None:
-            got = CechComplexWindow(self.base, self.cover, self.window, cap)
-            self._complexes[cap] = got
-        return got
-
     def _realize(self, d: int) -> _SecPiece:
         got = self._sec.get(d)
         if got is not None:
             return got
         caps = self.policy.caps(self.window)
         cap, _dim = _stabilize(
-            lambda c: self._complex(c).degree(d).h0_dim,
+            lambda c: self.complexes[c].degree(d).h0_dim,
             caps,
             f"H0 of {self.base.name} in degree {d}",
         )
-        cech = self._complex(cap).degree(d)
+        cech = self.complexes[cap].degree(d)
         basis = cech.h0_basis()
         piece = GradedPiece(self.ring.field, tuple(("sec", j) for j in range(basis.ncols)))
         certified = all(s.startswith("certified") for s in cech.statuses())
@@ -434,9 +423,6 @@ class SectionsModule(DegreewiseModule):
         """Whether every localization entering degree d carried a certified
         torsion bound (as opposed to the kernel-chain heuristic)."""
         return self._realize(d).certified
-
-    def stabilized_cap(self, d: int) -> int:
-        return self._realize(d).cap
 
     def _loc(self, i: int, d: int, cap: int) -> LocalizedPiece:
         key = (i, d, cap)
@@ -455,13 +441,13 @@ class SectionsModule(DegreewiseModule):
         got = self._lift_memo.get(key)
         if got is not None:
             return got
-        blocks = []
+        blocks = {}
         for i in range(self.cover.n):
             src = self._loc(i, d, cap_from)
             tgt = self._loc(i, d, cap_to)
             mult = self.base.power_act(self.cover.denoms[i], cap_to - cap_from, src.num_degree)
-            blocks.append(tgt.proj @ mult @ src.incl)
-        got = _blockdiag(self.ring.field, blocks)
+            blocks[i, i] = tgt.proj @ mult @ src.incl
+        got = Mat.block(self.ring.field, blocks)
         self._lift_memo[key] = got
         return got
 
@@ -496,12 +482,12 @@ class SectionsModule(DegreewiseModule):
 
     def _act_at(self, var: int, d: int) -> Mat:
         r = self._realize(d)
-        blocks = []
+        blocks = {}
         for i in range(self.cover.n):
             src = self._loc(i, d, r.cap)
             tgt = self._loc(i, d + 1, r.cap)
-            blocks.append(tgt.proj @ self.base.act(var, src.num_degree) @ src.incl)
-        acted = _blockdiag(self.ring.field, blocks) @ r.basis
+            blocks[i, i] = tgt.proj @ self.base.act(var, src.num_degree) @ src.incl
+        acted = Mat.block(self.ring.field, blocks) @ r.basis
         return self._express(d + 1, acted, r.cap)
 
     def restriction_matrix(self, d: int) -> Mat:
@@ -510,13 +496,12 @@ class SectionsModule(DegreewiseModule):
         src_dim = self.base.piece(d).dim
         if src_dim == 0:
             return Mat.zeros(self.ring.field, r.piece.dim, 0)
-        stacked = None
+        blocks = {}
         for i in range(self.cover.n):
             lp = self._loc(i, d, r.cap)
             mult = self.base.power_act(self.cover.denoms[i], r.cap, d)
-            block = lp.proj @ mult
-            stacked = block if stacked is None else stacked.vstack(block)
-        return self._express(d, stacked, r.cap)
+            blocks[i, 0] = lp.proj @ mult
+        return self._express(d, Mat.block(self.ring.field, blocks), r.cap)
 
     def degree_stats(self, d: int) -> dict:
         r = self._realize(d)
@@ -548,33 +533,26 @@ class H1Result:
         self.cover = cover
         self.window = tuple(window)
         self.policy = policy or DEFAULT_CAP_POLICY
-        self._complexes: dict[int, CechComplexWindow] = {}
+        self.complexes = _CechComplexes(module, cover, self.window)
         self.dims: dict[int, int] = {}
         self.caps: dict[int, int] = {}
         self.certified: dict[int, bool] = {}
         lo, hi = self.window
         for d in range(lo, hi + 1):
             cap, dim = _stabilize(
-                lambda c: self._complex(c).degree(d).h1_dim,
+                lambda c: self.complexes[c].degree(d).h1_dim,
                 self.policy.caps(self.window),
                 f"H1 of {module.name} in degree {d}",
             )
             self.dims[d] = dim
             self.caps[d] = cap
             self.certified[d] = all(
-                s.startswith("certified") for s in self._complex(cap).degree(d).statuses()
+                s.startswith("certified") for s in self.complexes[cap].degree(d).statuses()
             )
-
-    def _complex(self, cap: int) -> CechComplexWindow:
-        got = self._complexes.get(cap)
-        if got is None:
-            got = CechComplexWindow(self.module, self.cover, self.window, cap)
-            self._complexes[cap] = got
-        return got
 
     def realization(self, d: int) -> tuple[_CechDegree, int]:
         cap = self.caps[d]
-        return self._complex(cap).degree(d), cap
+        return self.complexes[cap].degree(d), cap
 
     def flags(self) -> list[str]:
         caps = [self.caps[d] for d in sorted(self.caps)]
@@ -632,11 +610,9 @@ def section_mult_block(a_module: SectionsModule, da: int, a_mat: Mat,
     d_out = da + s.degree
     cap_out = ra.cap + rs.cap
     s_c0, _ = sm.c0_vector(s.degree, s.coords)
-    field = sm.ring.field
-    out_cols = []
+    blocks = {}
     for j in range(a_mat.ncols):
         a_c0 = ra.basis @ a_mat.take_cols([j])
-        parts = []
         for i in range(a_module.cover.n):
             a_num = a_module.block_numerator(da, ra.cap, i, a_c0)
             lp_a = a_module._loc(i, da, ra.cap)
@@ -646,13 +622,9 @@ def section_mult_block(a_module: SectionsModule, da: int, a_mat: Mat,
             lp_s = sm._loc(i, s.degree, rs.cap)
             lp_out = sm._loc(i, d_out, cap_out)
             prod = sm.base.poly_apply(p, lp_s.num_degree, s_num)
-            parts.append(lp_out.proj @ prod)
-        col = parts[0]
-        for b in parts[1:]:
-            col = col.vstack(b)
-        out_cols.append(col.col(0))
-    total = sum(sm._loc(i, d_out, cap_out).dim for i in range(sm.cover.n))
-    stacked = Mat.from_cols(field, out_cols, total)
+            blocks[i, j] = lp_out.proj @ prod
+    row_dims = [sm._loc(i, d_out, cap_out).dim for i in range(sm.cover.n)]
+    stacked = Mat.block(sm.ring.field, blocks, row_dims, [1] * a_mat.ncols)
     return sm._express(d_out, stacked, cap_out)
 
 
@@ -672,12 +644,12 @@ def sections_induced_map(u: GradedModuleMap, s_src: SectionsModule,
 
     def matrix(d: int) -> Mat:
         rs = s_src._realize(d)
-        blocks = []
+        blocks = {}
         for i in range(s_src.cover.n):
             lp_s = s_src._loc(i, d, rs.cap)
             lp_t = s_tgt._loc(i, d, rs.cap)
-            blocks.append(lp_t.proj @ u.matrix(lp_s.num_degree) @ lp_s.incl)
-        mapped = _blockdiag(s_src.ring.field, blocks) @ rs.basis
+            blocks[i, i] = lp_t.proj @ u.matrix(lp_s.num_degree) @ lp_s.incl
+        mapped = Mat.block(s_src.ring.field, blocks) @ rs.basis
         return s_tgt._express(d, mapped, rs.cap)
 
     return GradedModuleMap(s_src, s_tgt, matrix, name=f"Gamma({u.name})")

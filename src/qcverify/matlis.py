@@ -30,7 +30,6 @@ from .graded_modules import (
     free_module,
 )
 from .glued_scheme import (
-    DoubleGluedScheme,
     ExactnessReport,
     QcohSheafOnX,
     SheafMap,

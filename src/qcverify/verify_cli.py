@@ -55,6 +55,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
+from . import __version__
 from .exact_linalg import FieldSpec, Mat
 from .graded_modules import (
     FPGradedModule,
@@ -91,7 +92,6 @@ from .glued_scheme import (
 from .matlis import bidual_pipeline
 
 __all__ = [
-    "VERSION",
     "VERDICTS",
     "ParseError",
     "UnknownName",
@@ -104,8 +104,6 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "main",
 ]
-
-VERSION = "0.1.0"
 
 # the closed verdict vocabulary; every check result uses exactly one
 VERDICTS = frozenset(
@@ -562,7 +560,7 @@ class Report:
     scenario: str
     window: tuple
     checks: list
-    version: str = VERSION
+    version: str = __version__
     expects: list = dc_field(default_factory=list)
 
     def to_obj(self) -> dict:
@@ -741,10 +739,8 @@ class _Runner:
 
         if spec.kind == "nonaffine-witness":
             (modname,) = spec.args
-            mod = s.modules[modname].module() if modname else None
-            h1_mod = mod if mod is not None else s.modules["O"].module()
-            res = h1_window(h1_mod, s.overlap, s.window, s.policy)
-            wit = witness_nonaffine(s.overlap, s.window, module=mod, policy=s.policy)
+            res = h1_window(s.modules[modname or "O"].module(), s.overlap, s.window, s.policy)
+            wit = witness_nonaffine(s.overlap, s.window, policy=s.policy, h1=res)
             tables = {"h1": self._table(res.dims)}
             if wit is None:
                 return CheckResult(spec.name, tables, [], "no-witness-in-window")

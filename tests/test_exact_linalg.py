@@ -192,3 +192,71 @@ def test_solve_agrees_with_membership(a, rhs):
         assert rank(a.hstack(rhs)) == rank(a) + 1
     else:
         assert a @ s == rhs
+
+
+# --- block assembly ------------------------------------------------------
+
+F65537 = FieldSpec.prime(65537)
+
+
+@st.composite
+def block_grids(draw):
+    """(field, blocks, row_dims, col_dims): a grid of up to 3 x 3 blocks with
+    heights and widths 0..3, each block present or absent at random."""
+    field = draw(st.sampled_from([Q, F65537]))
+    row_dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    col_dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    blocks = {}
+    for i, r in enumerate(row_dims):
+        for j, c in enumerate(col_dims):
+            if draw(st.booleans()):
+                rows = draw(st.lists(st.lists(small, min_size=c, max_size=c),
+                                     min_size=r, max_size=r))
+                blocks[i, j] = Mat(field, r, c, [[field.of_int(v) for v in row] for row in rows])
+    return field, blocks, row_dims, col_dims
+
+
+def folded(field, blocks, row_dims, col_dims) -> Mat:
+    """The same grid assembled by hstack within block rows, then vstack."""
+    out = None
+    for i, r in enumerate(row_dims):
+        row = None
+        for j, c in enumerate(col_dims):
+            b = blocks.get((i, j))
+            if b is None:
+                b = Mat.zeros(field, r, c)
+            row = b if row is None else row.hstack(b)
+        out = row if out is None else out.vstack(row)
+    return out
+
+
+@given(block_grids())
+@settings(max_examples=80, deadline=None)
+def test_block_matches_stack_folds(grid):
+    field, blocks, row_dims, col_dims = grid
+    want = folded(field, blocks, row_dims, col_dims)
+    assert Mat.block(field, blocks, row_dims, col_dims) == want
+    if {i for i, _ in blocks} == set(range(len(row_dims))) and {
+        j for _, j in blocks
+    } == set(range(len(col_dims))):
+        # every block row and column holds a block: the dims can be read off
+        assert Mat.block(field, blocks) == want
+
+
+def test_block_diagonal_with_empty_blocks():
+    a = mat([[1, 2]])
+    e = Mat.zeros(Q, 0, 3)
+    b = mat([[3], [4]])
+    got = Mat.block(Q, {(0, 0): a, (1, 1): e, (2, 2): b})
+    assert got == mat([[1, 2, 0, 0, 0, 0], [0, 0, 0, 0, 0, 3], [0, 0, 0, 0, 0, 4]])
+
+
+def test_block_needs_dims_for_an_empty_block_row():
+    with pytest.raises(ValueError):
+        Mat.block(Q, {(1, 0): mat([[1]])})
+    assert Mat.block(Q, {(1, 0): mat([[1]])}, [2, 1]) == mat([[0], [0], [1]])
+
+
+def test_block_rejects_a_misfit():
+    with pytest.raises(ValueError):
+        Mat.block(Q, {(0, 0): mat([[1, 2]])}, [1], [3])

@@ -1,10 +1,12 @@
 """Scenario parsing, check execution, report formats, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from qcverify import NonHomogeneousError
+from qcverify.localization_cech import CechComplexWindow
 from qcverify.verify_cli import (
     BUILTIN_SCENARIOS,
     VERDICTS,
@@ -375,3 +377,54 @@ def test_main_exit_codes_propagate(tmp_path):
     f = tmp_path / "mismatch.qcv"
     f.write_text(HEAD + "[check h1 O]\n\n[expect]\nh1 O = exact\n")
     assert main(["run", str(f), "--out", str(tmp_path / "o.json")]) == 1
+
+
+# --- report bytes and work ------------------------------------------------------
+
+# sha256 of each built-in's JSON report at window -2:2, recorded from the
+# program before the Cech caches were merged; reports must not change by a byte
+GOLDEN_DIGESTS = {
+    "affine-control": "fb9a6b3877831d3e856627caa74a4aa7e552773d9c94613208169bcf4631fecd",
+    "double-origin-flat": "b3be84842f9a1a07c9408ffd024c276bcbdcdef23b534e4123e871a69d5c933b",
+    "h1-punctured": "d9dccfb46034b66c379d672391a252953256f0099f01bd5cf6a6f678a7526e67",
+    "lemma21-free": "782e0e8d99204d5f99268068ff62ea3054da013cbed96989a95f5fde49adabfb",
+    "matlis-bidual": "39a25668cc1e67ed41b18be946e689bfe0cf7de1e6c8853357e7060c61266330",
+    "sections-star": "7853d888c29b266a69288731ea1d7f7ac3ebd63241fceebd4052fde82784fc62",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_builtin_report_bytes_are_unchanged(name):
+    text = emit_report(run_text(BUILTIN_SCENARIOS[name], name=name, window=(-2, 2)), "json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+@pytest.fixture
+def complexes_built(monkeypatch):
+    """(module, cover, cap) of every CechComplexWindow built while the test
+    runs.  The objects are held, so their ids stay unique."""
+    built = []
+    init = CechComplexWindow.__init__
+
+    def counting_init(self, module, cover, window, cap):
+        built.append((module, cover, cap))
+        init(self, module, cover, window, cap)
+
+    monkeypatch.setattr(CechComplexWindow, "__init__", counting_init)
+    return built
+
+
+def test_witness_reuses_the_h1_complexes(complexes_built):
+    run_text(HEAD + "[check h1 O]\n")
+    h1_only = len(complexes_built)
+    complexes_built.clear()
+    rep = run_text(HEAD + "[check nonaffine-witness]\n")
+    assert rep.checks[0].verdict == "witness-found"
+    assert 0 < len(complexes_built) <= h1_only
+
+
+def test_no_cech_complex_is_built_twice(complexes_built):
+    rep = run_text(BUILTIN_SCENARIOS["double-origin-flat"], name="d", window=(-1, 1))
+    assert rep.exit_code() == 0
+    keys = [(id(m), id(c), cap) for m, c, cap in complexes_built]
+    assert keys and len(keys) == len(set(keys))
