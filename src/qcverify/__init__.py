@@ -7,7 +7,7 @@ quotient presentations of the direct-image ideal sheaf, and the failure of
 right exactness after a graded-dual (Matlis-style) internal hom.
 
 Layers, from the bottom up:
-  exact_linalg       dense exact matrices over Q or F_p
+  exact_linalg       sparse exact matrices over Q or F_p
   graded_modules     graded rings, finite presentations, degreewise modules
   localization_cech  capped localizations and Cech cohomology on open covers
   glued_scheme       the doubled plane, its sheaves, obstruction certificates

@@ -1,21 +1,23 @@
-"""Exact dense linear algebra over Q or a prime field F_p.
+"""Exact sparse linear algebra over Q or a prime field F_p.
 
-Everything downstream reduces to row reduction of small dense matrices, so
-this module is deliberately minimal: a field descriptor, an immutable
-matrix type, and the three workhorses (reduced row echelon form, kernel
-basis, quotient-space basis with projection).  Entries are Fractions or
-canonical residues mod p; there is no floating point anywhere, and every
-algorithm makes deterministic pivot choices, so equal inputs give
-byte-identical results.
+Everything downstream reduces to row reduction of small, very sparse
+matrices, so this module is deliberately minimal: a field descriptor, an
+immutable matrix type whose rows are {column: entry} dicts holding the
+nonzero entries only, and the three workhorses (reduced row echelon form,
+kernel basis, quotient-space basis with projection).  Entries are
+Fractions or canonical residues mod p; there is no floating point
+anywhere, and every algorithm makes deterministic pivot choices, so equal
+inputs give byte-identical results.
 
-Row operations iterate over the stored support of the pivot row only.
-The matrices that arise in practice (monomial multiplication, Cech
-restriction) are signed-incidence-like, and this keeps elimination close
-to linear time on them.
+Every operation visits the stored nonzero entries only.  The matrices
+that arise in practice (monomial multiplication, Cech restriction) are
+signed-incidence-like, with a few entries per row, and this keeps
+elimination close to linear time on them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
 
@@ -168,64 +170,57 @@ class FieldSpec:
 
 
 class Mat:
-    """Immutable dense matrix with exact entries.
+    """Immutable sparse matrix with exact entries.
 
-    The reduced row echelon form is cached on the instance, which matters:
-    ranks, kernels and solves of the same matrix are asked for repeatedly
-    by the degreewise machinery.
+    data holds one {column: entry} dict per row with the nonzero entries
+    only; rows are shared between matrices and never changed after
+    construction.  The reduced row echelon form is cached on the instance,
+    which matters: ranks, kernels and solves of the same matrix are asked
+    for repeatedly by the degreewise machinery.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_rowsupp", "_ident")
+    __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_ident")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows):
-        data = tuple(tuple(r) for r in rows)
-        if len(data) != nrows or any(len(r) != ncols for r in data):
+        """rows are dense sequences or {column: entry} mappings; zeros are
+        dropped."""
+        data = tuple(_sparse_row(r, ncols) for r in rows)
+        if len(data) != nrows:
             raise ValueError("matrix shape mismatch")
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.data = data
+        self.field, self.nrows, self.ncols, self.data = field, nrows, ncols, data
         self._rref = None
-        self._rowsupp = None
         self._ident = False
 
-    def row_support(self) -> list:
-        """Per-row (column, entry) pairs of the nonzero entries, cached."""
-        rs = self._rowsupp
-        if rs is None:
-            rs = [
-                tuple((j, v) for j, v in enumerate(row) if v) for row in self.data
-            ]
-            self._rowsupp = rs
-        return rs
-
     @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Mat":
-        z = field.zero
-        m = cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
-        m._rowsupp = [()] * nrows
+    def _of(cls, field: FieldSpec, nrows: int, ncols: int, rows) -> "Mat":
+        """A matrix on sparse rows that already hold no zero, not copied."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.data = field, nrows, ncols, tuple(rows)
+        m._rref = None
+        m._ident = False
         return m
 
     @classmethod
+    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Mat":
+        return cls._of(field, nrows, ncols, ({},) * nrows)
+
+    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        m = cls(
-            field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)]
-        )
+        o = field.one
+        m = cls._of(field, n, n, ({i: o} for i in range(n)))
         m._ident = True
-        m._rowsupp = [((i, o),) for i in range(n)]
         return m
 
     @classmethod
     def from_cols(cls, field: FieldSpec, cols, nrows: int) -> "Mat":
-        cols = [list(c) for c in cols]
-        z = field.zero
-        return cls(
-            field,
-            nrows,
-            len(cols),
-            [[cols[j][i] if cols[j] else z for j in range(len(cols))] for i in range(nrows)],
-        )
+        """The matrix with the given columns, each a dense sequence or a
+        {row: entry} mapping."""
+        cols = list(cols)
+        rows = [{} for _ in range(nrows)]
+        for j, c in enumerate(cols):
+            for i, v in _sparse_row(c, nrows).items():
+                rows[i][j] = v
+        return cls._of(field, nrows, len(cols), rows)
 
     @classmethod
     def block(cls, field: FieldSpec, blocks: dict, row_dims=None, col_dims=None) -> "Mat":
@@ -240,83 +235,76 @@ class Mat:
         col_dims = _block_dims(blocks, col_dims, 1)
         row_off = list(accumulate(row_dims, initial=0))
         col_off = list(accumulate(col_dims, initial=0))
-        z = field.zero
-        rows = [[z] * col_off[-1] for _ in range(row_off[-1])]
+        rows = [{} for _ in range(row_off[-1])]
         for (i, j), b in blocks.items():
             if (b.nrows, b.ncols) != (row_dims[i], col_dims[j]):
                 raise ValueError(f"block ({i}, {j}) does not fit its block row and column")
             r0, c0 = row_off[i], col_off[j]
-            for r, sup in enumerate(b.row_support()):
-                out = rows[r0 + r]
-                for c, e in sup:
-                    out[c0 + c] = e
-        return cls(field, row_off[-1], col_off[-1], rows)
+            for r, row in enumerate(b.data, r0):
+                rows[r].update((c0 + c, e) for c, e in row.items())
+        return cls._of(field, row_off[-1], col_off[-1], rows)
+
+    def row_support(self) -> list:
+        """Per-row (column, entry) pairs of the nonzero entries, by column."""
+        return [tuple(sorted(row.items())) for row in self.data]
 
     def entry(self, i: int, j: int):
-        return self.data[i][j]
+        return self.data[i].get(j, self.field.zero)
 
     def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        z = self.field.zero
+        return tuple(row.get(j, z) for row in self.data)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.data for e in row)
+        return not any(self.data)
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.field,
-            self.ncols,
-            self.nrows,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        rows = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                rows[j][i] = v
+        return Mat._of(self.field, self.ncols, self.nrows, rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
-        # skipping zero summands avoids renormalizing exact scalars
-        return Mat(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [
-                [(a if not b else b if not a else a + b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        rows = []
+        for ra, rb in zip(self.data, other.data):
+            if not (ra and rb):
+                rows.append(ra or rb)
+                continue
+            out = dict(ra)
+            for j, v in rb.items():
+                cur = out.get(j)
+                v = v if cur is None else cur + v
+                if v:
+                    out[j] = v
+                else:
+                    del out[j]
+            rows.append(out)
+        return Mat._of(self.field, self.nrows, self.ncols, rows)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in subtraction")
-        return Mat(
+        return self + -other
+
+    def __neg__(self) -> "Mat":
+        return Mat._of(
             self.field,
             self.nrows,
             self.ncols,
-            [
-                [(a if not b else -b if not a else a - b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
+            ({j: -v for j, v in row.items()} for row in self.data),
         )
-
-    def __neg__(self) -> "Mat":
-        z = self.field.zero
-        rows = [[z] * self.ncols for _ in range(self.nrows)]
-        supp = []
-        for out, sup in zip(rows, self.row_support()):
-            neg = tuple((j, -v) for j, v in sup)
-            for j, v in neg:
-                out[j] = v
-            supp.append(neg)
-        m = Mat(self.field, self.nrows, self.ncols, rows)
-        m._rowsupp = supp
-        return m
 
     def scale(self, c) -> "Mat":
         if c == self.field.one:
             return self
-        return Mat(
+        if not c:
+            return Mat.zeros(self.field, self.nrows, self.ncols)
+        return Mat._of(
             self.field,
             self.nrows,
             self.ncols,
-            [[c * a if a else a for a in row] for row in self.data],
+            ({j: c * v for j, v in row.items()} for row in self.data),
         )
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -326,60 +314,50 @@ class Mat:
             return other
         if other._ident:
             return self
-        z = self.field.zero
-        osupp = other.row_support()
+        one = self.field.one
+        orows = other.data
         out = []
-        supp = []
-        for row in self.row_support():
+        for row in self.data:
+            if len(row) == 1:
+                # one term cannot cancel; a unit coefficient shares the row
+                ((k, a),) = row.items()
+                b = orows[k]
+                out.append(b if a == one else {j: a * v for j, v in b.items()})
+                continue
             acc: dict = {}
             get = acc.get
-            for k, a in row:
-                for j, b in osupp[k]:
+            for k, a in row.items():
+                for j, b in orows[k].items():
                     cur = get(j)
                     acc[j] = a * b if cur is None else cur + a * b
-            dense = [z] * other.ncols
-            nz = []
-            for j, v in acc.items():
-                if v:
-                    dense[j] = v
-                    nz.append((j, v))
-            out.append(dense)
-            supp.append(tuple(nz))
-        m = Mat(self.field, self.nrows, other.ncols, out)
-        m._rowsupp = supp
-        return m
+            out.append({j: v for j, v in acc.items() if v})
+        return Mat._of(self.field, self.nrows, other.ncols, out)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        m = Mat(
-            self.field,
-            self.nrows,
-            self.ncols + other.ncols,
-            [ra + rb for ra, rb in zip(self.data, other.data)],
-        )
-        if self._rowsupp is not None and other._rowsupp is not None:
-            off = self.ncols
-            m._rowsupp = [
-                ra + tuple((j + off, v) for j, v in rb)
-                for ra, rb in zip(self._rowsupp, other._rowsupp)
-            ]
-        return m
+        return Mat.block(self.field, {(0, 0): self, (0, 1): other})
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch in vstack")
-        return Mat(
-            self.field, self.nrows + other.nrows, self.ncols, self.data + other.data
-        )
+        return Mat._of(self.field, self.nrows + other.nrows, self.ncols, self.data + other.data)
 
     def take_cols(self, indices) -> "Mat":
-        return Mat(
-            self.field,
-            self.nrows,
-            len(indices),
-            [[row[j] for j in indices] for row in self.data],
+        """The columns at the given distinct indices, in their order."""
+        new = {j: k for k, j in enumerate(indices)}
+        if len(new) != len(indices):
+            raise ValueError("take_cols needs distinct column indices")
+        rows = (
+            {new[j]: v for j, v in row.items() if j in new} for row in self.data
         )
+        return Mat._of(self.field, self.nrows, len(new), rows)
+
+    def take_rows(self, lo: int, hi: int) -> "Mat":
+        """Rows lo, ..., hi - 1."""
+        if not 0 <= lo <= hi <= self.nrows:
+            raise ValueError("row range out of bounds")
+        return Mat._of(self.field, hi - lo, self.ncols, self.data[lo:hi])
 
     def __eq__(self, other):
         return (
@@ -390,14 +368,28 @@ class Mat:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.data))
-
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
             return f"Mat({self.nrows}x{self.ncols})"
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.data)
+        body = "; ".join(
+            " ".join(str(self.entry(i, j)) for j in range(self.ncols))
+            for i in range(self.nrows)
+        )
         return f"Mat[{body}]"
+
+
+def _sparse_row(row, n: int) -> dict:
+    """The nonzero entries of a dense row of length n, or of a mapping with
+    keys in range(n)."""
+    if isinstance(row, Mapping):
+        out = {j: v for j, v in row.items() if v}
+        fits = all(0 <= j < n for j in out)
+    else:
+        out = {j: v for j, v in enumerate(row) if v}
+        fits = len(row) == n
+    if not fits:
+        raise ValueError("matrix shape mismatch")
+    return out
 
 
 def _block_dims(blocks: dict, dims, axis: int) -> list:
@@ -417,49 +409,77 @@ def _block_dims(blocks: dict, dims, axis: int) -> list:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
-    Gauss-Jordan with the first nonzero entry below the working row as
-    pivot; pivots are scaled to 1 and cleared above and below.  The result
-    is cached on the input matrix.
+    The rows are taken one at a time, after SymPy's sdm_irref: a row is
+    reduced against the pivot rows found so far, its first nonzero entry
+    becomes a new pivot scaled to 1, and that column is cleared from the
+    earlier pivot rows, which so stay reduced against each other.  Only
+    nonzero entries are visited.  The RREF is unique, so the result does
+    not depend on this order.  It is cached on the input matrix.
     """
     if m._rref is not None:
         return m._rref
-    rows = [list(r) for r in m.data]
-    nr, nc = m.nrows, m.ncols
     one = m.field.one
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        if pr >= nr:
-            break
-        pivot_row = None
-        for r in range(pr, nr):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    pivot_rows: dict = {}  # pivot column -> its row
+    units: set = set()  # pivots whose row is the unit vector
+    others: set = set()  # the other pivots
+    holders: dict = {}  # non-pivot column -> pivots whose row has an entry there
+    for src in m.data:
+        row = {j: v for j, v in src.items() if j not in units}
+        for p in others.intersection(row):
+            _subtract(row, row.pop(p), pivot_rows[p], p)
+        if not row:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        prow = rows[pr]
-        # normalize, then eliminate using only the pivot row's support
-        support = [c for c in range(pc, nc) if prow[c]]
-        pv = prow[pc]
+        p = min(row)
+        pv = row[p]
         if pv != one:
-            for c in support:
-                prow[c] = prow[c] / pv
-        for r in range(nr):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if not f:
-                continue
-            rr = rows[r]
-            for c in support:
-                rr[c] = rr[c] - f * prow[c]
-        pivots.append(pc)
-        pr += 1
-    result = (Mat(m.field, nr, nc, rows), tuple(pivots))
+            inv = one / pv
+            for j, v in row.items():
+                row[j] = v * inv
+        for q in holders.pop(p, ()):
+            qrow = pivot_rows[q]
+            added, dropped = _subtract(qrow, qrow.pop(p), row, p)
+            for j in added:
+                holders.setdefault(j, set()).add(q)
+            for j in dropped:
+                holders[j].discard(q)
+            if len(qrow) == 1:
+                others.discard(q)
+                units.add(q)
+        pivot_rows[p] = row
+        if len(row) == 1:
+            units.add(p)
+        else:
+            others.add(p)
+            for j in row:
+                if j != p:
+                    holders.setdefault(j, set()).add(p)
+    pivots = tuple(sorted(pivot_rows))
+    rows = [pivot_rows[p] for p in pivots]
+    rows += [{}] * (m.nrows - len(rows))
+    result = (Mat._of(m.field, m.nrows, m.ncols, rows), pivots)
     m._rref = result
     return result
+
+
+def _subtract(row: dict, f, prow: dict, p: int) -> tuple[list, list]:
+    """row -= f * prow away from the pivot column p of prow, in place;
+    returns the columns that became nonzero and those that became zero."""
+    added, dropped = [], []
+    for j, v in prow.items():
+        if j == p:
+            continue
+        cur = row.get(j)
+        if cur is None:
+            row[j] = -f * v
+            added.append(j)
+        else:
+            cur = cur - f * v
+            if cur:
+                row[j] = cur
+            else:
+                del row[j]
+                dropped.append(j)
+    return added, dropped
 
 
 def rank(m: Mat) -> int:
@@ -474,18 +494,13 @@ def kernel_basis(m: Mat) -> Mat:
     """
     red, pivots = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
-    z, o = m.field.zero, m.field.one
-    cols = []
-    for fc in free:
-        v = [z] * m.ncols
-        v[fc] = o
-        for i, pc in enumerate(pivots):
-            e = red.data[i][fc]
-            if e:
-                v[pc] = -e
-        cols.append(v)
-    return Mat.from_cols(m.field, cols, m.ncols)
+    free = {c: k for k, c in enumerate(c for c in range(m.ncols) if c not in pivset)}
+    o = m.field.one
+    rows = [{free[c]: o} if c in free else None for c in range(m.ncols)]
+    for pc, prow in zip(pivots, red.data):
+        # a reduced pivot row has no entry in the other pivot columns
+        rows[pc] = {free[j]: -v for j, v in prow.items() if j != pc}
+    return Mat._of(m.field, m.ncols, len(free), rows)
 
 
 def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int, ...]]:
@@ -503,11 +518,7 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
     _, pivots = rref(aug)
     sub_pivots = [p for p in pivots if p < sub.ncols]
     coset_idx = tuple(p - sub.ncols for p in pivots if p >= sub.ncols)
-    coset = Mat.from_cols(
-        field,
-        [[field.one if i == j else field.zero for i in range(amb_dim)] for j in coset_idx],
-        amb_dim,
-    )
+    coset = Mat.from_cols(field, [{j: field.one} for j in coset_idx], amb_dim)
     b_full = sub.take_cols(sub_pivots).hstack(coset)
     # invert [independent sub columns | coset] and keep the coset rows:
     # those rows kill the sub and restrict to the identity on the coset
@@ -515,9 +526,7 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
     if len(inv_piv) != amb_dim:
         raise ArithmeticError("completion to a basis failed")
     n = b_full.ncols
-    q = coset.ncols
-    proj_rows = [inv_aug.data[n - q + i][n:] for i in range(q)]
-    proj = Mat(field, q, amb_dim, proj_rows)
+    proj = inv_aug.take_rows(n - coset.ncols, n).take_cols(range(n, n + amb_dim))
     return coset, proj, coset_idx
 
 
@@ -542,14 +551,11 @@ def solve(a: Mat, rhs: Mat) -> Mat | None:
     """
     if a.nrows != rhs.nrows:
         raise ValueError("row count mismatch in solve")
-    aug = a.hstack(rhs)
-    red, pivots = rref(aug)
+    red, pivots = rref(a.hstack(rhs))
     if any(p >= a.ncols for p in pivots):
         return None
-    z = a.field.zero
-    out = [[z] * rhs.ncols for _ in range(a.ncols)]
-    for i, pc in enumerate(pivots):
-        row = red.data[i]
-        for j in range(rhs.ncols):
-            out[pc][j] = row[a.ncols + j]
-    return Mat(a.field, a.ncols, rhs.ncols, out)
+    n = a.ncols
+    rows = [{}] * n
+    for pc, prow in zip(pivots, red.data):
+        rows[pc] = {j - n: v for j, v in prow.items() if j >= n}
+    return Mat._of(a.field, n, rhs.ncols, rows)

@@ -463,8 +463,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
                     lp_o = deg_o.levels[0][j]
                     lp_m = deg_m.levels[0][j]
                     off = deg_o.offsets[0][j]
-                    rows = [b.data[off + r] for r in range(lp_o.dim)]
-                    numer = lp_o.incl @ Mat(field, lp_o.dim, b.ncols, rows)
+                    numer = lp_o.incl @ b.take_rows(off, off + lp_o.dim)
                     alpha = (d - e) + cap * cover.denoms[j].degree
                     blocks[j, i] = lp_m.proj @ (gen_mult(i, alpha) @ numer)
             row_dims = [lp.dim for lp in deg_m.levels[0]]
@@ -557,8 +556,7 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
 
     witness = None
     for j in idx:  # prefer a single-coordinate representative
-        cand = Mat.from_cols(field, [[field.one if r == j else field.zero
-                                      for r in range(c1_dim)]], c1_dim)
+        cand = Mat.from_cols(field, [{j: field.one}], c1_dim)
         if d1 is None or (d1 @ cand).is_zero():
             witness = cand
             break
@@ -581,7 +579,7 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
     pos = 0
     pairs = list(_level1_subsets(w))
     for k, lp in enumerate(pieces):
-        block = Mat(field, lp.dim, 1, [witness.data[pos + r] for r in range(lp.dim)])
+        block = witness.take_rows(pos, pos + lp.dim)
         pos += lp.dim
         f_s = w.product(pairs[k])
         lifted_blocks[k, 0] = cech2.levels[1][k].proj @ (
@@ -596,7 +594,7 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
     comps = []
     pos = 0
     for k, lp in enumerate(pieces):
-        block = Mat(field, lp.dim, 1, [witness.data[pos + r] for r in range(lp.dim)])
+        block = witness.take_rows(pos, pos + lp.dim)
         pos += lp.dim
         if block.is_zero():
             continue
@@ -626,7 +624,7 @@ def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
         terms = {}
         simple = True
         for r, lab in enumerate(labels):
-            c = numer_col.data[r][0]
+            c = numer_col.entry(r, 0)
             if not c:
                 continue
             if isinstance(lab, tuple) and len(lab) == 2 and lab[0] == 0 \
@@ -638,8 +636,8 @@ def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
         if simple:
             num = HomogPoly(ring, num_degree, terms)
             return _laurent_string(ring, num, shift)
-    entries = [f"{numer_col.data[r][0]}*[{labels[r]}]"
-               for r in range(numer_col.nrows) if numer_col.data[r][0]]
+    entries = [f"{numer_col.entry(r, 0)}*[{labels[r]}]"
+               for r in range(numer_col.nrows) if numer_col.entry(r, 0)]
     return "(" + " + ".join(entries) + f") / ({f_s})^{cap}"
 
 

@@ -532,12 +532,10 @@ class DegreewiseModule:
 
 
 class _Realization:
-    __slots__ = ("free_labels", "free_index", "incl", "proj", "piece")
+    __slots__ = ("free_index", "proj", "piece")
 
-    def __init__(self, free_labels, free_index, incl, proj, piece):
-        self.free_labels = free_labels
+    def __init__(self, free_index, proj, piece):
         self.free_index = free_index
-        self.incl = incl
         self.proj = proj
         self.piece = piece
 
@@ -596,17 +594,18 @@ class FPGradedModule:
         return tuple(labels)
 
     def relation_span(self, d: int, free_index) -> list:
-        """Degree-d vectors spanning the relation submodule of the free cover."""
-        z = self.ring.field.zero
+        """Degree-d vectors spanning the relation submodule of the free
+        cover, as {free index: coefficient} mappings."""
         vecs = []
         for entries, c in self.relations:
             for u in self.ring.monomials(d - c):
-                v = [z] * len(free_index)
+                v: dict = {}
                 for i, p in enumerate(entries):
                     if p is None:
                         continue
                     for mono, coeff in p.terms.items():
-                        v[free_index[(i, _mono_mul(u, mono))]] += coeff
+                        k = free_index[(i, _mono_mul(u, mono))]
+                        v[k] = v[k] + coeff if k in v else coeff
                 vecs.append(v)
         return vecs
 
@@ -619,9 +618,9 @@ class FPGradedModule:
         free_index = {lab: k for k, lab in enumerate(free_labels)}
         n = len(free_labels)
         span = Mat.from_cols(field, self.relation_span(d, free_index), n)
-        coset, proj, idx = _quotient_with_indices(span, n)
+        _, proj, idx = _quotient_with_indices(span, n)
         piece = GradedPiece(field, tuple(free_labels[j] for j in idx))
-        got = _Realization(free_labels, free_index, coset, proj, piece)
+        got = _Realization(free_index, proj, piece)
         self._realizations[d] = got
         return got
 
@@ -629,37 +628,20 @@ class FPGradedModule:
         return self._realize(d).piece
 
     def act_matrix(self, var: int, d: int) -> Mat:
+        # x_var sends a basis label to one free label: column selection
+        # from the projection of the target degree
         src = self._realize(d)
         tgt = self._realize(d + 1)
-        field = self.ring.field
-        z = field.zero
         cols = []
-        for lab in src.piece.labels:
-            i, mono = lab
+        for i, mono in src.piece.labels:
             up = tuple(mono[j] + (1 if j == var else 0) for j in range(self.ring.nvars))
-            v = [z] * len(tgt.free_labels)
-            v[tgt.free_index[(i, up)]] = field.one
-            cols.append(v)
-        free_vecs = Mat.from_cols(field, cols, len(tgt.free_labels))
-        return tgt.proj @ free_vecs
-
-    def project(self, d: int, free_vecs: Mat) -> Mat:
-        """Coordinates in the realized piece of vectors given on the free cover."""
-        return self._realize(d).proj @ free_vecs
-
-    def include(self, d: int) -> Mat:
-        """Free-cover representatives of the realized basis."""
-        return self._realize(d).incl
+            cols.append(tgt.free_index[(i, up)])
+        return tgt.proj.take_cols(cols)
 
     def gen_element(self, i: int) -> Mat:
         """The i-th generator as an element of the realized piece."""
-        d = self.gen_degrees[i]
-        r = self._realize(d)
-        field = self.ring.field
-        unit = (0,) * self.ring.nvars
-        col = [[field.zero] for _ in range(len(r.free_labels))]
-        col[r.free_index[(i, unit)]][0] = field.one
-        return r.proj @ Mat(field, len(r.free_labels), 1, col)
+        r = self._realize(self.gen_degrees[i])
+        return r.proj.take_cols([r.free_index[(i, (0,) * self.ring.nvars)]])
 
     def _torsion(self, f: HomogPoly):
         if f.is_zero():
@@ -771,16 +753,12 @@ def map_from_gen_images(src: FPGradedModule, tgt: DegreewiseModule, images) -> G
     src_mod = src.module()
 
     def matrix_fn(d: int) -> Mat:
-        piece = src.realize_piece(d)
-        field = tgt.ring.field
-        out = Mat.zeros(field, tgt.piece(d).dim, 0)
-        cols = []
-        for (i, mono) in piece.labels:
+        labels = src.realize_piece(d).labels
+        cols = {}
+        for k, (i, mono) in enumerate(labels):
             p = HomogPoly.monomial(src.ring, mono)
-            cols.append((tgt.poly_act(p, src.gen_degrees[i]) @ images[i]).col(0))
-        if cols:
-            out = Mat.from_cols(field, cols, tgt.piece(d).dim)
-        return out
+            cols[0, k] = tgt.poly_act(p, src.gen_degrees[i]) @ images[i]
+        return Mat.block(tgt.ring.field, cols, [tgt.piece(d).dim], [1] * len(labels))
 
     return GradedModuleMap(src_mod, tgt, matrix_fn)
 

@@ -130,11 +130,9 @@ class LocalizedPiece:
     was certified or found heuristically.
     """
 
-    __slots__ = ("module", "f", "d", "cap", "num_degree", "status", "piece", "incl", "proj")
+    __slots__ = ("d", "cap", "num_degree", "status", "piece", "incl", "proj")
 
-    def __init__(self, module, f, d, cap, num_degree, status, piece, incl, proj):
-        self.module = module
-        self.f = f
+    def __init__(self, d, cap, num_degree, status, piece, incl, proj):
         self.d = d
         self.cap = cap
         self.num_degree = num_degree
@@ -161,8 +159,8 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     if num.dim == 0:
         empty = Mat.zeros(field, 0, 0)
         zero_piece = GradedPiece(field, ())
-        return LocalizedPiece(module, f, d, cap, num_degree, "certified-in-window",
-                              zero_piece, Mat.zeros(field, 0, 0), Mat.zeros(field, 0, 0))
+        return LocalizedPiece(d, cap, num_degree, "certified-in-window",
+                              zero_piece, empty, empty)
 
     bound = module.torsion_bound(f)
     if bound == ALL_TORSION:
@@ -193,10 +191,10 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     if stable.ncols == 0:
         piece = GradedPiece(field, num.labels)
         ident = Mat.identity(field, num.dim)
-        return LocalizedPiece(module, f, d, cap, num_degree, status, piece, ident, ident)
+        return LocalizedPiece(d, cap, num_degree, status, piece, ident, ident)
     coset, proj, idx = _quotient_with_indices(stable, num.dim)
     piece = GradedPiece(field, tuple(num.labels[j] for j in idx))
-    return LocalizedPiece(module, f, d, cap, num_degree, status, piece, coset, proj)
+    return LocalizedPiece(d, cap, num_degree, status, piece, coset, proj)
 
 
 class _CechDegree:
@@ -476,9 +474,7 @@ class SectionsModule(DegreewiseModule):
         for j in range(i):
             lo += self._loc(j, d, cap).dim
         lp = self._loc(i, d, cap)
-        block = Mat(self.ring.field, lp.dim, c0_vec.ncols,
-                    [c0_vec.data[lo + r] for r in range(lp.dim)])
-        return lp.incl @ block
+        return lp.incl @ c0_vec.take_rows(lo, lo + lp.dim)
 
     def _act_at(self, var: int, d: int) -> Mat:
         r = self._realize(d)
@@ -591,7 +587,7 @@ def _block_poly(sections_O: SectionsModule, piece_labels, numerator: Mat, degree
     ring = sections_O.ring
     terms: dict = {}
     for r, lab in enumerate(piece_labels):
-        c = numerator.data[r][0]
+        c = numerator.entry(r, 0)
         if c:
             terms[lab[1]] = c
     return HomogPoly(ring, degree, terms)

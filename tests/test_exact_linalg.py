@@ -1,5 +1,6 @@
 """Exact linear algebra: hand-checked oracles plus algebraic property tests."""
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,120 @@ def test_block_needs_dims_for_an_empty_block_row():
 def test_block_rejects_a_misfit():
     with pytest.raises(ValueError):
         Mat.block(Q, {(0, 0): mat([[1, 2]])}, [1], [3])
+
+
+# --- the sparse representation -------------------------------------------
+
+
+@st.composite
+def sparse_mats(draw, field, nrows, ncols):
+    """An nrows x ncols matrix over field with a few entries in -2..2, so
+    that whole zero rows and zero columns are common."""
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        st.integers(-2, 2),
+        max_size=max(1, nrows * ncols // 3),
+    )) if nrows and ncols else {}
+    rows = [{} for _ in range(nrows)]
+    for (i, j), v in cells.items():
+        rows[i][j] = field.of_int(v)
+    return Mat(field, nrows, ncols, rows)
+
+
+@st.composite
+def op_inputs(draw):
+    """A field and matrices a, b (n x m), c (m x k), sized 0..4."""
+    field = draw(st.sampled_from([Q, F65537]))
+    n, m, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(sparse_mats(field, n, m))
+    b = draw(st.one_of(sparse_mats(field, n, m), st.just(-a)))
+    c = draw(sparse_mats(field, m, k))
+    return field, a, b, c
+
+
+def assert_sparse(x: Mat):
+    assert len(x.data) == x.nrows
+    for row in x.data:
+        assert isinstance(row, Mapping)
+        assert all(j in range(x.ncols) for j in row)
+        assert all(row.values()), "a zero is stored"
+
+
+@given(op_inputs(), st.integers(-2, 2))
+@settings(max_examples=80, deadline=None)
+def test_every_operation_keeps_rows_sparse(inputs, s):
+    field, a, b, c = inputs
+    n, m = a.nrows, a.ncols
+    results = [
+        a, a + b, a - b, a - a, a + a.scale(field.of_int(-1)), -a,
+        a.scale(field.of_int(s)), a @ c, a.hstack(b), a.vstack(b),
+        Mat.block(field, {(0, 0): a, (0, 1): a @ c, (1, 0): b}, [n, n], [m, c.ncols]),
+        a.transpose(), a.take_cols(list(range(m))[::-1]), a.take_rows(n // 2, n),
+        rref(a)[0], kernel_basis(a), image_quotient(a, n)[0], image_quotient(a, n)[1],
+    ]
+    x = solve(a, b.take_cols(list(range(min(m, 1)))))
+    if x is not None:
+        results.append(x)
+    for r in results:
+        assert_sparse(r)
+    assert (a - a).is_zero() and (a + -a).data == ({},) * n
+
+
+def test_dense_and_mapping_rows_agree():
+    dense = Mat(Q, 2, 3, [[0, 2, 0], [Fraction(1, 2), 0, 0]])
+    sparse = Mat(Q, 2, 3, [{1: Fraction(2), 2: Fraction(0)}, {0: Fraction(1, 2)}])
+    assert dense == sparse and dense.data == ({1: 2}, {0: Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        Mat(Q, 1, 2, [{2: Fraction(1)}])
+    with pytest.raises(ValueError):
+        Mat(Q, 1, 2, [[1, 2, 3]])
+
+
+def test_take_rows():
+    a = mat([[1, 0], [0, 2], [3, 0]])
+    assert a.take_rows(1, 3) == mat([[0, 2], [3, 0]])
+    assert a.take_rows(2, 2).nrows == 0
+    with pytest.raises(ValueError):
+        a.take_rows(2, 4)
+
+
+# --- SymPy as an independent oracle --------------------------------------
+
+
+def _plain(field: FieldSpec, e):
+    """An entry as a Fraction, or as its residue in range(p)."""
+    return e if field.kind == "rationals" else e.v
+
+
+def _to_sympy(a: Mat):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = sympy.QQ if a.field.kind == "rationals" else sympy.GF(a.field.p)
+    rows = [[dom.convert(_plain(a.field, a.entry(i, j))) for j in range(a.ncols)]
+            for i in range(a.nrows)]
+    return DomainMatrix(rows, (a.nrows, a.ncols), dom)
+
+
+def _from_sympy(field: FieldSpec, x) -> list:
+    if field.kind == "rationals":
+        return [[Fraction(int(e.numerator), int(e.denominator)) for e in r] for r in x.to_list()]
+    return [[int(e) % field.p for e in r] for r in x.to_list()]
+
+
+@st.composite
+def oracle_inputs(draw):
+    field = draw(st.sampled_from([Q, F65537]))
+    return draw(sparse_mats(field, draw(st.integers(1, 8)), draw(st.integers(1, 10))))
+
+
+@given(oracle_inputs())
+@settings(max_examples=40, deadline=None)
+def test_rref_and_kernel_match_sympy(a):
+    dm = _to_sympy(a)
+    want, want_pivots = dm.rref()
+    red, pivots = rref(a)
+    assert pivots == tuple(want_pivots)
+    ours = [[_plain(a.field, red.entry(i, j)) for j in range(a.ncols)] for i in range(a.nrows)]
+    assert ours == _from_sympy(a.field, want)
+    assert kernel_basis(a).ncols == dm.nullspace().shape[0]
