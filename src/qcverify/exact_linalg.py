@@ -4,10 +4,12 @@ Everything downstream reduces to row reduction of small, very sparse
 matrices, so this module is deliberately minimal: a field descriptor, an
 immutable matrix type whose rows are {column: entry} dicts holding the
 nonzero entries only, and the three workhorses (reduced row echelon form,
-kernel basis, quotient-space basis with projection).  Entries are
-Fractions or canonical residues mod p; there is no floating point
-anywhere, and every algorithm makes deterministic pivot choices, so equal
-inputs give byte-identical results.
+kernel basis, quotient-space basis with projection).  Entries are plain
+Python numbers: over F_p an int in range(p), over Q an int, or a Fraction
+once a non-unit has been inverted.  FieldSpec owns the field decision
+(reduction and inverses); there is no floating point anywhere, and every
+algorithm makes deterministic pivot choices, so equal inputs give
+byte-identical results.
 
 Every operation visits the stored nonzero entries only.  The matrices
 that arise in practice (monomial multiplication, Cech restriction) are
@@ -23,7 +25,6 @@ from itertools import accumulate
 
 __all__ = [
     "FieldSpec",
-    "PrimeFieldElement",
     "Mat",
     "rref",
     "kernel_basis",
@@ -58,53 +59,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeFieldElement:
-    """A residue mod p with field arithmetic via operator overloading."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return PrimeFieldElement(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return PrimeFieldElement(self.v - other.v, self.p)
-
-    def __mul__(self, other):
-        return PrimeFieldElement(self.v * other.v, self.p)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return PrimeFieldElement(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.v == other.v
-            and self.p == other.p
-        )
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
-
-
 class FieldSpec:
-    """The ground field: the rationals, or F_p for a prime p."""
+    """The ground field: the rationals, or F_p for a prime p.
+
+    Scalars are plain numbers, and 0 and 1 are zero and one in both
+    fields.  norm brings the result of +, - or * into canonical form, inv
+    inverts; p is None over Q, so "if p" is the test for a prime field.
+    """
 
     __slots__ = ("kind", "p")
+
+    zero = 0
+    one = 1
 
     def __init__(self, kind: str = "rationals", p: int | None = None):
         if kind == "prime":
@@ -125,22 +91,20 @@ class FieldSpec:
     def prime(cls, p: int) -> "FieldSpec":
         return cls("prime", p)
 
-    @property
-    def zero(self):
-        if self.kind == "rationals":
-            return Fraction(0)
-        return PrimeFieldElement(0, self.p)
+    def norm(self, x):
+        """x mod p over F_p; x itself over Q."""
+        return x % self.p if self.p else x
 
-    @property
-    def one(self):
-        if self.kind == "rationals":
-            return Fraction(1)
-        return PrimeFieldElement(1, self.p)
+    of_int = norm
 
-    def of_int(self, n: int):
-        if self.kind == "rationals":
-            return Fraction(n)
-        return PrimeFieldElement(n, self.p)
+    def inv(self, a):
+        """The inverse of a nonzero scalar.  Over Q, 1 and -1 are their own
+        inverses, so rows of ints stay ints; other inverses are Fractions."""
+        if self.p:
+            if a % self.p == 0:
+                raise ZeroDivisionError(f"division by zero in F_{self.p}")
+            return pow(a, self.p - 2, self.p)
+        return a if a == 1 or a == -1 else Fraction(1, a)
 
     def parse_scalar(self, text: str):
         """Parse 'n' or 'n/m' (the latter inverted mod p for prime fields)."""
@@ -148,11 +112,9 @@ class FieldSpec:
         if "/" in text:
             a, b = text.split("/", 1)
             num, den = int(a), int(b)
-            if den == 0:
-                raise ValueError("zero denominator in scalar")
-            if self.kind == "rationals":
-                return Fraction(num, den)
-            return PrimeFieldElement(num, self.p) / PrimeFieldElement(den, self.p)
+            if not self.norm(den):
+                raise ValueError(f"denominator {den} vanishes in {self!r}")
+            return self.norm(num * self.inv(den))
         return self.of_int(int(text))
 
     def __eq__(self, other):
@@ -206,8 +168,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
-        o = field.one
-        m = cls._of(field, n, n, ({i: o} for i in range(n)))
+        m = cls._of(field, n, n, ({i: 1} for i in range(n)))
         m._ident = True
         return m
 
@@ -249,11 +210,10 @@ class Mat:
         return [tuple(sorted(row.items())) for row in self.data]
 
     def entry(self, i: int, j: int):
-        return self.data[i].get(j, self.field.zero)
+        return self.data[i].get(j, 0)
 
     def col(self, j: int) -> tuple:
-        z = self.field.zero
-        return tuple(row.get(j, z) for row in self.data)
+        return tuple(row.get(j, 0) for row in self.data)
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -268,6 +228,7 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
+        mod = self.field.p
         rows = []
         for ra, rb in zip(self.data, other.data):
             if not (ra and rb):
@@ -276,7 +237,8 @@ class Mat:
             out = dict(ra)
             for j, v in rb.items():
                 cur = out.get(j)
-                v = v if cur is None else cur + v
+                if cur is not None:
+                    v = (cur + v) % mod if mod else cur + v
                 if v:
                     out[j] = v
                 else:
@@ -288,23 +250,26 @@ class Mat:
         return self + -other
 
     def __neg__(self) -> "Mat":
+        mod = self.field.p
         return Mat._of(
             self.field,
             self.nrows,
             self.ncols,
-            ({j: -v for j, v in row.items()} for row in self.data),
+            ({j: mod - v if mod else -v for j, v in row.items()} for row in self.data),
         )
 
     def scale(self, c) -> "Mat":
-        if c == self.field.one:
+        """c times the matrix, c a scalar of the field."""
+        if c == 1:
             return self
         if not c:
             return Mat.zeros(self.field, self.nrows, self.ncols)
+        mod = self.field.p
         return Mat._of(
             self.field,
             self.nrows,
             self.ncols,
-            ({j: c * v for j, v in row.items()} for row in self.data),
+            ({j: c * v % mod if mod else c * v for j, v in row.items()} for row in self.data),
         )
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -314,7 +279,7 @@ class Mat:
             return other
         if other._ident:
             return self
-        one = self.field.one
+        mod = self.field.p
         orows = other.data
         out = []
         for row in self.data:
@@ -322,7 +287,10 @@ class Mat:
                 # one term cannot cancel; a unit coefficient shares the row
                 ((k, a),) = row.items()
                 b = orows[k]
-                out.append(b if a == one else {j: a * v for j, v in b.items()})
+                if a == 1:
+                    out.append(b)
+                else:
+                    out.append({j: a * v % mod if mod else a * v for j, v in b.items()})
                 continue
             acc: dict = {}
             get = acc.get
@@ -330,7 +298,10 @@ class Mat:
                 for j, b in orows[k].items():
                     cur = get(j)
                     acc[j] = a * b if cur is None else cur + a * b
-            out.append({j: v for j, v in acc.items() if v})
+            if mod:
+                out.append({j: r for j, v in acc.items() if (r := v % mod)})
+            else:
+                out.append({j: v for j, v in acc.items() if v})
         return Mat._of(self.field, self.nrows, other.ncols, out)
 
     def hstack(self, other: "Mat") -> "Mat":
@@ -418,7 +389,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """
     if m._rref is not None:
         return m._rref
-    one = m.field.one
+    mod = m.field.p
     pivot_rows: dict = {}  # pivot column -> its row
     units: set = set()  # pivots whose row is the unit vector
     others: set = set()  # the other pivots
@@ -426,18 +397,18 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     for src in m.data:
         row = {j: v for j, v in src.items() if j not in units}
         for p in others.intersection(row):
-            _subtract(row, row.pop(p), pivot_rows[p], p)
+            _subtract(row, row.pop(p), pivot_rows[p], p, mod)
         if not row:
             continue
         p = min(row)
         pv = row[p]
-        if pv != one:
-            inv = one / pv
+        if pv != 1:
+            inv = m.field.inv(pv)
             for j, v in row.items():
-                row[j] = v * inv
+                row[j] = v * inv % mod if mod else v * inv
         for q in holders.pop(p, ()):
             qrow = pivot_rows[q]
-            added, dropped = _subtract(qrow, qrow.pop(p), row, p)
+            added, dropped = _subtract(qrow, qrow.pop(p), row, p, mod)
             for j in added:
                 holders.setdefault(j, set()).add(q)
             for j in dropped:
@@ -461,19 +432,20 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return result
 
 
-def _subtract(row: dict, f, prow: dict, p: int) -> tuple[list, list]:
-    """row -= f * prow away from the pivot column p of prow, in place;
-    returns the columns that became nonzero and those that became zero."""
+def _subtract(row: dict, f, prow: dict, p: int, mod) -> tuple[list, list]:
+    """row -= f * prow away from the pivot column p of prow, in place,
+    reduced mod p when mod is set; returns the columns that became nonzero
+    and those that became zero."""
     added, dropped = [], []
     for j, v in prow.items():
         if j == p:
             continue
         cur = row.get(j)
         if cur is None:
-            row[j] = -f * v
+            row[j] = -f * v % mod if mod else -f * v
             added.append(j)
         else:
-            cur = cur - f * v
+            cur = (cur - f * v) % mod if mod else cur - f * v
             if cur:
                 row[j] = cur
             else:
@@ -495,11 +467,11 @@ def kernel_basis(m: Mat) -> Mat:
     red, pivots = rref(m)
     pivset = set(pivots)
     free = {c: k for k, c in enumerate(c for c in range(m.ncols) if c not in pivset)}
-    o = m.field.one
-    rows = [{free[c]: o} if c in free else None for c in range(m.ncols)]
+    mod = m.field.p
+    rows = [{free[c]: 1} if c in free else None for c in range(m.ncols)]
     for pc, prow in zip(pivots, red.data):
         # a reduced pivot row has no entry in the other pivot columns
-        rows[pc] = {free[j]: -v for j, v in prow.items() if j != pc}
+        rows[pc] = {free[j]: mod - v if mod else -v for j, v in prow.items() if j != pc}
     return Mat._of(m.field, m.ncols, len(free), rows)
 
 
@@ -518,7 +490,7 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
     _, pivots = rref(aug)
     sub_pivots = [p for p in pivots if p < sub.ncols]
     coset_idx = tuple(p - sub.ncols for p in pivots if p >= sub.ncols)
-    coset = Mat.from_cols(field, [{j: field.one} for j in coset_idx], amb_dim)
+    coset = Mat.from_cols(field, [{j: 1} for j in coset_idx], amb_dim)
     b_full = sub.take_cols(sub_pivots).hstack(coset)
     # invert [independent sub columns | coset] and keep the coset rows:
     # those rows kill the sub and restrict to the identity on the coset

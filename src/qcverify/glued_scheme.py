@@ -194,9 +194,13 @@ class QcohSheafOnX:
         if self.gluing == "identity":
             res_v_matrix = res_u.matrix
         else:
-            # pushforward: restriction V -> W is the identity on the realization
+            # pushforward: restriction V -> W is the identity on the
+            # realization; the closure must not hold the sheaf, which
+            # caches the result, or the two would form a reference cycle
+            field = self.scheme.ring.field
+
             def res_v_matrix(d: int) -> Mat:
-                return Mat.identity(self.scheme.ring.field, sw.piece(d).dim)
+                return Mat.identity(field, sw.piece(d).dim)
         total = direct_sum((self.m_U, self.m_V))
         diff = GradedModuleMap(
             total, sw,

@@ -172,15 +172,19 @@ _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\
 class HomogPoly:
     """A homogeneous polynomial, stored as {exponent tuple: coefficient}.
 
-    The zero polynomial is allowed and carries a nominal degree so that
-    degree bookkeeping never has gaps.
+    Coefficients are put in canonical form (field.norm) on construction,
+    so the arithmetic below needs no reduction of its own.  The zero
+    polynomial is allowed and carries a nominal degree so that degree
+    bookkeeping never has gaps.
     """
 
     __slots__ = ("ring", "degree", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, degree: int, terms: dict):
+        norm = ring.field.norm
         clean = {}
         for mono, c in terms.items():
+            c = norm(c)
             if not c:
                 continue
             if len(mono) != ring.nvars:
@@ -206,12 +210,11 @@ class HomogPoly:
     @classmethod
     def variable(cls, ring: PolyRing, i: int) -> "HomogPoly":
         mono = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return cls(ring, 1, {mono: ring.field.one})
+        return cls(ring, 1, {mono: 1})
 
     @classmethod
     def monomial(cls, ring: PolyRing, mono, c=None) -> "HomogPoly":
-        c = ring.field.one if c is None else c
-        return cls(ring, sum(mono), {tuple(mono): c})
+        return cls(ring, sum(mono), {tuple(mono): 1 if c is None else c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -228,7 +231,7 @@ class HomogPoly:
             raise NonHomogeneousError("sum of different degrees")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, self.ring.field.zero) + c
+            terms[m] = terms.get(m, 0) + c
         return HomogPoly(self.ring, self.degree, terms)
 
     def __neg__(self) -> "HomogPoly":
@@ -242,11 +245,10 @@ class HomogPoly:
         if self.is_zero() or other.is_zero():
             return HomogPoly.zero(self.ring, deg)
         terms: dict = {}
-        z = self.ring.field.zero
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                terms[m] = terms.get(m, z) + ca * cb
+                terms[m] = terms.get(m, 0) + ca * cb
         return HomogPoly(self.ring, deg, terms)
 
     def scale(self, c) -> "HomogPoly":
@@ -255,7 +257,7 @@ class HomogPoly:
     def __pow__(self, n: int) -> "HomogPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = HomogPoly.constant(self.ring, self.ring.field.one)
+        result = HomogPoly.constant(self.ring, 1)
         for _ in range(n):
             result = result * self
         return result
@@ -279,16 +281,16 @@ class HomogPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        one = self.ring.field.one
+        minus_one = self.ring.field.norm(-1)
         parts = []
         for mono in sorted(self.terms, reverse=True):
             c = self.terms[mono]
             ms = _mono_str(self.ring, mono)
             if ms == "1":
                 frag = str(c)
-            elif c == one:
+            elif c == 1:
                 frag = ms
-            elif c == -one:
+            elif c == minus_one:
                 frag = f"-{ms}"
             else:
                 frag = f"{c}*{ms}"
@@ -401,7 +403,11 @@ class DegreewiseModule:
     """A graded module presented as lazy pieces plus variable actions.
 
     piece(d) returns the GradedPiece in degree d; act(i, d) the matrix of
-    x_i : M_d -> M_{d+1} in the canonical bases.  Both are memoized.
+    x_i : M_d -> M_{d+1} in the canonical bases.  Both are memoized.  They
+    come from piece_fn and act_fn, or from a subclass that overrides
+    _piece and _act (and torsion_bound) instead.  A subclass must not pass
+    its own bound methods: the module would then sit in a reference cycle
+    and outlive its last user until the cyclic collector runs.
 
     torsion_bound(f) reports what is known about the f-power-torsion of
     the module: an integer T certifies ker(f^t) = ker(f^T) for all t >= T
@@ -413,8 +419,8 @@ class DegreewiseModule:
     def __init__(
         self,
         ring: PolyRing,
-        piece_fn,
-        act_fn,
+        piece_fn=None,
+        act_fn=None,
         name: str = "M",
         min_degree: int | None = None,
         max_degree: int | None = None,
@@ -442,7 +448,7 @@ class DegreewiseModule:
             ):
                 got = GradedPiece(self.ring.field, ())
             else:
-                got = self._piece_fn(d)
+                got = self._piece(d)
             self._pieces[d] = got
         return got
 
@@ -454,13 +460,19 @@ class DegreewiseModule:
             if src.dim == 0 or tgt.dim == 0:
                 got = Mat.zeros(self.ring.field, tgt.dim, src.dim)
             else:
-                got = self._act_fn(var, d)
+                got = self._act(var, d)
             if got.nrows != tgt.dim or got.ncols != src.dim:
                 raise ArithmeticError(
                     f"action matrix shape mismatch for {self.name}, x_{var}, degree {d}"
                 )
             self._acts[key] = got
         return got
+
+    def _piece(self, d: int) -> GradedPiece:
+        return self._piece_fn(d)
+
+    def _act(self, var: int, d: int) -> Mat:
+        return self._act_fn(var, d)
 
     def poly_act(self, p: HomogPoly, d: int) -> Mat:
         """Matrix of multiplication by p from degree d."""
@@ -596,6 +608,7 @@ class FPGradedModule:
     def relation_span(self, d: int, free_index) -> list:
         """Degree-d vectors spanning the relation submodule of the free
         cover, as {free index: coefficient} mappings."""
+        norm = self.ring.field.norm
         vecs = []
         for entries, c in self.relations:
             for u in self.ring.monomials(d - c):
@@ -605,7 +618,7 @@ class FPGradedModule:
                         continue
                     for mono, coeff in p.terms.items():
                         k = free_index[(i, _mono_mul(u, mono))]
-                        v[k] = v[k] + coeff if k in v else coeff
+                        v[k] = norm(v[k] + coeff) if k in v else coeff
                 vecs.append(v)
         return vecs
 
@@ -776,8 +789,8 @@ class _BasisBackedModule(DegreewiseModule):
         self._basis_fn = basis_fn
         self._bases: dict[int, Mat] = {}
         self._tag = label_tag
-        super().__init__(ring, self._piece, self._act, name=name,
-                         min_degree=ambient.min_degree, max_degree=ambient.max_degree)
+        super().__init__(ring, name=name, min_degree=ambient.min_degree,
+                         max_degree=ambient.max_degree)
 
     def basis(self, d: int) -> Mat:
         got = self._bases.get(d)
@@ -785,6 +798,12 @@ class _BasisBackedModule(DegreewiseModule):
             got = self._basis_fn(d)
             self._bases[d] = got
         return got
+
+    @property
+    def inclusion(self) -> GradedModuleMap:
+        """The inclusion into the ambient module, basis(d) in degree d; built
+        on each access, since a stored map would point back at the module."""
+        return GradedModuleMap(self, self.ambient, self.basis, name=f"{self.name}->")
 
     def _piece(self, d: int) -> GradedPiece:
         b = self.basis(d)
@@ -807,8 +826,8 @@ class _QuotientModule(DegreewiseModule):
         self.ambient = ambient
         self._sub_fn = sub_fn
         self._quots: dict[int, tuple] = {}
-        super().__init__(ring, self._piece, self._act, name=name,
-                         min_degree=ambient.min_degree, max_degree=ambient.max_degree)
+        super().__init__(ring, name=name, min_degree=ambient.min_degree,
+                         max_degree=ambient.max_degree)
 
     def _realize(self, d: int):
         got = self._quots.get(d)
@@ -835,15 +854,13 @@ class _QuotientModule(DegreewiseModule):
 
 def kernel_dw(f: GradedModuleMap) -> DegreewiseModule:
     """The degreewise kernel of f, as a module with induced actions."""
-    mod = _BasisBackedModule(
+    return _BasisBackedModule(
         f.source.ring,
         f.source,
         lambda d: kernel_basis(f.matrix(d)),
         name=f"ker({f.name})",
         label_tag="ker",
     )
-    mod.inclusion = GradedModuleMap(mod, f.source, mod.basis, name=f"ker({f.name})->")
-    return mod
 
 
 def image_dw(f: GradedModuleMap) -> DegreewiseModule:
@@ -854,11 +871,9 @@ def image_dw(f: GradedModuleMap) -> DegreewiseModule:
         _, pivots = rref(m)
         return m.take_cols(pivots)
 
-    mod = _BasisBackedModule(
+    return _BasisBackedModule(
         f.target.ring, f.target, basis_fn, name=f"im({f.name})", label_tag="im"
     )
-    mod.inclusion = GradedModuleMap(mod, f.target, mod.basis, name=f"im({f.name})->")
-    return mod
 
 
 def cokernel_dw(f: GradedModuleMap) -> DegreewiseModule:

@@ -387,12 +387,7 @@ class SectionsModule(DegreewiseModule):
         self._loc_memo: dict[tuple, LocalizedPiece] = {}
         self._lift_memo: dict[tuple, Mat] = {}
         self._sec: dict[int, _SecPiece] = {}
-        super().__init__(
-            base.ring,
-            self._piece_at,
-            self._act_at,
-            name=name or f"sections({base.name})",
-        )
+        super().__init__(base.ring, name=name or f"sections({base.name})")
 
     def _realize(self, d: int) -> _SecPiece:
         got = self._sec.get(d)
@@ -414,7 +409,7 @@ class SectionsModule(DegreewiseModule):
             self._loc_memo.setdefault((i, d, cap), lp)
         return got
 
-    def _piece_at(self, d: int) -> GradedPiece:
+    def _piece(self, d: int) -> GradedPiece:
         return self._realize(d).piece
 
     def certified(self, d: int) -> bool:
@@ -476,7 +471,7 @@ class SectionsModule(DegreewiseModule):
         lp = self._loc(i, d, cap)
         return lp.incl @ c0_vec.take_rows(lo, lo + lp.dim)
 
-    def _act_at(self, var: int, d: int) -> Mat:
+    def _act(self, var: int, d: int) -> Mat:
         r = self._realize(d)
         blocks = {}
         for i in range(self.cover.n):

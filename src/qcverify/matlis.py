@@ -65,22 +65,19 @@ class DualizedModule(DegreewiseModule):
         self.base = base
         super().__init__(
             base.ring,
-            self._piece_at,
-            self._act_at,
             name=name or f"dual({base.name})",
             min_degree=None if base.max_degree is None else -base.max_degree,
             max_degree=None if base.min_degree is None else -base.min_degree,
-            torsion_fn=self._torsion,
         )
 
-    def _piece_at(self, d: int) -> GradedPiece:
+    def _piece(self, d: int) -> GradedPiece:
         bp = self.base.piece(-d)
         return GradedPiece(self.ring.field, tuple(("d", lab) for lab in bp.labels))
 
-    def _act_at(self, var: int, d: int):
+    def _act(self, var: int, d: int):
         return self.base.act(var, -d - 1).transpose()
 
-    def _torsion(self, f: HomogPoly):
+    def torsion_bound(self, f: HomogPoly):
         if isinstance(self.base, DualizedModule):
             # double transpose: the action matrices equal the origin's
             return self.base.base.torsion_bound(f)

@@ -28,18 +28,28 @@ def test_rational_scalars():
 
 
 def test_prime_field_arithmetic():
-    a = F7.of_int(3)
-    b = F7.of_int(5)
-    assert a + b == F7.of_int(1)
-    assert a * b == F7.of_int(1)
-    assert -a == F7.of_int(4)
-    assert (a / b) * b == a
-    assert F7.parse_scalar("1/3") * F7.of_int(3) == F7.one
+    # scalars are plain ints in range(p); FieldSpec does the reduction
+    assert F7.of_int(10) == 3 and F7.of_int(-1) == 6 and F7.of_int(7) == 0
+    assert type(F7.of_int(-1)) is int
+    assert F7.norm(3 * 5) == 1 and F7.norm(3 + 5) == 1
+    assert F7.parse_scalar("1/3") == 5 and F7.norm(5 * 3) == F7.one
+    assert F7.parse_scalar("-2/4") == F7.norm(-2 * F7.inv(4)) == 3
+    assert F7.inv(3) == 5 and F7.inv(-1) == 6
+    # over Q a unit inverts to an int, anything else to a Fraction
+    assert type(Q.inv(-1)) is int and Q.inv(-1) == -1
+    assert Q.inv(3) == Fraction(1, 3) and Q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(Q.parse_scalar("6")) is int
 
 
 def test_prime_field_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        F7.one / F7.zero
+    for field, zero in ((F7, 0), (F7, 14), (Q, 0)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+    # a denominator that vanishes mod p is bad input, not an arithmetic error
+    with pytest.raises(ValueError):
+        F7.parse_scalar("1/7")
+    with pytest.raises(ValueError):
+        Q.parse_scalar("1/0")
 
 
 def test_prime_must_be_prime():
@@ -294,10 +304,14 @@ def op_inputs(draw):
 
 def assert_sparse(x: Mat):
     assert len(x.data) == x.nrows
+    p = x.field.p
     for row in x.data:
         assert isinstance(row, Mapping)
         assert all(j in range(x.ncols) for j in row)
         assert all(row.values()), "a zero is stored"
+        if p:
+            # zero tests and equality rely on canonical residues
+            assert all(type(v) is int and 0 < v < p for v in row.values())
 
 
 @given(op_inputs(), st.integers(-2, 2))
@@ -341,17 +355,12 @@ def test_take_rows():
 # --- SymPy as an independent oracle --------------------------------------
 
 
-def _plain(field: FieldSpec, e):
-    """An entry as a Fraction, or as its residue in range(p)."""
-    return e if field.kind == "rationals" else e.v
-
-
 def _to_sympy(a: Mat):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
     dom = sympy.QQ if a.field.kind == "rationals" else sympy.GF(a.field.p)
-    rows = [[dom.convert(_plain(a.field, a.entry(i, j))) for j in range(a.ncols)]
+    rows = [[dom.convert(a.entry(i, j)) for j in range(a.ncols)]
             for i in range(a.nrows)]
     return DomainMatrix(rows, (a.nrows, a.ncols), dom)
 
@@ -375,6 +384,6 @@ def test_rref_and_kernel_match_sympy(a):
     want, want_pivots = dm.rref()
     red, pivots = rref(a)
     assert pivots == tuple(want_pivots)
-    ours = [[_plain(a.field, red.entry(i, j)) for j in range(a.ncols)] for i in range(a.nrows)]
+    ours = [[red.entry(i, j) for j in range(a.ncols)] for i in range(a.nrows)]
     assert ours == _from_sympy(a.field, want)
     assert kernel_basis(a).ncols == dm.nullspace().shape[0]

@@ -1,12 +1,13 @@
 """Scenario parsing, check execution, report formats, and exit codes."""
 
+import gc
 import hashlib
 import json
 
 import pytest
 
-from qcverify import NonHomogeneousError
-from qcverify.localization_cech import CechComplexWindow
+from qcverify import FieldSpec, NonHomogeneousError
+from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.verify_cli import (
     BUILTIN_SCENARIOS,
     VERDICTS,
@@ -373,6 +374,19 @@ def test_main_rejects_bad_den_cap(capsys):
     assert main(["builtin", "affine-control", "--den-cap", "0"]) == 3
 
 
+@pytest.mark.parametrize("field_line, flags", [
+    ("field = Fp:7", []),
+    ("field = Q", ["--field", "Fp:7"]),
+], ids=["in-file", "override"])
+def test_main_rejects_a_denominator_that_vanishes_mod_p(tmp_path, capsys, field_line, flags):
+    f = tmp_path / "den.qcv"
+    f.write_text(HEAD.replace("field = Q", field_line)
+                 + "[module M]\ngenerators = 0\nrelation = x + 3/14*y\n")
+    assert main(["run", str(f), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "line 12" in err and "denominator 14" in err
+
+
 def test_main_exit_codes_propagate(tmp_path):
     f = tmp_path / "mismatch.qcv"
     f.write_text(HEAD + "[check h1 O]\n\n[expect]\nh1 O = exact\n")
@@ -393,10 +407,135 @@ GOLDEN_DIGESTS = {
 }
 
 
+def report_digest(rep) -> str:
+    return hashlib.sha256(emit_report(rep, "json").encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_builtin_report_bytes_are_unchanged(name):
-    text = emit_report(run_text(BUILTIN_SCENARIOS[name], name=name, window=(-2, 2)), "json")
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[name]
+    rep = run_text(BUILTIN_SCENARIOS[name], name=name, window=(-2, 2))
+    assert report_digest(rep) == GOLDEN_DIGESTS[name]
+
+
+# the same at each built-in's own window -6:6, recorded from the program
+# before matrix entries became plain ints
+GOLDEN_DIGESTS_FULL_WINDOW = {
+    "affine-control": "9776c64deffff91f55e9e61363d1683a0c3ce9bb5d5bfe35b9e939afa05548d9",
+    "double-origin-flat": "577d5d3deab3f1a21ba782f6b95a2e42ca14b76ff3e1e7bdf0d8aca7ce91e4d4",
+    "h1-punctured": "f33fc46a44831140550906393c3c2d45a643c7ef55498033f96f877c97480aa2",
+    "lemma21-free": "21290ca72d4588f4151c43bca5a818a674bbb26a62699e2e19b87f21e9ff376e",
+    "matlis-bidual": "48282653866927f2e45b2e570417392279641a35f6c47b74f9c7441a0ae60717",
+    "sections-star": "c3868eade5d744b5892f8d5be603fca203e005c638e0f4fa9d00cbdbf994fca5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS_FULL_WINDOW))
+def test_builtin_report_bytes_at_the_full_window(name):
+    rep = run_text(BUILTIN_SCENARIOS[name], name=name)
+    assert report_digest(rep) == GOLDEN_DIGESTS_FULL_WINDOW[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtins_agree_over_q_and_a_large_prime(name):
+    # every built-in's tables are characteristic-free: Q and F_65537 must
+    # give the same checks, tables, flags and verdicts
+    text = BUILTIN_SCENARIOS[name]
+    over_q = run_text(text, name=name, window=(-2, 2)).to_obj()
+    over_p = run_text(text, name=name, window=(-2, 2), field=FieldSpec.prime(65537)).to_obj()
+    assert over_p == over_q
+
+
+# entries other than 0 and 1: non-monomial relations, a fraction, and a
+# coefficient 7 that vanishes in F_7 (there N = R/(3xy) has certified torsion)
+NON_UNIT = HEAD.replace("window = -2:2", "window = -3:3") + """
+[module M]
+generators = 0, 1
+relation = 2*x^2 - 3*x*y + 5*y^2; 7*x - 2*y
+
+[module N]
+generators = 0
+relation = 7*x^2 + 3*x*y - 14*y^2
+
+[module A]
+generators = 1
+
+[module C]
+generators = 0
+relation = 3/2*x + y
+
+[map f: A -> O]
+3*x + 2*y
+
+[map g: O -> C]
+1
+
+[sheaf F]
+direct-image = M
+
+[sheaf G]
+patch = M
+
+[check sections F over W]
+[check sections G over X]
+[check h1 M]
+[check obstruction F]
+[check star-sequence f g over W]
+[check bidual f g]
+[check h1 N]
+[check lemma21 M]
+[check nonaffine-witness M]
+"""
+
+# recorded from the program before matrix entries became plain ints
+NON_UNIT_DIGESTS = {
+    "Q": "4c0bf81b038aa5a26234f30e0ca1d11aeec416065b553e166d36bc6e07103e14",
+    "Fp:65537": "4c0bf81b038aa5a26234f30e0ca1d11aeec416065b553e166d36bc6e07103e14",
+    "Fp:7": "2de17d5c4bf9e8b9ed529f1f5c30edd60ea10f7797f5b300c5f004e2b8760020",
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_UNIT_DIGESTS))
+def test_non_unit_report_bytes_are_unchanged(field):
+    text = NON_UNIT.replace("field = Q", f"field = {field}")
+    rep = run_text(text, name="non-unit")
+    assert rep.exit_code() == 0
+    assert report_digest(rep) == NON_UNIT_DIGESTS[field]
+
+
+def _live(cls) -> int:
+    return sum(type(o) is cls for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("text", [
+    HEAD + """
+[module F]
+generators = 0, 1
+
+[module sky]
+generators = 0
+relation = x
+relation = y
+
+[check lemma21 F]
+[check lemma21 sky]
+[check h1 F]
+""",
+    BUILTIN_SCENARIOS["double-origin-flat"],
+], ids=["lemma21-h1", "double-origin-flat"])
+def test_finished_checks_are_freed_without_the_cyclic_collector(text):
+    # sections modules and Cech complexes sit in no reference cycle, so
+    # they go as soon as the run drops them, not at the next collection
+    s = parse_scenario(text, window=(-1, 1))
+    gc.collect()
+    kinds = (SectionsModule, CechComplexWindow)
+    before = [_live(k) for k in kinds]
+    gc.disable()
+    try:
+        run_scenario(s)
+        after = [_live(k) for k in kinds]
+    finally:
+        gc.enable()
+    assert after == before
 
 
 @pytest.fixture
