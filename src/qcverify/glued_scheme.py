@@ -31,7 +31,6 @@ from .localization_cech import (
     OpenSubset,
     SectionElement,
     SectionsModule,
-    _CechComplexes,
     _stabilize,
     h1_window,
     restriction_to_sections,
@@ -122,6 +121,10 @@ class QcohSheafOnX:
     means the sheaf is the pushforward of the U-patch module: the V-patch
     module is its module of W-sections, and restriction V -> W is the
     identity on that realization.
+
+    The degree window and cap policy are fixed at construction; every
+    section functor of the sheaf (and of maps out of it) uses them, and
+    its W- and X-sections are computed once and kept.
     """
 
     def __init__(self, scheme: DoubleGluedScheme, m_U: DegreewiseModule,
@@ -143,54 +146,39 @@ class QcohSheafOnX:
         self.name = name or m_U.name
         self.window = tuple(window)
         self.policy = policy or DEFAULT_CAP_POLICY
-        self._w_pairs: dict[tuple, tuple] = {}
-        self._x_mods: dict[tuple, DegreewiseModule] = {}
+        self._w: tuple | None = None
+        self._x: DegreewiseModule | None = None
 
     @classmethod
     def glued(cls, scheme: DoubleGluedScheme, m: DegreewiseModule, name: str | None = None,
               window=DEFAULT_WINDOW, policy: CapPolicy | None = None) -> "QcohSheafOnX":
         return cls(scheme, m, m, "identity", name=name, window=window, policy=policy)
 
-    def _w_pair(self, window=None, policy: CapPolicy | None = None):
+    def _w_pair(self):
         """(canonical Gamma(W) realization, V-side recomputation)."""
-        window = tuple(window) if window is not None else self.window
-        cacheable = policy is None
-        if cacheable and window in self._w_pairs:
-            return self._w_pairs[window]
-        pol = policy or self.policy
-        if self.gluing == "identity":
-            # one module object, hence literally one W-computation
-            sw = sections_window(self.m_U, self.scheme.overlap, window, pol,)
-            pair = (sw, sw)
-        else:
-            sw_v = sections_window(self.m_V, self.scheme.overlap, window, pol)
-            pair = (self.m_V, sw_v)
-        if cacheable:
-            self._w_pairs[window] = pair
-        return pair
+        if self._w is None:
+            sw_v = sections_window(self.m_V, self.scheme.overlap, self.window, self.policy)
+            # identity gluing: one module object, hence literally one W-computation
+            self._w = (sw_v, sw_v) if self.gluing == "identity" else (self.m_V, sw_v)
+        return self._w
 
-    def w_sections(self, window=None, policy: CapPolicy | None = None,
-                   compare: bool = True) -> DegreewiseModule:
+    def w_sections(self, compare: bool = True) -> DegreewiseModule:
         """Gamma(W) of the sheaf; checks the two patch computations agree."""
-        window = tuple(window) if window is not None else self.window
-        sw_u, sw_v = self._w_pair(window, policy)
+        sw_u, sw_v = self._w_pair()
         if compare and sw_v is not sw_u:
-            for d in range(window[0], window[1] + 1):
+            lo, hi = self.window
+            for d in range(lo, hi + 1):
                 du, dv = sw_u.piece(d).dim, sw_v.piece(d).dim
                 if du != dv:
                     raise GluingMismatch(d, du, dv)
         return sw_u
 
-    def x_sections(self, window=None, policy: CapPolicy | None = None) -> DegreewiseModule:
+    def x_sections(self) -> DegreewiseModule:
         """Gamma(X): the equalizer of the two patch restrictions to W."""
-        window = tuple(window) if window is not None else self.window
-        cacheable = policy is None
-        if cacheable and window in self._x_mods:
-            return self._x_mods[window]
-        sw = self.w_sections(window, policy, compare=False)
-        res_u = restriction_to_sections(
-            self.m_U, self.scheme.overlap, window, policy or self.policy, sections=sw
-        )
+        if self._x is not None:
+            return self._x
+        sw = self.w_sections(compare=False)
+        res_u = restriction_to_sections(self.m_U, self.scheme.overlap, sections=sw)
         if self.gluing == "identity":
             res_v_matrix = res_u.matrix
         else:
@@ -209,8 +197,7 @@ class QcohSheafOnX:
         )
         out = kernel_dw(diff)
         out.name = f"Gamma(X, {self.name})"
-        if cacheable:
-            self._x_mods[window] = out
+        self._x = out
         return out
 
     def __repr__(self):
@@ -226,22 +213,25 @@ def direct_image_from_U(scheme: DoubleGluedScheme, n: DegreewiseModule,
                         name=name or f"push({n.name})", window=window, policy=policy)
 
 
-def sheaf_sections(s: QcohSheafOnX, open_name: str, window=None,
-                   policy: CapPolicy | None = None) -> DegreewiseModule:
+def sheaf_sections(s: QcohSheafOnX, open_name: str) -> DegreewiseModule:
     """Sections of s over one of the four canonical opens."""
     if open_name == "U":
         return s.m_U
     if open_name == "V":
         return s.m_V
     if open_name == "W":
-        return s.w_sections(window, policy)
+        return s.w_sections()
     if open_name == "X":
-        return s.x_sections(window, policy)
+        return s.x_sections()
     raise ValueError(f"unknown open {open_name!r}: expected one of X, U, V, W")
 
 
 class SheafMap:
-    """A morphism of sheaves on X, recorded as one map per patch."""
+    """A morphism of sheaves on X, recorded as one map per patch.
+
+    Its maps on sections are taken over the window and cap policy of its
+    source and target sheaves, fixed when those were built.
+    """
 
     def __init__(self, source: QcohSheafOnX, target: QcohSheafOnX,
                  u_U: GradedModuleMap, u_V: GradedModuleMap, name: str | None = None):
@@ -256,7 +246,7 @@ class SheafMap:
         self.u_U = u_U
         self.u_V = u_V
         self.name = name or u_U.name
-        self._w_maps: dict[tuple, GradedModuleMap] = {}
+        self._w_map: GradedModuleMap | None = None
 
     @classmethod
     def glued(cls, source: QcohSheafOnX, target: QcohSheafOnX,
@@ -275,8 +265,7 @@ class SheafMap:
         u_v = sections_induced_map(u, source.m_V, target.m_V)
         return cls(source, target, u, u_v, name=name)
 
-    def on_sections(self, open_name: str, window=None,
-                    policy: CapPolicy | None = None) -> GradedModuleMap:
+    def on_sections(self, open_name: str) -> GradedModuleMap:
         """The induced map on sections over the chosen open."""
         if open_name == "U":
             return self.u_U
@@ -285,21 +274,18 @@ class SheafMap:
         if open_name == "W":
             if self.source.gluing == "direct-image":
                 return self.u_V
-            key = tuple(window) if window is not None else self.source.window
-            got = self._w_maps.get(key)
-            if got is None:
-                sw_s = self.source.w_sections(window, policy, compare=False)
-                sw_t = self.target.w_sections(window, policy, compare=False)
-                got = sections_induced_map(self.u_U, sw_s, sw_t)
-                self._w_maps[key] = got
-            return got
+            if self._w_map is None:
+                sw_s = self.source.w_sections(compare=False)
+                sw_t = self.target.w_sections(compare=False)
+                self._w_map = sections_induced_map(self.u_U, sw_s, sw_t)
+            return self._w_map
         if open_name == "X":
-            return self._x_map(window, policy)
+            return self._x_map()
         raise ValueError(f"unknown open {open_name!r}: expected one of X, U, V, W")
 
-    def _x_map(self, window, policy) -> GradedModuleMap:
-        ks = self.source.x_sections(window, policy)
-        kt = self.target.x_sections(window, policy)
+    def _x_map(self) -> GradedModuleMap:
+        ks = self.source.x_sections()
+        kt = self.target.x_sections()
         field = self.source.scheme.ring.field
 
         def matrix(d: int) -> Mat:
@@ -409,8 +395,7 @@ class ObstructionCertificate:
         return "no-obstruction-in-window"
 
 
-def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
-                              policy: CapPolicy | None = None) -> ObstructionCertificate:
+def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
     """Codim of the span of Gamma(W,O)-multiples of U-patch sections.
 
     Nonzero codim in some degree certifies that the sheaf cannot be an
@@ -423,7 +408,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
     so the table is computed at raw uniform caps and accepted only when
     it is reproduced at three consecutive escalations.
     """
-    window = tuple(window) if window is not None else s.window
+    window = s.window
     lo, hi = window
     fp = s.m_U.fp_source
     if fp is None:
@@ -438,10 +423,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
     cover = scheme.overlap
     o = scheme.structure_module()
     field = scheme.ring.field
-    pol = policy or s.policy
     # the U-module's complexes are those of the sheaf's W-sections
-    complexes_m = s.w_sections(window, policy, compare=False).complexes
-    complexes_o = _CechComplexes(o, cover, window)
+    complexes_m = s.w_sections(compare=False).complexes
+    complexes_o = sections_window(o, cover, window, s.policy).complexes
 
     def gen_mult(i: int, alpha: int) -> Mat:
         # p |-> p * gen_i in free coordinates is column selection from proj
@@ -479,7 +463,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX, window=None,
             out.append(a.ncols - rank(p_mat))
         return tuple(out)
 
-    cap, table = _stabilize(table_at, pol.caps(window), f"obstruction table for {s.name}")
+    cap, table = _stabilize(table_at, s.policy.caps(window), f"obstruction table for {s.name}")
     codims = {d: table[d - lo] for d in range(lo, hi + 1)}
     statuses = [
         p.status
@@ -576,8 +560,8 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         raise ArithmeticError("witness candidate is a coboundary")
 
     # re-verify at the next cap: a stable class must survive the lift
-    cap2 = cap + h1.policy.step
-    cech2 = h1.complexes[cap2].degree(found)
+    cap2 = cap + h1.sections.policy.step
+    cech2 = h1.sections.complexes[cap2].degree(found)
     pieces = cech.levels[1]
     lifted_blocks = {}
     pos = 0
@@ -703,12 +687,11 @@ def exactness_tables(f: GradedModuleMap, g: GradedModuleMap, window,
                            complex_ok, flags)
 
 
-def sequence_report(f: SheafMap, g: SheafMap, open_name: str, window=None,
-                    policy: CapPolicy | None = None) -> ExactnessReport:
-    """Exactness of the section sequence of A -f-> B -g-> C over one open."""
+def sequence_report(f: SheafMap, g: SheafMap, open_name: str) -> ExactnessReport:
+    """Exactness of the section sequence of A -f-> B -g-> C over one open,
+    over the window of A."""
     if f.target is not g.source:
         raise ValueError("the sheaf maps are not composable")
-    window = tuple(window) if window is not None else f.source.window
-    uf = f.on_sections(open_name, window, policy)
-    ug = g.on_sections(open_name, window, policy)
-    return exactness_tables(uf, ug, window, open_name=open_name)
+    uf = f.on_sections(open_name)
+    ug = g.on_sections(open_name)
+    return exactness_tables(uf, ug, f.source.window, open_name=open_name)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from weakref import WeakValueDictionary
 
 from .exact_linalg import Mat, kernel_basis, rref, solve, _quotient_with_indices
 from .graded_modules import (
@@ -319,10 +320,11 @@ class CechComplexWindow:
 class _CechComplexes(dict):
     """cap -> CechComplexWindow of one module on one cover, built on first use.
 
-    This is the one cache of Cech complexes.  Whoever holds it (a sections
-    module, an H^1 result, one obstruction scan) owns the complexes, and
-    they die with their owner: a cache kept on the module object would
-    hold every complex of a run until the run ends.
+    This is the one cache of Cech complexes.  Only a SectionsModule owns
+    one; H^1 results and the obstruction scan read the complexes of the
+    sections module that sections_window hands them, and the complexes die
+    with that module: a cache kept on the module object would hold every
+    complex of a run until the run ends.
     """
 
     def __init__(self, module: DegreewiseModule, cover: OpenSubset, window):
@@ -511,9 +513,24 @@ class SectionsModule(DegreewiseModule):
         return out
 
 
+_live_sections: "WeakValueDictionary[tuple, SectionsModule]" = WeakValueDictionary()
+
+
 def sections_window(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
                     policy: CapPolicy | None = None) -> SectionsModule:
-    return SectionsModule(module, cover, window, policy)
+    """Gamma(cover, ~module) over the window.
+
+    While a sections module for the same module, cover, window and policy
+    is alive, this returns it, so every check on the module shares one set
+    of Cech complexes.  The registry keeps nothing alive: an entry goes
+    when the last holder of its sections module drops it.
+    """
+    policy = policy or DEFAULT_CAP_POLICY
+    key = (module, cover, tuple(window), policy)
+    got = _live_sections.get(key)
+    if got is None:
+        got = _live_sections[key] = SectionsModule(module, cover, window, policy)
+    return got
 
 
 class H1Result:
@@ -523,27 +540,28 @@ class H1Result:
         self.module = module
         self.cover = cover
         self.window = tuple(window)
-        self.policy = policy or DEFAULT_CAP_POLICY
-        self.complexes = _CechComplexes(module, cover, self.window)
+        # the Cech complexes are those of the module's sections over the cover
+        self.sections = sections_window(module, cover, self.window, policy)
+        complexes = self.sections.complexes
         self.dims: dict[int, int] = {}
         self.caps: dict[int, int] = {}
         self.certified: dict[int, bool] = {}
         lo, hi = self.window
         for d in range(lo, hi + 1):
             cap, dim = _stabilize(
-                lambda c: self.complexes[c].degree(d).h1_dim,
-                self.policy.caps(self.window),
+                lambda c: complexes[c].degree(d).h1_dim,
+                self.sections.policy.caps(self.window),
                 f"H1 of {module.name} in degree {d}",
             )
             self.dims[d] = dim
             self.caps[d] = cap
             self.certified[d] = all(
-                s.startswith("certified") for s in self.complexes[cap].degree(d).statuses()
+                s.startswith("certified") for s in complexes[cap].degree(d).statuses()
             )
 
     def realization(self, d: int) -> tuple[_CechDegree, int]:
         cap = self.caps[d]
-        return self.complexes[cap].degree(d), cap
+        return self.sections.complexes[cap].degree(d), cap
 
     def flags(self) -> list[str]:
         caps = [self.caps[d] for d in sorted(self.caps)]

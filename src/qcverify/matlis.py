@@ -18,7 +18,7 @@ of the completed modules coincide with those of their uncompleted
 sources.
 """
 
-from weakref import WeakKeyDictionary
+from weakref import WeakValueDictionary
 
 from .graded_modules import (
     ALL_TORSION,
@@ -36,7 +36,6 @@ from .glued_scheme import (
     direct_image_from_U,
     sequence_report,
 )
-from .localization_cech import DEFAULT_WINDOW, CapPolicy
 
 __all__ = [
     "DualizedModule",
@@ -87,12 +86,14 @@ class DualizedModule(DegreewiseModule):
         return None
 
 
-_dual_memo: "WeakKeyDictionary[DegreewiseModule, DualizedModule]" = WeakKeyDictionary()
+# a dual holds its base, so the memo must hold neither: an entry goes when
+# its dual dies
+_dual_memo: "WeakValueDictionary[DegreewiseModule, DualizedModule]" = WeakValueDictionary()
 
 
 def matlis_dual(m: DegreewiseModule) -> DualizedModule:
-    """The graded dual of m; repeated calls return the same object, so
-    maps built with default endpoints compose."""
+    """The graded dual of m; while that dual is alive, repeated calls
+    return the same object, so maps built with default endpoints compose."""
     got = _dual_memo.get(m)
     if got is None:
         got = DualizedModule(m)
@@ -134,15 +135,14 @@ class GradedInjectiveHull:
         return f"GradedInjectiveHull({self.ring!r})"
 
 
-def plus_functor(s: QcohSheafOnX, window=DEFAULT_WINDOW,
-                 policy: CapPolicy | None = None) -> QcohSheafOnX:
+def plus_functor(s: QcohSheafOnX) -> QcohSheafOnX:
     """The sheaf s^+: the pushforward from U of the dualized U-sections.
 
     Its U-patch is dual(s.m_U) and its V-patch is the W-sections of that
-    dual with the induced actions.
+    dual with the induced actions, over the window and cap policy of s.
     """
     return direct_image_from_U(
-        s.scheme, matlis_dual(s.m_U), window=window, policy=policy,
+        s.scheme, matlis_dual(s.m_U), window=s.window, policy=s.policy,
         name=f"{s.name}+",
     )
 
@@ -183,17 +183,16 @@ class BidualReport:
                 f"bidual_over_V={self.bidual_over_V.verdict})")
 
 
-def bidual_pipeline(f: SheafMap, g: SheafMap, window=DEFAULT_WINDOW,
-                    policy: CapPolicy | None = None) -> BidualReport:
+def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
     """Dualize a short exact sequence A -> B -> C twice and report where
-    exactness survives.
+    exactness survives, over the window and cap policy of the sheaves.
 
     Requires the input to be short exact on U-sections in the window
     (kernel, homology and cokernel all zero); raises ValueError
     otherwise, because the pipeline's verdicts are only meaningful for
     an honest short exact sequence.
     """
-    base = sequence_report(f, g, "U", window=window, policy=policy)
+    base = sequence_report(f, g, "U")
     if base.verdict != "exact":
         raise ValueError(
             "bidual pipeline needs a sequence that is short exact over U; got "
@@ -201,17 +200,17 @@ def bidual_pipeline(f: SheafMap, g: SheafMap, window=DEFAULT_WINDOW,
         )
 
     a, b, c = f.source, f.target, g.target
-    a_p = plus_functor(a, window=window, policy=policy)
-    b_p = plus_functor(b, window=window, policy=policy)
-    c_p = plus_functor(c, window=window, policy=policy)
+    a_p = plus_functor(a)
+    b_p = plus_functor(b)
+    c_p = plus_functor(c)
     g_p = plus_functor_map(g, c_p, b_p)
     f_p = plus_functor_map(f, b_p, a_p)
-    plus_u = sequence_report(g_p, f_p, "U", window=window, policy=policy)
+    plus_u = sequence_report(g_p, f_p, "U")
 
-    a_pp = plus_functor(a_p, window=window, policy=policy)
-    b_pp = plus_functor(b_p, window=window, policy=policy)
-    c_pp = plus_functor(c_p, window=window, policy=policy)
+    a_pp = plus_functor(a_p)
+    b_pp = plus_functor(b_p)
+    c_pp = plus_functor(c_p)
     f_pp = plus_functor_map(f_p, a_pp, b_pp)
     g_pp = plus_functor_map(g_p, b_pp, c_pp)
-    bidual_v = sequence_report(f_pp, g_pp, "V", window=window, policy=policy)
+    bidual_v = sequence_report(f_pp, g_pp, "V")
     return BidualReport(plus_u, bidual_v)

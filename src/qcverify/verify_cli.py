@@ -598,16 +598,11 @@ class _Runner:
         self.scheme = DoubleGluedScheme(s.ring, s.overlap)
         self._sheaves: dict = {}
         self._module_sheaves: dict = {}
-        self._sections_o: SectionsModule | None = None
-
-    def sections_o(self) -> SectionsModule:
-        # one realization of Gamma(W, O) shared by all lemma21 checks
-        if self._sections_o is None:
-            self._sections_o = sections_window(
-                self.s.modules["O"].module(), self.s.overlap, self.s.window,
-                self.s.policy,
-            )
-        return self._sections_o
+        # Gamma(W, O), held for the whole run: lemma21 reads it, and through
+        # sections_window every other check on O shares its complexes;
+        # its pieces are still built on first use
+        self.sections_o = sections_window(s.modules["O"].module(), s.overlap,
+                                          s.window, s.policy)
 
     def _table(self, dims) -> dict:
         lo, hi = self.s.window
@@ -660,7 +655,7 @@ class _Runner:
         if spec.kind == "sections":
             sheaf_name, open_name = spec.args
             sh = self.sheaf(sheaf_name)
-            mod = sheaf_sections(sh, open_name, window=s.window, policy=s.policy)
+            mod = sheaf_sections(sh, open_name)
             dims = {d: mod.piece(d).dim for d in range(lo, hi + 1)}
             flags = []
             if open_name == "W":
@@ -686,8 +681,7 @@ class _Runner:
 
         if spec.kind == "obstruction":
             (sheaf_name,) = spec.args
-            cert = flat_quotient_obstruction(self.sheaf(sheaf_name), window=s.window,
-                                             policy=s.policy)
+            cert = flat_quotient_obstruction(self.sheaf(sheaf_name))
             flags = list(cert.flags)
             degs = cert.obstructed_degrees
             if degs:
@@ -699,8 +693,7 @@ class _Runner:
 
         if spec.kind == "star-sequence":
             f_name, g_name, open_name = spec.args
-            rep = sequence_report(self.sheaf_map(f_name), self.sheaf_map(g_name),
-                                  open_name, window=s.window, policy=s.policy)
+            rep = sequence_report(self.sheaf_map(f_name), self.sheaf_map(g_name), open_name)
             tables = {
                 "kernel": self._table(rep.kernel),
                 "homology": self._table(rep.homology),
@@ -710,8 +703,7 @@ class _Runner:
 
         if spec.kind == "bidual":
             f_name, g_name = spec.args
-            rep = bidual_pipeline(self.sheaf_map(f_name), self.sheaf_map(g_name),
-                                  window=s.window, policy=s.policy)
+            rep = bidual_pipeline(self.sheaf_map(f_name), self.sheaf_map(g_name))
             pu, bv = rep.plus_over_U, rep.bidual_over_V
             tables = {
                 "plus-u-kernel": self._table(pu.kernel),
@@ -728,7 +720,7 @@ class _Runner:
             (modname,) = spec.args
             tbl = flat_sections_defect(s.modules[modname], s.overlap,
                                        window=s.window, policy=s.policy,
-                                       sections_o=self.sections_o())
+                                       sections_o=self.sections_o)
             tables = {
                 "kernel": self._table(tbl.kernel),
                 "cokernel": self._table(tbl.cokernel),

@@ -110,8 +110,8 @@ def test_criterion_2_obstruction():
 @criterion(3, "twist sequence drops right-exactness over W")
 def test_criterion_3_star_sequence():
     f, g = twist_maps()
-    assert sequence_report(f, g, "U", WINDOW).verdict == "exact"
-    rep = sequence_report(f, g, "W", WINDOW)
+    assert sequence_report(f, g, "U").verdict == "exact"
+    rep = sequence_report(f, g, "W")
     assert rep.kernel == {d: 0 for d in range(LO, HI + 1)}
     assert rep.homology == {d: 0 for d in range(LO, HI + 1)}
     assert rep.cokernel == {d: (1 if d < 0 else 0) for d in range(LO, HI + 1)}
@@ -134,7 +134,7 @@ def test_criterion_4_h1_and_witness():
 @criterion(5, "bidual sequence stays left-exact-only over V")
 def test_criterion_5_bidual():
     f, g = twist_maps()
-    report = bidual_pipeline(f, g, window=WINDOW)
+    report = bidual_pipeline(f, g)
     assert report.plus_over_U.verdict == "exact"
     v = report.bidual_over_V
     assert v.kernel == {d: 0 for d in range(LO, HI + 1)}  # all three maps injective
@@ -249,7 +249,7 @@ def test_criterion_8_infrastructure():
 
     # variable actions commute on every kind of module the engine builds
     e = GradedInjectiveHull(RING).module()
-    gx = QcohSheafOnX.glued(SCHEME, IDEAL.module(), window=WINDOW).x_sections(WINDOW)
+    gx = QcohSheafOnX.glued(SCHEME, IDEAL.module(), window=WINDOW).x_sections()
     for mod in (
         free_module(RING, (0,)).module(),
         IDEAL.module(),

@@ -46,27 +46,27 @@ def ideal_inclusion(scheme, ideal_fp, o_fp, x, y, window=WINDOW):
 
 def test_structure_sheaf_sections_on_x(scheme):
     s = scheme.structure_sheaf(window=WINDOW)
-    got = [sheaf_sections(s, "X", WINDOW).piece(d).dim for d in range(-3, 5)]
+    got = [sheaf_sections(s, "X").piece(d).dim for d in range(-3, 5)]
     assert got == [0, 0, 0, 1, 2, 3, 4, 5]
 
 
 def test_skyscraper_doubles_on_x(scheme, sky_fp):
     s = glued(scheme, sky_fp)
-    gx = sheaf_sections(s, "X", WINDOW)
+    gx = sheaf_sections(s, "X")
     assert [gx.piece(d).dim for d in range(-2, 3)] == [0, 0, 2, 0, 0]
     # over each patch it is the ordinary skyscraper
-    assert sheaf_sections(s, "U", WINDOW).piece(0).dim == 1
-    assert sheaf_sections(s, "W", WINDOW).piece(0).dim == 0
+    assert sheaf_sections(s, "U").piece(0).dim == 1
+    assert sheaf_sections(s, "W").piece(0).dim == 0
 
 
 def test_pushed_ideal_loses_degree_zero(scheme, ideal_fp):
     s = direct_image_from_U(scheme, ideal_fp.module(), window=WINDOW)
-    v = sheaf_sections(s, "V", WINDOW)
-    xx = sheaf_sections(s, "X", WINDOW)
+    v = sheaf_sections(s, "V")
+    xx = sheaf_sections(s, "X")
     assert [v.piece(d).dim for d in range(0, 4)] == [1, 2, 3, 4]
     assert [xx.piece(d).dim for d in range(0, 4)] == [0, 2, 3, 4]
     # the W computation agrees whether done from U or from V
-    s.w_sections(WINDOW, compare=True)
+    s.w_sections(compare=True)
 
 
 def test_identity_gluing_requires_shared_module(scheme, o_fp):
@@ -78,12 +78,12 @@ def test_identity_gluing_requires_shared_module(scheme, o_fp):
 def test_unknown_open_rejected(scheme):
     s = scheme.structure_sheaf(window=WINDOW)
     with pytest.raises(ValueError):
-        sheaf_sections(s, "Y", WINDOW)
+        sheaf_sections(s, "Y")
 
 
 def test_x_sections_carry_commuting_actions(scheme, ideal_fp):
     s = glued(scheme, ideal_fp)
-    verify_action_commutation(sheaf_sections(s, "X", WINDOW), -1, 3)
+    verify_action_commutation(sheaf_sections(s, "X"), -1, 3)
 
 
 # --- flat-cover obstruction ---------------------------------------------------
@@ -187,9 +187,9 @@ def test_ideal_sequence_exact_on_patches_not_on_x(scheme, ideal_fp, o_fp, sky_fp
     f = SheafMap.glued(si, so, f_mod)
     g = SheafMap.glued(so, sk, g_mod)
 
-    assert sequence_report(f, g, "U", WINDOW).verdict == "exact"
-    assert sequence_report(f, g, "W", WINDOW).verdict == "exact"
-    on_x = sequence_report(f, g, "X", WINDOW)
+    assert sequence_report(f, g, "U").verdict == "exact"
+    assert sequence_report(f, g, "W").verdict == "exact"
+    on_x = sequence_report(f, g, "X")
     # both origins carry the skyscraper but global functions see only one value
     assert on_x.verdict == "left-exact-only"
     assert on_x.cokernel[0] == 1
@@ -208,8 +208,8 @@ def test_twist_sequence_left_exact_only_on_w(scheme, kx_fp, y):
     f = SheafMap.glued(a, b, f_mod)
     g = SheafMap.glued(b, c, g_mod)
 
-    assert sequence_report(f, g, "U", WINDOW).verdict == "exact"
-    on_w = sequence_report(f, g, "W", WINDOW)
+    assert sequence_report(f, g, "U").verdict == "exact"
+    on_w = sequence_report(f, g, "W")
     assert on_w.verdict == "left-exact-only"
     assert on_w.kernel == {d: 0 for d in range(-3, 5)}
     assert on_w.homology == {d: 0 for d in range(-3, 5)}
@@ -219,7 +219,7 @@ def test_twist_sequence_left_exact_only_on_w(scheme, kx_fp, y):
 def test_non_complex_is_reported(scheme, o_fp):
     s = glued(scheme, o_fp)
     ident = SheafMap.glued(s, s, __import__("qcverify").GradedModuleMap.identity(o_fp.module()))
-    rep = sequence_report(ident, ident, "U", (-1, 2))
+    rep = sequence_report(ident, ident, "U")
     assert rep.verdict == "not-exact"
     assert not rep.complex_ok and "not-a-complex" in rep.flags
 

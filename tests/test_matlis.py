@@ -156,12 +156,12 @@ def test_dualizing_flips_exactness(ring, kx_fp, y):
 
 def test_plus_of_structure_sheaf(scheme):
     o = scheme.structure_sheaf(window=WINDOW)
-    plus = plus_functor(o, window=WINDOW)
+    plus = plus_functor(o)
     e = GradedInjectiveHull(scheme.ring).module()
     for d in range(-4, 5):
         assert plus.m_U.piece(d).dim == e.piece(d).dim
         assert plus.m_V.piece(d).dim == 0  # the hull is torsion: no W-sections
-    plusplus = plus_functor(plus, window=WINDOW)
+    plusplus = plus_functor(plus)
     for d in range(-4, 5):
         assert plusplus.m_U.piece(d).dim == scheme.structure_module().piece(d).dim
         assert plusplus.m_V.piece(d).dim == (d + 1 if d >= 0 else 0)
@@ -173,7 +173,7 @@ def test_plus_map_validation(scheme, kx_fp):
     g = SheafMap.glued(o, k, map_from_gen_images(
         o.m_U.fp_source, kx_fp.module(), [kx_fp.gen_element(0)]
     ))
-    o_plus = plus_functor(o, window=WINDOW)
+    o_plus = plus_functor(o)
     with pytest.raises(ValueError):
         plus_functor_map(g, o_plus, o_plus)
 
@@ -186,7 +186,7 @@ def test_bidual_pipeline_detects_lost_exactness(scheme, kx_fp, y):
     f = SheafMap.glued(a, b, f_mod)
     g = SheafMap.glued(b, c, g_mod)
 
-    report = bidual_pipeline(f, g, window=WINDOW)
+    report = bidual_pipeline(f, g)
     assert report.plus_over_U.verdict == "exact"
     assert report.verdict == "left-exact-only"
     v = report.bidual_over_V
@@ -209,4 +209,4 @@ def test_bidual_pipeline_requires_exact_input(scheme, kx_fp, y):
     f = SheafMap.glued(a, b, f_mod)
     g = SheafMap.glued(b, c, g_mod)
     with pytest.raises(ValueError):
-        bidual_pipeline(f, g, window=WINDOW)
+        bidual_pipeline(f, g)

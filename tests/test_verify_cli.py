@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from qcverify import FieldSpec, NonHomogeneousError
+from qcverify import CapPolicy, FieldSpec, NonHomogeneousError
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
+from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
     BUILTIN_SCENARIOS,
     VERDICTS,
@@ -436,6 +437,42 @@ def test_builtin_report_bytes_at_the_full_window(name):
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_an_explicit_default_cap_policy_changes_no_byte(name):
+    # 6 is the default start cap at -2:2, so naming it must not change the
+    # report; sheaves fix their policy, so their W-sections stay shared
+    text = BUILTIN_SCENARIOS[name]
+    default = run_text(text, name=name, window=(-2, 2))
+    explicit = run_text(text, name=name, window=(-2, 2), policy=CapPolicy(start=6))
+    assert emit_report(explicit, "json") == emit_report(default, "json")
+
+
+def test_star_sequence_over_x_under_den_cap(tmp_path, capsys):
+    f = tmp_path / "star-x.qcv"
+    f.write_text(HEAD.replace("window = -2:2", "window = -3:3") + """
+[module A]
+generators = 1
+
+[module C]
+generators = 0
+relation = y
+
+[map mult-y: A -> O]
+y
+
+[map quot: O -> C]
+1
+
+[check star-sequence mult-y quot over X]
+
+[expect]
+star-sequence mult-y quot over X = exact
+""")
+    assert main(["run", str(f), "--den-cap", "8"]) == 0
+    verdicts = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert verdicts == {"star-sequence mult-y quot over X": "exact"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_builtins_agree_over_q_and_a_large_prime(name):
     # every built-in's tables are characteristic-free: Q and F_65537 must
     # give the same checks, tables, flags and verdicts
@@ -521,13 +558,15 @@ relation = y
 [check h1 F]
 """,
     BUILTIN_SCENARIOS["double-origin-flat"],
-], ids=["lemma21-h1", "double-origin-flat"])
+    BUILTIN_SCENARIOS["matlis-bidual"],
+], ids=["lemma21-h1", "double-origin-flat", "matlis-bidual"])
 def test_finished_checks_are_freed_without_the_cyclic_collector(text):
-    # sections modules and Cech complexes sit in no reference cycle, so
-    # they go as soon as the run drops them, not at the next collection
+    # sections modules, Cech complexes and Matlis duals sit in no reference
+    # cycle and in no strong cache, so they go as soon as the run drops
+    # them, not at the next collection
     s = parse_scenario(text, window=(-1, 1))
     gc.collect()
-    kinds = (SectionsModule, CechComplexWindow)
+    kinds = (SectionsModule, CechComplexWindow, DualizedModule)
     before = [_live(k) for k in kinds]
     gc.disable()
     try:
@@ -562,8 +601,44 @@ def test_witness_reuses_the_h1_complexes(complexes_built):
     assert 0 < len(complexes_built) <= h1_only
 
 
-def test_no_cech_complex_is_built_twice(complexes_built):
-    rep = run_text(BUILTIN_SCENARIOS["double-origin-flat"], name="d", window=(-1, 1))
-    assert rep.exit_code() == 0
+# one module M reached through a named sheaf, a module sheaf, H^1 and the
+# lemma21 defect; O through lemma21 and the star sequence over W
+SHARED_SECTIONS = HEAD + """
+[module A]
+generators = 1
+
+[module M]
+generators = 0, 1
+relation = x*y; -x
+
+[map f: A -> M]
+y; 0
+
+[map g: M -> O]
+1
+y
+
+[sheaf S]
+patch = M
+
+[check sections S over W]
+[check sections S over X]
+[check h1 M]
+[check lemma21 M]
+[check star-sequence f g over W]
+"""
+
+
+@pytest.mark.parametrize("text, code", [
+    (BUILTIN_SCENARIOS["double-origin-flat"], 0),
+    (SHARED_SECTIONS, 0),
+    # H^1 of the punctured plane starts in degree -2, so at -1:1 the
+    # witness check finds none and misses its expectation
+    (BUILTIN_SCENARIOS["h1-punctured"], 1),
+], ids=["double-origin-flat", "one-module-many-checks", "h1-punctured"])
+def test_no_cech_complex_is_built_twice(complexes_built, text, code):
+    rep = run_text(text, name="d", window=(-1, 1))
+    assert rep.exit_code() == code
+    assert all(c.verdict not in ("check-error", "inconclusive") for c in rep.checks)
     keys = [(id(m), id(c), cap) for m, c, cap in complexes_built]
     assert keys and len(keys) == len(set(keys))
