@@ -73,8 +73,8 @@ from .glued_scheme import (
 from .matlis import (
     BidualReport,
     DualizedModule,
-    GradedInjectiveHull,
     bidual_pipeline,
+    injective_hull,
     matlis_dual,
     matlis_dual_map,
     plus_functor,

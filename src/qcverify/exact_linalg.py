@@ -486,20 +486,29 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
     if sub.ncols == 0 or sub.is_zero():
         ident = Mat.identity(field, amb_dim)
         return ident, ident, tuple(range(amb_dim))
-    aug = sub.hstack(Mat.identity(field, amb_dim))
-    _, pivots = rref(aug)
-    sub_pivots = [p for p in pivots if p < sub.ncols]
-    coset_idx = tuple(p - sub.ncols for p in pivots if p >= sub.ncols)
+    # the rref of sub^T with its columns reversed: its pivots are the last
+    # nonzero positions of the span, which are the standard vectors that a
+    # greedy left-to-right completion drops
+    last = amb_dim - 1
+    rows = [{} for _ in range(sub.ncols)]
+    for i, row in enumerate(sub.data):
+        for j, v in row.items():
+            rows[j][last - i] = v
+    red, rev_pivots = rref(Mat._of(field, sub.ncols, amb_dim, rows))
+    dropped = {last - p for p in rev_pivots}
+    coset_idx = tuple(j for j in range(amb_dim) if j not in dropped)
     coset = Mat.from_cols(field, [{j: 1} for j in coset_idx], amb_dim)
-    b_full = sub.take_cols(sub_pivots).hstack(coset)
-    # invert [independent sub columns | coset] and keep the coset rows:
-    # those rows kill the sub and restrict to the identity on the coset
-    inv_aug, inv_piv = rref(b_full.hstack(Mat.identity(field, amb_dim)))
-    if len(inv_piv) != amb_dim:
-        raise ArithmeticError("completion to a basis failed")
-    n = b_full.ncols
-    proj = inv_aug.take_rows(n - coset.ncols, n).take_cols(range(n, n + amb_dim))
-    return coset, proj, coset_idx
+    # a reduced row reads e_p = -(its coset entries) modulo the span, which
+    # gives the column of proj at p; proj is the identity on the coset
+    pos = {j: k for k, j in enumerate(coset_idx)}
+    proj_rows = [{j: 1} for j in coset_idx]
+    mod = field.p
+    for rp, prow in zip(rev_pivots, red.data):
+        p = last - rp
+        for rj, v in prow.items():
+            if rj != rp:
+                proj_rows[pos[last - rj]][p] = mod - v if mod else -v
+    return coset, Mat._of(field, len(coset_idx), amb_dim, proj_rows), coset_idx
 
 
 def image_quotient(sub: Mat, amb_dim: int) -> tuple[Mat, Mat]:

@@ -93,7 +93,7 @@ class DoubleGluedScheme:
 
     def structure_module(self) -> DegreewiseModule:
         if self._structure is None:
-            self._structure = free_module(self.ring, (0,)).module()
+            self._structure = free_module(self.ring, (0,))
         return self._structure
 
     def structure_sheaf(self, window=DEFAULT_WINDOW, policy: CapPolicy | None = None) -> "QcohSheafOnX":
@@ -334,14 +334,13 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
     do not commute for F over W.
     """
     lo, hi = window
-    m = f.module()
-    s_f = sections_window(m, w, window, policy)
+    s_f = sections_window(f, w, window, policy)
     s_o = sections_o if sections_o is not None else sections_window(
-        free_module(f.ring, (0,)).module(), w, window, policy
+        free_module(f.ring, (0,)), w, window, policy
     )
     if s_o.cover is not w:
         raise ValueError("structure sections live on a different cover")
-    res = restriction_to_sections(m, w, window, policy, sections=s_f)
+    res = restriction_to_sections(f, w, window, policy, sections=s_f)
     gen_secs = []
     for i, e in enumerate(f.gen_degrees):
         gen_secs.append(SectionElement(s_f, e, res.matrix(e) @ f.gen_element(i)))
@@ -410,8 +409,8 @@ def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
     """
     window = s.window
     lo, hi = window
-    fp = s.m_U.fp_source
-    if fp is None:
+    fp = s.m_U
+    if not isinstance(fp, FPGradedModule):
         raise ValueError("the flat-cover obstruction needs a finitely presented U-patch module")
     buffer = max(fp.gen_degrees) + 2
     for e in fp.gen_degrees:
@@ -426,12 +425,6 @@ def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
     # the U-module's complexes are those of the sheaf's W-sections
     complexes_m = s.w_sections(compare=False).complexes
     complexes_o = sections_window(o, cover, window, s.policy).complexes
-
-    def gen_mult(i: int, alpha: int) -> Mat:
-        # p |-> p * gen_i in free coordinates is column selection from proj
-        r = fp._realize(alpha + fp.gen_degrees[i])
-        cols = [r.free_index[(i, mono)] for mono in fp.ring.monomials(alpha)]
-        return r.proj.take_cols(cols)
 
     def table_at(cap: int) -> tuple:
         cm, co = complexes_m[cap], complexes_o[cap]
@@ -453,7 +446,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
                     off = deg_o.offsets[0][j]
                     numer = lp_o.incl @ b.take_rows(off, off + lp_o.dim)
                     alpha = (d - e) + cap * cover.denoms[j].degree
-                    blocks[j, i] = lp_m.proj @ (gen_mult(i, alpha) @ numer)
+                    blocks[j, i] = lp_m.proj @ (fp.gen_mult(i, alpha) @ numer)
             row_dims = [lp.dim for lp in deg_m.levels[0]]
             p_mat = Mat.block(field, blocks, row_dims, col_dims)
             if rank(a.hstack(p_mat)) != a.ncols:
@@ -522,7 +515,7 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         return None
     if h1 is None:
         if module is None:
-            module = free_module(w.ring, (0,)).module()
+            module = free_module(w.ring, (0,))
         h1 = h1_window(module, w, window, policy)
     elif h1.cover is not w or (module is not None and h1.module is not module):
         raise ValueError("the H^1 result belongs to another module or cover")

@@ -2,11 +2,11 @@
 
 A graded module here is never a global object: it is the family of its
 finite-dimensional graded pieces together with the multiplication maps
-x_i : M_d -> M_{d+1}.  Finitely presented modules (generator degrees plus
-homogeneous relation columns) are realized per degree by exact linear
-algebra; everything else (kernels, cokernels, sections, duals) is a
-DegreewiseModule that produces pieces and action matrices on demand and
-memoizes them.
+x_i : M_d -> M_{d+1}.  Every module is a DegreewiseModule that produces
+pieces and action matrices on demand and memoizes them: finitely
+presented modules (generator degrees plus homogeneous relation columns)
+realize theirs per degree by exact linear algebra, and so do kernels,
+cokernels, sections and duals.
 
 Conventions that the rest of the package relies on:
   * monomials of a fixed degree are ordered by descending exponent tuple
@@ -403,11 +403,9 @@ class DegreewiseModule:
     """A graded module presented as lazy pieces plus variable actions.
 
     piece(d) returns the GradedPiece in degree d; act(i, d) the matrix of
-    x_i : M_d -> M_{d+1} in the canonical bases.  Both are memoized.  They
-    come from piece_fn and act_fn, or from a subclass that overrides
-    _piece and _act (and torsion_bound) instead.  A subclass must not pass
-    its own bound methods: the module would then sit in a reference cycle
-    and outlive its last user until the cyclic collector runs.
+    x_i : M_d -> M_{d+1} in the canonical bases.  Both are memoized.  A
+    subclass defines the module by overriding _piece and _act (and
+    torsion_bound, when it can certify one).
 
     torsion_bound(f) reports what is known about the f-power-torsion of
     the module: an integer T certifies ker(f^t) = ker(f^T) for all t >= T
@@ -416,25 +414,12 @@ class DegreewiseModule:
     heuristic and must say so).
     """
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        piece_fn=None,
-        act_fn=None,
-        name: str = "M",
-        min_degree: int | None = None,
-        max_degree: int | None = None,
-        torsion_fn=None,
-        fp_source=None,
-    ):
+    def __init__(self, ring: PolyRing, name: str = "M", min_degree: int | None = None,
+                 max_degree: int | None = None):
         self.ring = ring
         self.name = name
         self.min_degree = min_degree
         self.max_degree = max_degree
-        self.fp_source = fp_source
-        self._piece_fn = piece_fn
-        self._act_fn = act_fn
-        self._torsion_fn = torsion_fn
         self._pieces: dict[int, GradedPiece] = {}
         self._acts: dict[tuple, Mat] = {}
         self._poly_acts: dict[tuple, Mat] = {}
@@ -469,10 +454,10 @@ class DegreewiseModule:
         return got
 
     def _piece(self, d: int) -> GradedPiece:
-        return self._piece_fn(d)
+        raise NotImplementedError
 
     def _act(self, var: int, d: int) -> Mat:
-        return self._act_fn(var, d)
+        raise NotImplementedError
 
     def poly_act(self, p: HomogPoly, d: int) -> Mat:
         """Matrix of multiplication by p from degree d."""
@@ -535,9 +520,7 @@ class DegreewiseModule:
         return out
 
     def torsion_bound(self, f: HomogPoly):
-        if self._torsion_fn is None:
-            return None
-        return self._torsion_fn(f)
+        return None
 
     def __repr__(self):
         return f"DegreewiseModule({self.name})"
@@ -552,18 +535,20 @@ class _Realization:
         self.piece = piece
 
 
-class FPGradedModule:
+class FPGradedModule(DegreewiseModule):
     """A finitely presented graded module.
 
     gen_degrees[i] is the degree of the i-th generator; each relation is a
     column of homogeneous polynomials (None for zero entries), one entry
     per generator, with entry degrees aligned so the column is homogeneous.
+    Each piece is the quotient of the free cover's piece by the relation
+    span.
     """
 
     def __init__(self, ring: PolyRing, gen_degrees, relations=(), name: str = "M"):
-        self.ring = ring
-        self.gen_degrees = tuple(int(e) for e in gen_degrees)
-        self.name = name
+        gen_degrees = tuple(int(e) for e in gen_degrees)
+        super().__init__(ring, name=name, min_degree=min(gen_degrees, default=0))
+        self.gen_degrees = gen_degrees
         cleaned = []
         for col_idx, col in enumerate(relations):
             col = tuple(col)
@@ -592,7 +577,6 @@ class FPGradedModule:
             cleaned.append((tuple(entries), degree))
         self.relations = tuple(cleaned)
         self._realizations: dict[int, _Realization] = {}
-        self._module: DegreewiseModule | None = None
 
     @property
     def ngens(self) -> int:
@@ -637,26 +621,34 @@ class FPGradedModule:
         self._realizations[d] = got
         return got
 
-    def realize_piece(self, d: int) -> GradedPiece:
+    def _images(self, d: int, free_labels) -> Mat:
+        """The images in the degree-d piece of the given free basis
+        vectors: columns of the projection."""
+        r = self._realize(d)
+        return r.proj.take_cols([r.free_index[lab] for lab in free_labels])
+
+    def _piece(self, d: int) -> GradedPiece:
         return self._realize(d).piece
 
-    def act_matrix(self, var: int, d: int) -> Mat:
-        # x_var sends a basis label to one free label: column selection
-        # from the projection of the target degree
-        src = self._realize(d)
-        tgt = self._realize(d + 1)
-        cols = []
-        for i, mono in src.piece.labels:
+    def _act(self, var: int, d: int) -> Mat:
+        # x_var sends a basis label to one free label
+        labels = []
+        for i, mono in self.piece(d).labels:
             up = tuple(mono[j] + (1 if j == var else 0) for j in range(self.ring.nvars))
-            cols.append(tgt.free_index[(i, up)])
-        return tgt.proj.take_cols(cols)
+            labels.append((i, up))
+        return self._images(d + 1, labels)
+
+    def gen_mult(self, i: int, alpha: int) -> Mat:
+        """The products mono * gen_i, one column per degree-alpha monomial
+        in ring order, as elements of the piece in degree e_i + alpha."""
+        monos = self.ring.monomials(alpha)
+        return self._images(self.gen_degrees[i] + alpha, [(i, mono) for mono in monos])
 
     def gen_element(self, i: int) -> Mat:
-        """The i-th generator as an element of the realized piece."""
-        r = self._realize(self.gen_degrees[i])
-        return r.proj.take_cols([r.free_index[(i, (0,) * self.ring.nvars)]])
+        """The i-th generator as an element of its piece."""
+        return self.gen_mult(i, 0)
 
-    def _torsion(self, f: HomogPoly):
+    def torsion_bound(self, f: HomogPoly):
         if f.is_zero():
             return None
         if not self.relations:
@@ -674,20 +666,6 @@ class FPGradedModule:
             mono = next(iter(nonzero[0].terms))
             top = max(top, max(mono))
         return max(1, top)
-
-    def module(self) -> DegreewiseModule:
-        if self._module is None:
-            min_deg = min(self.gen_degrees) if self.gen_degrees else 0
-            self._module = DegreewiseModule(
-                self.ring,
-                self.realize_piece,
-                self.act_matrix,
-                name=self.name,
-                min_degree=min_deg,
-                torsion_fn=self._torsion,
-                fp_source=self,
-            )
-        return self._module
 
     def __repr__(self):
         return f"FPGradedModule({self.name}, gens={self.gen_degrees}, rels={len(self.relations)})"
@@ -763,17 +741,15 @@ def map_from_gen_images(src: FPGradedModule, tgt: DegreewiseModule, images) -> G
         if not acc.is_zero():
             raise RelationNotKilled(j)
 
-    src_mod = src.module()
-
     def matrix_fn(d: int) -> Mat:
-        labels = src.realize_piece(d).labels
+        labels = src.piece(d).labels
         cols = {}
         for k, (i, mono) in enumerate(labels):
             p = HomogPoly.monomial(src.ring, mono)
             cols[0, k] = tgt.poly_act(p, src.gen_degrees[i]) @ images[i]
         return Mat.block(tgt.ring.field, cols, [tgt.piece(d).dim], [1] * len(labels))
 
-    return GradedModuleMap(src_mod, tgt, matrix_fn)
+    return GradedModuleMap(src, tgt, matrix_fn)
 
 
 class _BasisBackedModule(DegreewiseModule):
@@ -941,6 +917,39 @@ def tensor_piece(m: FPGradedModule, n: DegreewiseModule, d: int) -> GradedPiece:
     return tensor_realization(m, n, d).piece
 
 
+class _DirectSum(DegreewiseModule):
+    """The degreewise direct sum; labels are tagged with the summand index."""
+
+    def __init__(self, mods, name: str):
+        self.mods = mods
+        mins = [m.min_degree for m in mods]
+        maxs = [m.max_degree for m in mods]
+        super().__init__(
+            mods[0].ring, name=name,
+            min_degree=None if None in mins else min(mins),
+            max_degree=None if None in maxs else max(maxs),
+        )
+
+    def _piece(self, d: int) -> GradedPiece:
+        labels = []
+        for k, m in enumerate(self.mods):
+            labels.extend((k, lab) for lab in m.piece(d).labels)
+        return GradedPiece(self.ring.field, labels)
+
+    def _act(self, var: int, d: int) -> Mat:
+        return Mat.block(self.ring.field, {(k, k): m.act(var, d) for k, m in enumerate(self.mods)})
+
+    def torsion_bound(self, f: HomogPoly):
+        bounds = [m.torsion_bound(f) for m in self.mods]
+        if any(b is None for b in bounds):
+            return None
+        if all(b == ALL_TORSION for b in bounds):
+            return ALL_TORSION
+        if any(b == ALL_TORSION for b in bounds):
+            return None  # mixed certificates do not combine into one bound
+        return max(bounds)
+
+
 def direct_sum(mods, name: str | None = None) -> DegreewiseModule:
     """The degreewise direct sum; labels are tagged with the summand index."""
     mods = list(mods)
@@ -951,35 +960,7 @@ def direct_sum(mods, name: str | None = None) -> DegreewiseModule:
         raise ValueError("summands live over different rings")
     if name is None:
         name = "(" + "+".join(m.name for m in mods) + ")"
-
-    def piece_fn(d: int) -> GradedPiece:
-        labels = []
-        for k, m in enumerate(mods):
-            labels.extend((k, lab) for lab in m.piece(d).labels)
-        return GradedPiece(ring.field, labels)
-
-    def act_fn(var: int, d: int) -> Mat:
-        return Mat.block(ring.field, {(k, k): m.act(var, d) for k, m in enumerate(mods)})
-
-    mins = [m.min_degree for m in mods]
-    min_degree = None if any(x is None for x in mins) else min(mins)
-    maxs = [m.max_degree for m in mods]
-    max_degree = None if any(x is None for x in maxs) else max(maxs)
-
-    def torsion_fn(f: HomogPoly):
-        bounds = [m.torsion_bound(f) for m in mods]
-        if any(b is None for b in bounds):
-            return None
-        if all(b == ALL_TORSION for b in bounds):
-            return ALL_TORSION
-        if any(b == ALL_TORSION for b in bounds):
-            return None  # mixed certificates do not combine into one bound
-        return max(bounds)
-
-    return DegreewiseModule(
-        ring, piece_fn, act_fn, name=name,
-        min_degree=min_degree, max_degree=max_degree, torsion_fn=torsion_fn
-    )
+    return _DirectSum(mods, name)
 
 
 def verify_action_commutation(module: DegreewiseModule, lo: int, hi: int) -> None:

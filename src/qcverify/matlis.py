@@ -39,7 +39,7 @@ from .glued_scheme import (
 
 __all__ = [
     "DualizedModule",
-    "GradedInjectiveHull",
+    "injective_hull",
     "matlis_dual",
     "matlis_dual_map",
     "plus_functor",
@@ -114,25 +114,13 @@ def matlis_dual_map(f: GradedModuleMap, source: DualizedModule | None = None,
     )
 
 
-class GradedInjectiveHull:
+def injective_hull(ring: PolyRing) -> DualizedModule:
     """E(k) in the graded sense: the dual of the free rank-one module.
 
     dim E_d = dim R_{-d}, so E vanishes in positive degrees and grows
     polynomially below; the variables act by transposed multiplication.
     """
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self._module: DualizedModule | None = None
-
-    def module(self) -> DualizedModule:
-        if self._module is None:
-            self._module = matlis_dual(free_module(self.ring, name="R").module())
-            self._module.name = "E"
-        return self._module
-
-    def __repr__(self):
-        return f"GradedInjectiveHull({self.ring!r})"
+    return DualizedModule(free_module(ring, name="R"), name="E")
 
 
 def plus_functor(s: QcohSheafOnX) -> QcohSheafOnX:

@@ -407,15 +407,15 @@ def parse_scenario(text: str, name: str = "scenario",
                             f"needs {want} to preserve degrees",
                             line=lineno,
                         )
-                    term = tgt.module().poly_act(p, tgt.gen_degrees[j]) @ tgt.gen_element(j)
+                    term = tgt.poly_act(p, tgt.gen_degrees[j]) @ tgt.gen_element(j)
                     col = term if col is None else col + term
                 if col is None:
                     col = Mat.zeros(
-                        ring.field, tgt.module().piece(src.gen_degrees[i]).dim, 1
+                        ring.field, tgt.piece(src.gen_degrees[i]).dim, 1
                     )
                 images.append(col)
             try:
-                gmap = map_from_gen_images(src, tgt.module(), images)
+                gmap = map_from_gen_images(src, tgt, images)
             except RelationNotKilled as e:
                 raise ParseError(f"map {mapname!r}: {e}", sec_line)
             gmap.name = mapname
@@ -601,7 +601,7 @@ class _Runner:
         # Gamma(W, O), held for the whole run: lemma21 reads it, and through
         # sections_window every other check on O shares its complexes;
         # its pieces are still built on first use
-        self.sections_o = sections_window(s.modules["O"].module(), s.overlap,
+        self.sections_o = sections_window(s.modules["O"], s.overlap,
                                           s.window, s.policy)
 
     def _table(self, dims) -> dict:
@@ -612,7 +612,7 @@ class _Runner:
         got = self._sheaves.get(name)
         if got is None:
             gluing, modname = self.s.sheaves[name]
-            mod = self.s.modules[modname].module()
+            mod = self.s.modules[modname]
             if gluing == "identity":
                 got = QcohSheafOnX.glued(self.scheme, mod, name=name,
                                          window=self.s.window, policy=self.s.policy)
@@ -628,7 +628,7 @@ class _Runner:
         got = self._module_sheaves.get(modname)
         if got is None:
             got = QcohSheafOnX.glued(
-                self.scheme, self.s.modules[modname].module(), name=modname,
+                self.scheme, self.s.modules[modname], name=modname,
                 window=self.s.window, policy=self.s.policy,
             )
             self._module_sheaves[modname] = got
@@ -672,7 +672,7 @@ class _Runner:
 
         if spec.kind == "h1":
             (modname,) = spec.args
-            res = h1_window(s.modules[modname].module(), s.overlap, s.window, s.policy)
+            res = h1_window(s.modules[modname], s.overlap, s.window, s.policy)
             ok = all(res.certified[d] for d in range(lo, hi + 1))
             flags = ["kernels-certified" if ok else "kernels-heuristic"]
             return CheckResult(
@@ -731,7 +731,7 @@ class _Runner:
 
         if spec.kind == "nonaffine-witness":
             (modname,) = spec.args
-            res = h1_window(s.modules[modname or "O"].module(), s.overlap, s.window, s.policy)
+            res = h1_window(s.modules[modname or "O"], s.overlap, s.window, s.policy)
             wit = witness_nonaffine(s.overlap, s.window, policy=s.policy, h1=res)
             tables = {"h1": self._table(res.dims)}
             if wit is None:

@@ -13,7 +13,6 @@ from qcverify import (
     DoubleGluedScheme,
     FPGradedModule,
     FieldSpec,
-    GradedInjectiveHull,
     OpenSubset,
     PolyRing,
     QcohSheafOnX,
@@ -27,6 +26,7 @@ from qcverify import (
     flat_sections_defect,
     free_module,
     h1_window,
+    injective_hull,
     kernel_dw,
     map_from_gen_images,
     matlis_dual,
@@ -75,25 +75,25 @@ def twist_maps():
     """R(-1) --y--> R --> R/(y) as sheaf maps on the doubled plane."""
     src = free_module(RING, (1,), name="R(-1)")
     tgt = free_module(RING, (0,), name="R")
-    img = tgt.module().poly_act(Y, 0) @ tgt.gen_element(0)
-    f_mod = map_from_gen_images(src, tgt.module(), [img])
-    g_mod = map_from_gen_images(tgt, KX.module(), [KX.gen_element(0)])
-    a = QcohSheafOnX.glued(SCHEME, src.module(), window=WINDOW)
-    b = QcohSheafOnX.glued(SCHEME, tgt.module(), window=WINDOW)
-    c = QcohSheafOnX.glued(SCHEME, KX.module(), window=WINDOW)
+    img = tgt.poly_act(Y, 0) @ tgt.gen_element(0)
+    f_mod = map_from_gen_images(src, tgt, [img])
+    g_mod = map_from_gen_images(tgt, KX, [KX.gen_element(0)])
+    a = QcohSheafOnX.glued(SCHEME, src, window=WINDOW)
+    b = QcohSheafOnX.glued(SCHEME, tgt, window=WINDOW)
+    c = QcohSheafOnX.glued(SCHEME, KX, window=WINDOW)
     return SheafMap.glued(a, b, f_mod), SheafMap.glued(b, c, g_mod)
 
 
 @criterion(1, "sections of the ideal sheaf over the punctured plane")
 def test_criterion_1_sections_table():
-    s = sections_window(IDEAL.module(), W, window=WINDOW)
+    s = sections_window(IDEAL, W, window=WINDOW)
     got = {d: s.piece(d).dim for d in range(LO, HI + 1)}
     assert got == {d: (d + 1 if d >= 0 else 0) for d in range(LO, HI + 1)}
 
 
 @criterion(2, "flat-cover obstruction with affine control")
 def test_criterion_2_obstruction():
-    pushed = direct_image_from_U(SCHEME, IDEAL.module(), window=WINDOW)
+    pushed = direct_image_from_U(SCHEME, IDEAL, window=WINDOW)
     cert = flat_quotient_obstruction(pushed)
     assert cert.codims == {d: (1 if d == 0 else 0) for d in range(LO, HI + 1)}
     assert cert.obstructed_degrees == (0,)
@@ -101,7 +101,7 @@ def test_criterion_2_obstruction():
     # same module family over an affine overlap: no obstruction anywhere
     control_scheme = DoubleGluedScheme(RING, OpenSubset(RING, (X,)))
     x_ideal = free_module(RING, (1,), name="xI")
-    control = direct_image_from_U(control_scheme, x_ideal.module(), window=WINDOW)
+    control = direct_image_from_U(control_scheme, x_ideal, window=WINDOW)
     control_cert = flat_quotient_obstruction(control)
     assert control_cert.obstructed_degrees == ()
     assert all(v == 0 for v in control_cert.codims.values())
@@ -120,7 +120,7 @@ def test_criterion_3_star_sequence():
 
 @criterion(4, "H^1 of the punctured plane with explicit witness")
 def test_criterion_4_h1_and_witness():
-    res = h1_window(free_module(RING, (0,)).module(), W, window=WINDOW)
+    res = h1_window(free_module(RING, (0,)), W, window=WINDOW)
     assert res.dims == {d: (abs(d) - 1 if d <= -2 else 0) for d in range(LO, HI + 1)}
 
     wit = witness_nonaffine(W, window=WINDOW)
@@ -145,7 +145,7 @@ def test_criterion_5_bidual():
 
 @criterion(6, "zero defect for frees, defect at the origin skyscraper")
 def test_criterion_6_defect_grid():
-    shared_o = sections_window(free_module(RING, (0,)).module(), W, window=WINDOW)
+    shared_o = sections_window(free_module(RING, (0,)), W, window=WINDOW)
     for a in range(-3, 4):
         for r in range(1, 5):
             fp = free_module(RING, (a,) * r, name=f"free({a})^{r}")
@@ -185,7 +185,6 @@ def test_criterion_7_random_duality():
         return FPGradedModule(RING, degs, tuple(rels), name=name)
 
     def rand_free_map(src_fp, tgt_fp):
-        tgt_mod = tgt_fp.module()
         images = []
         for e in src_fp.gen_degrees:
             col = None
@@ -193,22 +192,21 @@ def test_criterion_7_random_duality():
                 p = rand_poly(e - b)
                 if p is None:
                     continue
-                term = tgt_mod.poly_act(p, b) @ tgt_fp.gen_element(j)
+                term = tgt_fp.poly_act(p, b) @ tgt_fp.gen_element(j)
                 col = term if col is None else col + term
             if col is None:
                 from qcverify import Mat
 
-                col = Mat.zeros(FIELD, tgt_mod.piece(e).dim, 1)
+                col = Mat.zeros(FIELD, tgt_fp.piece(e).dim, 1)
             images.append(col)
-        return map_from_gen_images(src_fp, tgt_mod, images)
+        return map_from_gen_images(src_fp, tgt_fp, images)
 
     for case in range(100):
         m = rand_fp(f"M{case}")
-        mod = m.module()
 
         # canonical cover sequence 0 -> K -> F -> M -> 0, checked then dualized
         cover = free_module(RING, m.gen_degrees, name=f"F{case}")
-        pi = map_from_gen_images(cover, mod, [m.gen_element(i) for i in range(m.ngens)])
+        pi = map_from_gen_images(cover, m, [m.gen_element(i) for i in range(m.ngens)])
         ker = kernel_dw(pi)
         forward = exactness_tables(ker.inclusion, pi, WINDOW)
         assert forward.verdict == "exact", case
@@ -221,12 +219,12 @@ def test_criterion_7_random_duality():
             assert rank(d_pi.matrix(d)) == rank(pi.matrix(-d)), (case, d)
 
         # biduality: dimensions and actions return on the nose
-        dd = matlis_dual(matlis_dual(mod))
+        dd = matlis_dual(matlis_dual(m))
         for d in range(LO, HI + 1):
-            assert dd.piece(d).dim == mod.piece(d).dim, (case, d)
+            assert dd.piece(d).dim == m.piece(d).dim, (case, d)
         for d in range(-2, 2):
             for v in range(2):
-                assert dd.act(v, d) == mod.act(v, d), (case, d, v)
+                assert dd.act(v, d) == m.act(v, d), (case, d, v)
 
         # a random map between random frees dualizes to the mirrored ranks
         f1 = free_module(RING, tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3))))
@@ -241,21 +239,21 @@ def test_criterion_7_random_duality():
 def test_criterion_8_infrastructure():
     # Cech differentials square to zero in every realized degree
     three = OpenSubset(RING, (X, Y, X + Y))
-    c = cech_complex(free_module(RING, (0,)).module(), three, window=WINDOW, cap=14)
+    c = cech_complex(free_module(RING, (0,)), three, window=WINDOW, cap=14)
     for d in range(LO, HI + 1):
         cd = c.degree(d)
         assert len(cd.diffs) == 2
         assert (cd.diffs[1] @ cd.diffs[0]).is_zero(), d
 
     # variable actions commute on every kind of module the engine builds
-    e = GradedInjectiveHull(RING).module()
-    gx = QcohSheafOnX.glued(SCHEME, IDEAL.module(), window=WINDOW).x_sections()
+    e = injective_hull(RING)
+    gx = QcohSheafOnX.glued(SCHEME, IDEAL, window=WINDOW).x_sections()
     for mod in (
-        free_module(RING, (0,)).module(),
-        IDEAL.module(),
-        SKY.module(),
-        KX.module(),
-        sections_window(free_module(RING, (0,)).module(), W, window=WINDOW),
+        free_module(RING, (0,)),
+        IDEAL,
+        SKY,
+        KX,
+        sections_window(free_module(RING, (0,)), W, window=WINDOW),
         e,
         matlis_dual(e),
         gx,

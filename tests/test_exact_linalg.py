@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcverify import FieldSpec, Mat, image_quotient, kernel_basis, rref, solve
-from qcverify.exact_linalg import rank
+from qcverify.exact_linalg import _quotient_with_indices, rank
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -176,17 +176,6 @@ def test_rank_of_product_bounded(a, b):
     assert rank(a @ b) <= min(rank(a), rank(b))
 
 
-@given(mats(4, 2))
-@settings(max_examples=40, deadline=None)
-def test_quotient_dimensions_add_up(sub):
-    coset, proj = image_quotient(sub, 4)
-    q = 4 - rank(sub)
-    assert proj.nrows == q and coset.ncols == q
-    assert (proj @ sub).is_zero()
-    if q:
-        assert proj @ coset == Mat.identity(Q, q)
-
-
 @given(mats(3, 3))
 @settings(max_examples=40, deadline=None)
 def test_rref_is_idempotent(a):
@@ -302,6 +291,25 @@ def op_inputs(draw):
     return field, a, b, c
 
 
+@st.composite
+def quotient_inputs(draw):
+    """A subspace matrix: dense over Q, or sparse over Q, F_7 or F_65537."""
+    field = draw(st.sampled_from([Q, F7, F65537]))
+    sparse = sparse_mats(field, draw(st.integers(1, 8)), draw(st.integers(0, 6)))
+    return draw(st.one_of(mats(4, 2), sparse))
+
+
+@given(quotient_inputs())
+@settings(max_examples=80, deadline=None)
+def test_quotient_dimensions_add_up(sub):
+    n = sub.nrows
+    coset, proj = image_quotient(sub, n)
+    q = n - rank(sub)
+    assert proj.nrows == q and coset.ncols == q
+    assert (proj @ sub).is_zero()
+    assert proj @ coset == Mat.identity(sub.field, q)
+
+
 def assert_sparse(x: Mat):
     assert len(x.data) == x.nrows
     p = x.field.p
@@ -387,3 +395,14 @@ def test_rref_and_kernel_match_sympy(a):
     ours = [[red.entry(i, j) for j in range(a.ncols)] for i in range(a.nrows)]
     assert ours == _from_sympy(a.field, want)
     assert kernel_basis(a).ncols == dm.nullspace().shape[0]
+
+
+@given(quotient_inputs())
+@settings(max_examples=40, deadline=None)
+def test_quotient_keeps_the_greedy_complement(sub):
+    # e_j survives exactly when it raises the rank of [sub | e_0 .. e_j]
+    n = sub.nrows
+    units = Mat.identity(sub.field, n)
+    ranks = [_to_sympy(sub.hstack(units.take_cols(range(j)))).rank() for j in range(n + 1)]
+    _, _, idx = _quotient_with_indices(sub, n)
+    assert idx == tuple(j for j in range(n) if ranks[j + 1] > ranks[j])

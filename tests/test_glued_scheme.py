@@ -31,14 +31,13 @@ WINDOW = (-3, 4)
 
 
 def glued(scheme, fp, window=WINDOW):
-    return QcohSheafOnX.glued(scheme, fp.module(), window=window)
+    return QcohSheafOnX.glued(scheme, fp, window=window)
 
 
 def ideal_inclusion(scheme, ideal_fp, o_fp, x, y, window=WINDOW):
-    o_mod = o_fp.module()
-    gx = o_mod.poly_act(x, 0) @ o_fp.gen_element(0)
-    gy = o_mod.poly_act(y, 0) @ o_fp.gen_element(0)
-    return map_from_gen_images(ideal_fp, o_mod, [gx, gy])
+    gx = o_fp.poly_act(x, 0) @ o_fp.gen_element(0)
+    gy = o_fp.poly_act(y, 0) @ o_fp.gen_element(0)
+    return map_from_gen_images(ideal_fp, o_fp, [gx, gy])
 
 
 # --- sections over the four opens -------------------------------------------
@@ -60,7 +59,7 @@ def test_skyscraper_doubles_on_x(scheme, sky_fp):
 
 
 def test_pushed_ideal_loses_degree_zero(scheme, ideal_fp):
-    s = direct_image_from_U(scheme, ideal_fp.module(), window=WINDOW)
+    s = direct_image_from_U(scheme, ideal_fp, window=WINDOW)
     v = sheaf_sections(s, "V")
     xx = sheaf_sections(s, "X")
     assert [v.piece(d).dim for d in range(0, 4)] == [1, 2, 3, 4]
@@ -70,9 +69,9 @@ def test_pushed_ideal_loses_degree_zero(scheme, ideal_fp):
 
 
 def test_identity_gluing_requires_shared_module(scheme, o_fp):
-    other = free_module(scheme.ring, (0,)).module()
+    other = free_module(scheme.ring, (0,))
     with pytest.raises(ValueError):
-        QcohSheafOnX(scheme, o_fp.module(), other, "identity")
+        QcohSheafOnX(scheme, o_fp, other, "identity")
 
 
 def test_unknown_open_rejected(scheme):
@@ -138,7 +137,7 @@ def test_no_witness_on_affine_chart(ring, x):
 
 
 def test_no_witness_for_line_module(w, kx_fp):
-    assert witness_nonaffine(w, window=(-3, 3), module=kx_fp.module()) is None
+    assert witness_nonaffine(w, window=(-3, 3), module=kx_fp) is None
 
 
 # --- tensor-vs-sections defect ---------------------------------------------------
@@ -175,7 +174,7 @@ def test_defect_is_additive_on_presentations(ring, w, x, y, sky_fp):
 
 
 def sky_quotient(scheme, o_fp, sky_fp):
-    return map_from_gen_images(o_fp, sky_fp.module(), [sky_fp.gen_element(0)])
+    return map_from_gen_images(o_fp, sky_fp, [sky_fp.gen_element(0)])
 
 
 def test_ideal_sequence_exact_on_patches_not_on_x(scheme, ideal_fp, o_fp, sky_fp, x, y):
@@ -199,9 +198,9 @@ def test_ideal_sequence_exact_on_patches_not_on_x(scheme, ideal_fp, o_fp, sky_fp
 def test_twist_sequence_left_exact_only_on_w(scheme, kx_fp, y):
     src = free_module(scheme.ring, (1,), name="R(-1)")
     tgt = free_module(scheme.ring, (0,), name="R")
-    img = tgt.module().poly_act(y, 0) @ tgt.gen_element(0)
-    f_mod = map_from_gen_images(src, tgt.module(), [img])
-    g_mod = map_from_gen_images(tgt, kx_fp.module(), [kx_fp.gen_element(0)])
+    img = tgt.poly_act(y, 0) @ tgt.gen_element(0)
+    f_mod = map_from_gen_images(src, tgt, [img])
+    g_mod = map_from_gen_images(tgt, kx_fp, [kx_fp.gen_element(0)])
     a = glued(scheme, src)
     b = glued(scheme, tgt)
     c = glued(scheme, kx_fp)
@@ -218,7 +217,7 @@ def test_twist_sequence_left_exact_only_on_w(scheme, kx_fp, y):
 
 def test_non_complex_is_reported(scheme, o_fp):
     s = glued(scheme, o_fp)
-    ident = SheafMap.glued(s, s, __import__("qcverify").GradedModuleMap.identity(o_fp.module()))
+    ident = SheafMap.glued(s, s, __import__("qcverify").GradedModuleMap.identity(o_fp))
     rep = sequence_report(ident, ident, "U")
     assert rep.verdict == "not-exact"
     assert not rep.complex_ok and "not-a-complex" in rep.flags
@@ -226,7 +225,7 @@ def test_non_complex_is_reported(scheme, o_fp):
 
 def test_sheaf_map_patch_validation(scheme, o_fp, sky_fp):
     so = glued(scheme, o_fp)
-    pushed = direct_image_from_U(scheme, sky_fp.module(), window=WINDOW)
+    pushed = direct_image_from_U(scheme, sky_fp, window=WINDOW)
     g = sky_quotient(scheme, o_fp, sky_fp)
     with pytest.raises(ValueError):
         SheafMap.glued(so, pushed, g)  # mixed gluing styles

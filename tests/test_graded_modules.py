@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from qcverify import (
     FPGradedModule,
+    FieldSpec,
     GradedModuleMap,
     HomogPoly,
     Mat,
     NonHomogeneousError,
+    PolyRing,
     RelationNotKilled,
     cokernel_dw,
     direct_sum,
@@ -69,36 +71,60 @@ def test_poly_arithmetic(ring, x, y):
 
 def test_free_module_dimensions(ring):
     f = free_module(ring, (0,))
-    assert [f.realize_piece(d).dim for d in range(-2, 4)] == [0, 0, 1, 2, 3, 4]
+    assert [f.piece(d).dim for d in range(-2, 4)] == [0, 0, 1, 2, 3, 4]
     shifted = free_module(ring, (2, 2, 2))
-    assert shifted.realize_piece(2).dim == 3
-    assert shifted.realize_piece(4).dim == 9
+    assert shifted.piece(2).dim == 3
+    assert shifted.piece(4).dim == 9
 
 
 def test_skyscraper_dimensions(sky_fp):
-    assert [sky_fp.realize_piece(d).dim for d in range(-2, 3)] == [0, 0, 1, 0, 0]
+    assert [sky_fp.piece(d).dim for d in range(-2, 3)] == [0, 0, 1, 0, 0]
 
 
 def test_ideal_dimensions(ideal_fp):
     # two generators in degree 1, one linear relation among them
-    assert [ideal_fp.realize_piece(d).dim for d in range(0, 5)] == [0, 2, 3, 4, 5]
+    assert [ideal_fp.piece(d).dim for d in range(0, 5)] == [0, 2, 3, 4, 5]
 
 
 def test_quotient_line_dimensions(kx_fp):
-    assert [kx_fp.realize_piece(d).dim for d in range(-2, 4)] == [0, 0, 1, 1, 1, 1]
+    assert [kx_fp.piece(d).dim for d in range(-2, 4)] == [0, 0, 1, 1, 1, 1]
 
 
-def test_module_view_agrees_with_fp(ideal_fp):
-    m = ideal_fp.module()
-    for d in range(-1, 5):
-        assert m.piece(d).dim == ideal_fp.realize_piece(d).dim
-        for v in range(2):
-            assert m.act(v, d) == ideal_fp.act_matrix(v, d)
+def presentation_cokernel(fp: FPGradedModule):
+    """coker(F_1 -> F_0) of fp's presentation, F_1 free on the relations."""
+    gens = free_module(fp.ring, fp.gen_degrees, name="F0")
+    rels = free_module(fp.ring, [c for _, c in fp.relations], name="F1")
+    images = []
+    for entries, c in fp.relations:
+        col = Mat.zeros(fp.ring.field, gens.piece(c).dim, 1)
+        for i, p in enumerate(entries):
+            if p is not None:
+                col = col + gens.poly_act(p, fp.gen_degrees[i]) @ gens.gen_element(i)
+        images.append(col)
+    return cokernel_dw(map_from_gen_images(rels, gens, images))
+
+
+def test_fp_module_is_the_cokernel_of_its_presentation():
+    for field in (FieldSpec.rationals(), FieldSpec.prime(7)):
+        ring = PolyRing(field, ("x", "y"))
+        x, y = ring.var_poly(0), ring.var_poly(1)
+        q = HomogPoly.parse(ring, "2*x^2 - 3*x*y + 5*y^2")
+        lin = HomogPoly.parse(ring, "7*x - 2*y")
+        for fp in (
+            FPGradedModule(ring, (1, 1), ((y, -x),)),
+            FPGradedModule(ring, (0,), ((x,), (y,))),
+            FPGradedModule(ring, (0, 1), ((q, lin),)),
+        ):
+            cok = presentation_cokernel(fp)
+            for d in range(-1, 6):
+                assert fp.piece(d).labels == cok.piece(d).labels, (field, fp, d)
+                for v in range(2):
+                    assert fp.act(v, d) == cok.act(v, d), (field, fp, d, v)
 
 
 def test_gen_element_shape(ideal_fp):
     g = ideal_fp.gen_element(0)
-    assert g.nrows == ideal_fp.realize_piece(1).dim and g.ncols == 1
+    assert g.nrows == ideal_fp.piece(1).dim and g.ncols == 1
     assert not g.is_zero()
 
 
@@ -107,14 +133,14 @@ def test_gen_element_shape(ideal_fp):
 
 def test_actions_commute_on_the_usual_suspects(ideal_fp, sky_fp, kx_fp):
     for fp in (ideal_fp, sky_fp, kx_fp):
-        verify_action_commutation(fp.module(), -3, 4)
+        verify_action_commutation(fp, -3, 4)
 
 
 def mult_y_map(ring, y):
     src = free_module(ring, (1,), name="R(-1)")
     tgt = free_module(ring, (0,), name="R")
-    img = tgt.module().poly_act(y, 0) @ tgt.gen_element(0)
-    return src, tgt, map_from_gen_images(src, tgt.module(), [img])
+    img = tgt.poly_act(y, 0) @ tgt.gen_element(0)
+    return src, tgt, map_from_gen_images(src, tgt, [img])
 
 
 def test_map_is_natural(ring, y):
@@ -126,13 +152,13 @@ def test_relation_not_killed(ring, sky_fp, x):
     # sending k's generator to 1 in R does not kill the relation x*g
     tgt = free_module(ring, (0,))
     with pytest.raises(RelationNotKilled):
-        map_from_gen_images(sky_fp, tgt.module(), [tgt.gen_element(0)])
+        map_from_gen_images(sky_fp, tgt, [tgt.gen_element(0)])
 
 
 def test_image_count_validated(ring, ideal_fp):
     tgt = free_module(ring, (0,))
     with pytest.raises(ValueError):
-        map_from_gen_images(ideal_fp, tgt.module(), [tgt.gen_element(0)])
+        map_from_gen_images(ideal_fp, tgt, [tgt.gen_element(0)])
 
 
 # --- kernels, images, cokernels -------------------------------------------
@@ -157,13 +183,13 @@ def test_quotient_presentation_matches_cokernel(ring, y, kx_fp):
     _, _, f = mult_y_map(ring, y)
     cok = cokernel_dw(f)
     for d in range(-2, 5):
-        assert cok.piece(d).dim == kx_fp.realize_piece(d).dim
+        assert cok.piece(d).dim == kx_fp.piece(d).dim
 
 
 def test_short_sequence_is_exact_degreewise(ring, y, kx_fp):
     src, tgt, f = mult_y_map(ring, y)
     img = kx_fp.gen_element(0)
-    g = map_from_gen_images(tgt, kx_fp.module(), [img])
+    g = map_from_gen_images(tgt, kx_fp, [img])
     for d in range(-3, 5):
         gf = g.matrix(d) @ f.matrix(d)
         assert gf.is_zero()
@@ -182,23 +208,22 @@ def test_hom_pieces(ring, sky_fp):
     twisted = free_module(ring, (1,))
     # Hom(R(-1), R)_d is R_{d+1}
     for d in range(-2, 3):
-        assert hom_piece(twisted, r.module(), d).dim == ring.dim(d + 1)
+        assert hom_piece(twisted, r, d).dim == ring.dim(d + 1)
     # no nonzero maps from the skyscraper into a torsion-free module
     for d in range(-2, 3):
-        assert hom_piece(sky_fp, r.module(), d).dim == 0
-    assert hom_piece(sky_fp, sky_fp.module(), 0).dim == 1
+        assert hom_piece(sky_fp, r, d).dim == 0
+    assert hom_piece(sky_fp, sky_fp, 0).dim == 1
 
 
 def test_tensor_with_skyscraper_counts_generators(ideal_fp, sky_fp):
-    sky = sky_fp.module()
-    dims = {d: tensor_piece(ideal_fp, sky, d).dim for d in range(-1, 4)}
+    dims = {d: tensor_piece(ideal_fp, sky_fp, d).dim for d in range(-1, 4)}
     assert dims == {-1: 0, 0: 0, 1: 2, 2: 0, 3: 0}
 
 
 def test_direct_sum_dimensions(ideal_fp, kx_fp):
-    s = direct_sum([ideal_fp.module(), kx_fp.module()])
+    s = direct_sum([ideal_fp, kx_fp])
     for d in range(-2, 4):
-        expected = ideal_fp.realize_piece(d).dim + kx_fp.realize_piece(d).dim
+        expected = ideal_fp.piece(d).dim + kx_fp.piece(d).dim
         assert s.piece(d).dim == expected
     verify_action_commutation(s, -2, 3)
 
@@ -213,13 +238,13 @@ def test_direct_sum_rejects_empty():
 
 def test_torsion_bounds(ring, sky_fp, kx_fp, ideal_fp, x, y):
     free = free_module(ring, (0,))
-    assert free.module().torsion_bound(x) == 0
-    assert sky_fp.module().torsion_bound(x) == 1
-    assert kx_fp.module().torsion_bound(y) == 1
+    assert free.torsion_bound(x) == 0
+    assert sky_fp.torsion_bound(x) == 1
+    assert kx_fp.torsion_bound(y) == 1
     # non-monomial relation: no certificate, the caller must iterate
-    assert ideal_fp.module().torsion_bound(x) is None
-    assert free.module().torsion_bound(x + y) == 0
-    assert kx_fp.module().torsion_bound(x + y) is None
+    assert ideal_fp.torsion_bound(x) is None
+    assert free.torsion_bound(x + y) == 0
+    assert kx_fp.torsion_bound(x + y) is None
 
 
 # --- multiplicativity as a property test -----------------------------------
@@ -245,7 +270,7 @@ def homog_polys(ring, degree):
 def test_poly_action_is_multiplicative(ring, kx_fp, data, d):
     p = data.draw(homog_polys(ring, 1))
     q = data.draw(homog_polys(ring, 2))
-    m = kx_fp.module()
+    m = kx_fp
     assert m.poly_act(p * q, d) == m.poly_act(p, d + 2) @ m.poly_act(q, d)
 
 
@@ -254,5 +279,5 @@ def test_poly_action_is_multiplicative(ring, kx_fp, data, d):
 def test_poly_action_is_additive(ring, ideal_fp, data, d):
     p = data.draw(homog_polys(ring, 1))
     q = data.draw(homog_polys(ring, 1))
-    m = ideal_fp.module()
+    m = ideal_fp
     assert m.poly_act(p + q, d) == m.poly_act(p, d) + m.poly_act(q, d)

@@ -9,13 +9,13 @@ import pytest
 
 from qcverify import (
     DualizedModule,
-    GradedInjectiveHull,
     GradedModuleMap,
     SheafMap,
     QcohSheafOnX,
     bidual_pipeline,
     exactness_tables,
     free_module,
+    injective_hull,
     map_from_gen_images,
     matlis_dual,
     matlis_dual_map,
@@ -34,9 +34,9 @@ def twist_sequence(ring, kx_fp, y):
     """R(-1) --y--> R --> R/(y), the standard length-one resolution."""
     src = free_module(ring, (1,), name="R(-1)")
     tgt = free_module(ring, (0,), name="R")
-    img = tgt.module().poly_act(y, 0) @ tgt.gen_element(0)
-    f = map_from_gen_images(src, tgt.module(), [img])
-    g = map_from_gen_images(tgt, kx_fp.module(), [kx_fp.gen_element(0)])
+    img = tgt.poly_act(y, 0) @ tgt.gen_element(0)
+    f = map_from_gen_images(src, tgt, [img])
+    g = map_from_gen_images(tgt, kx_fp, [kx_fp.gen_element(0)])
     return src, tgt, f, g
 
 
@@ -44,12 +44,12 @@ def twist_sequence(ring, kx_fp, y):
 
 
 def test_hull_dimensions(ring):
-    e = GradedInjectiveHull(ring).module()
+    e = injective_hull(ring)
     assert [e.piece(d).dim for d in range(-4, 2)] == [5, 4, 3, 2, 1, 0]
 
 
 def test_hull_actions_are_surjections_below_zero(ring):
-    e = GradedInjectiveHull(ring).module()
+    e = injective_hull(ring)
     for d in range(-4, 0):
         m = e.act(0, d)
         assert rank(m) == e.piece(d + 1).dim
@@ -61,13 +61,13 @@ def test_hull_actions_are_surjections_below_zero(ring):
 
 def test_dual_dimensions_mirror(kx_fp, sky_fp, ideal_fp):
     for fp in (kx_fp, sky_fp, ideal_fp):
-        dual = matlis_dual(fp.module())
+        dual = matlis_dual(fp)
         for d in range(-4, 5):
-            assert dual.piece(d).dim == fp.realize_piece(-d).dim
+            assert dual.piece(d).dim == fp.piece(-d).dim
 
 
 def test_dual_action_is_transposed(kx_fp):
-    m = kx_fp.module()
+    m = kx_fp
     dual = matlis_dual(m)
     for d in range(-3, 3):
         for v in range(2):
@@ -76,7 +76,7 @@ def test_dual_action_is_transposed(kx_fp):
 
 
 def test_skyscraper_is_self_dual(sky_fp):
-    m = sky_fp.module()
+    m = sky_fp
     dual = matlis_dual(m)
     for d in range(-2, 3):
         assert dual.piece(d).dim == m.piece(d).dim
@@ -85,13 +85,13 @@ def test_skyscraper_is_self_dual(sky_fp):
 
 
 def test_dual_is_memoized(kx_fp):
-    assert matlis_dual(kx_fp.module()) is matlis_dual(kx_fp.module())
+    assert matlis_dual(kx_fp) is matlis_dual(kx_fp)
 
 
 def test_biduality(ring, kx_fp, sky_fp):
     shifted = free_module(ring, (-2,), name="R(2)")
     for fp in (kx_fp, sky_fp, shifted):
-        m = fp.module()
+        m = fp
         dd = matlis_dual(matlis_dual(m))
         for d in range(-4, 5):
             assert dd.piece(d).dim == m.piece(d).dim
@@ -101,7 +101,7 @@ def test_biduality(ring, kx_fp, sky_fp):
 
 
 def test_torsion_certificates(ring, kx_fp, x, y):
-    dual = matlis_dual(kx_fp.module())
+    dual = matlis_dual(kx_fp)
     # the dual of a bounded-below module is bounded above: positive-degree
     # multiplication is eventually zero on every element
     assert dual.torsion_bound(x) == ALL_TORSION
@@ -109,7 +109,7 @@ def test_torsion_certificates(ring, kx_fp, x, y):
 
     assert dual.torsion_bound(HomogPoly.constant(ring, ring.field.one)) == 0
     bidual = matlis_dual(dual)
-    assert bidual.torsion_bound(y) == kx_fp.module().torsion_bound(y) == 1
+    assert bidual.torsion_bound(y) == kx_fp.torsion_bound(y) == 1
 
 
 # --- dual maps ------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_dual_map_contravariant(ring, kx_fp, y):
 
 def test_dual_map_endpoint_validation(ring, kx_fp, y):
     _, _, f, g = twist_sequence(ring, kx_fp, y)
-    wrong = matlis_dual(kx_fp.module())
+    wrong = matlis_dual(kx_fp)
     with pytest.raises(ValueError):
         matlis_dual_map(f, source=wrong)
 
@@ -157,7 +157,7 @@ def test_dualizing_flips_exactness(ring, kx_fp, y):
 def test_plus_of_structure_sheaf(scheme):
     o = scheme.structure_sheaf(window=WINDOW)
     plus = plus_functor(o)
-    e = GradedInjectiveHull(scheme.ring).module()
+    e = injective_hull(scheme.ring)
     for d in range(-4, 5):
         assert plus.m_U.piece(d).dim == e.piece(d).dim
         assert plus.m_V.piece(d).dim == 0  # the hull is torsion: no W-sections
@@ -169,9 +169,9 @@ def test_plus_of_structure_sheaf(scheme):
 
 def test_plus_map_validation(scheme, kx_fp):
     o = scheme.structure_sheaf(window=WINDOW)
-    k = QcohSheafOnX.glued(scheme, kx_fp.module(), window=WINDOW)
+    k = QcohSheafOnX.glued(scheme, kx_fp, window=WINDOW)
     g = SheafMap.glued(o, k, map_from_gen_images(
-        o.m_U.fp_source, kx_fp.module(), [kx_fp.gen_element(0)]
+        o.m_U, kx_fp, [kx_fp.gen_element(0)]
     ))
     o_plus = plus_functor(o)
     with pytest.raises(ValueError):
@@ -180,9 +180,9 @@ def test_plus_map_validation(scheme, kx_fp):
 
 def test_bidual_pipeline_detects_lost_exactness(scheme, kx_fp, y):
     src, tgt, f_mod, g_mod = twist_sequence(scheme.ring, kx_fp, y)
-    a = QcohSheafOnX.glued(scheme, src.module(), window=WINDOW)
-    b = QcohSheafOnX.glued(scheme, tgt.module(), window=WINDOW)
-    c = QcohSheafOnX.glued(scheme, kx_fp.module(), window=WINDOW)
+    a = QcohSheafOnX.glued(scheme, src, window=WINDOW)
+    b = QcohSheafOnX.glued(scheme, tgt, window=WINDOW)
+    c = QcohSheafOnX.glued(scheme, kx_fp, window=WINDOW)
     f = SheafMap.glued(a, b, f_mod)
     g = SheafMap.glued(b, c, g_mod)
 
@@ -200,12 +200,12 @@ def test_bidual_pipeline_requires_exact_input(scheme, kx_fp, y):
     # homology is nonzero, so the pipeline must refuse to certify anything
     src = free_module(scheme.ring, (2,), name="R(-2)")
     tgt = free_module(scheme.ring, (0,), name="R")
-    img = tgt.module().poly_act(y * y, 0) @ tgt.gen_element(0)
-    f_mod = map_from_gen_images(src, tgt.module(), [img])
-    g_mod = map_from_gen_images(tgt, kx_fp.module(), [kx_fp.gen_element(0)])
-    a = QcohSheafOnX.glued(scheme, src.module(), window=WINDOW)
-    b = QcohSheafOnX.glued(scheme, tgt.module(), window=WINDOW)
-    c = QcohSheafOnX.glued(scheme, kx_fp.module(), window=WINDOW)
+    img = tgt.poly_act(y * y, 0) @ tgt.gen_element(0)
+    f_mod = map_from_gen_images(src, tgt, [img])
+    g_mod = map_from_gen_images(tgt, kx_fp, [kx_fp.gen_element(0)])
+    a = QcohSheafOnX.glued(scheme, src, window=WINDOW)
+    b = QcohSheafOnX.glued(scheme, tgt, window=WINDOW)
+    c = QcohSheafOnX.glued(scheme, kx_fp, window=WINDOW)
     f = SheafMap.glued(a, b, f_mod)
     g = SheafMap.glued(b, c, g_mod)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qcverify import CapPolicy, FieldSpec, NonHomogeneousError
+from qcverify import CapPolicy, FieldSpec, FPGradedModule, NonHomogeneousError
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
@@ -572,6 +572,21 @@ def test_finished_checks_are_freed_without_the_cyclic_collector(text):
     try:
         run_scenario(s)
         after = [_live(k) for k in kinds]
+    finally:
+        gc.enable()
+    assert after == before
+
+
+@pytest.mark.parametrize("name", ["lemma21-free", "double-origin-flat"])
+def test_fp_modules_are_freed_without_the_cyclic_collector(name):
+    # a finitely presented module holds no bound method of its own, so
+    # the parsed modules and those the checks build go with the run
+    gc.collect()
+    before = _live(FPGradedModule)
+    gc.disable()
+    try:
+        run_scenario(parse_scenario(BUILTIN_SCENARIOS[name], window=(-1, 1)))
+        after = _live(FPGradedModule)
     finally:
         gc.enable()
     assert after == before
