@@ -89,15 +89,9 @@ class DoubleGluedScheme:
             raise ValueError("the overlap cover must live over the patch ring")
         self.ring = ring
         self.overlap = overlap
-        self._structure: DegreewiseModule | None = None
-
-    def structure_module(self) -> DegreewiseModule:
-        if self._structure is None:
-            self._structure = free_module(self.ring, (0,))
-        return self._structure
 
     def structure_sheaf(self, window=DEFAULT_WINDOW, policy: CapPolicy | None = None) -> "QcohSheafOnX":
-        return QcohSheafOnX.glued(self, self.structure_module(), window=window, policy=policy)
+        return QcohSheafOnX.glued(self, free_module(self.ring), window=window, policy=policy)
 
     def __repr__(self):
         denoms = " u ".join(f"D({f})" for f in self.overlap.denoms)
@@ -394,7 +388,8 @@ class ObstructionCertificate:
         return "no-obstruction-in-window"
 
 
-def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
+def flat_quotient_obstruction(s: QcohSheafOnX,
+                              sections_o: SectionsModule | None = None) -> ObstructionCertificate:
     """Codim of the span of Gamma(W,O)-multiples of U-patch sections.
 
     Nonzero codim in some degree certifies that the sheaf cannot be an
@@ -406,6 +401,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
     Gamma(W,-) pieces can be infinite-dimensional here (affine overlaps),
     so the table is computed at raw uniform caps and accepted only when
     it is reproduced at three consecutive escalations.
+
+    sections_o is Gamma(W, O) of the caller's structure module, whose
+    complexes are then shared; without it a fresh free module stands in.
     """
     window = s.window
     lo, hi = window
@@ -420,11 +418,14 @@ def flat_quotient_obstruction(s: QcohSheafOnX) -> ObstructionCertificate:
             )
     scheme = s.scheme
     cover = scheme.overlap
-    o = scheme.structure_module()
     field = scheme.ring.field
+    if sections_o is None:
+        sections_o = sections_window(free_module(scheme.ring), cover, window, s.policy)
+    if sections_o.cover is not cover:
+        raise ValueError("structure sections live on a different cover")
     # the U-module's complexes are those of the sheaf's W-sections
     complexes_m = s.w_sections(compare=False).complexes
-    complexes_o = sections_window(o, cover, window, s.policy).complexes
+    complexes_o = sections_o.complexes
 
     def table_at(cap: int) -> tuple:
         cm, co = complexes_m[cap], complexes_o[cap]

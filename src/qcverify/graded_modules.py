@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from math import comb
+from operator import add
 
 from .exact_linalg import (
     FieldSpec,
@@ -80,7 +81,7 @@ class RelationNotKilled(ValueError):
 class PolyRing:
     """k[x_1..x_n] with the standard grading (every variable in degree 1)."""
 
-    __slots__ = ("field", "variables", "_monos", "_mono_index", "_var_polys")
+    __slots__ = ("field", "variables", "_monos", "_mono_index")
 
     def __init__(self, field: FieldSpec, variables):
         variables = tuple(variables)
@@ -90,14 +91,13 @@ class PolyRing:
         self.variables = variables
         self._monos: dict[int, tuple] = {}
         self._mono_index: dict[int, dict] = {}
-        self._var_polys: dict[int, "HomogPoly"] = {}
 
     def var_poly(self, i: int) -> "HomogPoly":
-        got = self._var_polys.get(i)
-        if got is None:
-            got = HomogPoly.variable(self, i)
-            self._var_polys[i] = got
-        return got
+        return HomogPoly.variable(self, i)
+
+    def unit(self, i: int) -> tuple:
+        """The exponent tuple of the variable x_i."""
+        return (0,) * i + (1,) + (0,) * (len(self.variables) - i - 1)
 
     @property
     def nvars(self) -> int:
@@ -154,7 +154,7 @@ class PolyRing:
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_str(ring: PolyRing, mono) -> str:
@@ -209,8 +209,7 @@ class HomogPoly:
 
     @classmethod
     def variable(cls, ring: PolyRing, i: int) -> "HomogPoly":
-        mono = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return cls(ring, 1, {mono: 1})
+        return cls(ring, 1, {ring.unit(i): 1})
 
     @classmethod
     def monomial(cls, ring: PolyRing, mono, c=None) -> "HomogPoly":
@@ -257,6 +256,12 @@ class HomogPoly:
     def __pow__(self, n: int) -> "HomogPoly":
         if n < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            # (c x^a)^n = c^n x^(n a)
+            ((mono, c),) = self.terms.items()
+            mod = self.ring.field.p
+            return HomogPoly(self.ring, n * self.degree,
+                             {tuple(n * e for e in mono): pow(c, n, mod) if mod else c ** n})
         result = HomogPoly.constant(self.ring, 1)
         for _ in range(n):
             result = result * self
@@ -402,10 +407,13 @@ class GradedPiece:
 class DegreewiseModule:
     """A graded module presented as lazy pieces plus variable actions.
 
-    piece(d) returns the GradedPiece in degree d; act(i, d) the matrix of
-    x_i : M_d -> M_{d+1} in the canonical bases.  Both are memoized.  A
-    subclass defines the module by overriding _piece and _act (and
-    torsion_bound, when it can certify one).
+    piece(d) returns the GradedPiece in degree d and mono_act(a, d) the
+    matrix of the monomial x^a : M_d -> M_{d+|a|} in the canonical bases;
+    both are memoized, and act(i, d) is mono_act of the variable x_i.
+    Every polynomial action goes through mono_act.  A subclass defines the
+    module by overriding _piece and either _act, the variable actions that
+    the default _mono_act chains, or _mono_act itself when it can multiply
+    by a monomial directly (and torsion_bound, when it can certify one).
 
     torsion_bound(f) reports what is known about the f-power-torsion of
     the module: an integer T certifies ker(f^t) = ker(f^T) for all t >= T
@@ -421,7 +429,7 @@ class DegreewiseModule:
         self.min_degree = min_degree
         self.max_degree = max_degree
         self._pieces: dict[int, GradedPiece] = {}
-        self._acts: dict[tuple, Mat] = {}
+        self._mono_acts: dict[tuple, Mat] = {}
         self._poly_acts: dict[tuple, Mat] = {}
         self._power_acts: dict[tuple, Mat] = {}
 
@@ -438,19 +446,25 @@ class DegreewiseModule:
         return got
 
     def act(self, var: int, d: int) -> Mat:
-        key = (var, d)
-        got = self._acts.get(key)
+        return self.mono_act(self.ring.unit(var), d)
+
+    def mono_act(self, mono: tuple, d: int) -> Mat:
+        """Matrix of multiplication by the monomial x^mono from degree d."""
+        key = (mono, d)
+        got = self._mono_acts.get(key)
         if got is None:
-            src, tgt = self.piece(d), self.piece(d + 1)
-            if src.dim == 0 or tgt.dim == 0:
+            src, tgt = self.piece(d), self.piece(d + sum(mono))
+            if not any(mono):
+                got = Mat.identity(self.ring.field, src.dim)
+            elif src.dim == 0 or tgt.dim == 0:
                 got = Mat.zeros(self.ring.field, tgt.dim, src.dim)
             else:
-                got = self._act(var, d)
-            if got.nrows != tgt.dim or got.ncols != src.dim:
-                raise ArithmeticError(
-                    f"action matrix shape mismatch for {self.name}, x_{var}, degree {d}"
-                )
-            self._acts[key] = got
+                got = self._mono_act(mono, d)
+                if got.nrows != tgt.dim or got.ncols != src.dim:
+                    raise ArithmeticError(
+                        f"action matrix shape mismatch for {self.name}, x^{mono}, degree {d}"
+                    )
+            self._mono_acts[key] = got
         return got
 
     def _piece(self, d: int) -> GradedPiece:
@@ -459,65 +473,38 @@ class DegreewiseModule:
     def _act(self, var: int, d: int) -> Mat:
         raise NotImplementedError
 
+    def _mono_act(self, mono: tuple, d: int) -> Mat:
+        # a variable is the subclass's own action; any other nonzero
+        # monomial is the chained product of the memoized variable actions
+        steps = [var for var, e in enumerate(mono) for _ in range(e)]
+        if len(steps) == 1:
+            return self._act(steps[0], d)
+        out = self.act(steps[0], d)
+        for k, var in enumerate(steps[1:], 1):
+            out = self.act(var, d + k) @ out
+        return out
+
     def poly_act(self, p: HomogPoly, d: int) -> Mat:
-        """Matrix of multiplication by p from degree d."""
+        """Matrix of multiplication by p from degree d: the sum of its
+        terms c * x^a; a lone term x^a is mono_act itself."""
         key = (p, d)
         got = self._poly_acts.get(key)
-        if got is not None:
-            return got
-        src, tgt = self.piece(d), self.piece(d + p.degree)
-        out = Mat.zeros(self.ring.field, tgt.dim, src.dim)
-        for mono, c in p.terms.items():
-            m = self._mono_act(mono, d)
-            out = out + m.scale(c)
-        self._poly_acts[key] = out
-        return out
-
-    def _mono_act(self, mono, d: int) -> Mat:
-        key = (mono, d)
-        got = self._poly_acts.get(key)
-        if got is not None:
-            return got
-        # factor through per-variable power chains so that monomials sharing
-        # prefixes reuse the cached products
-        cur = None
-        deg = d
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            if e == 1:
-                step = self.act(i, deg)
-            else:
-                step = self.power_act(self.ring.var_poly(i), e, deg)
-            cur = step if cur is None else step @ cur
-            deg += e
-        if cur is None:
-            cur = Mat.identity(self.ring.field, self.piece(d).dim)
-        self._poly_acts[key] = cur
-        return cur
+        if got is None:
+            for mono, c in p.terms.items():
+                term = self.mono_act(mono, d).scale(c)
+                got = term if got is None else got + term
+            if got is None:
+                got = Mat.zeros(self.ring.field, self.piece(d + p.degree).dim, self.piece(d).dim)
+            self._poly_acts[key] = got
+        return got
 
     def power_act(self, f: HomogPoly, t: int, d: int) -> Mat:
-        """Matrix of multiplication by f^t from degree d, built iteratively."""
+        """Matrix of multiplication by f^t from degree d."""
         key = (f, t, d)
         got = self._power_acts.get(key)
-        if got is not None:
-            return got
-        if t == 0:
-            out = Mat.identity(self.ring.field, self.piece(d).dim)
-        else:
-            prev = self.power_act(f, t - 1, d)
-            out = self.poly_act(f, d + (t - 1) * f.degree) @ prev
-        self._power_acts[key] = out
-        return out
-
-    def poly_apply(self, p: HomogPoly, d: int, vecs: Mat) -> Mat:
-        """Multiplication by p applied to columns, without assembling the
-        matrix of p itself (p varies per call; the monomial matrices are
-        shared through the cache)."""
-        out = Mat.zeros(self.ring.field, self.piece(d + p.degree).dim, vecs.ncols)
-        for mono, c in p.terms.items():
-            out = out + (self._mono_act(mono, d) @ vecs).scale(c)
-        return out
+        if got is None:
+            got = self._power_acts[key] = self.poly_act(f ** t, d)
+        return got
 
     def torsion_bound(self, f: HomogPoly):
         return None
@@ -630,13 +617,10 @@ class FPGradedModule(DegreewiseModule):
     def _piece(self, d: int) -> GradedPiece:
         return self._realize(d).piece
 
-    def _act(self, var: int, d: int) -> Mat:
-        # x_var sends a basis label to one free label
-        labels = []
-        for i, mono in self.piece(d).labels:
-            up = tuple(mono[j] + (1 if j == var else 0) for j in range(self.ring.nvars))
-            labels.append((i, up))
-        return self._images(d + 1, labels)
+    def _mono_act(self, mono: tuple, d: int) -> Mat:
+        # x^a sends the basis label (i, m) to the free label (i, m + a)
+        labels = [(i, _mono_mul(m, mono)) for i, m in self.piece(d).labels]
+        return self._images(d + sum(mono), labels)
 
     def gen_mult(self, i: int, alpha: int) -> Mat:
         """The products mono * gen_i, one column per degree-alpha monomial
@@ -745,8 +729,7 @@ def map_from_gen_images(src: FPGradedModule, tgt: DegreewiseModule, images) -> G
         labels = src.piece(d).labels
         cols = {}
         for k, (i, mono) in enumerate(labels):
-            p = HomogPoly.monomial(src.ring, mono)
-            cols[0, k] = tgt.poly_act(p, src.gen_degrees[i]) @ images[i]
+            cols[0, k] = tgt.mono_act(mono, src.gen_degrees[i]) @ images[i]
         return Mat.block(tgt.ring.field, cols, [tgt.piece(d).dim], [1] * len(labels))
 
     return GradedModuleMap(src, tgt, matrix_fn)

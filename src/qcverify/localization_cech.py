@@ -190,8 +190,10 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
         status = f"heuristic({t})"
 
     if stable.ncols == 0:
+        # nothing is killed: incl and proj are x^0, one matrix per module
+        # and degree however many localizations share it
         piece = GradedPiece(field, num.labels)
-        ident = Mat.identity(field, num.dim)
+        ident = module.mono_act((0,) * module.ring.nvars, num_degree)
         return LocalizedPiece(d, cap, num_degree, status, piece, ident, ident)
     coset, proj, idx = _quotient_with_indices(stable, num.dim)
     piece = GradedPiece(field, tuple(num.labels[j] for j in idx))
@@ -460,11 +462,6 @@ class SectionsModule(DegreewiseModule):
             )
         return coords
 
-    def c0_vector(self, d: int, coords: Mat) -> tuple[Mat, int]:
-        """C^0 coordinates (and their cap) of an element of piece(d)."""
-        r = self._realize(d)
-        return r.basis @ coords, r.cap
-
     def block_numerator(self, d: int, cap: int, i: int, c0_vec: Mat) -> Mat:
         """Numerator coordinates of the i-th block of a C^0 vector."""
         lo = 0
@@ -594,23 +591,16 @@ class SectionElement:
     coords: Mat
 
 
-def _block_poly(sections_O: SectionsModule, piece_labels, numerator: Mat, degree: int) -> HomogPoly:
-    # numerator coordinates of a structure-sheaf section are coefficients
-    # of free-module labels (0, monomial)
-    ring = sections_O.ring
-    terms: dict = {}
-    for r, lab in enumerate(piece_labels):
-        c = numerator.entry(r, 0)
-        if c:
-            terms[lab[1]] = c
-    return HomogPoly(ring, degree, terms)
-
-
 def section_mult_block(a_module: SectionsModule, da: int, a_mat: Mat,
                        s: SectionElement) -> Mat:
     """Products a_j * s for every column a_j of a_mat (coordinates in
     Gamma(W, O)_da); returns the matrix of their coordinates in
-    Gamma(W, ~M)_{da + ds}."""
+    Gamma(W, ~M)_{da + ds}.
+
+    On each cover piece the numerator of a_j is a combination of monomials
+    m (the labels (0, m) of O), so the numerator of a_j * s is the same
+    combination of the columns m * s_num, which are computed once for all
+    columns."""
     sm = s.module
     if a_module.cover is not sm.cover:
         raise ValueError("sections live on different covers")
@@ -618,22 +608,25 @@ def section_mult_block(a_module: SectionsModule, da: int, a_mat: Mat,
     rs = sm._realize(s.degree)
     d_out = da + s.degree
     cap_out = ra.cap + rs.cap
-    s_c0, _ = sm.c0_vector(s.degree, s.coords)
+    a_c0 = ra.basis @ a_mat
+    s_c0 = rs.basis @ s.coords
     blocks = {}
-    for j in range(a_mat.ncols):
-        a_c0 = ra.basis @ a_mat.take_cols([j])
-        for i in range(a_module.cover.n):
-            a_num = a_module.block_numerator(da, ra.cap, i, a_c0)
-            lp_a = a_module._loc(i, da, ra.cap)
-            p = _block_poly(a_module, a_module.base.piece(lp_a.num_degree).labels,
-                            a_num, lp_a.num_degree)
-            s_num = sm.block_numerator(s.degree, rs.cap, i, s_c0)
-            lp_s = sm._loc(i, s.degree, rs.cap)
-            lp_out = sm._loc(i, d_out, cap_out)
-            prod = sm.base.poly_apply(p, lp_s.num_degree, s_num)
-            blocks[i, j] = lp_out.proj @ prod
-    row_dims = [sm._loc(i, d_out, cap_out).dim for i in range(sm.cover.n)]
-    stacked = Mat.block(sm.ring.field, blocks, row_dims, [1] * a_mat.ncols)
+    row_dims = []
+    for i in range(a_module.cover.n):
+        a_num = a_module.block_numerator(da, ra.cap, i, a_c0)
+        labels = a_module.base.piece(a_module._loc(i, da, ra.cap).num_degree).labels
+        s_num = sm.block_numerator(s.degree, rs.cap, i, s_c0)
+        lp_s = sm._loc(i, s.degree, rs.cap)
+        lp_out = sm._loc(i, d_out, cap_out)
+        # column r of h is m * s_num for the label (0, m) of row r of a_num,
+        # and zero when no column of a_num uses that label
+        h = Mat.from_cols(sm.ring.field, (
+            (sm.base.mono_act(lab[1], lp_s.num_degree) @ s_num).col(0) if row else {}
+            for lab, row in zip(labels, a_num.data)
+        ), sm.base.piece(lp_out.num_degree).dim)
+        blocks[i, 0] = lp_out.proj @ (h @ a_num)
+        row_dims.append(lp_out.dim)
+    stacked = Mat.block(sm.ring.field, blocks, row_dims, [a_mat.ncols])
     return sm._express(d_out, stacked, cap_out)
 
 

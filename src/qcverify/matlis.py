@@ -52,8 +52,8 @@ __all__ = [
 class DualizedModule(DegreewiseModule):
     """The graded dual Hom(M, E) of a degreewise module.
 
-    piece(d) is the dual of base.piece(-d); the x_i action from degree d
-    is the transpose of the base action landing in degree -d.  Torsion
+    piece(d) is the dual of base.piece(-d); x^a acting from degree d is
+    the transpose of the base action of x^a landing in degree -d.  Torsion
     certificates: a dual of a bounded-below module is bounded above, so
     any positive-degree element acts nilpotently on every element; a
     double dual has the same action matrices as its origin and can
@@ -73,8 +73,8 @@ class DualizedModule(DegreewiseModule):
         bp = self.base.piece(-d)
         return GradedPiece(self.ring.field, tuple(("d", lab) for lab in bp.labels))
 
-    def _act(self, var: int, d: int):
-        return self.base.act(var, -d - 1).transpose()
+    def _mono_act(self, mono: tuple, d: int):
+        return self.base.mono_act(mono, -d - sum(mono)).transpose()
 
     def torsion_bound(self, f: HomogPoly):
         if isinstance(self.base, DualizedModule):

@@ -598,9 +598,9 @@ class _Runner:
         self.scheme = DoubleGluedScheme(s.ring, s.overlap)
         self._sheaves: dict = {}
         self._module_sheaves: dict = {}
-        # Gamma(W, O), held for the whole run: lemma21 reads it, and through
-        # sections_window every other check on O shares its complexes;
-        # its pieces are still built on first use
+        # Gamma(W, O), held for the whole run: lemma21 and obstruction read
+        # it, and through sections_window every other check on O shares its
+        # complexes; its pieces are still built on first use
         self.sections_o = sections_window(s.modules["O"], s.overlap,
                                           s.window, s.policy)
 
@@ -681,7 +681,8 @@ class _Runner:
 
         if spec.kind == "obstruction":
             (sheaf_name,) = spec.args
-            cert = flat_quotient_obstruction(self.sheaf(sheaf_name))
+            cert = flat_quotient_obstruction(self.sheaf(sheaf_name),
+                                             sections_o=self.sections_o)
             flags = list(cert.flags)
             degs = cert.obstructed_degrees
             if degs:
@@ -1040,7 +1041,3 @@ def main(argv=None) -> int:
         print(f"qcv: expect mismatch: {name} = {got if got is not None else '(no such check)'}"
               f" (expected {want})", file=sys.stderr)
     return report.exit_code()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcverify import (
+    DegreewiseModule,
     FPGradedModule,
     FieldSpec,
     GradedModuleMap,
@@ -20,6 +21,7 @@ from qcverify import (
     image_dw,
     kernel_dw,
     map_from_gen_images,
+    matlis_dual,
     tensor_piece,
     verify_action_commutation,
     verify_naturality,
@@ -281,3 +283,72 @@ def test_poly_action_is_additive(ring, ideal_fp, data, d):
     q = data.draw(homog_polys(ring, 1))
     m = ideal_fp
     assert m.poly_act(p + q, d) == m.poly_act(p, d) + m.poly_act(q, d)
+
+
+# --- one monomial action ------------------------------------------------------
+
+FIELDS = (FieldSpec.rationals(), FieldSpec.prime(7), FieldSpec.prime(65537))
+RINGS = {f: PolyRing(f, ("x", "y")) for f in FIELDS}
+
+
+def scalars(field):
+    """Nonzero scalars with small numerators and denominators, valid in
+    every field of FIELDS."""
+    return st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)).map(
+        lambda nd: field.parse_scalar(f"{nd[0]}/{nd[1]}")
+    )
+
+
+@st.composite
+def fp_modules(draw):
+    """A random presentation: one or two generators in degrees 0..2 and up
+    to two homogeneous relation columns with small random coefficients."""
+    ring = RINGS[draw(st.sampled_from(FIELDS))]
+    gens = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    rels = []
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(max(gens) + 1, max(gens) + 2))
+        col = []
+        for e in gens:
+            col.append(draw(homog_polys(ring, c - e)) if draw(st.booleans()) else None)
+        rels.append(col)
+    return FPGradedModule(ring, gens, rels)
+
+
+# of degree 2 or more: the chain of one variable is that variable's action
+monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda a: sum(a) > 1)
+
+
+@given(fp_modules(), monomials, st.integers(-1, 3))
+@settings(max_examples=60, deadline=None)
+def test_mono_act_is_the_chain_of_variable_actions(m, a, d):
+    assert m.mono_act(a, d) == DegreewiseModule._mono_act(m, a, d)
+    dual = matlis_dual(m)
+    assert dual.mono_act(a, -d - 4) == DegreewiseModule._mono_act(dual, a, -d - 4)
+    for v in range(2):
+        assert dual.act(v, -d - 4) == m.act(v, d + 3).transpose()
+
+
+@given(fp_modules(), st.data(), st.integers(0, 3), st.integers(-1, 2))
+@settings(max_examples=40, deadline=None)
+def test_power_act_is_the_iterated_poly_act(m, data, t, d):
+    ring = m.ring
+    f = data.draw(homog_polys(ring, data.draw(st.integers(1, 2))).filter(
+        lambda p: len(p.terms) > 1))
+    want = Mat.identity(ring.field, m.piece(d).dim)
+    for k in range(t):
+        want = m.poly_act(f, d + k * f.degree) @ want
+    assert m.power_act(f, t, d) == want
+
+
+@given(st.sampled_from(FIELDS), st.data(), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_monomial_power_is_repeated_multiplication(field, data, a, b, n):
+    ring = RINGS[field]
+    p = HomogPoly.monomial(ring, (a, b), data.draw(scalars(field)))
+    want = HomogPoly.constant(ring, 1)
+    for _ in range(n):
+        want = want * p
+    assert p ** n == want
+    assert (p ** n).degree == want.degree

@@ -163,7 +163,7 @@ def test_plus_of_structure_sheaf(scheme):
         assert plus.m_V.piece(d).dim == 0  # the hull is torsion: no W-sections
     plusplus = plus_functor(plus)
     for d in range(-4, 5):
-        assert plusplus.m_U.piece(d).dim == scheme.structure_module().piece(d).dim
+        assert plusplus.m_U.piece(d).dim == o.m_U.piece(d).dim
         assert plusplus.m_V.piece(d).dim == (d + 1 if d >= 0 else 0)
 
 

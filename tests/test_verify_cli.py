@@ -3,9 +3,13 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qcverify
 from qcverify import CapPolicy, FieldSpec, FPGradedModule, NonHomogeneousError
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
@@ -354,6 +358,19 @@ def test_main_window_and_format_flags(tmp_path):
     assert "window: -2..2" in text
 
 
+def test_python_dash_m_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcverify.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qcverify",
+         "builtin", "affine-control", "--window=-1:1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "affine-control" in proc.stdout
+
+
 def test_main_unknown_builtin(capsys):
     assert main(["builtin", "nope"]) == 3
     assert "unknown builtin" in capsys.readouterr().err
@@ -644,16 +661,33 @@ patch = M
 """
 
 
+# O through H^1 and through the obstruction scan of another sheaf
+O_AND_OBSTRUCTION = HEAD + """
+[module A]
+generators = 1
+
+[sheaf P]
+direct-image = A
+
+[check h1 O]
+[check obstruction P]
+"""
+
+
 @pytest.mark.parametrize("text, code", [
     (BUILTIN_SCENARIOS["double-origin-flat"], 0),
     (SHARED_SECTIONS, 0),
     # H^1 of the punctured plane starts in degree -2, so at -1:1 the
     # witness check finds none and misses its expectation
     (BUILTIN_SCENARIOS["h1-punctured"], 1),
-], ids=["double-origin-flat", "one-module-many-checks", "h1-punctured"])
+    (O_AND_OBSTRUCTION, 0),
+], ids=["double-origin-flat", "one-module-many-checks", "h1-punctured",
+        "o-and-obstruction"])
 def test_no_cech_complex_is_built_twice(complexes_built, text, code):
     rep = run_text(text, name="d", window=(-1, 1))
     assert rep.exit_code() == code
     assert all(c.verdict not in ("check-error", "inconclusive") for c in rep.checks)
-    keys = [(id(m), id(c), cap) for m, c, cap in complexes_built]
+    # keyed by module name: a second module object standing in for a named
+    # module (a second O) rebuilds the same complexes
+    keys = [(m.name, id(c), cap) for m, c, cap in complexes_built]
     assert keys and len(keys) == len(set(keys))
