@@ -47,7 +47,6 @@ from .localization_cech import (
     h1_window,
     localize_piece,
     restriction_to_sections,
-    section_mult,
     sections_induced_map,
     sections_window,
 )

@@ -168,7 +168,15 @@ class Mat:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
-        m = cls._of(field, n, n, ({i: 1} for i in range(n)))
+        """The n x n identity; its rows are the shared unit rows {i: 1}, so
+        an identity holds n pointers whatever the field."""
+        global _UNIT_ROWS
+        rows = _UNIT_ROWS
+        if len(rows) < n:
+            # rebind a longer list rather than extend in place: row i stays
+            # {i: 1} even when two callers grow it at once
+            rows = _UNIT_ROWS = rows + [{i: 1} for i in range(len(rows), n)]
+        m = cls._of(field, n, n, rows[:n])
         m._ident = True
         return m
 
@@ -347,6 +355,10 @@ class Mat:
             for i in range(self.nrows)
         )
         return f"Mat[{body}]"
+
+
+# row i is {i: 1}, shared by every identity matrix (rows are never changed)
+_UNIT_ROWS: list = []
 
 
 def _sparse_row(row, n: int) -> dict:

@@ -29,12 +29,10 @@ from .localization_cech import (
     CapPolicy,
     H1Result,
     OpenSubset,
-    SectionElement,
     SectionsModule,
     _stabilize,
     h1_window,
     restriction_to_sections,
-    section_mult_block,
     sections_induced_map,
     sections_window,
 )
@@ -302,7 +300,6 @@ class SheafMap:
 class DefectTable:
     """Per-degree kernel/cokernel of (F tensor Gamma(W,O))_d -> Gamma(W, ~F)_d."""
 
-    module_name: str
     window: tuple
     kernel: dict
     cokernel: dict
@@ -317,6 +314,42 @@ class DefectTable:
         return sum(self.defect.values())
 
 
+def _structure_sections(sections_o: SectionsModule | None, cover: OpenSubset, window,
+                        policy: CapPolicy | None) -> SectionsModule:
+    """Gamma(W, O) for the two generator-multiple checks: the given sections,
+    checked to be those of the rank-one free module O = R(0) on the cover,
+    or fresh ones of a new free module."""
+    if sections_o is None:
+        return sections_window(free_module(cover.ring), cover, window, policy)
+    base = sections_o.base
+    if not (isinstance(base, FPGradedModule) and base.gen_degrees == (0,)
+            and not base.relations):
+        raise ValueError(
+            f"structure sections must be those of the rank-one free module generated "
+            f"in degree 0, not of {base.name}"
+        )
+    if sections_o.cover is not cover:
+        raise ValueError("structure sections live on a different cover")
+    return sections_o
+
+
+def _generator_multiples(fp: FPGradedModule, i: int, deg_o, pieces_m) -> Mat:
+    """The C^0 vectors of a * gen_i over pieces_m, one column per H^0 basis
+    column a of deg_o.
+
+    deg_o is a Cech degree of O at some cap c and pieces_m are fp's
+    level-0 pieces at the same cap.  On D(f_j), a = n_j / f_j^c, so
+    a * gen_i = (n_j * gen_i) / f_j^c lands at cap c as well: the numerator
+    is one column selection of fp.gen_mult per piece."""
+    basis = deg_o.h0_basis()
+    blocks = {}
+    for j, (lp_o, lp_m) in enumerate(zip(deg_o.levels[0], pieces_m)):
+        off = deg_o.offsets[0][j]
+        numer = lp_o.incl @ basis.take_rows(off, off + lp_o.dim)
+        blocks[j, 0] = lp_m.proj @ (fp.gen_mult(i, lp_o.num_degree) @ numer)
+    return Mat.block(fp.ring.field, blocks, [lp.dim for lp in pieces_m], [basis.ncols])
+
+
 def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW,
                          policy: CapPolicy | None = None,
                          sections_o: SectionsModule | None = None) -> DefectTable:
@@ -329,15 +362,7 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
     """
     lo, hi = window
     s_f = sections_window(f, w, window, policy)
-    s_o = sections_o if sections_o is not None else sections_window(
-        free_module(f.ring, (0,)), w, window, policy
-    )
-    if s_o.cover is not w:
-        raise ValueError("structure sections live on a different cover")
-    res = restriction_to_sections(f, w, window, policy, sections=s_f)
-    gen_secs = []
-    for i, e in enumerate(f.gen_degrees):
-        gen_secs.append(SectionElement(s_f, e, res.matrix(e) @ f.gen_element(i)))
+    s_o = _structure_sections(sections_o, w, window, policy)
 
     field = f.ring.field
     kernel: dict = {}
@@ -351,9 +376,10 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
             src_dim = s_o.piece(d - e).dim
             col_dims.append(src_dim)
             if src_dim and tgt_dim:
-                blocks[0, i] = section_mult_block(
-                    s_o, d - e, Mat.identity(field, src_dim), gen_secs[i]
-                )
+                ro = s_o._realize(d - e)
+                pieces_f = [s_f._loc(j, d, ro.cap) for j in range(w.n)]
+                vecs = _generator_multiples(f, i, ro.cech, pieces_f)
+                blocks[0, i] = s_f._express(d, vecs, ro.cap)
         free_map = Mat.block(field, blocks, [tgt_dim], col_dims)
         if t.rel_matrix.ncols and not (free_map @ t.rel_matrix).is_zero():
             raise ArithmeticError(
@@ -363,14 +389,13 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
         r = rank(mu)
         kernel[d] = t.piece.dim - r
         cokernel[d] = tgt_dim - r
-    return DefectTable(f.name, tuple(window), kernel, cokernel, flags=s_f.flags(window))
+    return DefectTable(tuple(window), kernel, cokernel, flags=s_f.flags(window))
 
 
 @dataclass
 class ObstructionCertificate:
     """Codimension table of the section-generated submodule of Gamma(W, M)."""
 
-    sheaf_name: str
     window: tuple
     codims: dict
     cap: int
@@ -416,13 +441,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
             raise BufferTooSmall(
                 f"generator degree {e} outside the buffered window [{lo - buffer}, {hi}]"
             )
-    scheme = s.scheme
-    cover = scheme.overlap
-    field = scheme.ring.field
-    if sections_o is None:
-        sections_o = sections_window(free_module(scheme.ring), cover, window, s.policy)
-    if sections_o.cover is not cover:
-        raise ValueError("structure sections live on a different cover")
+    cover = s.scheme.overlap
+    field = s.scheme.ring.field
+    sections_o = _structure_sections(sections_o, cover, window, s.policy)
     # the U-module's complexes are those of the sheaf's W-sections
     complexes_m = s.w_sections(compare=False).complexes
     complexes_o = sections_o.complexes
@@ -433,23 +454,10 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
         for d in range(lo, hi + 1):
             deg_m = cm.degree(d)
             a = deg_m.h0_basis()
-            blocks = {}
-            col_dims = []
-            for i, e in enumerate(fp.gen_degrees):
-                deg_o = co.degree(d - e)
-                b = deg_o.h0_basis()
-                col_dims.append(b.ncols)
-                if b.ncols == 0:
-                    continue
-                for j in range(cover.n):
-                    lp_o = deg_o.levels[0][j]
-                    lp_m = deg_m.levels[0][j]
-                    off = deg_o.offsets[0][j]
-                    numer = lp_o.incl @ b.take_rows(off, off + lp_o.dim)
-                    alpha = (d - e) + cap * cover.denoms[j].degree
-                    blocks[j, i] = lp_m.proj @ (fp.gen_mult(i, alpha) @ numer)
-            row_dims = [lp.dim for lp in deg_m.levels[0]]
-            p_mat = Mat.block(field, blocks, row_dims, col_dims)
+            p_mat = Mat.block(field, {
+                (0, i): _generator_multiples(fp, i, co.degree(d - e), deg_m.levels[0])
+                for i, e in enumerate(fp.gen_degrees)
+            })
             if rank(a.hstack(p_mat)) != a.ncols:
                 raise ArithmeticError(
                     f"a generator multiple is not a section in degree {d} at cap {cap}"
@@ -467,7 +475,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     certified = all(st.startswith("certified") for st in statuses)
     flags = [f"cap:{cap}", "stabilized",
              "kernels-certified" if certified else "kernels-heuristic"]
-    return ObstructionCertificate(s.name, window, codims, cap, flags)
+    return ObstructionCertificate(window, codims, cap, flags)
 
 
 @dataclass

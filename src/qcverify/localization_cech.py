@@ -18,8 +18,8 @@ Cohomology in a degree window is reported at a cap found by escalation:
 start at (window width + 2), step by 2, accept once the dimensions are
 unchanged for two consecutive increments, give up (CapExhausted) after
 five escalations.  Sections over the cover then become an ordinary
-DegreewiseModule whose elements can be multiplied by sections of the
-structure sheaf, restricted to, and acted on by variables, with all
+DegreewiseModule whose elements can be restricted to, acted on by
+variables and expressed from C^0 vectors given at any cap, with all
 cross-cap bookkeeping handled here.
 """
 
@@ -53,9 +53,6 @@ __all__ = [
     "H1Result",
     "h1_window",
     "restriction_to_sections",
-    "SectionElement",
-    "section_mult",
-    "section_mult_block",
     "sections_induced_map",
 ]
 
@@ -374,11 +371,11 @@ class SectionsModule(DegreewiseModule):
     """Gamma(W, ~M) as a degreewise module, W a union of distinguished opens.
 
     Each piece is the degree-d Cech H^0 at a per-degree stabilized cap.
-    Variable actions, restriction from M, and multiplication by sections
-    of the structure sheaf re-express their results across caps by lifting
-    numerators (multiplying by powers of the denominators) and solving
-    exactly in the stabilized basis; a failed solve means a cap lied and
-    raises CapExhausted rather than guessing.
+    Variable actions, restriction from M and induced maps re-express
+    their results across caps by lifting numerators (multiplying by
+    powers of the denominators) and solving exactly in the stabilized
+    basis; a failed solve means a cap lied and raises CapExhausted rather
+    than guessing.
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
@@ -462,14 +459,6 @@ class SectionsModule(DegreewiseModule):
             )
         return coords
 
-    def block_numerator(self, d: int, cap: int, i: int, c0_vec: Mat) -> Mat:
-        """Numerator coordinates of the i-th block of a C^0 vector."""
-        lo = 0
-        for j in range(i):
-            lo += self._loc(j, d, cap).dim
-        lp = self._loc(i, d, cap)
-        return lp.incl @ c0_vec.take_rows(lo, lo + lp.dim)
-
     def _act(self, var: int, d: int) -> Mat:
         r = self._realize(d)
         blocks = {}
@@ -493,18 +482,14 @@ class SectionsModule(DegreewiseModule):
             blocks[i, 0] = lp.proj @ mult
         return self._express(d, Mat.block(self.ring.field, blocks), r.cap)
 
-    def degree_stats(self, d: int) -> dict:
-        r = self._realize(d)
-        return {"cap": r.cap, "dim": r.piece.dim, "certified": r.certified}
-
     def flags(self, window=None) -> list[str]:
         lo, hi = window or self.window
         caps = []
         heuristic = False
         for d in range(lo, hi + 1):
-            st = self.degree_stats(d)
-            caps.append(st["cap"])
-            heuristic = heuristic or not st["certified"]
+            r = self._realize(d)
+            caps.append(r.cap)
+            heuristic = heuristic or not r.certified
         out = [f"caps:{min(caps)}..{max(caps)}", "stabilized"]
         out.append("kernels-heuristic" if heuristic else "kernels-certified")
         return out
@@ -560,13 +545,6 @@ class H1Result:
         cap = self.caps[d]
         return self.sections.complexes[cap].degree(d), cap
 
-    def flags(self) -> list[str]:
-        caps = [self.caps[d] for d in sorted(self.caps)]
-        out = [f"caps:{min(caps)}..{max(caps)}", "stabilized"]
-        heuristic = not all(self.certified.values())
-        out.append("kernels-heuristic" if heuristic else "kernels-certified")
-        return out
-
 
 def h1_window(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
               policy: CapPolicy | None = None) -> H1Result:
@@ -580,60 +558,6 @@ def restriction_to_sections(module: DegreewiseModule, cover: OpenSubset,
     if s.base is not module:
         raise ValueError("sections module does not match the module being restricted")
     return GradedModuleMap(module, s, s.restriction_matrix, name=f"res({module.name})")
-
-
-@dataclass
-class SectionElement:
-    """An element of Gamma(W, ~M)_degree, as coordinates in the piece basis."""
-
-    module: SectionsModule
-    degree: int
-    coords: Mat
-
-
-def section_mult_block(a_module: SectionsModule, da: int, a_mat: Mat,
-                       s: SectionElement) -> Mat:
-    """Products a_j * s for every column a_j of a_mat (coordinates in
-    Gamma(W, O)_da); returns the matrix of their coordinates in
-    Gamma(W, ~M)_{da + ds}.
-
-    On each cover piece the numerator of a_j is a combination of monomials
-    m (the labels (0, m) of O), so the numerator of a_j * s is the same
-    combination of the columns m * s_num, which are computed once for all
-    columns."""
-    sm = s.module
-    if a_module.cover is not sm.cover:
-        raise ValueError("sections live on different covers")
-    ra = a_module._realize(da)
-    rs = sm._realize(s.degree)
-    d_out = da + s.degree
-    cap_out = ra.cap + rs.cap
-    a_c0 = ra.basis @ a_mat
-    s_c0 = rs.basis @ s.coords
-    blocks = {}
-    row_dims = []
-    for i in range(a_module.cover.n):
-        a_num = a_module.block_numerator(da, ra.cap, i, a_c0)
-        labels = a_module.base.piece(a_module._loc(i, da, ra.cap).num_degree).labels
-        s_num = sm.block_numerator(s.degree, rs.cap, i, s_c0)
-        lp_s = sm._loc(i, s.degree, rs.cap)
-        lp_out = sm._loc(i, d_out, cap_out)
-        # column r of h is m * s_num for the label (0, m) of row r of a_num,
-        # and zero when no column of a_num uses that label
-        h = Mat.from_cols(sm.ring.field, (
-            (sm.base.mono_act(lab[1], lp_s.num_degree) @ s_num).col(0) if row else {}
-            for lab, row in zip(labels, a_num.data)
-        ), sm.base.piece(lp_out.num_degree).dim)
-        blocks[i, 0] = lp_out.proj @ (h @ a_num)
-        row_dims.append(lp_out.dim)
-    stacked = Mat.block(sm.ring.field, blocks, row_dims, [a_mat.ncols])
-    return sm._express(d_out, stacked, cap_out)
-
-
-def section_mult(a: SectionElement, s: SectionElement) -> SectionElement:
-    """Multiply a structure-sheaf section by a module section."""
-    coords = section_mult_block(a.module, a.degree, a.coords, s)
-    return SectionElement(s.module, a.degree + s.degree, coords)
 
 
 def sections_induced_map(u: GradedModuleMap, s_src: SectionsModule,

@@ -1041,3 +1041,7 @@ def main(argv=None) -> int:
         print(f"qcv: expect mismatch: {name} = {got if got is not None else '(no such check)'}"
               f" (expected {want})", file=sys.stderr)
     return report.exit_code()
+
+
+if __name__ == "__main__":
+    sys.exit("qcv: run python -m qcverify (or qcv) instead")

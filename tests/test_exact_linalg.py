@@ -327,7 +327,16 @@ def assert_sparse(x: Mat):
 def test_every_operation_keeps_rows_sparse(inputs, s):
     field, a, b, c = inputs
     n, m = a.nrows, a.ncols
+    # identities share their unit rows: nothing built from them may change one
+    i_n, i_m = Mat.identity(field, n), Mat.identity(field, m)
     results = [
+        i_n, i_n + a @ a.transpose(), i_n - b @ a.transpose(), i_n.scale(field.of_int(s)),
+        -i_n, i_n @ a, a @ i_m, a.hstack(i_n), i_m.vstack(a),
+        Mat.block(field, {(0, 0): i_n, (0, 1): a, (1, 1): i_m}, [n, m], [n, m]),
+        rref(i_n)[0], rref(a.hstack(i_n))[0], rref(a.vstack(i_m))[0],
+        kernel_basis(i_n), kernel_basis(a.hstack(i_n)), solve(i_n, a), solve(a.hstack(i_n), b),
+    ]
+    results += [
         a, a + b, a - b, a - a, a + a.scale(field.of_int(-1)), -a,
         a.scale(field.of_int(s)), a @ c, a.hstack(b), a.vstack(b),
         Mat.block(field, {(0, 0): a, (0, 1): a @ c, (1, 0): b}, [n, n], [m, c.ncols]),
@@ -340,6 +349,7 @@ def test_every_operation_keeps_rows_sparse(inputs, s):
     for r in results:
         assert_sparse(r)
     assert (a - a).is_zero() and (a + -a).data == ({},) * n
+    assert all(row == {i: 1} for i, row in enumerate(Mat.identity(field, n + m).data))
 
 
 def test_dense_and_mapping_rows_agree():

@@ -7,11 +7,15 @@ skyscraper at the origin doubles, and the pushed ideal loses its
 degree-zero sections.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings
 
 from qcverify import (
     BufferTooSmall,
     FPGradedModule,
+    HomogPoly,
     QcohSheafOnX,
     SheafMap,
     direct_image_from_U,
@@ -22,10 +26,13 @@ from qcverify import (
     kernel_dw,
     map_from_gen_images,
     sheaf_sections,
+    sections_window,
     sequence_report,
     verify_action_commutation,
     witness_nonaffine,
 )
+from qcverify.exact_linalg import rank
+from test_graded_modules import FIELDS, RINGS, fp_modules
 
 WINDOW = (-3, 4)
 
@@ -168,6 +175,75 @@ def test_defect_is_additive_on_presentations(ring, w, x, y, sky_fp):
     t = flat_sections_defect(both, w, window=(-2, 2))
     single = flat_sections_defect(sky_fp, w, window=(-2, 2))
     assert t.defect == single.defect
+
+
+@pytest.mark.parametrize("shifts", [(0, 0), (1,)], ids=["O^2", "O(-1)"])
+def test_wrong_structure_sections_are_rejected(scheme, ideal_fp, shifts):
+    # Gamma(W, O^2) or Gamma(W, O(-1)) in place of Gamma(W, O): both checks
+    # refuse it and name the module, rather than mistake it for O
+    wrong = free_module(scheme.ring, shifts)
+    s_wrong = sections_window(wrong, scheme.overlap, (-2, 2))
+    with pytest.raises(ValueError, match=re.escape(wrong.name)):
+        flat_sections_defect(ideal_fp, scheme.overlap, window=(-2, 2), sections_o=s_wrong)
+    with pytest.raises(ValueError, match=re.escape(wrong.name)):
+        flat_quotient_obstruction(glued(scheme, ideal_fp, window=(-2, 2)),
+                                  sections_o=s_wrong)
+
+
+# --- Gamma(W, O) = R: the comparison map is the restriction ---------------------
+
+
+def restriction_tables(f, w, window):
+    """On D(x) u D(y), Gamma(W, O) = R, so F (x) Gamma(W, O) = F and the
+    comparison map of the defect is the restriction F -> Gamma(W, ~F)."""
+    s_f = sections_window(f, w, window)
+    kernel, cokernel = {}, {}
+    for d in range(window[0], window[1] + 1):
+        r = rank(s_f.restriction_matrix(d))
+        kernel[d] = f.piece(d).dim - r
+        cokernel[d] = s_f.piece(d).dim - r
+    return kernel, cokernel
+
+
+def fixed_modules(ring):
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    q = HomogPoly.parse(ring, "2*x^2 - 3*x*y + 5*y^2")
+    lin = HomogPoly.parse(ring, "7*x - 2*y")
+    return (
+        free_module(ring, (0, 2)),
+        FPGradedModule(ring, (1, 1), ((y, -x),), name="I"),
+        FPGradedModule(ring, (0,), ((x,), (y,)), name="k0"),
+        FPGradedModule(ring, (0, 1), ((q, lin),), name="N"),
+        FPGradedModule(ring, (0,), ((x * x,),), name="R/(x^2)"),
+    )
+
+
+FIXED_NAMES = ("free(0,2)", "ideal", "skyscraper", "non-unit-N", "x-squared")
+FIXED_CASES = [(field, k) for field in FIELDS for k in range(len(FIXED_NAMES))]
+
+
+@pytest.mark.parametrize("field,k", FIXED_CASES,
+                         ids=[f"{field}-{FIXED_NAMES[k]}" for field, k in FIXED_CASES])
+def test_defect_and_obstruction_match_the_restriction(field, k):
+    window = (-3, 3)
+    f = fixed_modules(RINGS[field])[k]
+    scheme = double_origin_plane(f.ring)
+    w = scheme.overlap
+    kernel, cokernel = restriction_tables(f, w, window)
+    t = flat_sections_defect(f, w, window=window)
+    assert (t.kernel, t.cokernel) == (kernel, cokernel)
+    # the obstruction measures the same span at uniform caps, per sheaf
+    for sheaf in (glued(scheme, f, window), direct_image_from_U(scheme, f, window)):
+        assert flat_quotient_obstruction(sheaf).codims == cokernel
+
+
+@given(fp_modules())
+@settings(max_examples=40, deadline=None)
+def test_defect_of_random_presentations_matches_the_restriction(f):
+    window = (-2, 2)
+    w = double_origin_plane(f.ring).overlap
+    t = flat_sections_defect(f, w, window=window)
+    assert (t.kernel, t.cokernel) == restriction_tables(f, w, window)
 
 
 # --- exactness of section sequences ------------------------------------------------

@@ -7,25 +7,19 @@ in every degree.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qcverify import (
     CapExhausted,
     CapPolicy,
-    FieldSpec,
-    FPGradedModule,
     HomogPoly,
     Mat,
     OpenSubset,
-    PolyRing,
     cech_complex,
     direct_sum,
     free_module,
     h1_window,
     localize_piece,
     restriction_to_sections,
-    section_mult,
     sections_induced_map,
     sections_window,
     verify_action_commutation,
@@ -33,7 +27,6 @@ from qcverify import (
     map_from_gen_images,
 )
 from qcverify.exact_linalg import rank
-from qcverify.localization_cech import SectionElement, section_mult_block
 
 WINDOW = (-4, 4)
 
@@ -202,83 +195,6 @@ def test_restriction_is_iso_in_nonnegative_degrees(ring, w):
 def test_restriction_of_skyscraper_is_zero(sky_fp, w):
     res = restriction_to_sections(sky_fp, w, window=(-2, 2))
     assert res.matrix(0).nrows == 0
-
-
-def one_section(sections, res, fp, d, poly=None):
-    """Restrict a degree-d element of the module to W."""
-    if poly is None:
-        coords = fp.gen_element(0)
-    else:
-        coords = fp.poly_act(poly, fp.gen_degrees[0]) @ fp.gen_element(0)
-    return SectionElement(sections, d, res.matrix(d) @ coords)
-
-
-def test_section_mult_matches_module_action(ring, kx_fp, w, x):
-    # res(x) * res(1) must equal res(x * 1) in Gamma(W, k[x])
-    o_fp = free_module(ring, (0,))
-    s_o = sections_window(o_fp, w, window=WINDOW)
-    res_o = restriction_to_sections(o_fp, w, window=WINDOW, sections=s_o)
-    s_k = sections_window(kx_fp, w, window=WINDOW)
-    res_k = restriction_to_sections(kx_fp, w, window=WINDOW, sections=s_k)
-
-    a = one_section(s_o, res_o, o_fp, 1, x)
-    s = one_section(s_k, res_k, kx_fp, 0)
-    prod = section_mult(a, s)
-    want = one_section(s_k, res_k, kx_fp, 1, x)
-    assert prod.degree == 1
-    assert prod.coords == want.coords
-
-
-def test_section_mult_by_one_is_identity(ring, kx_fp, w):
-    o_fp = free_module(ring, (0,))
-    s_o = sections_window(o_fp, w, window=WINDOW)
-    res_o = restriction_to_sections(o_fp, w, window=WINDOW, sections=s_o)
-    s_k = sections_window(kx_fp, w, window=WINDOW)
-    res_k = restriction_to_sections(kx_fp, w, window=WINDOW, sections=s_k)
-    unit = one_section(s_o, res_o, o_fp, 0)
-    s = one_section(s_k, res_k, kx_fp, 0)
-    assert section_mult(unit, s).coords == s.coords
-
-
-def _mult_setups():
-    """(Gamma(W, O), Gamma(W, M)) over Q and F_7 for two modules that are
-    not free: the ideal (x, y) and a presentation with non-unit entries."""
-    out = []
-    for field in (FieldSpec.rationals(), FieldSpec.prime(7)):
-        ring = PolyRing(field, ("x", "y"))
-        x, y = ring.var_poly(0), ring.var_poly(1)
-        w = OpenSubset(ring, (x, y))
-        q = HomogPoly.parse(ring, "2*x^2 - 3*x*y + 5*y^2")
-        lin = HomogPoly.parse(ring, "7*x - 2*y")
-        s_o = sections_window(free_module(ring), w, window=(-1, 3))
-        for m in (FPGradedModule(ring, (1, 1), ((y, -x),), name="I"),
-                  FPGradedModule(ring, (0, 1), ((q, lin),), name="N")):
-            out.append((s_o, sections_window(m, w, window=(-1, 3))))
-    return out
-
-
-MULT_SETUPS = _mult_setups()
-
-
-@given(st.sampled_from(MULT_SETUPS), st.integers(0, 2), st.integers(-1, 1), st.data())
-@settings(max_examples=30, deadline=None)
-def test_section_mult_block_is_section_mult_column_by_column(setup, da, ds, data):
-    s_o, s_m = setup
-    field = s_o.ring.field
-    entries = st.integers(-3, 3).map(field.of_int)
-    ncols = data.draw(st.integers(2, 3))
-    rows = s_o.piece(da).dim
-    a_mat = Mat(field, rows, ncols,
-                [data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-                 for _ in range(rows)])
-    s_dim = s_m.piece(ds).dim
-    coords = Mat(field, s_dim, 1,
-                 [[data.draw(entries)] for _ in range(s_dim)])
-    s = SectionElement(s_m, ds, coords)
-    got = section_mult_block(s_o, da, a_mat, s)
-    for j in range(ncols):
-        one = section_mult(SectionElement(s_o, da, a_mat.take_cols([j])), s)
-        assert got.take_cols([j]) == one.coords
 
 
 # --- induced maps on sections ------------------------------------------------

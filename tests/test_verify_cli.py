@@ -371,6 +371,20 @@ def test_python_dash_m_runs_without_warnings():
     assert "affine-control" in proc.stdout
 
 
+def test_python_dash_m_verify_cli_fails_and_names_the_entry_point():
+    # the module is not an entry point; running it must not look like success
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcverify.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcverify.verify_cli",
+         "builtin", "affine-control", "--window=-1:1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1
+    assert "python -m qcverify" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_main_unknown_builtin(capsys):
     assert main(["builtin", "nope"]) == 3
     assert "unknown builtin" in capsys.readouterr().err
