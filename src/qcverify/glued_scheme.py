@@ -561,24 +561,26 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
     if rank(d0.hstack(witness)) != rank(d0) + 1:
         raise ArithmeticError("witness candidate is a coboundary")
 
-    # re-verify at the next cap: a stable class must survive the lift
-    cap2 = cap + h1.sections.policy.step
-    cech2 = h1.sections.complexes[cap2].degree(found)
     pieces = cech.levels[1]
-    lifted_blocks = {}
-    pos = 0
     pairs = list(_level1_subsets(w))
-    for k, lp in enumerate(pieces):
-        block = witness.take_rows(pos, pos + lp.dim)
-        pos += lp.dim
-        f_s = w.product(pairs[k])
-        lifted_blocks[k, 0] = cech2.levels[1][k].proj @ (
-            module.power_act(f_s, cap2 - cap, lp.num_degree) @ (lp.incl @ block)
-        )
-    lifted = Mat.block(field, lifted_blocks)
-    d0_next = cech2.diffs[0]
-    if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
-        raise ArithmeticError("witness class dies at the next cap")
+    # re-verify at the next cap: a stable class must survive the lift.  At a
+    # proven cap the lift is an isomorphism on H^1, so there is nothing to see
+    if len(h1.sections._caps(found)) > 1:
+        cap2 = cap + h1.sections.policy.step
+        cech2 = h1.sections.complexes[cap2].degree(found)
+        lifted_blocks = {}
+        pos = 0
+        for k, lp in enumerate(pieces):
+            block = witness.take_rows(pos, pos + lp.dim)
+            pos += lp.dim
+            f_s = w.product(pairs[k])
+            lifted_blocks[k, 0] = cech2.levels[1][k].proj @ (
+                module.power_act(f_s, cap2 - cap, lp.num_degree) @ (lp.incl @ block)
+            )
+        lifted = Mat.block(field, lifted_blocks)
+        d0_next = cech2.diffs[0]
+        if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
+            raise ArithmeticError("witness class dies at the next cap")
 
     reps = []
     comps = []
@@ -606,8 +608,9 @@ def _level1_subsets(w: OpenSubset):
 def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
                       num_degree: int, f_s: HomogPoly, cap: int) -> str:
     ring = module.ring
-    # structure-type labels (gen index, monomial) with a monomial denominator
-    # print as Laurent monomials; anything else as numerator / f^cap
+    # structure-type labels (gen index, monomial), the generator in degree 0,
+    # with a monomial denominator print as Laurent monomials; anything else
+    # as numerator / f^cap
     if f_s.is_monomial():
         shift_mono = next(iter(f_s.terms))
         shift = tuple(cap * e for e in shift_mono)
@@ -618,7 +621,7 @@ def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
             if not c:
                 continue
             if isinstance(lab, tuple) and len(lab) == 2 and lab[0] == 0 \
-                    and isinstance(lab[1], tuple):
+                    and isinstance(lab[1], tuple) and sum(lab[1]) == num_degree:
                 terms[lab[1]] = c
             else:
                 simple = False

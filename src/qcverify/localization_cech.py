@@ -14,10 +14,15 @@ is flagged heuristic.
 
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
-Cohomology in a degree window is reported at a cap found by escalation:
-start at (window width + 2), step by 2, accept once the dimensions are
-unchanged for two consecutive increments, give up (CapExhausted) after
-five escalations.  Sections over the cover then become an ordinary
+Cohomology in a degree window is reported at a cap found in one of two
+ways.  Where a theorem fixes the cap (a free module on the cover by all
+the variables; see _proven_cap_floor) the degree is built at the start cap
+alone, because every larger cap gives the same dimensions.  Everywhere
+else the cap is found by escalation: start at (window width + 2), step by
+2, accept once the dimensions are unchanged for two consecutive
+increments, give up (CapExhausted) after five escalations.  Both report
+the same cap, so a proven degree reads exactly as an escalated one that
+settled at its start.  Sections over the cover then become an ordinary
 DegreewiseModule whose elements can be restricted to, acted on by
 variables and expressed from C^0 vectors given at any cap, with all
 cross-cap bookkeeping handled here.
@@ -33,6 +38,7 @@ from .exact_linalg import Mat, kernel_basis, rref, solve, _quotient_with_indices
 from .graded_modules import (
     ALL_TORSION,
     DegreewiseModule,
+    FPGradedModule,
     GradedModuleMap,
     GradedPiece,
     HomogPoly,
@@ -70,6 +76,18 @@ class CapPolicy:
     start: int | None = None
     step: int = 2
     max_escalations: int = 5
+
+    def __post_init__(self):
+        # a step of 0 repeats one cap, so any value looks stable; with fewer
+        # than two escalations no value can repeat twice more
+        if self.start is not None and self.start < 1:
+            raise ValueError(f"cap start must be at least 1, got {self.start}")
+        if self.step < 1:
+            raise ValueError(f"cap step must be at least 1, got {self.step}")
+        if self.max_escalations < 2:
+            raise ValueError(
+                f"cap escalation needs at least 2 escalations, got {self.max_escalations}"
+            )
 
     def start_cap(self, window) -> int:
         if self.start is not None:
@@ -356,7 +374,10 @@ class _SecPiece:
 
 
 def _stabilize(dims_at, caps, what: str):
-    """First cap in the escalation whose value repeats twice more."""
+    """First cap in the escalation whose value repeats twice more; a
+    single proven cap is taken as it is."""
+    if len(caps) == 1:
+        return caps[0], dims_at(caps[0])
     seen = []
     for idx, c in enumerate(caps):
         seen.append(dims_at(c))
@@ -367,12 +388,57 @@ def _stabilize(dims_at, caps, what: str):
     )
 
 
+def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None:
+    """t with c0(d) = max(0, t - d) when a theorem fixes the cap, else None.
+
+    The class: module is a free FPGradedModule M = (+)_k R(-e_k) with at
+    least one generator, and the cover is W = D(x_1) u ... u D(x_n) with
+    every variable of R appearing exactly once, up to a nonzero scalar.
+
+    Theorem.  Every H^p of the Cech complex in degree d is the same at
+    every cap c >= c0(d) = max(0, max_k(e_k - d - n + 1)).
+
+    Proof.  M is free, so localizing kills nothing, and at cap c the
+    S-term of the complex in degree d has the basis m gen_k / x_S^c (up
+    to the scalars of the denominators), m running over the monomials of
+    degree d - e_k + c|S|.  The differentials multiply by monomials and
+    preserve the fine degree a = exponent(m) - c 1_S in Z^n, so the
+    complex splits over the a with |a| = d - e_k.  In fine degree a the
+    S-term is k when a_i >= -c for i in S and a_i >= 0 for i not in S,
+    and 0 otherwise.  So when min a >= -c it is the full limit complex,
+    one k for each S containing N = {i : a_i < 0}, and when min a < -c it
+    is zero.  For N neither empty nor everything the limit complex is the
+    augmented chain complex of a simplex, hence exact; for N empty
+    (a >= 0) it has H^0 = k and nothing else; for N everything
+    (a <= -1) it is k in degree n - 1.  Every a >= 0 is kept at any
+    c >= 0.  Every a <= -1 with |a| = d - e_k has its other n - 1
+    entries at most -1, so min a >= (d - e_k) + n - 1, and it is kept once
+    c >= e_k - d - n + 1.  Hence at every c >= c0(d) each fine degree
+    contributes its limit cohomology, and the dimensions do not change.
+    For n = 1 this reads c >= e - d, as it should for k[x, 1/x].  QED.
+
+    So when c0(d) <= the start cap, escalation would return the start cap
+    with these same dimensions, and one complex at the start cap says it.
+    """
+    if not isinstance(module, FPGradedModule) or module.relations or not module.gen_degrees:
+        return None
+    n = module.ring.nvars
+    variables = []
+    for f in cover.denoms:
+        if f.degree != 1 or not f.is_monomial():
+            return None
+        variables.append(next(iter(f.terms)).index(1))
+    if sorted(variables) != list(range(n)):
+        return None
+    return max(module.gen_degrees) - n + 1
+
+
 class SectionsModule(DegreewiseModule):
     """Gamma(W, ~M) as a degreewise module, W a union of distinguished opens.
 
-    Each piece is the degree-d Cech H^0 at a per-degree stabilized cap.
-    Variable actions, restriction from M and induced maps re-express
-    their results across caps by lifting numerators (multiplying by
+    Each piece is the degree-d Cech H^0 at a per-degree cap, proven or
+    stabilized (see _caps).  Variable actions, restriction from M and
+    induced maps re-express their results across caps by lifting numerators (multiplying by
     powers of the denominators) and solving exactly in the stabilized
     basis; a failed solve means a cap lied and raises CapExhausted rather
     than guessing.
@@ -385,19 +451,28 @@ class SectionsModule(DegreewiseModule):
         self.window = tuple(window)
         self.policy = policy or DEFAULT_CAP_POLICY
         self.complexes = _CechComplexes(base, cover, self.window)
+        self._cap_floor = _proven_cap_floor(base, cover)
         self._loc_memo: dict[tuple, LocalizedPiece] = {}
         self._lift_memo: dict[tuple, Mat] = {}
         self._sec: dict[int, _SecPiece] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")
 
+    def _caps(self, d: int) -> list[int]:
+        """The caps to try in degree d: the start cap alone where
+        _proven_cap_floor shows it gives the stable dimensions, the whole
+        escalation otherwise."""
+        caps = self.policy.caps(self.window)
+        if self._cap_floor is not None and max(0, self._cap_floor - d) <= caps[0]:
+            return caps[:1]
+        return caps
+
     def _realize(self, d: int) -> _SecPiece:
         got = self._sec.get(d)
         if got is not None:
             return got
-        caps = self.policy.caps(self.window)
         cap, _dim = _stabilize(
             lambda c: self.complexes[c].degree(d).h0_dim,
-            caps,
+            self._caps(d),
             f"H0 of {self.base.name} in degree {d}",
         )
         cech = self.complexes[cap].degree(d)
@@ -532,7 +607,7 @@ class H1Result:
         for d in range(lo, hi + 1):
             cap, dim = _stabilize(
                 lambda c: complexes[c].degree(d).h1_dim,
-                self.sections.policy.caps(self.window),
+                self.sections._caps(d),
                 f"H1 of {module.name} in degree {d}",
             )
             self.dims[d] = dim

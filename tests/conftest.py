@@ -15,6 +15,7 @@ from qcverify import (
     double_origin_plane,
     free_module,
 )
+from qcverify.localization_cech import CechComplexWindow
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +69,18 @@ def sky_fp(ring, x, y) -> FPGradedModule:
 def kx_fp(ring, y) -> FPGradedModule:
     # k[x] = R/(y)
     return FPGradedModule(ring, (0,), ((y,),), name="kx")
+
+
+@pytest.fixture
+def complexes_built(monkeypatch):
+    """(module, cover, cap) of every CechComplexWindow built while the test
+    runs.  The objects are held, so their ids stay unique."""
+    built = []
+    init = CechComplexWindow.__init__
+
+    def counting_init(self, module, cover, window, cap):
+        built.append((module, cover, cap))
+        init(self, module, cover, window, cap)
+
+    monkeypatch.setattr(CechComplexWindow, "__init__", counting_init)
+    return built

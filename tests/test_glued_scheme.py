@@ -8,6 +8,7 @@ degree-zero sections.
 """
 
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from qcverify import (
     BufferTooSmall,
     FPGradedModule,
     HomogPoly,
+    Mat,
     QcohSheafOnX,
     SheafMap,
     direct_image_from_U,
@@ -23,6 +25,7 @@ from qcverify import (
     flat_quotient_obstruction,
     flat_sections_defect,
     free_module,
+    h1_window,
     kernel_dw,
     map_from_gen_images,
     sheaf_sections,
@@ -32,6 +35,7 @@ from qcverify import (
     witness_nonaffine,
 )
 from qcverify.exact_linalg import rank
+from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario
 from test_graded_modules import FIELDS, RINGS, fp_modules
 
 WINDOW = (-3, 4)
@@ -145,6 +149,42 @@ def test_no_witness_on_affine_chart(ring, x):
 
 def test_no_witness_for_line_module(w, kx_fp):
     assert witness_nonaffine(w, window=(-3, 3), module=kx_fp) is None
+
+
+def _survives_lift(h1, wit, step=2):
+    """Whether the witness cocycle, lifted from its cap to cap + step, is
+    still not a coboundary there."""
+    w, module = h1.cover, h1.module
+    cech, cap = h1.realization(wit.degree)
+    cech2 = h1.sections.complexes[cap + step].degree(wit.degree)
+    blocks = {}
+    pos = 0
+    for k, (pair, lp) in enumerate(zip(combinations(range(w.n), 2), cech.levels[1])):
+        block = wit.cocycle.take_rows(pos, pos + lp.dim)
+        pos += lp.dim
+        mult = module.power_act(w.product(pair), step, lp.num_degree)
+        blocks[k, 0] = cech2.levels[1][k].proj @ (mult @ (lp.incl @ block))
+    lifted = Mat.block(module.ring.field, blocks)
+    d0 = cech2.diffs[0]
+    return rank(d0.hstack(lifted)) == rank(d0) + 1
+
+
+# the witness skips its own lift where the cap is proven; the lift is
+# checked here instead
+def test_witness_of_h1_punctured_survives_the_lift():
+    s = parse_scenario(BUILTIN_SCENARIOS["h1-punctured"], window=(-6, 6))
+    h1 = h1_window(s.modules["O"], s.overlap, s.window, s.policy)
+    wit = witness_nonaffine(s.overlap, h1=h1)
+    assert wit.degree == -2 and len(h1.sections._caps(wit.degree)) == 1
+    assert _survives_lift(h1, wit)
+
+
+@pytest.mark.parametrize("e", range(-2, 3))
+def test_witness_of_a_shifted_free_module_survives_the_lift(ring, w, e):
+    h1 = h1_window(free_module(ring, (e,)), w, window=(-4, 4))
+    wit = witness_nonaffine(w, h1=h1)
+    assert wit.degree == e - 2
+    assert _survives_lift(h1, wit)
 
 
 # --- tensor-vs-sections defect ---------------------------------------------------

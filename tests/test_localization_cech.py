@@ -6,13 +6,20 @@ sheaf on the punctured plane are the polynomials themselves, H^1 has dimension
 in every degree.
 """
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcverify import (
     CapExhausted,
     CapPolicy,
+    FieldSpec,
+    FPGradedModule,
     HomogPoly,
     Mat,
+    PolyRing,
     OpenSubset,
     cech_complex,
     direct_sum,
@@ -26,7 +33,9 @@ from qcverify import (
     verify_naturality,
     map_from_gen_images,
 )
+from qcverify import localization_cech
 from qcverify.exact_linalg import rank
+from test_graded_modules import FIELDS, scalars
 
 WINDOW = (-4, 4)
 
@@ -159,6 +168,19 @@ def test_cap_policy_escalation_schedule():
     assert CapPolicy().start_cap((-6, 6)) == 14
 
 
+@pytest.mark.parametrize("kw", [
+    # a zero step repeats the start cap: H^1 of O in degree -6 would read 0
+    # as "stabilized" at cap 1, against the true 5
+    dict(start=1, step=0),
+    # one escalation can never see a value repeat twice more
+    dict(max_escalations=1),
+    dict(start=0),
+], ids=["step-0", "one-escalation", "start-0"])
+def test_cap_policy_rejects_schedules_that_cannot_stabilize(kw):
+    with pytest.raises(ValueError):
+        CapPolicy(**kw)
+
+
 # --- H^1 --------------------------------------------------------------------
 
 
@@ -232,3 +254,135 @@ def test_induced_map_endpoint_validation(ring, w, y, kx_fp):
     s_b = sections_window(tgt, w, window=(-2, 2))
     with pytest.raises(ValueError):
         sections_induced_map(f, s_wrong, s_b)
+
+
+# --- proven caps ---------------------------------------------------------------
+#
+# A free module on the cover by all n variables is built at the start cap
+# alone (localization_cech._proven_cap_floor).  The closed forms count fine
+# degrees: H^0 in degree d is R_{d-e} for each summand R(-e) (one Laurent
+# monomial when n = 1), and H^1 on the punctured plane counts the a <= -1
+# with a_1 + a_2 = d - e.
+
+
+def _all_variable_cover(field, n):
+    ring = PolyRing(field, ("x", "y", "z")[:n])
+    return ring, OpenSubset(ring, tuple(ring.var_poly(i) for i in range(n)))
+
+
+def _h0_closed_form(n, shifts, d):
+    if n == 1:
+        return len(shifts)
+    return sum(comb(d - e + n - 1, n - 1) for e in shifts if d >= e)
+
+
+def _h1_closed_form(n, shifts, d):
+    return sum(max(0, e - d - 1) for e in shifts) if n == 2 else 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("n, window", [(1, (-3, 3)), (2, (-4, 3)), (3, (-2, 2))])
+def test_free_modules_on_the_all_variable_cover_match_closed_forms(field, n, window):
+    shifts = (-1, 0, 2)
+    ring, cover = _all_variable_cover(field, n)
+    m = free_module(ring, shifts)
+    s = sections_window(m, cover, window=window)
+    h = h1_window(m, cover, window=window)
+    lo, hi = window
+    for d in range(lo, hi + 1):
+        assert s._caps(d) == [s.policy.start_cap(window)]
+        assert s.piece(d).dim == _h0_closed_form(n, shifts, d)
+        assert h.dims[d] == _h1_closed_form(n, shifts, d)
+        assert h.certified[d]
+
+
+def _caps_and_dims(module, cover, window, policy=None):
+    s = sections_window(module, cover, window, policy)
+    h = h1_window(module, cover, window, policy)
+    lo, hi = window
+    return {
+        d: (s.piece(d).dim, s._realize(d).cap, h.dims[d], h.caps[d])
+        for d in range(lo, hi + 1)
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    n=st.integers(1, 3),
+    shifts=st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+    lo=st.integers(-3, 1),
+    data=st.data(),
+)
+def test_proven_caps_agree_with_escalation(field, n, shifts, lo, data):
+    window = (lo, lo + 1)
+    ring = PolyRing(field, ("x", "y", "z")[:n])
+    # every variable once, in any order and up to a nonzero scalar
+    order = data.draw(st.permutations(range(n)))
+    denoms = [ring.var_poly(i).scale(data.draw(scalars(field))) for i in order]
+    proven = _caps_and_dims(free_module(ring, shifts), OpenSubset(ring, denoms), window)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localization_cech, "_proven_cap_floor", lambda module, cover: None)
+        cover = OpenSubset(ring, denoms)
+        escalated = _caps_and_dims(free_module(ring, shifts), cover, window)
+        assert len(sections_window(free_module(ring, shifts), cover, window)._caps(lo)) > 1
+    assert proven == escalated
+
+
+# The class boundary: the answers and caps below are those of escalation
+# before proven caps existed, and each of these builds three or more caps.
+
+def _assert_escalates(built, module, cover, window, policy=None):
+    s = sections_window(module, cover, window, policy)
+    lo, hi = window
+    assert all(len(s._caps(d)) >= 3 for d in range(lo, hi + 1))
+    got = _caps_and_dims(module, cover, window, policy)
+    assert len({cap for _, _, cap in built}) >= 3
+    return got
+
+
+# O and the ideal (x, y) agree on the punctured plane
+PUNCTURED_AT_CAP_6 = {
+    -2: (0, 6, 1, 6), -1: (0, 6, 0, 6), 0: (1, 6, 0, 6), 1: (2, 6, 0, 6), 2: (3, 6, 0, 6),
+}
+
+
+def test_a_module_with_relations_escalates(complexes_built, ring, x, y, w):
+    ideal = FPGradedModule(ring, (1, 1), ((y, -x),), name="I")
+    got = _assert_escalates(complexes_built, ideal, w, (-2, 2))
+    assert got == PUNCTURED_AT_CAP_6
+
+
+@pytest.mark.parametrize("denoms", ["x, x+y", "x, y, x*y"])
+def test_covers_other_than_the_variables_escalate(complexes_built, ring, denoms):
+    cover = OpenSubset(ring, [HomogPoly.parse(ring, f) for f in denoms.split(", ")])
+    got = _assert_escalates(complexes_built, free_module(ring, (0,)), cover, (-2, 2))
+    assert got == PUNCTURED_AT_CAP_6
+
+
+def test_a_cover_missing_a_variable_escalates_and_gives_up(complexes_built):
+    # D(x) u D(y) in three-space: H^1 is infinite dimensional in every degree
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y", "z"))
+    cover = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
+    o = free_module(ring, (0,))
+    s = sections_window(o, cover, window=(-2, 2))
+    assert [s.piece(d).dim for d in range(-2, 3)] == [0, 0, 1, 3, 6]
+    with pytest.raises(CapExhausted):
+        h1_window(o, cover, window=(-2, 2))
+    assert sorted({cap for _, _, cap in complexes_built}) == [6, 8, 10, 12, 14, 16]
+
+
+def test_degrees_past_the_start_cap_escalate(complexes_built, ring, w):
+    # with start 1, c0(d) = -d - 1 exceeds the start for d <= -3
+    o = free_module(ring, (0,))
+    policy = CapPolicy(start=1)
+    window = (-6, 6)
+    s = sections_window(o, w, window, policy)
+    assert [d for d in range(-6, 7) if len(s._caps(d)) > 1] == [-6, -5, -4, -3]
+    got = _caps_and_dims(o, w, window, policy)
+    h1_caps = {-6: 5, -5: 5, -4: 3, -3: 3}
+    assert got == {
+        d: (d + 1 if d >= 0 else 0, 1, max(0, -d - 1), h1_caps.get(d, 1))
+        for d in range(-6, 7)
+    }
+    assert sorted({cap for _, _, cap in complexes_built}) == [1, 3, 5, 7, 9]

@@ -11,6 +11,7 @@ import pytest
 
 import qcverify
 from qcverify import CapPolicy, FieldSpec, FPGradedModule, NonHomogeneousError
+from qcverify import localization_cech
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
@@ -503,6 +504,42 @@ star-sequence mult-y quot over X = exact
     assert verdicts == {"star-sequence mult-y quot over X": "exact"}
 
 
+# proven caps (a free module on the cover by the variables is built at the
+# start cap alone) give the report bytes that escalation gives
+@pytest.mark.parametrize("window, digests", [
+    ((-2, 2), GOLDEN_DIGESTS),
+    ((-6, 6), GOLDEN_DIGESTS_FULL_WINDOW),
+], ids=["-2:2", "-6:6"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_escalated_caps_give_the_same_report_bytes(monkeypatch, name, window, digests):
+    monkeypatch.setattr(localization_cech, "_proven_cap_floor", lambda module, cover: None)
+    rep = run_text(BUILTIN_SCENARIOS[name], name=name, window=window)
+    assert report_digest(rep) == digests[name]
+
+
+def test_witness_on_a_shifted_generator_is_found():
+    # the generator sits in degree 1, so its labels print as numerator / f^cap
+    rep = run_text(HEAD + "[module A]\ngenerators = 1\n\n[check nonaffine-witness A]\n")
+    (check,) = rep.checks
+    assert check.verdict == "witness-found"
+    assert "degree:-1" in check.flags
+    assert "representative:(1*[(0, (5, 5))]) / (x*y)^6" in check.flags
+
+
+def test_lemma21_free_builds_one_complex_per_free_module(complexes_built):
+    # 28 free modules and O each get one complex at the start cap; the
+    # skyscraper has relations, so its cap escalates over three complexes
+    rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
+    assert rep.exit_code() == 0
+    per_module = {}
+    for m, _, cap in complexes_built:
+        per_module.setdefault(m.name, []).append(cap)
+    assert len(per_module) == 30
+    assert per_module.pop("sky") == [6, 8, 10]
+    assert all(caps == [6] for caps in per_module.values())
+    assert len(complexes_built) == 32
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_builtins_agree_over_q_and_a_large_prime(name):
     # every built-in's tables are characteristic-free: Q and F_65537 must
@@ -621,21 +658,6 @@ def test_fp_modules_are_freed_without_the_cyclic_collector(name):
     finally:
         gc.enable()
     assert after == before
-
-
-@pytest.fixture
-def complexes_built(monkeypatch):
-    """(module, cover, cap) of every CechComplexWindow built while the test
-    runs.  The objects are held, so their ids stay unique."""
-    built = []
-    init = CechComplexWindow.__init__
-
-    def counting_init(self, module, cover, window, cap):
-        built.append((module, cover, cap))
-        init(self, module, cover, window, cap)
-
-    monkeypatch.setattr(CechComplexWindow, "__init__", counting_init)
-    return built
 
 
 def test_witness_reuses_the_h1_complexes(complexes_built):
