@@ -16,6 +16,15 @@ Infinite products such as power series rings never appear as objects;
 every statement here is per degree, where the finite-dimensional pieces
 of the completed modules coincide with those of their uncompleted
 sources.
+
+For the same reason biduality holds on the nose.  Every piece is finite
+dimensional, so the evaluation map M -> M^vv is an isomorphism (graded
+Matlis duality), and in these realizations it is the identity: the
+pieces of dual(dual(M)) have the dimensions of M's, its labels come in
+the same order, and its actions are transposes of transposes.  So
+matlis_dual of a dual returns the module it dualized, and the bidual of
+a sheaf is computed on the sheaf's own modules, sharing their sections
+(and Cech complexes) with every other check on them.
 """
 
 from weakref import WeakValueDictionary
@@ -55,9 +64,14 @@ class DualizedModule(DegreewiseModule):
     piece(d) is the dual of base.piece(-d); x^a acting from degree d is
     the transpose of the base action of x^a landing in degree -d.  Torsion
     certificates: a dual of a bounded-below module is bounded above, so
-    any positive-degree element acts nilpotently on every element; a
-    double dual has the same action matrices as its origin and can
-    delegate.
+    any positive-degree element acts nilpotently on every element.
+
+    DualizedModule(DualizedModule(M)) is M up to the evaluation
+    isomorphism, which is the identity here: the same piece dimensions,
+    labels in the same order, and action matrices transposed twice.  So
+    it delegates its torsion certificates to M, and matlis_dual never
+    builds one (it returns M); the constructor still accepts a dual, so
+    the two can be compared.
     """
 
     def __init__(self, base: DegreewiseModule, name: str | None = None):
@@ -91,9 +105,16 @@ class DualizedModule(DegreewiseModule):
 _dual_memo: "WeakValueDictionary[DegreewiseModule, DualizedModule]" = WeakValueDictionary()
 
 
-def matlis_dual(m: DegreewiseModule) -> DualizedModule:
+def matlis_dual(m: DegreewiseModule) -> DegreewiseModule:
     """The graded dual of m; while that dual is alive, repeated calls
-    return the same object, so maps built with default endpoints compose."""
+    return the same object, so maps built with default endpoints compose.
+
+    The dual of a dual is its origin: m.base itself, since the evaluation
+    isomorphism base -> dual(m) is the identity on every piece and every
+    action matrix (see DualizedModule).  So a double dual shares every
+    computation already made on its origin."""
+    if isinstance(m, DualizedModule):
+        return m.base
     got = _dual_memo.get(m)
     if got is None:
         got = DualizedModule(m)
@@ -101,13 +122,17 @@ def matlis_dual(m: DegreewiseModule) -> DualizedModule:
     return got
 
 
-def matlis_dual_map(f: GradedModuleMap, source: DualizedModule | None = None,
-                    target: DualizedModule | None = None) -> GradedModuleMap:
+def matlis_dual_map(f: GradedModuleMap, source: DegreewiseModule | None = None,
+                    target: DegreewiseModule | None = None) -> GradedModuleMap:
     """The dual of f, contravariantly: dual(target) -> dual(source),
-    with matrix in degree d the transpose of f's matrix in degree -d."""
-    src = source if source is not None else matlis_dual(f.target)
-    tgt = target if target is not None else matlis_dual(f.source)
-    if src.base is not f.target or tgt.base is not f.source:
+    with matrix in degree d the transpose of f's matrix in degree -d.
+
+    Given endpoints must be the objects matlis_dual returns, so the dual
+    of a map between duals runs between their origins, with matrices
+    equal to the original ones."""
+    src = matlis_dual(f.target)
+    tgt = matlis_dual(f.source)
+    if (source is not None and source is not src) or (target is not None and target is not tgt):
         raise ValueError("dual endpoints do not match the map being dualized")
     return GradedModuleMap(
         src, tgt, lambda d: f.matrix(-d).transpose(), name=f"dual({f.name})"
@@ -138,11 +163,8 @@ def plus_functor(s: QcohSheafOnX) -> QcohSheafOnX:
 def plus_functor_map(f: SheafMap, source_plus: QcohSheafOnX,
                      target_plus: QcohSheafOnX, name: str | None = None) -> SheafMap:
     """The induced map (f.target)^+ -> (f.source)^+ between already
-    constructed plus-sheaves (contravariant)."""
-    if source_plus.m_U is not matlis_dual(f.target.m_U):
-        raise ValueError("source_plus is not the plus of the map's target")
-    if target_plus.m_U is not matlis_dual(f.source.m_U):
-        raise ValueError("target_plus is not the plus of the map's source")
+    constructed plus-sheaves (contravariant); matlis_dual_map refuses
+    plus-sheaves of other modules."""
     u = matlis_dual_map(f.u_U, source=source_plus.m_U, target=target_plus.m_U)
     return SheafMap.direct_image(source_plus, target_plus, u,
                                  name=name or f"{f.name}+")

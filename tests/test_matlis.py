@@ -6,6 +6,7 @@ underlying module that can be checked by hand.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from qcverify import (
     DualizedModule,
@@ -13,6 +14,7 @@ from qcverify import (
     SheafMap,
     QcohSheafOnX,
     bidual_pipeline,
+    double_origin_plane,
     exactness_tables,
     free_module,
     injective_hull,
@@ -21,11 +23,13 @@ from qcverify import (
     matlis_dual_map,
     plus_functor,
     plus_functor_map,
+    sections_window,
     verify_action_commutation,
     verify_naturality,
 )
 from qcverify.exact_linalg import rank
 from qcverify.graded_modules import ALL_TORSION
+from test_graded_modules import fp_modules
 
 WINDOW = (-4, 4)
 
@@ -100,6 +104,29 @@ def test_biduality(ring, kx_fp, sky_fp):
                 assert dd.act(v, d) == m.act(v, d)
 
 
+def test_dual_of_a_dual_is_its_origin(ring, kx_fp, sky_fp, ideal_fp):
+    for m in (kx_fp, sky_fp, ideal_fp, free_module(ring, (-2,), name="R(2)")):
+        assert matlis_dual(matlis_dual(m)) is m
+    e = injective_hull(ring)
+    assert matlis_dual(e) is e.base
+
+
+@given(fp_modules())
+@settings(max_examples=25, deadline=None)
+def test_sections_of_an_explicit_double_dual_match_the_origin(m):
+    # the evaluation isomorphism is the identity, so the W-sections of a
+    # double dual built by hand, through transposed transposes and the
+    # delegated torsion certificates, repeat those of m degree by degree
+    window = (-2, 2)
+    w = double_origin_plane(m.ring).overlap
+    s_m = sections_window(m, w, window)
+    s_dd = sections_window(DualizedModule(DualizedModule(m)), w, window)
+    for d in range(window[0], window[1] + 1):
+        assert s_dd.piece(d).dim == s_m.piece(d).dim, d
+        assert s_dd._realize(d).cap == s_m._realize(d).cap, d
+        assert s_dd.certified(d) == s_m.certified(d), d
+
+
 def test_torsion_certificates(ring, kx_fp, x, y):
     dual = matlis_dual(kx_fp)
     # the dual of a bounded-below module is bounded above: positive-degree
@@ -139,6 +166,30 @@ def test_dual_map_endpoint_validation(ring, kx_fp, y):
     wrong = matlis_dual(kx_fp)
     with pytest.raises(ValueError):
         matlis_dual_map(f, source=wrong)
+
+
+def test_dual_map_rejects_a_module_as_its_source(ring, kx_fp, y):
+    _, _, f, g = twist_sequence(ring, kx_fp, y)
+    with pytest.raises(ValueError):
+        matlis_dual_map(f, source=kx_fp)
+
+
+def test_dual_map_rejects_sections_as_its_target(ring, kx_fp, y):
+    # W-sections have a base too, and it is the right module
+    _, _, f, g = twist_sequence(ring, kx_fp, y)
+    w = double_origin_plane(ring).overlap
+    with pytest.raises(ValueError):
+        matlis_dual_map(f, target=sections_window(f.source, w, WINDOW))
+
+
+def test_dual_of_a_dual_map_runs_between_the_origins(ring, kx_fp, y):
+    _, _, f, g = twist_sequence(ring, kx_fp, y)
+    for u in (f, g):
+        du = matlis_dual_map(u)
+        ddu = matlis_dual_map(du)
+        assert ddu.source is u.source and ddu.target is u.target
+        for d in range(-4, 5):
+            assert ddu.matrix(d) == u.matrix(d)
 
 
 def test_dualizing_flips_exactness(ring, kx_fp, y):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -710,6 +711,42 @@ direct-image = A
 """
 
 
+# two bidual checks on sequences through O, after a star sequence over W:
+# the double duals are the sheaves' own modules, so every W-section the
+# biduals read is one the star sequence or an earlier bidual built
+TWO_BIDUALS = HEAD + """
+[module A]
+generators = 1
+
+[module A2]
+generators = 2
+
+[module C]
+generators = 0
+relation = y
+
+[module C2]
+generators = 0
+relation = x^2 + y^2
+
+[map f: A -> O]
+y
+
+[map g: O -> C]
+1
+
+[map f2: A2 -> O]
+x^2 + y^2
+
+[map g2: O -> C2]
+1
+
+[check star-sequence f g over W]
+[check bidual f g]
+[check bidual f2 g2]
+"""
+
+
 @pytest.mark.parametrize("text, code", [
     (BUILTIN_SCENARIOS["double-origin-flat"], 0),
     (SHARED_SECTIONS, 0),
@@ -717,8 +754,9 @@ direct-image = A
     # witness check finds none and misses its expectation
     (BUILTIN_SCENARIOS["h1-punctured"], 1),
     (O_AND_OBSTRUCTION, 0),
+    (TWO_BIDUALS, 0),
 ], ids=["double-origin-flat", "one-module-many-checks", "h1-punctured",
-        "o-and-obstruction"])
+        "o-and-obstruction", "two-biduals-share-o"])
 def test_no_cech_complex_is_built_twice(complexes_built, text, code):
     rep = run_text(text, name="d", window=(-1, 1))
     assert rep.exit_code() == code
@@ -727,3 +765,71 @@ def test_no_cech_complex_is_built_twice(complexes_built, text, code):
     # module (a second O) rebuilds the same complexes
     keys = [(m.name, id(c), cap) for m, c, cap in complexes_built]
     assert keys and len(keys) == len(set(keys))
+
+
+def test_matlis_bidual_builds_five_complexes(complexes_built):
+    # A and O are free on the all-variable cover, so one proven cap each;
+    # C = R/(y) escalates through three caps
+    rep = run_scenario(parse_scenario(BUILTIN_SCENARIOS["matlis-bidual"], window=(-2, 2)))
+    assert rep.exit_code() == 0
+    names = sorted(m.name for m, _, _ in complexes_built)
+    assert names == ["A", "C", "C", "C", "O"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_no_builtin_builds_a_complex_on_a_double_dual(complexes_built, name):
+    run_scenario(parse_scenario(BUILTIN_SCENARIOS[name], window=(-2, 2)))
+    assert complexes_built
+    assert not [m.name for m, _, _ in complexes_built
+                if isinstance(m, DualizedModule) and isinstance(m.base, DualizedModule)]
+
+
+def _rand_poly(rng, degree):
+    """A form in x, y with every coefficient drawn from [-3, 3] without 0,
+    as in the random-fp benchmark."""
+    return " + ".join(f"{rng.choice((-3, -2, -1, 1, 2, 3))}*x^{i}*y^{degree - i}"
+                      for i in range(degree + 1))
+
+
+def random_sequences_text(seed, field):
+    """Two sequences A -p-> O -> O/(p), p random of degree 1 and 2; the
+    first case asks for the bidual before the star sequence over W, the
+    second after it."""
+    rng = random.Random(seed)
+    out = [HEAD.replace("field = Q", f"field = {field}")]
+    checks = []
+    for k in range(2):
+        p = _rand_poly(rng, k + 1)
+        out.append(f"""
+[module A{k}]
+generators = {k + 1}
+
+[module C{k}]
+generators = 0
+relation = {p}
+
+[map f{k}: A{k} -> O]
+{p}
+
+[map g{k}: O -> C{k}]
+1
+""")
+        pair = [f"bidual f{k} g{k}", f"star-sequence f{k} g{k} over W"]
+        checks += pair if k == 0 else pair[::-1]
+    out += [f"[check {c}]" for c in checks]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7", "Fp:65537"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bidual_over_v_matches_the_star_sequence_over_w(field, seed):
+    # A++ -> O++ -> C++ over V is Gamma(W, A) -> Gamma(W, O) -> Gamma(W, C)
+    rep = run_text(random_sequences_text(seed, field))
+    by_name = {c.name: c for c in rep.checks}
+    for k in range(2):
+        bidual = by_name[f"bidual f{k} g{k}"]
+        star = by_name[f"star-sequence f{k} g{k} over W"]
+        assert bidual.verdict in ("exact", "left-exact-only", "not-exact")
+        for part in ("kernel", "homology", "cokernel"):
+            assert bidual.tables[f"bidual-v-{part}"] == star.tables[part], (k, part)
+        assert bidual.verdict == star.verdict
