@@ -220,9 +220,6 @@ class Mat:
     def entry(self, i: int, j: int):
         return self.data[i].get(j, 0)
 
-    def col(self, j: int) -> tuple:
-        return tuple(row.get(j, 0) for row in self.data)
-
     def is_zero(self) -> bool:
         return not any(self.data)
 

@@ -407,10 +407,7 @@ class ObstructionCertificate:
 
     @property
     def verdict(self) -> str:
-        degs = self.obstructed_degrees
-        if degs:
-            return "obstructed(" + ",".join(str(d) for d in degs) + ")"
-        return "no-obstruction-in-window"
+        return "obstructed" if self.obstructed_degrees else "no-obstruction-in-window"
 
 
 def flat_quotient_obstruction(s: QcohSheafOnX,

@@ -137,7 +137,7 @@ class PolyRing:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
+            raise ValueError(f"unknown variable {name!r}") from None
 
     def __eq__(self, other):
         return (

@@ -34,9 +34,7 @@ and a list of checks to run over a degree window:
     obstruction ideal = obstructed
 
 The module O (free, rank one, generator in degree 0) is predefined.
-Check forms: `sections SHEAF over X|U|V|W`, `h1 MODULE`,
-`obstruction SHEAF`, `star-sequence F G over OPEN`, `bidual F G`,
-`lemma21 MODULE`, `nonaffine-witness [MODULE]`.
+The check forms are declared, grammar and handler, in _CHECK_FORMS.
 
 Every check ends in a verdict from a closed set (see VERDICTS); cap
 exhaustion becomes the verdict "inconclusive" and domain failures become
@@ -124,6 +122,7 @@ VERDICTS = frozenset(
 )
 
 OPENS = ("X", "U", "V", "W")
+_OPEN = "|".join(OPENS)  # the grammar word for a choice of open
 
 
 class ParseError(ValueError):
@@ -209,11 +208,28 @@ def _lines(text: str):
             yield n, line
 
 
-def _split_kv(line: str, lineno: int) -> tuple:
-    if "=" not in line:
-        raise ParseError(f"expected 'key = value', got {line!r}", lineno)
-    k, v = line.split("=", 1)
-    return k.strip(), v.strip()
+def _entries(body, section: str, keys, repeatable=()):
+    """(key, lineno, value) for each line of a section body; a key outside
+    keys, or a second line for a key outside repeatable, is an error."""
+    seen = set()
+    for lineno, line in body:
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {line!r}", lineno)
+        k, v = (t.strip() for t in line.split("=", 1))
+        if k not in keys:
+            raise ParseError(f"unknown [{section}] key {k!r}", lineno)
+        if k in seen and k not in repeatable:
+            raise ParseError(f"repeated [{section}] key {k!r}", lineno)
+        seen.add(k)
+        yield k, lineno, v
+
+
+def _unique_section(sections, header: str):
+    """The one section with this header, or None; a second is an error."""
+    found = [s for s in sections if s[1] == header]
+    if len(found) > 1:
+        raise ParseError(f"duplicate [{header}] section", found[1][0])
+    return found[0] if found else None
 
 
 def _poly(ring: PolyRing, text: str, lineno: int) -> HomogPoly | None:
@@ -253,56 +269,41 @@ def parse_scenario(text: str, name: str = "scenario",
         raise ParseError("empty scenario: no sections found")
 
     # ring first: everything else needs it
-    ring_secs = [s for s in sections if s[1] == "ring"]
-    if not ring_secs:
+    ring_sec = _unique_section(sections, "ring")
+    if ring_sec is None:
         raise ParseError("missing [ring] section")
-    if len(ring_secs) > 1:
-        raise ParseError("duplicate [ring] section", ring_secs[1][0])
     variables = None
     file_field = FieldSpec.rationals()
-    for lineno, line in ring_secs[0][2]:
-        k, v = _split_kv(line, lineno)
+    for k, lineno, v in _entries(ring_sec[2], "ring", ("variables", "field")):
         if k == "variables":
             variables = tuple(t.strip() for t in v.split(",") if t.strip())
             if not variables:
                 raise ParseError("no variables listed", lineno)
-        elif k == "field":
+        else:
             try:
                 file_field = _parse_field_spec(v)
             except ParseError as e:
                 raise ParseError(e.message, lineno)
-        else:
-            raise ParseError(f"unknown [ring] key {k!r}", lineno)
     if variables is None:
-        raise ParseError("[ring] must list variables", ring_secs[0][0])
+        raise ParseError("[ring] must list variables", ring_sec[0])
     the_field = field if field is not None else file_field
     ring = PolyRing(the_field, variables)
 
     file_window = DEFAULT_WINDOW
-    for sec_line, header, body in sections:
-        if header != "options":
-            continue
-        for lineno, line in body:
-            k, v = _split_kv(line, lineno)
-            if k == "window":
-                try:
-                    file_window = _parse_window(v)
-                except ParseError as e:
-                    raise ParseError(e.message, lineno)
-            else:
-                raise ParseError(f"unknown [options] key {k!r}", lineno)
+    options_sec = _unique_section(sections, "options")
+    for _, lineno, v in _entries(options_sec[2] if options_sec else (), "options",
+                                 ("window",)):
+        try:
+            file_window = _parse_window(v)
+        except ParseError as e:
+            raise ParseError(e.message, lineno)
     the_window = tuple(window) if window is not None else file_window
 
-    scheme_secs = [s for s in sections if s[1] == "scheme"]
-    if not scheme_secs:
+    scheme_sec = _unique_section(sections, "scheme")
+    if scheme_sec is None:
         raise ParseError("missing [scheme] section")
-    if len(scheme_secs) > 1:
-        raise ParseError("duplicate [scheme] section", scheme_secs[1][0])
     overlap = None
-    for lineno, line in scheme_secs[0][2]:
-        k, v = _split_kv(line, lineno)
-        if k != "overlap":
-            raise ParseError(f"unknown [scheme] key {k!r}", lineno)
+    for _, lineno, v in _entries(scheme_sec[2], "scheme", ("overlap",)):
         denoms = []
         for part in v.split(","):
             p = _poly(ring, part, lineno)
@@ -311,7 +312,7 @@ def parse_scenario(text: str, name: str = "scenario",
             denoms.append(p)
         overlap = OpenSubset(ring, denoms)
     if overlap is None:
-        raise ParseError("[scheme] must set overlap", scheme_secs[0][0])
+        raise ParseError("[scheme] must set overlap", scheme_sec[0])
 
     modules: dict = {"O": free_module(ring, (0,), name="O")}
     maps: dict = {}
@@ -334,17 +335,15 @@ def parse_scenario(text: str, name: str = "scenario",
                 raise ParseError(f"duplicate module name {mname!r}", sec_line)
             gen_degrees = None
             relation_rows: list = []
-            for lineno, line in body:
-                k, v = _split_kv(line, lineno)
+            for k, lineno, v in _entries(body, "module", ("generators", "relation"),
+                                         repeatable=("relation",)):
                 if k == "generators":
                     try:
                         gen_degrees = tuple(int(t) for t in v.split(",") if t.strip())
                     except ValueError:
                         raise ParseError("generator degrees must be integers", lineno)
-                elif k == "relation":
-                    relation_rows.append((lineno, v))
                 else:
-                    raise ParseError(f"unknown [module] key {k!r}", lineno)
+                    relation_rows.append((lineno, v))
             if gen_degrees is None:
                 raise ParseError(f"module {mname!r} lists no generators", sec_line)
             relations = []
@@ -428,10 +427,11 @@ def parse_scenario(text: str, name: str = "scenario",
             if sname in sheaves:
                 raise ParseError(f"duplicate sheaf name {sname!r}", sec_line)
             spec = None
-            for lineno, line in body:
-                k, v = _split_kv(line, lineno)
-                if k not in ("patch", "direct-image"):
-                    raise ParseError(f"unknown [sheaf] key {k!r}", lineno)
+            for k, lineno, v in _entries(body, "sheaf", ("patch", "direct-image")):
+                if spec is not None:
+                    raise ParseError(
+                        f"sheaf {sname!r} sets both 'patch' and 'direct-image'", lineno
+                    )
                 if v not in modules:
                     raise UnknownName(v, lineno)
                 gluing = "identity" if k == "patch" else "direct-image"
@@ -484,67 +484,37 @@ def parse_scenario(text: str, name: str = "scenario",
 
 
 def _parse_check(rest: str, lineno: int, modules, maps, sheaves) -> _CheckSpec:
+    """Match a check line to its form's grammar: the shape first, then the
+    names left to right, then that the maps F and G compose."""
     toks = rest.split()
     if not toks:
         raise ParseError("[check] needs a check form", lineno)
-    canonical = " ".join(toks)
-    kind = toks[0]
-
-    if kind == "sections":
-        if len(toks) != 4 or toks[2] != "over" or toks[3] not in OPENS:
-            raise ParseError("expected: sections SHEAF over X|U|V|W", lineno)
-        if toks[1] not in sheaves:
-            raise UnknownName(toks[1], lineno)
-        return _CheckSpec("sections", (toks[1], toks[3]), canonical)
-    if kind == "h1":
-        if len(toks) != 2:
-            raise ParseError("expected: h1 MODULE", lineno)
-        if toks[1] not in modules:
-            raise UnknownName(toks[1], lineno)
-        return _CheckSpec("h1", (toks[1],), canonical)
-    if kind == "obstruction":
-        if len(toks) != 2:
-            raise ParseError("expected: obstruction SHEAF", lineno)
-        if toks[1] not in sheaves:
-            raise UnknownName(toks[1], lineno)
-        return _CheckSpec("obstruction", (toks[1],), canonical)
-    if kind == "star-sequence":
-        if len(toks) != 5 or toks[3] != "over" or toks[4] not in OPENS:
-            raise ParseError("expected: star-sequence F G over X|U|V|W", lineno)
-        for t in (toks[1], toks[2]):
-            if t not in maps:
-                raise UnknownName(t, lineno)
-        if maps[toks[1]].tgt != maps[toks[2]].src:
-            raise ParseError(
-                f"maps {toks[1]!r} and {toks[2]!r} do not compose", lineno
-            )
-        return _CheckSpec("star-sequence", (toks[1], toks[2], toks[4]), canonical)
-    if kind == "bidual":
-        if len(toks) != 3:
-            raise ParseError("expected: bidual F G", lineno)
-        for t in (toks[1], toks[2]):
-            if t not in maps:
-                raise UnknownName(t, lineno)
-        if maps[toks[1]].tgt != maps[toks[2]].src:
-            raise ParseError(
-                f"maps {toks[1]!r} and {toks[2]!r} do not compose", lineno
-            )
-        return _CheckSpec("bidual", (toks[1], toks[2]), canonical)
-    if kind == "lemma21":
-        if len(toks) != 2:
-            raise ParseError("expected: lemma21 MODULE", lineno)
-        if toks[1] not in modules:
-            raise UnknownName(toks[1], lineno)
-        return _CheckSpec("lemma21", (toks[1],), canonical)
-    if kind == "nonaffine-witness":
-        if len(toks) == 1:
-            return _CheckSpec("nonaffine-witness", (None,), canonical)
-        if len(toks) == 2:
-            if toks[1] not in modules:
-                raise UnknownName(toks[1], lineno)
-            return _CheckSpec("nonaffine-witness", (toks[1],), canonical)
-        raise ParseError("expected: nonaffine-witness [MODULE]", lineno)
-    raise ParseError(f"unknown check form {kind!r}", lineno)
+    if toks[0] not in _CHECK_FORMS:
+        raise ParseError(f"unknown check form {toks[0]!r}", lineno)
+    grammar = _CHECK_FORMS[toks[0]][0]
+    slots = grammar.split()
+    words = list(toks)
+    if slots[-1].startswith("[") and len(words) == len(slots) - 1:
+        words.append(None)
+    spaces = {"SHEAF": sheaves, "MODULE": modules, "F": maps, "G": maps}
+    if len(words) != len(slots) or not all(
+        (w in OPENS) if g == _OPEN else (g.strip("[]") in spaces or w == g)
+        for g, w in zip(slots, words)
+    ):
+        raise ParseError(f"expected: {grammar}", lineno)
+    args = []
+    for g, w in zip(slots, words):
+        space = spaces.get(g.strip("[]"))
+        if space is not None and w is not None and w not in space:
+            raise UnknownName(w, lineno)
+        if space is not None or g == _OPEN:
+            args.append(w)
+    named = dict(zip(slots, words))
+    if "F" in named and maps[named["F"]].tgt != maps[named["G"]].src:
+        raise ParseError(
+            f"maps {named['F']!r} and {named['G']!r} do not compose", lineno
+        )
+    return _CheckSpec(toks[0], tuple(args), " ".join(toks))
 
 
 @dataclass
@@ -588,6 +558,10 @@ class Report:
         if any(c.verdict == "inconclusive" for c in self.checks):
             return 2
         return 1 if self.mismatches() else 0
+
+
+def _exactness(rep, prefix: str = "") -> dict:
+    return {prefix + part: getattr(rep, part) for part in ("kernel", "homology", "cokernel")}
 
 
 class _Runner:
@@ -642,110 +616,96 @@ class _Runner:
 
     def run_check(self, spec: _CheckSpec) -> CheckResult:
         try:
-            return self._dispatch(spec)
+            dims, flags, verdict = _CHECK_FORMS[spec.kind][1](self, *spec.args)
+            tables = {name: self._table(table) for name, table in dims.items()}
         except CapExhausted as e:
             return CheckResult(spec.name, {}, [f"cap-exhausted: {e}"], "inconclusive")
         except (GluingMismatch, BufferTooSmall, NonHomogeneousError,
                 RelationNotKilled, ValueError, ArithmeticError) as e:
             return CheckResult(spec.name, {}, [f"error: {e}"], "check-error")
+        return CheckResult(spec.name, tables, flags, verdict)
 
-    def _dispatch(self, spec: _CheckSpec) -> CheckResult:
+    # each handler returns (table name -> {degree: dim}, flags, verdict)
+
+    def _sections(self, sheaf_name, open_name):
+        lo, hi = self.s.window
+        sh = self.sheaf(sheaf_name)
+        mod = sheaf_sections(sh, open_name)
+        dims = {d: mod.piece(d).dim for d in range(lo, hi + 1)}
+        flags = []
+        if open_name == "W":
+            flags.append(
+                "both-sides-compared" if sh.gluing == "direct-image"
+                else "identity-gluing"
+            )
+        if isinstance(mod, SectionsModule):
+            ok = all(mod.certified(d) for d in range(lo, hi + 1))
+            flags.append("kernels-certified" if ok else "kernels-heuristic")
+        return {"sections": dims}, flags, "table-computed"
+
+    def _h1(self, modname):
         s = self.s
-        lo, hi = s.window
-        if spec.kind == "sections":
-            sheaf_name, open_name = spec.args
-            sh = self.sheaf(sheaf_name)
-            mod = sheaf_sections(sh, open_name)
-            dims = {d: mod.piece(d).dim for d in range(lo, hi + 1)}
-            flags = []
-            if open_name == "W":
-                flags.append(
-                    "both-sides-compared" if sh.gluing == "direct-image"
-                    else "identity-gluing"
-                )
-            if isinstance(mod, SectionsModule):
-                ok = all(mod.certified(d) for d in range(lo, hi + 1))
-                flags.append("kernels-certified" if ok else "kernels-heuristic")
-            return CheckResult(
-                spec.name, {"sections": self._table(dims)}, flags, "table-computed"
-            )
+        res = h1_window(s.modules[modname], s.overlap, s.window, s.policy)
+        ok = all(res.certified[d] for d in range(s.window[0], s.window[1] + 1))
+        flags = ["kernels-certified" if ok else "kernels-heuristic"]
+        return {"h1": res.dims}, flags, "table-computed"
 
-        if spec.kind == "h1":
-            (modname,) = spec.args
-            res = h1_window(s.modules[modname], s.overlap, s.window, s.policy)
-            ok = all(res.certified[d] for d in range(lo, hi + 1))
-            flags = ["kernels-certified" if ok else "kernels-heuristic"]
-            return CheckResult(
-                spec.name, {"h1": self._table(res.dims)}, flags, "table-computed"
-            )
+    def _obstruction(self, sheaf_name):
+        cert = flat_quotient_obstruction(self.sheaf(sheaf_name),
+                                         sections_o=self.sections_o)
+        flags = list(cert.flags)
+        degs = cert.obstructed_degrees
+        if degs:
+            flags.append("obstructed-at:" + ",".join(str(d) for d in degs))
+        return {"codim": cert.codims}, flags, cert.verdict
 
-        if spec.kind == "obstruction":
-            (sheaf_name,) = spec.args
-            cert = flat_quotient_obstruction(self.sheaf(sheaf_name),
-                                             sections_o=self.sections_o)
-            flags = list(cert.flags)
-            degs = cert.obstructed_degrees
-            if degs:
-                flags.append("obstructed-at:" + ",".join(str(d) for d in degs))
-            verdict = "obstructed" if degs else "no-obstruction-in-window"
-            return CheckResult(
-                spec.name, {"codim": self._table(cert.codims)}, flags, verdict
-            )
+    def _star_sequence(self, f_name, g_name, open_name):
+        rep = sequence_report(self.sheaf_map(f_name), self.sheaf_map(g_name), open_name)
+        return _exactness(rep), list(rep.flags), rep.verdict
 
-        if spec.kind == "star-sequence":
-            f_name, g_name, open_name = spec.args
-            rep = sequence_report(self.sheaf_map(f_name), self.sheaf_map(g_name), open_name)
-            tables = {
-                "kernel": self._table(rep.kernel),
-                "homology": self._table(rep.homology),
-                "cokernel": self._table(rep.cokernel),
-            }
-            return CheckResult(spec.name, tables, list(rep.flags), rep.verdict)
+    def _bidual(self, f_name, g_name):
+        rep = bidual_pipeline(self.sheaf_map(f_name), self.sheaf_map(g_name))
+        pu, bv = rep.plus_over_U, rep.bidual_over_V
+        tables = {**_exactness(pu, "plus-u-"), **_exactness(bv, "bidual-v-")}
+        return tables, [f"plus-over-u:{pu.verdict}"] + list(bv.flags), rep.verdict
 
-        if spec.kind == "bidual":
-            f_name, g_name = spec.args
-            rep = bidual_pipeline(self.sheaf_map(f_name), self.sheaf_map(g_name))
-            pu, bv = rep.plus_over_U, rep.bidual_over_V
-            tables = {
-                "plus-u-kernel": self._table(pu.kernel),
-                "plus-u-homology": self._table(pu.homology),
-                "plus-u-cokernel": self._table(pu.cokernel),
-                "bidual-v-kernel": self._table(bv.kernel),
-                "bidual-v-homology": self._table(bv.homology),
-                "bidual-v-cokernel": self._table(bv.cokernel),
-            }
-            flags = [f"plus-over-u:{pu.verdict}"] + list(bv.flags)
-            return CheckResult(spec.name, tables, flags, rep.verdict)
+    def _lemma21(self, modname):
+        s = self.s
+        tbl = flat_sections_defect(s.modules[modname], s.overlap,
+                                   window=s.window, policy=s.policy,
+                                   sections_o=self.sections_o)
+        tables = {"kernel": tbl.kernel, "cokernel": tbl.cokernel,
+                  "defect": tbl.defect}
+        return tables, list(tbl.flags), "zero-defect" if tbl.total == 0 else "defect-found"
 
-        if spec.kind == "lemma21":
-            (modname,) = spec.args
-            tbl = flat_sections_defect(s.modules[modname], s.overlap,
-                                       window=s.window, policy=s.policy,
-                                       sections_o=self.sections_o)
-            tables = {
-                "kernel": self._table(tbl.kernel),
-                "cokernel": self._table(tbl.cokernel),
-                "defect": self._table(tbl.defect),
-            }
-            verdict = "zero-defect" if tbl.total == 0 else "defect-found"
-            return CheckResult(spec.name, tables, list(tbl.flags), verdict)
+    def _nonaffine_witness(self, modname):
+        s = self.s
+        res = h1_window(s.modules[modname or "O"], s.overlap, s.window, s.policy)
+        wit = witness_nonaffine(s.overlap, s.window, policy=s.policy, h1=res)
+        if wit is None:
+            return {"h1": res.dims}, [], "no-witness-in-window"
+        flags = [
+            f"degree:{wit.degree}",
+            f"representative:{wit.representative}",
+            "components:" + ",".join(wit.components),
+            f"cap:{wit.cap}",
+        ]
+        return {"h1": res.dims}, flags, "witness-found"
 
-        if spec.kind == "nonaffine-witness":
-            (modname,) = spec.args
-            res = h1_window(s.modules[modname or "O"], s.overlap, s.window, s.policy)
-            wit = witness_nonaffine(s.overlap, s.window, policy=s.policy, h1=res)
-            tables = {"h1": self._table(res.dims)}
-            if wit is None:
-                return CheckResult(spec.name, tables, [], "no-witness-in-window")
-            flags = [
-                f"degree:{wit.degree}",
-                f"representative:{wit.representative}",
-                "components:" + ",".join(wit.components),
-                f"cap:{wit.cap}",
-            ]
-            return CheckResult(spec.name, tables, flags, "witness-found")
 
-        raise ValueError(f"unhandled check kind {spec.kind!r}")
+# Every check form, once: its keyword, its grammar and its handler.  In a
+# grammar SHEAF, MODULE and F, G are names of sheaves, modules and maps
+# (F and G must compose), X|U|V|W is one of OPENS, [MODULE] is an optional
+# last argument, and any other word is a literal.
+_CHECK_FORMS = {
+    "sections": ("sections SHEAF over X|U|V|W", _Runner._sections),
+    "h1": ("h1 MODULE", _Runner._h1),
+    "obstruction": ("obstruction SHEAF", _Runner._obstruction),
+    "star-sequence": ("star-sequence F G over X|U|V|W", _Runner._star_sequence),
+    "bidual": ("bidual F G", _Runner._bidual),
+    "lemma21": ("lemma21 MODULE", _Runner._lemma21),
+    "nonaffine-witness": ("nonaffine-witness [MODULE]", _Runner._nonaffine_witness),
+}
 
 
 def run_scenario(s: Scenario) -> Report:

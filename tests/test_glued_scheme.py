@@ -105,7 +105,7 @@ def test_ideal_sheaf_is_obstructed_at_degree_zero(scheme, ideal_fp):
     assert cert.obstructed_degrees == (0,)
     assert cert.codims[0] == 1
     assert all(cert.codims[d] == 0 for d in cert.codims if d != 0)
-    assert cert.verdict == "obstructed(0)"
+    assert cert.verdict == "obstructed"
 
 
 def test_structure_sheaf_is_unobstructed(scheme):

@@ -93,10 +93,10 @@ def test_dual_is_memoized(kx_fp):
 
 
 def test_biduality(ring, kx_fp, sky_fp):
+    # built by hand: matlis_dual(matlis_dual(m)) is m itself
     shifted = free_module(ring, (-2,), name="R(2)")
-    for fp in (kx_fp, sky_fp, shifted):
-        m = fp
-        dd = matlis_dual(matlis_dual(m))
+    for m in (kx_fp, sky_fp, shifted):
+        dd = DualizedModule(DualizedModule(m))
         for d in range(-4, 5):
             assert dd.piece(d).dim == m.piece(d).dim
         for d in range(-3, 3):
@@ -127,6 +127,19 @@ def test_sections_of_an_explicit_double_dual_match_the_origin(m):
         assert s_dd.certified(d) == s_m.certified(d), d
 
 
+@given(fp_modules())
+@settings(max_examples=40, deadline=None)
+def test_an_explicit_double_dual_returns_dimensions_and_actions(m):
+    # the biduality lines of acceptance criterion 7, on a double dual built
+    # by hand rather than the origin that matlis_dual hands back
+    dd = DualizedModule(DualizedModule(m))
+    for d in range(-6, 7):
+        assert dd.piece(d).dim == m.piece(d).dim, d
+    for d in range(-2, 2):
+        for v in range(2):
+            assert dd.act(v, d) == m.act(v, d), (d, v)
+
+
 def test_torsion_certificates(ring, kx_fp, x, y):
     dual = matlis_dual(kx_fp)
     # the dual of a bounded-below module is bounded above: positive-degree
@@ -135,7 +148,7 @@ def test_torsion_certificates(ring, kx_fp, x, y):
     from qcverify import HomogPoly
 
     assert dual.torsion_bound(HomogPoly.constant(ring, ring.field.one)) == 0
-    bidual = matlis_dual(dual)
+    bidual = DualizedModule(DualizedModule(kx_fp))
     assert bidual.torsion_bound(y) == kx_fp.torsion_bound(y) == 1
 
 

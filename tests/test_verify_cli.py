@@ -20,6 +20,7 @@ from qcverify.verify_cli import (
     VERDICTS,
     ParseError,
     UnknownName,
+    _CHECK_FORMS,
     emit_report,
     main,
     parse_scenario,
@@ -186,6 +187,102 @@ def test_unknown_check_form():
         parse_scenario(HEAD + "[check euler O]\n")
     with pytest.raises(ParseError):
         parse_scenario(HEAD + "[check sections O over Z]\n")
+
+
+NAMES = HEAD + """
+[module C]
+generators = 0
+relation = y
+
+[map f: O -> O]
+1
+
+[map q: O -> C]
+1
+
+[sheaf s]
+patch = O
+"""
+
+
+@pytest.mark.parametrize("check, error, message", [
+    ("", ParseError, "[check] needs a check form"),
+    ("euler O", ParseError, "unknown check form 'euler'"),
+    ("sections s", ParseError, "expected: sections SHEAF over X|U|V|W"),
+    ("sections s at W", ParseError, "expected: sections SHEAF over X|U|V|W"),
+    # the shape is checked before any name
+    ("sections t over Z", ParseError, "expected: sections SHEAF over X|U|V|W"),
+    ("sections O over W", UnknownName, "unknown name 'O'"),
+    ("h1", ParseError, "expected: h1 MODULE"),
+    ("h1 O O", ParseError, "expected: h1 MODULE"),
+    ("h1 s", UnknownName, "unknown name 's'"),
+    ("obstruction", ParseError, "expected: obstruction SHEAF"),
+    ("obstruction O", UnknownName, "unknown name 'O'"),
+    ("star-sequence f q over", ParseError, "expected: star-sequence F G over X|U|V|W"),
+    ("star-sequence f q over W V", ParseError, "expected: star-sequence F G over X|U|V|W"),
+    ("star-sequence z q over Z", ParseError, "expected: star-sequence F G over X|U|V|W"),
+    # names resolve left to right, and before the maps must compose
+    ("star-sequence y z over W", UnknownName, "unknown name 'y'"),
+    ("star-sequence q z over W", UnknownName, "unknown name 'z'"),
+    ("star-sequence q f over W", ParseError, "maps 'q' and 'f' do not compose"),
+    ("bidual f", ParseError, "expected: bidual F G"),
+    ("bidual f s", UnknownName, "unknown name 's'"),
+    ("bidual q f", ParseError, "maps 'q' and 'f' do not compose"),
+    ("lemma21", ParseError, "expected: lemma21 MODULE"),
+    ("lemma21 s", UnknownName, "unknown name 's'"),
+    ("nonaffine-witness O O", ParseError, "expected: nonaffine-witness [MODULE]"),
+    ("nonaffine-witness s", UnknownName, "unknown name 's'"),
+])
+def test_malformed_checks_name_their_fault(check, error, message):
+    text = NAMES + f"[check {check}]\n"
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert type(exc.value) is error
+    assert exc.value.message == message
+    assert exc.value.line == len(text.splitlines())
+
+
+def test_well_formed_checks_resolve_their_arguments():
+    checks = ["sections s over X", "h1 C", "obstruction s", "star-sequence f q over V",
+              "bidual f q", "lemma21 C", "nonaffine-witness", "nonaffine-witness C"]
+    s = parse_scenario(NAMES + "".join(f"[check {c}]\n" for c in checks))
+    assert [(c.kind, c.args, c.name) for c in s.checks] == [
+        ("sections", ("s", "X"), checks[0]),
+        ("h1", ("C",), checks[1]),
+        ("obstruction", ("s",), checks[2]),
+        ("star-sequence", ("f", "q", "V"), checks[3]),
+        ("bidual", ("f", "q"), checks[4]),
+        ("lemma21", ("C",), checks[5]),
+        ("nonaffine-witness", (None,), checks[6]),
+        ("nonaffine-witness", ("C",), checks[7]),
+    ]
+
+
+def test_readme_lists_exactly_the_check_forms():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    paragraph = text[text.index("Check forms:"):].split("\n\n", 1)[0]
+    listed = paragraph.split("(", 1)[0].split("`")[1::2]
+    assert listed == [grammar for grammar, _ in _CHECK_FORMS.values()]
+
+
+@pytest.mark.parametrize("text, repeated", [
+    (HEAD.replace("overlap = x, y", "overlap = x, y\noverlap = x"), "overlap = x"),
+    (HEAD.replace("field = Q", "field = Q\nvariables = x"), "variables = x"),
+    (HEAD.replace("field = Q", "field = Q\nfield = Fp:7"), "field = Fp:7"),
+    (HEAD.replace("window = -2:2", "window = -2:2\nwindow = -1:1"), "window = -1:1"),
+    (HEAD + "[options]\nwindow = -1:1\n", "[options]"),
+    (HEAD + "[module M]\ngenerators = 0\ngenerators = 1\n", "generators = 1"),
+    (HEAD + "[sheaf s]\npatch = O\npatch = O\n", "patch = O"),
+    (HEAD + "[sheaf s]\npatch = O\ndirect-image = O\n", "direct-image = O"),
+], ids=["scheme", "ring-variables", "ring-field", "options-window", "options-section",
+        "module-generators", "sheaf-patch", "sheaf-patch-and-direct-image"])
+def test_a_repeated_key_is_rejected_at_its_second_line(text, repeated):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    lines = text.splitlines()
+    assert exc.value.line == len(lines) - lines[::-1].index(repeated)
 
 
 # --- running ------------------------------------------------------------------
@@ -402,6 +499,20 @@ def test_main_malformed_file(tmp_path, capsys):
     f.write_text("[ring]\nvariables = x, y\n\n[scheme]\noverlap = x\n\n[module M]\ngenerators = 0\nrelation = x + y^2\n")
     assert main(["run", str(f)]) == 3
     assert "qcv:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, bad", [
+    (HEAD.replace("overlap = x, y", "overlap = x, z"), "overlap = x, z"),
+    (HEAD + "[module M]\ngenerators = 0\nrelation = z\n", "relation = z"),
+    (HEAD + "[map f: O -> O]\nw\n", "w"),
+], ids=["overlap", "relation", "map"])
+def test_main_rejects_an_unknown_variable(tmp_path, capsys, text, bad):
+    f = tmp_path / "var.qcv"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 3
+    err = capsys.readouterr().err
+    lineno = text.splitlines().index(bad) + 1
+    assert f"line {lineno}:" in err and f"unknown variable {bad[-1]!r}" in err
 
 
 def test_main_rejects_bad_den_cap(capsys):
