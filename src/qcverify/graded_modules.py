@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .exact_linalg import (
     FieldSpec,
@@ -513,6 +514,23 @@ class DegreewiseModule:
         return f"DegreewiseModule({self.name})"
 
 
+class FineGrading(NamedTuple):
+    """What a Z^n-grading of a presentation bounds; see
+    FPGradedModule.fine_grading.
+
+    top is the largest |b_C| over the components C of the presentation;
+    torsion[i] is T_i, the power of x_i that kills all x_i-torsion.
+    """
+
+    top: int
+    torsion: tuple
+
+    def power(self, mono) -> int:
+        """t such that (x^mono)^t kills all x^mono-torsion: the largest
+        ceil(T_i / u_i) over the support of u = mono."""
+        return max((-(-t // u) for t, u in zip(self.torsion, mono) if u), default=0)
+
+
 class _Realization:
     __slots__ = ("free_index", "proj", "piece")
 
@@ -650,6 +668,79 @@ class FPGradedModule(DegreewiseModule):
             mono = next(iter(nonzero[0].terms))
             top = max(top, max(mono))
         return max(1, top)
+
+    def fine_grading(self) -> FineGrading | None:
+        """The bounds of a Z^n-grading when the presentation is
+        fine-graded (every relation entry a single term), else None.
+
+        Multidegrees.  A column with entries c_j x^(m_j) is Z^n-homogeneous
+        exactly when g_j + m_j is the same for all its generators j, so a
+        column fixes the differences of the generator multidegrees g_j it
+        links.  Walking the connected components of that graph assigns
+        every g_j from one root per component, whose g is a free translate
+        with |g| = e_root; then |g_j| = e_j for all j, as the column is
+        Z-homogeneous.  A cycle of columns that disagrees is a conflict:
+        no Z^n-grading exists, and the answer is None.  The presentation
+        splits as the direct sum of its components.
+
+        Bounds.  For a component C let b_C be the coordinatewise max of its
+        generator and relation multidegrees; shifting the translate shifts
+        b_C and every g_j alike, so |b_C| and b_C - g_j do not depend on it.
+        If a_i >= b_i then x_i : M_a -> M_(a+e_i) is an isomorphism: it is
+        one on the free cover F (a basis monomial x^(a-g_j) stays one, as
+        its i-th exponent is already >= 0) and on the free module G on the
+        relations, so the relation span N has N_(a+e_i) = x_i N_a, and the
+        quotient map is bijective too.  An element of M_a is nonzero only
+        when a >= g_j for some j in C, so after x_i^(T_i), with
+        T_i = max_C (b_C,i - min_(j in C) g_j,i), its i-th coordinate is
+        >= b_i and x_i stays injective: x_i^(T_i) kills all x_i-torsion.
+        Likewise (x^u)^t with t = max over supp u of ceil(T_i / u_i) lifts
+        every coordinate in supp u past b, so it kills all x^u-torsion.
+        For a free module each generator is its own component, b = g, and
+        every T_i is 0.  (This is the positively b-determined property of
+        E. Miller, J. Algebra 231 (2000); Miller-Sturmfels, GTM 227.)
+        """
+        n = self.ring.nvars
+        # links[j]: (k, g_k - g_j) for each column on j and k; columns[j]:
+        # the exponent m of each column whose first entry is on j, so that
+        # the column's multidegree is g_j + m
+        links: list[list] = [[] for _ in self.gen_degrees]
+        columns: list[list] = [[] for _ in self.gen_degrees]
+        for entries, _ in self.relations:
+            terms = [(j, p) for j, p in enumerate(entries) if p is not None]
+            if not all(p.is_monomial() for _, p in terms):
+                return None
+            (j0, p0), *rest = terms
+            m0 = next(iter(p0.terms))
+            columns[j0].append(m0)
+            for j, p in rest:
+                diff = tuple(a - b for a, b in zip(m0, next(iter(p.terms))))
+                links[j0].append((j, diff))
+                links[j].append((j0, tuple(-a for a in diff)))
+        g: list = [None] * self.ngens
+        bounds = []  # (b_C, min over j in C of g_j) per component C
+        for root, e in enumerate(self.gen_degrees):
+            if g[root] is not None:
+                continue
+            g[root] = (e,) + (0,) * (n - 1)
+            members, stack = [], [root]
+            while stack:
+                j = stack.pop()
+                members.append(j)
+                for k, diff in links[j]:
+                    want = tuple(map(add, g[j], diff))
+                    if g[k] is None:
+                        g[k] = want
+                        stack.append(k)
+                    elif g[k] != want:
+                        return None
+            gens = [g[j] for j in members]
+            rels = [tuple(map(add, g[j], m)) for j in members for m in columns[j]]
+            bounds.append((tuple(map(max, zip(*gens, *rels))), tuple(map(min, zip(*gens)))))
+        return FineGrading(
+            max((sum(b) for b, _ in bounds), default=0),
+            tuple(max((b[i] - lo[i] for b, lo in bounds), default=0) for i in range(n)),
+        )
 
     def __repr__(self):
         return f"FPGradedModule({self.name}, gens={self.gen_degrees}, rels={len(self.relations)})"

@@ -15,14 +15,15 @@ is flagged heuristic.
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
 Cohomology in a degree window is reported at a cap found in one of two
-ways.  Where a theorem fixes the cap (a free module on the cover by all
-the variables; see _proven_cap_floor) the degree is built at the start cap
-alone, because every larger cap gives the same dimensions.  Everywhere
-else the cap is found by escalation: start at (window width + 2), step by
-2, accept once the dimensions are unchanged for two consecutive
-increments, give up (CapExhausted) after five escalations.  Both report
-the same cap, so a proven degree reads exactly as an escalated one that
-settled at its start.  Sections over the cover then become an ordinary
+ways.  Where a theorem fixes the cap (a fine-graded presentation with
+exact localizations on the cover by all the variables; see
+_proven_cap_floor) the degree is built at the start cap alone, because
+every larger cap gives the same dimensions.  Everywhere else the cap is
+found by escalation: start at (window width + 2), step by 2, accept once
+the dimensions are unchanged for two consecutive increments, give up
+(CapExhausted) after five escalations.  Both report the same cap, so a
+proven degree reads exactly as an escalated one that settled at its
+start.  Sections over the cover then become an ordinary
 DegreewiseModule whose elements can be restricted to, acted on by
 variables and expressed from C^0 vectors given at any cap, with all
 cross-cap bookkeeping handled here.
@@ -391,36 +392,52 @@ def _stabilize(dims_at, caps, what: str):
 def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None:
     """t with c0(d) = max(0, t - d) when a theorem fixes the cap, else None.
 
-    The class: module is a free FPGradedModule M = (+)_k R(-e_k) with at
-    least one generator, and the cover is W = D(x_1) u ... u D(x_n) with
-    every variable of R appearing exactly once, up to a nonzero scalar.
+    The class: module is an FPGradedModule with at least one generator
+    whose presentation is fine-graded (FPGradedModule.fine_grading, with
+    components C, bounds b_C and torsion powers T_i), and the cover is
+    W = D(x_1) u ... u D(x_n) with every variable of R appearing exactly
+    once, up to a nonzero scalar.  Every localization must be exact: for
+    each cover product f = x_S, either torsion_bound(f) certifies the
+    stable kernel, or T(f) = max over i in S of T_i is at most 1, so the
+    kernel chain of localize_piece, which starts at t = 1, stops at some
+    t >= T(f) and returns ker f^T(f), the whole f-torsion.
 
     Theorem.  Every H^p of the Cech complex in degree d is the same at
-    every cap c >= c0(d) = max(0, max_k(e_k - d - n + 1)).
+    every cap c >= c0(d) = max(0, max_C |b_C| - n + 1 - d), and the lift
+    from cap c to any larger cap is an isomorphism on it.
 
-    Proof.  M is free, so localizing kills nothing, and at cap c the
-    S-term of the complex in degree d has the basis m gen_k / x_S^c (up
-    to the scalars of the denominators), m running over the monomials of
-    degree d - e_k + c|S|.  The differentials multiply by monomials and
-    preserve the fine degree a = exponent(m) - c 1_S in Z^n, so the
-    complex splits over the a with |a| = d - e_k.  In fine degree a the
-    S-term is k when a_i >= -c for i in S and a_i >= 0 for i not in S,
-    and 0 otherwise.  So when min a >= -c it is the full limit complex,
-    one k for each S containing N = {i : a_i < 0}, and when min a < -c it
-    is zero.  For N neither empty nor everything the limit complex is the
-    augmented chain complex of a simplex, hence exact; for N empty
-    (a >= 0) it has H^0 = k and nothing else; for N everything
-    (a <= -1) it is k in degree n - 1.  Every a >= 0 is kept at any
-    c >= 0.  Every a <= -1 with |a| = d - e_k has its other n - 1
-    entries at most -1, so min a >= (d - e_k) + n - 1, and it is kept once
-    c >= e_k - d - n + 1.  Hence at every c >= c0(d) each fine degree
-    contributes its limit cohomology, and the dimensions do not change.
-    For n = 1 this reads c >= e - d, as it should for k[x, 1/x].  QED.
+    Proof.  The complex splits over the components C, and within C over
+    the fine degrees a in Z^n with |a| = d: at cap c the S-term in fine
+    degree a is M_(a + c 1_S) modulo its x_S-torsion (the fractions
+    m / x_S^c), and the differentials multiply by powers of variables.
+    Write b = b_C.  By fine_grading, x_i : M_a' -> M_(a'+e_i) is an
+    isomorphism whenever a'_i >= b_i.
+      (1) Once c >= max_i (b_i - a_i), every S-term is the limit
+    (M_(x_S))_a: from cap c on, x_S maps M_(a + c 1_S) isomorphically
+    onto the next stage and kills nothing.  So fine degree a gives the
+    limit complex at every such cap.
+      (2) If a_j >= b_j for some j, split the augmented complex (M_a in
+    front) by whether S contains j: it is the cone of x_j^c from the
+    terms without j to the terms with j.  Multiplication by x_j is an
+    isomorphism in every degree involved, and it carries x_S-torsion onto
+    x_(S u j)-torsion, so this is an isomorphism of complexes and its
+    cone is exact, at every cap c >= 0 and in the limit.  So fine degree
+    a gives H^0 = M_a and nothing else at every cap.
+      (3) Otherwise a_i <= b_i - 1 for every i.  If moreover c < b_i - a_i
+    for some i, then a_i <= b_i - c - 1, and summing,
+    d = |a| <= |b| - n - c, that is, c <= |b| - n - d < c0(d).
+    So at every c >= c0(d) each fine degree falls under (1) or (2), and
+    its cohomology, and the lift between two such caps, do not depend on
+    c.  For a free module each generator is its own component with
+    |b| = e_k, and c0(d) reads max(0, max_k e_k - n + 1 - d).  QED.
 
     So when c0(d) <= the start cap, escalation would return the start cap
     with these same dimensions, and one complex at the start cap says it.
     """
-    if not isinstance(module, FPGradedModule) or module.relations or not module.gen_degrees:
+    if not isinstance(module, FPGradedModule) or not module.gen_degrees:
+        return None
+    fine = module.fine_grading()
+    if fine is None:
         return None
     n = module.ring.nvars
     variables = []
@@ -430,7 +447,12 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
         variables.append(next(iter(f.terms)).index(1))
     if sorted(variables) != list(range(n)):
         return None
-    return max(module.gen_degrees) - n + 1
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            f = cover.product(subset)
+            if module.torsion_bound(f) is None and fine.power(next(iter(f.terms))) > 1:
+                return None
+    return fine.top - n + 1
 
 
 class SectionsModule(DegreewiseModule):

@@ -259,6 +259,9 @@ def parse_scenario(text: str, name: str = "scenario",
             header = line[1:-1].strip()
             if not header:
                 raise ParseError("empty section header", lineno)
+            kind, *extra = header.split()
+            if extra and kind in ("ring", "options", "scheme"):
+                raise ParseError(f"[{kind}] takes no name, got [{header}]", lineno)
             current = (lineno, header, [])
             sections.append(current)
         else:
@@ -279,6 +282,8 @@ def parse_scenario(text: str, name: str = "scenario",
             variables = tuple(t.strip() for t in v.split(",") if t.strip())
             if not variables:
                 raise ParseError("no variables listed", lineno)
+            if len(set(variables)) != len(variables):
+                raise ParseError("variables must be distinct", lineno)
         else:
             try:
                 file_field = _parse_field_spec(v)

@@ -6,7 +6,9 @@ sheaf on the punctured plane are the polynomials themselves, H^1 has dimension
 in every degree.
 """
 
+from itertools import combinations
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,8 @@ from qcverify import (
     map_from_gen_images,
 )
 from qcverify import localization_cech
-from qcverify.exact_linalg import rank
+from qcverify.exact_linalg import kernel_basis, rank
+from qcverify.verify_cli import parse_scenario, run_scenario
 from test_graded_modules import FIELDS, scalars
 
 WINDOW = (-4, 4)
@@ -306,27 +309,87 @@ def _caps_and_dims(module, cover, window, policy=None):
     }
 
 
-@settings(max_examples=12, deadline=None)
+@st.composite
+def fine_graded(draw, ring, top=1, bump=1):
+    """A random fine-graded presentation: generator multidegrees in
+    {0..top}^n (all shifted together by -1 or 0 in x), and relation
+    columns on one or two generators, each entry c x^(r - g_j) for a
+    column multidegree r above its generators by at most bump per
+    variable.  Returns the generator degrees and the relation columns."""
+    n = ring.nvars
+    field = ring.field
+    shift = (draw(st.integers(-1, 0)),) + (0,) * (n - 1)
+    coords = st.tuples(*[st.integers(0, top)] * n)
+    gens = [tuple(map(add, g, shift))
+            for g in draw(st.lists(coords, min_size=1, max_size=2))]
+    rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        linked = draw(st.lists(st.sampled_from(range(len(gens))), min_size=1, max_size=2,
+                               unique=True))
+        up = draw(st.tuples(*[st.integers(0, bump)] * n))
+        r = tuple(max(gens[j][i] for j in linked) + up[i] for i in range(n))
+        col = [None] * len(gens)
+        for j in linked:
+            mono = tuple(a - b for a, b in zip(r, gens[j]))
+            col[j] = HomogPoly.monomial(ring, mono, draw(scalars(field)))
+        rels.append(tuple(col))
+    return tuple(sum(g) for g in gens), tuple(rels)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     field=st.sampled_from(FIELDS),
     n=st.integers(1, 3),
-    shifts=st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+    kind=st.sampled_from(["free", "fine-graded"]),
     lo=st.integers(-3, 1),
     data=st.data(),
 )
-def test_proven_caps_agree_with_escalation(field, n, shifts, lo, data):
+def test_proven_caps_agree_with_escalation(field, n, kind, lo, data):
     window = (lo, lo + 1)
     ring = PolyRing(field, ("x", "y", "z")[:n])
+    if kind == "free":
+        presentation = (data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2)), ())
+    else:
+        presentation = data.draw(fine_graded(ring))
     # every variable once, in any order and up to a nonzero scalar
     order = data.draw(st.permutations(range(n)))
     denoms = [ring.var_poly(i).scale(data.draw(scalars(field))) for i in order]
-    proven = _caps_and_dims(free_module(ring, shifts), OpenSubset(ring, denoms), window)
+
+    def module():
+        return FPGradedModule(ring, *presentation)
+
+    proven = _caps_and_dims(module(), OpenSubset(ring, denoms), window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(localization_cech, "_proven_cap_floor", lambda module, cover: None)
         cover = OpenSubset(ring, denoms)
-        escalated = _caps_and_dims(free_module(ring, shifts), cover, window)
-        assert len(sections_window(free_module(ring, shifts), cover, window)._caps(lo)) > 1
+        escalated = _caps_and_dims(module(), cover, window)
+        assert len(sections_window(module(), cover, window)._caps(lo)) > 1
     assert proven == escalated
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(2, 3), data=st.data())
+def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
+    # ker f^T = ker f^(T+k) in every numerator degree of a range, for every
+    # cover product f = x_S, with T = fine.power(1_S); where the monomial
+    # quotient bound also applies, T does not exceed it
+    ring = PolyRing(field, ("x", "y", "z")[:n])
+    m = FPGradedModule(ring, *data.draw(fine_graded(ring, top=2, bump=2)))
+    fine = m.fine_grading()
+    assert fine is not None
+    lo = min(m.gen_degrees)
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            u = tuple(int(i in subset) for i in range(n))
+            f = HomogPoly.monomial(ring, u)
+            t = fine.power(u)
+            bound = m.torsion_bound(f)
+            if bound is not None:
+                assert t <= bound
+            for d in range(lo, lo + 4):
+                stable = kernel_basis(m.power_act(f, t, d)).ncols
+                assert all(kernel_basis(m.power_act(f, t + j, d)).ncols == stable
+                           for j in (1, 2, 3))
 
 
 # The class boundary: the answers and caps below are those of escalation
@@ -348,9 +411,22 @@ PUNCTURED_AT_CAP_6 = {
 
 
 def test_a_module_with_relations_escalates(complexes_built, ring, x, y, w):
-    ideal = FPGradedModule(ring, (1, 1), ((y, -x),), name="I")
+    # the same ideal on the generators x + y and x - y: its Koszul column
+    # has binomial entries, so the presentation is not fine-graded
+    ideal = FPGradedModule(ring, (1, 1), ((x - y, -(x + y)),), name="I")
     got = _assert_escalates(complexes_built, ideal, w, (-2, 2))
     assert got == PUNCTURED_AT_CAP_6
+
+
+def test_the_ideal_is_held_to_the_start_cap(complexes_built, ring, x, y, w):
+    # the Koszul presentation of (x, y) is fine-graded with T = (1, 1):
+    # its kernel chains are exact, so its caps are proven
+    ideal = FPGradedModule(ring, (1, 1), ((y, -x),), name="I")
+    window = (-2, 2)
+    s = sections_window(ideal, w, window)
+    assert all(s._caps(d) == [6] for d in range(-2, 3))
+    assert _caps_and_dims(ideal, w, window) == PUNCTURED_AT_CAP_6
+    assert {cap for _, _, cap in complexes_built} == {6}
 
 
 @pytest.mark.parametrize("denoms", ["x, x+y", "x, y, x*y"])
@@ -386,3 +462,60 @@ def test_degrees_past_the_start_cap_escalate(complexes_built, ring, w):
         for d in range(-6, 7)
     }
     assert sorted({cap for _, _, cap in complexes_built}) == [1, 3, 5, 7, 9]
+
+
+# --- the floor of proven caps ------------------------------------------------
+
+
+@pytest.mark.parametrize("n, shifts", [(1, (0,)), (2, (-1, 0, 2)), (3, (1, 3))])
+def test_the_floor_of_a_free_module_is_its_top_shift(n, shifts):
+    ring, cover = _all_variable_cover(FieldSpec.rationals(), n)
+    floor = localization_cech._proven_cap_floor(free_module(ring, shifts), cover)
+    assert floor == max(shifts) - n + 1
+
+
+def test_the_floors_of_the_builtin_quotients(ideal_fp, sky_fp, kx_fp, w):
+    floors = [localization_cech._proven_cap_floor(m, w) for m in (ideal_fp, sky_fp, kx_fp)]
+    assert floors == [1, 1, 0]
+
+
+def test_no_floor_outside_the_class(ring, x, y, w, ideal_fp):
+    floor = localization_cech._proven_cap_floor
+    # a binomial entry
+    assert floor(FPGradedModule(ring, (0,), ((x + y,),)), w) is None
+    # two columns that put the generators at conflicting multidegrees
+    conflict = FPGradedModule(ring, (1, 1), ((y, -x), (x, -y)))
+    assert conflict.fine_grading() is None
+    assert floor(conflict, w) is None
+    # a cover that is not the variables
+    assert floor(ideal_fp, OpenSubset(ring, (x, x + y))) is None
+
+
+PLATEAU = """\
+[ring]
+variables = x, y
+[scheme]
+overlap = x, y
+[module M]
+generators = 0, 0
+relation = x^20; 0
+relation = y; 0
+relation = 1; 1
+[sheaf s]
+patch = M
+[check sections s over W]
+"""
+
+
+def test_the_plateau_presentation_keeps_escalating():
+    # R/(x^20, y) on two generators glued by the column 1; 1: fine-graded
+    # with T = (20, 1), but its torsion is not certified, so the kernel chain
+    # is a heuristic and its caps must not be proven
+    scenario = parse_scenario(PLATEAU)
+    m = scenario.modules["M"]
+    assert m.fine_grading() == (21, (20, 1))
+    assert localization_cech._proven_cap_floor(m, scenario.overlap) is None
+    s = sections_window(m, scenario.overlap, scenario.window)
+    assert all(len(s._caps(d)) == 6 for d in range(-6, 7))
+    check = run_scenario(scenario).checks[0]
+    assert "kernels-heuristic" in check.flags

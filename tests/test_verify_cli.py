@@ -163,6 +163,19 @@ def test_bad_window():
         parse_scenario(HEAD.replace("window = -2:2", "window = 3:-3"))
 
 
+@pytest.mark.parametrize("text, bad", [
+    (HEAD.replace("[options]", "[options extra]").replace("window = -2:2", "window = nonsense"),
+     "[options extra]"),
+    (HEAD + "[scheme again]\noverlap = q\n", "[scheme again]"),
+    (HEAD.replace("[ring]", "[ring k]"), "[ring k]"),
+], ids=["options", "second-scheme", "ring"])
+def test_a_unique_section_header_with_extra_words_is_rejected(text, bad):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert exc.value.line == text.splitlines().index(bad) + 1
+    assert "takes no name" in str(exc.value)
+
+
 def test_expect_must_reference_a_check():
     text = HEAD + "[check h1 O]\n\n[expect]\nh1 P = table-computed\n"
     with pytest.raises(UnknownName):
@@ -515,6 +528,17 @@ def test_main_rejects_an_unknown_variable(tmp_path, capsys, text, bad):
     assert f"line {lineno}:" in err and f"unknown variable {bad[-1]!r}" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("variables = x, x", "variables must be distinct"),
+    ("variables =", "no variables listed"),
+], ids=["repeated", "empty"])
+def test_main_rejects_bad_variables_with_a_line(tmp_path, capsys, line, message):
+    f = tmp_path / "vars.qcv"
+    f.write_text(HEAD.replace("variables = x, y", line) + "[check h1 O]\n")
+    assert main(["run", str(f)]) == 3
+    assert f"line 2: {message}" in capsys.readouterr().err
+
+
 def test_main_rejects_bad_den_cap(capsys):
     assert main(["builtin", "affine-control", "--den-cap", "0"]) == 3
 
@@ -638,18 +662,40 @@ def test_witness_on_a_shifted_generator_is_found():
     assert "representative:(1*[(0, (5, 5))]) / (x*y)^6" in check.flags
 
 
-def test_lemma21_free_builds_one_complex_per_free_module(complexes_built):
-    # 28 free modules and O each get one complex at the start cap; the
-    # skyscraper has relations, so its cap escalates over three complexes
-    rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
-    assert rep.exit_code() == 0
+def _caps_per_module(complexes_built):
     per_module = {}
     for m, _, cap in complexes_built:
         per_module.setdefault(m.name, []).append(cap)
+    return per_module
+
+
+def test_lemma21_free_builds_one_complex_per_free_module(complexes_built):
+    # 28 free modules and O each get one complex at the start cap, and so
+    # does the skyscraper R/(x, y): its monomial presentation is fine-graded
+    # with certified torsion, so its cap is proven too
+    rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
+    assert rep.exit_code() == 0
+    per_module = _caps_per_module(complexes_built)
     assert len(per_module) == 30
-    assert per_module.pop("sky") == [6, 8, 10]
+    assert per_module.pop("sky") == [6]
     assert all(caps == [6] for caps in per_module.values())
-    assert len(complexes_built) == 32
+    assert len(complexes_built) == 30
+
+
+@pytest.mark.parametrize("check, caps", [
+    ("sections ideal over W", {"I": [6], "sections(I)": [6, 8, 10]}),
+    ("sections ideal over X", {"I": [6]}),
+    ("obstruction ideal", {"I": [6, 8, 10], "O": [6, 8, 10]}),
+])
+def test_double_origin_flat_proves_the_ideal_caps_but_not_the_obstruction(
+        complexes_built, check, caps):
+    # the ideal's sections sit at the start cap alone; sections of sections
+    # and the obstruction table still escalate
+    text = BUILTIN_SCENARIOS["double-origin-flat"]
+    text = text[:text.index("[check")] + f"[check {check}]\n"
+    rep = run_text(text, window=(-2, 2))
+    assert rep.checks[0].verdict in ("table-computed", "obstructed")
+    assert _caps_per_module(complexes_built) == caps
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -878,13 +924,13 @@ def test_no_cech_complex_is_built_twice(complexes_built, text, code):
     assert keys and len(keys) == len(set(keys))
 
 
-def test_matlis_bidual_builds_five_complexes(complexes_built):
-    # A and O are free on the all-variable cover, so one proven cap each;
-    # C = R/(y) escalates through three caps
+def test_matlis_bidual_builds_three_complexes(complexes_built):
+    # A and O are free on the all-variable cover and C = R/(y) is a
+    # fine-graded monomial quotient, so each gets one proven cap
     rep = run_scenario(parse_scenario(BUILTIN_SCENARIOS["matlis-bidual"], window=(-2, 2)))
     assert rep.exit_code() == 0
     names = sorted(m.name for m, _, _ in complexes_built)
-    assert names == ["A", "C", "C", "C", "O"]
+    assert names == ["A", "C", "O"]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
