@@ -11,13 +11,13 @@ Layers, from the bottom up:
   graded_modules     graded rings, finite presentations, degreewise modules
   localization_cech  capped localizations and Cech cohomology on open covers
   glued_scheme       the doubled plane, its sheaves, obstruction certificates
-  matlis             graded duals, injective hulls, the (+)-functor pipeline
+  matlis             graded duals, injective hulls, the double-dual check
   verify_cli         scenario files, built-in scenarios, reports, the qcv CLI
 """
 
 __version__ = "0.1.0"
 
-from .exact_linalg import FieldSpec, Mat, image_quotient, kernel_basis, rref, solve
+from .exact_linalg import FieldSpec, Mat, kernel_basis, rref, solve
 from .graded_modules import (
     DegreewiseModule,
     FPGradedModule,
@@ -27,14 +27,10 @@ from .graded_modules import (
     NonHomogeneousError,
     PolyRing,
     RelationNotKilled,
-    cokernel_dw,
     direct_sum,
     free_module,
-    hom_piece,
-    image_dw,
     kernel_dw,
     map_from_gen_images,
-    tensor_piece,
     verify_action_commutation,
     verify_naturality,
 )
@@ -76,8 +72,6 @@ from .matlis import (
     injective_hull,
     matlis_dual,
     matlis_dual_map,
-    plus_functor,
-    plus_functor_map,
 )
 from .verify_cli import (
     BUILTIN_SCENARIOS,

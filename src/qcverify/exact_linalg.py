@@ -28,7 +28,6 @@ __all__ = [
     "Mat",
     "rref",
     "kernel_basis",
-    "image_quotient",
     "solve",
 ]
 
@@ -213,10 +212,6 @@ class Mat:
                 rows[r].update((c0 + c, e) for c, e in row.items())
         return cls._of(field, row_off[-1], col_off[-1], rows)
 
-    def row_support(self) -> list:
-        """Per-row (column, entry) pairs of the nonzero entries, by column."""
-        return [tuple(sorted(row.items())) for row in self.data]
-
     def entry(self, i: int, j: int):
         return self.data[i].get(j, 0)
 
@@ -313,11 +308,6 @@ class Mat:
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
         return Mat.block(self.field, {(0, 0): self, (0, 1): other})
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Mat._of(self.field, self.nrows + other.nrows, self.ncols, self.data + other.data)
 
     def take_cols(self, indices) -> "Mat":
         """The columns at the given distinct indices, in their order."""
@@ -485,7 +475,14 @@ def kernel_basis(m: Mat) -> Mat:
 
 
 def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int, ...]]:
-    """As image_quotient, but also reports which standard vectors survive."""
+    """Basis and projection for k^amb_dim modulo the column span of sub.
+
+    Returns (coset_basis, projection, indices): the coset basis consists of
+    the standard basis vectors at indices, completing the column space of
+    sub, and the projection sends each vector to its coordinates in the
+    quotient (it kills the columns of sub and is the identity on the coset
+    basis).
+    """
     field = sub.field
     if sub.nrows != amb_dim:
         raise ValueError("subspace matrix must have amb_dim rows")
@@ -518,18 +515,6 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
             if rj != rp:
                 proj_rows[pos[last - rj]][p] = mod - v if mod else -v
     return coset, Mat._of(field, len(coset_idx), amb_dim, proj_rows), coset_idx
-
-
-def image_quotient(sub: Mat, amb_dim: int) -> tuple[Mat, Mat]:
-    """Basis and projection for k^amb_dim modulo the column span of sub.
-
-    Returns (coset_basis, projection): the coset basis consists of standard
-    basis vectors completing the column space of sub, and the projection
-    sends each vector to its coordinates in the quotient (it kills the
-    columns of sub and is the identity on the coset basis).
-    """
-    coset, proj, _ = _quotient_with_indices(sub, amb_dim)
-    return coset, proj
 
 
 def solve(a: Mat, rhs: Mat) -> Mat | None:

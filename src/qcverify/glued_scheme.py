@@ -88,9 +88,6 @@ class DoubleGluedScheme:
         self.ring = ring
         self.overlap = overlap
 
-    def structure_sheaf(self, window=DEFAULT_WINDOW, policy: CapPolicy | None = None) -> "QcohSheafOnX":
-        return QcohSheafOnX.glued(self, free_module(self.ring), window=window, policy=policy)
-
     def __repr__(self):
         denoms = " u ".join(f"D({f})" for f in self.overlap.denoms)
         return f"DoubleGluedScheme(overlap={denoms})"
@@ -247,15 +244,6 @@ class SheafMap:
         if source.gluing != "identity" or target.gluing != "identity":
             raise ValueError("glued maps require identity-glued sheaves")
         return cls(source, target, u, u, name=name)
-
-    @classmethod
-    def direct_image(cls, source: QcohSheafOnX, target: QcohSheafOnX,
-                     u: GradedModuleMap, name: str | None = None) -> "SheafMap":
-        """The pushforward of a map of U-patch modules."""
-        if source.gluing != "direct-image" or target.gluing != "direct-image":
-            raise ValueError("direct-image maps require direct-image sheaves")
-        u_v = sections_induced_map(u, source.m_V, target.m_V)
-        return cls(source, target, u, u_v, name=name)
 
     def on_sections(self, open_name: str) -> GradedModuleMap:
         """The induced map on sections over the chosen open."""

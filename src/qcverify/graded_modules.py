@@ -6,7 +6,7 @@ x_i : M_d -> M_{d+1}.  Every module is a DegreewiseModule that produces
 pieces and action matrices on demand and memoizes them: finitely
 presented modules (generator degrees plus homogeneous relation columns)
 realize theirs per degree by exact linear algebra, and so do kernels,
-cokernels, sections and duals.
+sections and duals.
 
 Conventions that the rest of the package relies on:
   * monomials of a fixed degree are ordered by descending exponent tuple
@@ -30,7 +30,6 @@ from .exact_linalg import (
     FieldSpec,
     Mat,
     kernel_basis,
-    rref,
     solve,
     _quotient_with_indices,
 )
@@ -46,10 +45,6 @@ __all__ = [
     "GradedModuleMap",
     "map_from_gen_images",
     "kernel_dw",
-    "image_dw",
-    "cokernel_dw",
-    "hom_piece",
-    "tensor_piece",
     "direct_sum",
     "free_module",
     "verify_action_commutation",
@@ -167,7 +162,9 @@ def _mono_str(ring: PolyRing, mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+# a variable name is what the tokenizer reads as one identifier
+_VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+(?:/\d+)?)|({_VARIABLE_NAME.pattern})|(\^)|(\*)|(\+)|(-))")
 
 
 class HomogPoly:
@@ -774,24 +771,6 @@ class GradedModuleMap:
             self._matrices[d] = got
         return got
 
-    @classmethod
-    def identity(cls, module: DegreewiseModule) -> "GradedModuleMap":
-        return cls(
-            module,
-            module,
-            lambda d: Mat.identity(module.ring.field, module.piece(d).dim),
-            name="id",
-        )
-
-    def compose(self, other: "GradedModuleMap") -> "GradedModuleMap":
-        """self after other."""
-        return GradedModuleMap(
-            other.source,
-            self.target,
-            lambda d: self.matrix(d) @ other.matrix(d),
-            name=f"{self.name}.{other.name}",
-        )
-
     def __repr__(self):
         return f"GradedModuleMap({self.name}: {self.source.name} -> {self.target.name})"
 
@@ -869,39 +848,6 @@ class _BasisBackedModule(DegreewiseModule):
         return coords
 
 
-class _QuotientModule(DegreewiseModule):
-    """Ambient module modulo the column span of per-degree denominators."""
-
-    def __init__(self, ring, ambient: DegreewiseModule, sub_fn, name):
-        self.ambient = ambient
-        self._sub_fn = sub_fn
-        self._quots: dict[int, tuple] = {}
-        super().__init__(ring, name=name, min_degree=ambient.min_degree,
-                         max_degree=ambient.max_degree)
-
-    def _realize(self, d: int):
-        got = self._quots.get(d)
-        if got is None:
-            amb = self.ambient.piece(d)
-            coset, proj, idx = _quotient_with_indices(self._sub_fn(d), amb.dim)
-            piece = GradedPiece(self.ring.field, tuple(amb.labels[j] for j in idx))
-            got = (coset, proj, piece)
-            self._quots[d] = got
-        return got
-
-    def include(self, d: int) -> Mat:
-        return self._realize(d)[0]
-
-    def project(self, d: int) -> Mat:
-        return self._realize(d)[1]
-
-    def _piece(self, d: int) -> GradedPiece:
-        return self._realize(d)[2]
-
-    def _act(self, var: int, d: int) -> Mat:
-        return self._realize(d + 1)[1] @ (self.ambient.act(var, d) @ self.include(d))
-
-
 def kernel_dw(f: GradedModuleMap) -> DegreewiseModule:
     """The degreewise kernel of f, as a module with induced actions."""
     return _BasisBackedModule(
@@ -911,41 +857,6 @@ def kernel_dw(f: GradedModuleMap) -> DegreewiseModule:
         name=f"ker({f.name})",
         label_tag="ker",
     )
-
-
-def image_dw(f: GradedModuleMap) -> DegreewiseModule:
-    """The degreewise image of f inside its target."""
-
-    def basis_fn(d: int) -> Mat:
-        m = f.matrix(d)
-        _, pivots = rref(m)
-        return m.take_cols(pivots)
-
-    return _BasisBackedModule(
-        f.target.ring, f.target, basis_fn, name=f"im({f.name})", label_tag="im"
-    )
-
-
-def cokernel_dw(f: GradedModuleMap) -> DegreewiseModule:
-    """The degreewise cokernel of f."""
-    return _QuotientModule(
-        f.target.ring, f.target, lambda d: f.matrix(d), name=f"coker({f.name})"
-    )
-
-
-def hom_piece(m: FPGradedModule, n: DegreewiseModule, d: int) -> GradedPiece:
-    """Hom(m, n)_d: tuples of elements b_i in n_{e_i + d} killing all relations."""
-    field = n.ring.field
-    col_dims = [n.piece(e + d).dim for e in m.gen_degrees]
-    row_dims = []
-    blocks = {}
-    for k, (entries, c) in enumerate(m.relations):
-        row_dims.append(n.piece(c + d).dim)
-        for i, p in enumerate(entries):
-            if p is not None:
-                blocks[k, i] = n.poly_act(p, m.gen_degrees[i] + d)
-    k = kernel_basis(Mat.block(field, blocks, row_dims, col_dims))
-    return GradedPiece(field, tuple(("hom", j) for j in range(k.ncols)))
 
 
 class _TensorRealization:
@@ -985,10 +896,6 @@ def tensor_realization(m: FPGradedModule, n: DegreewiseModule, d: int) -> _Tenso
     coset, _proj, idx = _quotient_with_indices(rel, len(free_labels))
     piece = GradedPiece(field, tuple(free_labels[j] for j in idx))
     return _TensorRealization(piece, coset, rel)
-
-
-def tensor_piece(m: FPGradedModule, n: DegreewiseModule, d: int) -> GradedPiece:
-    return tensor_realization(m, n, d).piece
 
 
 class _DirectSum(DegreewiseModule):

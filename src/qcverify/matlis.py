@@ -6,11 +6,11 @@ multiplication (contraction).  E is the injective hull of the residue
 field in the category of graded modules, and dualizing against it is,
 degreewise, plain vector-space duality: (M^v)_d = (M_{-d})^v.
 
-On the glued scheme this feeds the one-sided dual functor
-(-)^+ = pushforward from U of the dualized U-sections.  Applying it
-twice and taking sections over the other patch V is exactly the
-computation that exhibits non-exactness: a short exact sequence of
-sheaves whose bidual V-sections form only a left exact sequence.
+On the glued scheme this gives the one-sided dual S^+, the pushforward
+from U of the dualized U-patch module.  Applying it twice and taking
+sections over the other patch V is exactly the computation that
+exhibits non-exactness: a short exact sequence of sheaves whose bidual
+V-sections form only a left exact sequence.
 
 Infinite products such as power series rings never appear as objects;
 every statement here is per degree, where the finite-dimensional pieces
@@ -38,21 +38,13 @@ from .graded_modules import (
     PolyRing,
     free_module,
 )
-from .glued_scheme import (
-    ExactnessReport,
-    QcohSheafOnX,
-    SheafMap,
-    direct_image_from_U,
-    sequence_report,
-)
+from .glued_scheme import ExactnessReport, SheafMap, exactness_tables, sequence_report
 
 __all__ = [
     "DualizedModule",
     "injective_hull",
     "matlis_dual",
     "matlis_dual_map",
-    "plus_functor",
-    "plus_functor_map",
     "BidualReport",
     "bidual_pipeline",
 ]
@@ -148,28 +140,6 @@ def injective_hull(ring: PolyRing) -> DualizedModule:
     return DualizedModule(free_module(ring, name="R"), name="E")
 
 
-def plus_functor(s: QcohSheafOnX) -> QcohSheafOnX:
-    """The sheaf s^+: the pushforward from U of the dualized U-sections.
-
-    Its U-patch is dual(s.m_U) and its V-patch is the W-sections of that
-    dual with the induced actions, over the window and cap policy of s.
-    """
-    return direct_image_from_U(
-        s.scheme, matlis_dual(s.m_U), window=s.window, policy=s.policy,
-        name=f"{s.name}+",
-    )
-
-
-def plus_functor_map(f: SheafMap, source_plus: QcohSheafOnX,
-                     target_plus: QcohSheafOnX, name: str | None = None) -> SheafMap:
-    """The induced map (f.target)^+ -> (f.source)^+ between already
-    constructed plus-sheaves (contravariant); matlis_dual_map refuses
-    plus-sheaves of other modules."""
-    u = matlis_dual_map(f.u_U, source=source_plus.m_U, target=target_plus.m_U)
-    return SheafMap.direct_image(source_plus, target_plus, u,
-                                 name=name or f"{f.name}+")
-
-
 class BidualReport:
     """Result of the double-dual pipeline on a short exact sequence.
 
@@ -201,6 +171,19 @@ def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
     (kernel, homology and cokernel all zero); raises ValueError
     otherwise, because the pipeline's verdicts are only meaningful for
     an honest short exact sequence.
+
+    The one-sided dual is S^+ = push(dual(S_U)), the pushforward from U
+    of the dualized U-patch module, and a map goes to the pushforward of
+    its dual.  So C+ -> B+ -> A+ over U is dual(g_U), dual(f_U), over the
+    window of C.  Twice: A++ = push(dual(dual(A_U))) = push(A_U), since
+    the dual of a dual is its origin (see matlis_dual), and f++ is the
+    pushforward of f_U itself, its matrices being transposes of
+    transposes.  The V-sections of a pushforward are the W-sections of
+    the module it pushes, Gamma(V, push N) = Gamma(W, ~N), with induced
+    maps.  So A++ -> B++ -> C++ over V is Gamma(W, A) -> Gamma(W, B) ->
+    Gamma(W, C) under the maps f and g induce, over the window of A:
+    no sheaf is built, and the W-sections are those every other check on
+    A, B and C reads.
     """
     base = sequence_report(f, g, "U")
     if base.verdict != "exact":
@@ -208,19 +191,8 @@ def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
             "bidual pipeline needs a sequence that is short exact over U; got "
             + base.verdict
         )
-
-    a, b, c = f.source, f.target, g.target
-    a_p = plus_functor(a)
-    b_p = plus_functor(b)
-    c_p = plus_functor(c)
-    g_p = plus_functor_map(g, c_p, b_p)
-    f_p = plus_functor_map(f, b_p, a_p)
-    plus_u = sequence_report(g_p, f_p, "U")
-
-    a_pp = plus_functor(a_p)
-    b_pp = plus_functor(b_p)
-    c_pp = plus_functor(c_p)
-    f_pp = plus_functor_map(f_p, a_pp, b_pp)
-    g_pp = plus_functor_map(g_p, b_pp, c_pp)
-    bidual_v = sequence_report(f_pp, g_pp, "V")
+    plus_u = exactness_tables(matlis_dual_map(g.u_U), matlis_dual_map(f.u_U),
+                              g.target.window, "U")
+    bidual_v = exactness_tables(f.on_sections("W"), g.on_sections("W"),
+                                f.source.window, "V")
     return BidualReport(plus_u, bidual_v)

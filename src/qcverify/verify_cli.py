@@ -62,6 +62,7 @@ from .graded_modules import (
     NonHomogeneousError,
     PolyRing,
     RelationNotKilled,
+    _VARIABLE_NAME,
     free_module,
     map_from_gen_images,
 )
@@ -284,6 +285,11 @@ def parse_scenario(text: str, name: str = "scenario",
                 raise ParseError("no variables listed", lineno)
             if len(set(variables)) != len(variables):
                 raise ParseError("variables must be distinct", lineno)
+            for var in variables:
+                if not _VARIABLE_NAME.fullmatch(var):
+                    raise ParseError(
+                        f"variable name {var!r} is not an identifier "
+                        f"({_VARIABLE_NAME.pattern})", lineno)
         else:
             try:
                 file_field = _parse_field_spec(v)

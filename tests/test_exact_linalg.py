@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcverify import FieldSpec, Mat, image_quotient, kernel_basis, rref, solve
+from qcverify import FieldSpec, Mat, kernel_basis, rref, solve
 from qcverify.exact_linalg import _quotient_with_indices, rank
 
 Q = FieldSpec.rationals()
@@ -78,7 +78,7 @@ def test_transpose_and_stacks():
     assert a.transpose().transpose() == a
     h = a.hstack(b)
     assert h.ncols == 3 and h.entry(0, 2) == 5
-    v = a.vstack(mat([[7, 8]]))
+    v = Mat.block(Q, {(0, 0): a, (1, 0): mat([[7, 8]])})
     assert v.nrows == 3 and v.entry(2, 1) == 8
 
 
@@ -88,18 +88,13 @@ def test_take_cols():
     assert t == mat([[3, 1], [6, 4]])
 
 
-def test_row_support_matches_dense_scan():
-    a = mat([[0, 2, 0], [1, 0, -1], [0, 0, 0]])
-    assert a.row_support() == [((1, Fraction(2)),), ((0, Fraction(1)), (2, Fraction(-1))), ()]
-
-
 def test_product_support_drops_cancellations():
     # the (1,1)+(1,-1) pattern cancels; propagated support must not keep a zero
     a = mat([[1, 1], [0, 2]])
     b = mat([[1], [-1]])
     p = a @ b
     assert p == mat([[0], [-2]])
-    assert p.row_support() == [(), ((0, Fraction(-2)),)]
+    assert p.data == ({}, {0: Fraction(-2)})
 
 
 # --- rref / rank / kernel ------------------------------------------------
@@ -133,16 +128,18 @@ def test_solve_consistent_and_inconsistent():
 
 def test_image_quotient_splits_dimensions():
     sub = mat([[1, 0], [0, 1], [0, 0]])
-    coset, proj = image_quotient(sub, 3)
+    coset, proj, idx = _quotient_with_indices(sub, 3)
     assert proj.nrows == 1 and proj.ncols == 3
     assert (proj @ sub).is_zero()
     assert proj @ coset == Mat.identity(Q, 1)
+    assert idx == (2,)
 
 
 def test_image_quotient_of_zero_subspace():
-    coset, proj = image_quotient(Mat.zeros(Q, 3, 0), 3)
+    coset, proj, idx = _quotient_with_indices(Mat.zeros(Q, 3, 0), 3)
     assert coset == Mat.identity(Q, 3)
     assert proj == Mat.identity(Q, 3)
+    assert idx == (0, 1, 2)
 
 
 # --- property tests ------------------------------------------------------
@@ -217,7 +214,8 @@ def block_grids(draw):
 
 
 def folded(field, blocks, row_dims, col_dims) -> Mat:
-    """The same grid assembled by hstack within block rows, then vstack."""
+    """The same grid assembled by hstack within block rows, then by
+    concatenating the rows of the block rows."""
     out = None
     for i, r in enumerate(row_dims):
         row = None
@@ -226,7 +224,8 @@ def folded(field, blocks, row_dims, col_dims) -> Mat:
             if b is None:
                 b = Mat.zeros(field, r, c)
             row = b if row is None else row.hstack(b)
-        out = row if out is None else out.vstack(row)
+        out = row if out is None else Mat(field, out.nrows + row.nrows, row.ncols,
+                                          out.data + row.data)
     return out
 
 
@@ -303,7 +302,7 @@ def quotient_inputs(draw):
 @settings(max_examples=80, deadline=None)
 def test_quotient_dimensions_add_up(sub):
     n = sub.nrows
-    coset, proj = image_quotient(sub, n)
+    coset, proj, _ = _quotient_with_indices(sub, n)
     q = n - rank(sub)
     assert proj.nrows == q and coset.ncols == q
     assert (proj @ sub).is_zero()
@@ -331,17 +330,17 @@ def test_every_operation_keeps_rows_sparse(inputs, s):
     i_n, i_m = Mat.identity(field, n), Mat.identity(field, m)
     results = [
         i_n, i_n + a @ a.transpose(), i_n - b @ a.transpose(), i_n.scale(field.of_int(s)),
-        -i_n, i_n @ a, a @ i_m, a.hstack(i_n), i_m.vstack(a),
+        -i_n, i_n @ a, a @ i_m, a.hstack(i_n), Mat.block(field, {(0, 0): i_m, (1, 0): a}),
         Mat.block(field, {(0, 0): i_n, (0, 1): a, (1, 1): i_m}, [n, m], [n, m]),
-        rref(i_n)[0], rref(a.hstack(i_n))[0], rref(a.vstack(i_m))[0],
+        rref(i_n)[0], rref(a.hstack(i_n))[0], rref(Mat.block(field, {(0, 0): a, (1, 0): i_m}))[0],
         kernel_basis(i_n), kernel_basis(a.hstack(i_n)), solve(i_n, a), solve(a.hstack(i_n), b),
     ]
     results += [
         a, a + b, a - b, a - a, a + a.scale(field.of_int(-1)), -a,
-        a.scale(field.of_int(s)), a @ c, a.hstack(b), a.vstack(b),
+        a.scale(field.of_int(s)), a @ c, a.hstack(b), Mat.block(field, {(0, 0): a, (1, 0): b}),
         Mat.block(field, {(0, 0): a, (0, 1): a @ c, (1, 0): b}, [n, n], [m, c.ncols]),
         a.transpose(), a.take_cols(list(range(m))[::-1]), a.take_rows(n // 2, n),
-        rref(a)[0], kernel_basis(a), image_quotient(a, n)[0], image_quotient(a, n)[1],
+        rref(a)[0], kernel_basis(a), *_quotient_with_indices(a, n)[:2],
     ]
     x = solve(a, b.take_cols(list(range(min(m, 1)))))
     if x is not None:

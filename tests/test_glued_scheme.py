@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from qcverify import (
     BufferTooSmall,
     FPGradedModule,
+    GradedModuleMap,
     HomogPoly,
     Mat,
     QcohSheafOnX,
@@ -55,7 +56,7 @@ def ideal_inclusion(scheme, ideal_fp, o_fp, x, y, window=WINDOW):
 
 
 def test_structure_sheaf_sections_on_x(scheme):
-    s = scheme.structure_sheaf(window=WINDOW)
+    s = glued(scheme, free_module(scheme.ring))
     got = [sheaf_sections(s, "X").piece(d).dim for d in range(-3, 5)]
     assert got == [0, 0, 0, 1, 2, 3, 4, 5]
 
@@ -86,7 +87,7 @@ def test_identity_gluing_requires_shared_module(scheme, o_fp):
 
 
 def test_unknown_open_rejected(scheme):
-    s = scheme.structure_sheaf(window=WINDOW)
+    s = glued(scheme, free_module(scheme.ring))
     with pytest.raises(ValueError):
         sheaf_sections(s, "Y")
 
@@ -109,7 +110,7 @@ def test_ideal_sheaf_is_obstructed_at_degree_zero(scheme, ideal_fp):
 
 
 def test_structure_sheaf_is_unobstructed(scheme):
-    cert = flat_quotient_obstruction(scheme.structure_sheaf(window=(-2, 3)))
+    cert = flat_quotient_obstruction(glued(scheme, free_module(scheme.ring), window=(-2, 3)))
     assert cert.obstructed_degrees == ()
     assert cert.verdict == "no-obstruction-in-window"
 
@@ -333,7 +334,8 @@ def test_twist_sequence_left_exact_only_on_w(scheme, kx_fp, y):
 
 def test_non_complex_is_reported(scheme, o_fp):
     s = glued(scheme, o_fp)
-    ident = SheafMap.glued(s, s, __import__("qcverify").GradedModuleMap.identity(o_fp))
+    ident = SheafMap.glued(s, s, GradedModuleMap(
+        o_fp, o_fp, lambda d: Mat.identity(o_fp.ring.field, o_fp.piece(d).dim)))
     rep = sequence_report(ident, ident, "U")
     assert rep.verdict == "not-exact"
     assert not rep.complex_ok and "not-a-complex" in rep.flags

@@ -7,13 +7,17 @@ underlying module that can be checked by hand.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcverify import (
     DualizedModule,
+    FPGradedModule,
     GradedModuleMap,
     SheafMap,
     QcohSheafOnX,
+    SectionsModule,
     bidual_pipeline,
+    direct_image_from_U,
     double_origin_plane,
     exactness_tables,
     free_module,
@@ -21,15 +25,15 @@ from qcverify import (
     map_from_gen_images,
     matlis_dual,
     matlis_dual_map,
-    plus_functor,
-    plus_functor_map,
+    sections_induced_map,
     sections_window,
+    sequence_report,
     verify_action_commutation,
     verify_naturality,
 )
 from qcverify.exact_linalg import rank
 from qcverify.graded_modules import ALL_TORSION
-from test_graded_modules import fp_modules
+from test_graded_modules import FIELDS, RINGS, fp_modules, homog_polys
 
 WINDOW = (-4, 4)
 
@@ -165,13 +169,12 @@ def test_dual_map_mirrors_ranks(ring, kx_fp, y):
 
 def test_dual_map_contravariant(ring, kx_fp, y):
     _, _, f, g = twist_sequence(ring, kx_fp, y)
-    gf = g.compose(f)
+    gf = GradedModuleMap(f.source, g.target, lambda d: g.matrix(d) @ f.matrix(d))
     dual_of_composite = matlis_dual_map(gf)
-    composite_of_duals = matlis_dual_map(f, target=matlis_dual(f.source)).compose(
-        matlis_dual_map(g, source=matlis_dual(g.target))
-    )
+    df = matlis_dual_map(f, target=matlis_dual(f.source))
+    dg = matlis_dual_map(g, source=matlis_dual(g.target))
     for d in range(-3, 4):
-        assert dual_of_composite.matrix(d) == composite_of_duals.matrix(d)
+        assert dual_of_composite.matrix(d) == df.matrix(d) @ dg.matrix(d)
 
 
 def test_dual_map_endpoint_validation(ring, kx_fp, y):
@@ -215,40 +218,46 @@ def test_dualizing_flips_exactness(ring, kx_fp, y):
     assert backward.verdict == "exact"
 
 
-# --- the plus functor and the bidual run -----------------------------------------
+# --- the bidual run ----------------------------------------------------------
 
 
-def test_plus_of_structure_sheaf(scheme):
-    o = scheme.structure_sheaf(window=WINDOW)
-    plus = plus_functor(o)
+def test_the_injective_hull_has_no_w_sections(scheme):
+    # O+ = push(E): the hull is torsion, so O+ has no V-sections; and
+    # O++ = push(O), whose V-sections are Gamma(W, O)
     e = injective_hull(scheme.ring)
+    s_e = sections_window(e, scheme.overlap, WINDOW)
+    s_o = sections_window(matlis_dual(e), scheme.overlap, WINDOW)
     for d in range(-4, 5):
-        assert plus.m_U.piece(d).dim == e.piece(d).dim
-        assert plus.m_V.piece(d).dim == 0  # the hull is torsion: no W-sections
-    plusplus = plus_functor(plus)
-    for d in range(-4, 5):
-        assert plusplus.m_U.piece(d).dim == o.m_U.piece(d).dim
-        assert plusplus.m_V.piece(d).dim == (d + 1 if d >= 0 else 0)
+        assert s_e.piece(d).dim == 0
+        assert s_o.piece(d).dim == (d + 1 if d >= 0 else 0)
 
 
-def test_plus_map_validation(scheme, kx_fp):
-    o = scheme.structure_sheaf(window=WINDOW)
-    k = QcohSheafOnX.glued(scheme, kx_fp, window=WINDOW)
-    g = SheafMap.glued(o, k, map_from_gen_images(
-        o.m_U, kx_fp, [kx_fp.gen_element(0)]
-    ))
-    o_plus = plus_functor(o)
-    with pytest.raises(ValueError):
-        plus_functor_map(g, o_plus, o_plus)
+def reference_bidual_over_v(f: SheafMap, g: SheafMap):
+    """A++ -> B++ -> C++ over V, built as sheaves: each S++ is the
+    pushforward of an explicit DualizedModule(DualizedModule(S_U)), and
+    each map's U-matrices are transposes of transposes of the original's,
+    with V-maps induced on the V-sections."""
+    def plusplus(s):
+        dd = DualizedModule(DualizedModule(s.m_U))
+        return direct_image_from_U(s.scheme, dd, window=s.window, policy=s.policy)
+
+    def plusplus_map(u, src, tgt):
+        m = GradedModuleMap(src.m_U, tgt.m_U,
+                            lambda d: u.u_U.matrix(d).transpose().transpose())
+        return SheafMap(src, tgt, m, sections_induced_map(m, src.m_V, tgt.m_V))
+
+    a, b, c = plusplus(f.source), plusplus(f.target), plusplus(g.target)
+    return sequence_report(plusplus_map(f, a, b), plusplus_map(g, b, c), "V")
+
+
+def glued_sequence(scheme, a, b, c, f_mod, g_mod, window=WINDOW):
+    sa, sb, sc = (QcohSheafOnX.glued(scheme, m, window=window) for m in (a, b, c))
+    return SheafMap.glued(sa, sb, f_mod), SheafMap.glued(sb, sc, g_mod)
 
 
 def test_bidual_pipeline_detects_lost_exactness(scheme, kx_fp, y):
     src, tgt, f_mod, g_mod = twist_sequence(scheme.ring, kx_fp, y)
-    a = QcohSheafOnX.glued(scheme, src, window=WINDOW)
-    b = QcohSheafOnX.glued(scheme, tgt, window=WINDOW)
-    c = QcohSheafOnX.glued(scheme, kx_fp, window=WINDOW)
-    f = SheafMap.glued(a, b, f_mod)
-    g = SheafMap.glued(b, c, g_mod)
+    f, g = glued_sequence(scheme, src, tgt, kx_fp, f_mod, g_mod)
 
     report = bidual_pipeline(f, g)
     assert report.plus_over_U.verdict == "exact"
@@ -257,6 +266,38 @@ def test_bidual_pipeline_detects_lost_exactness(scheme, kx_fp, y):
     assert all(x == 0 for x in v.kernel.values())
     assert all(x == 0 for x in v.homology.values())
     assert v.cokernel == {d: (1 if d < 0 else 0) for d in range(-4, 5)}
+    assert v == reference_bidual_over_v(f, g)
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=12, deadline=None)
+def test_bidual_over_v_matches_the_sheaf_construction(field, data):
+    # A -p-> O -> O/(p) for a random nonzero form p of degree 1 or 2
+    ring = RINGS[field]
+    deg = data.draw(st.integers(1, 2))
+    p = data.draw(homog_polys(ring, deg).filter(lambda q: not q.is_zero()))
+    a = free_module(ring, (deg,), name="A")
+    o = free_module(ring, (0,), name="O")
+    c = FPGradedModule(ring, (0,), ((p,),), name="C")
+    f_mod = map_from_gen_images(a, o, [o.poly_act(p, 0) @ o.gen_element(0)])
+    g_mod = map_from_gen_images(o, c, [c.gen_element(0)])
+    f, g = glued_sequence(double_origin_plane(ring), a, o, c, f_mod, g_mod, window=(-2, 2))
+    assert bidual_pipeline(f, g).bidual_over_V == reference_bidual_over_v(f, g)
+
+
+def test_bidual_pipeline_builds_no_sheaf_and_no_dual_sections(scheme, kx_fp, y, monkeypatch):
+    src, tgt, f_mod, g_mod = twist_sequence(scheme.ring, kx_fp, y)
+    f, g = glued_sequence(scheme, src, tgt, kx_fp, f_mod, g_mod)
+    built = []
+    for cls in (QcohSheafOnX, SheafMap, SectionsModule):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    bidual_pipeline(f, g)
+    assert not [x for x in built if not isinstance(x, SectionsModule)]
+    assert not [x for x in built if isinstance(x.base, DualizedModule)]
 
 
 def test_bidual_pipeline_requires_exact_input(scheme, kx_fp, y):
@@ -267,10 +308,6 @@ def test_bidual_pipeline_requires_exact_input(scheme, kx_fp, y):
     img = tgt.poly_act(y * y, 0) @ tgt.gen_element(0)
     f_mod = map_from_gen_images(src, tgt, [img])
     g_mod = map_from_gen_images(tgt, kx_fp, [kx_fp.gen_element(0)])
-    a = QcohSheafOnX.glued(scheme, src, window=WINDOW)
-    b = QcohSheafOnX.glued(scheme, tgt, window=WINDOW)
-    c = QcohSheafOnX.glued(scheme, kx_fp, window=WINDOW)
-    f = SheafMap.glued(a, b, f_mod)
-    g = SheafMap.glued(b, c, g_mod)
+    f, g = glued_sequence(scheme, src, tgt, kx_fp, f_mod, g_mod)
     with pytest.raises(ValueError):
         bidual_pipeline(f, g)

@@ -531,12 +531,31 @@ def test_main_rejects_an_unknown_variable(tmp_path, capsys, text, bad):
 @pytest.mark.parametrize("line, message", [
     ("variables = x, x", "variables must be distinct"),
     ("variables =", "no variables listed"),
-], ids=["repeated", "empty"])
+    # names the polynomial tokenizer cannot read back as one variable
+    ("variables = 1, 2", "variable name '1' is not an identifier"),
+    ("variables = x y, z", "variable name 'x y' is not an identifier"),
+    ("variables = x*y, z", "variable name 'x*y' is not an identifier"),
+    ("variables = -x, y", "variable name '-x' is not an identifier"),
+    ("variables = a;b, y", "variable name 'a;b' is not an identifier"),
+    ("variables = x^2, y", "variable name 'x^2' is not an identifier"),
+    ("variables = x, \u03be", "variable name '\u03be' is not an identifier"),
+], ids=["repeated", "empty", "digits", "space", "product", "sign", "semicolon",
+        "power", "non-ascii"])
 def test_main_rejects_bad_variables_with_a_line(tmp_path, capsys, line, message):
     f = tmp_path / "vars.qcv"
     f.write_text(HEAD.replace("variables = x, y", line) + "[check h1 O]\n")
     assert main(["run", str(f)]) == 3
     assert f"line 2: {message}" in capsys.readouterr().err
+
+
+def test_identifier_variable_names_parse():
+    # the punctured plane in other names: H^1 of O starts in degree -2
+    for names in (("x_1", "X2"), ("_t", "x_1")):
+        text = (HEAD.replace("variables = x, y", "variables = " + ", ".join(names))
+                .replace("overlap = x, y", "overlap = " + ", ".join(names))
+                + "[check h1 O]\n")
+        rep = run_text(text)
+        assert rep.checks[0].tables["h1"] == {"-2": 1, "-1": 0, "0": 0, "1": 0, "2": 0}
 
 
 def test_main_rejects_bad_den_cap(capsys):
