@@ -30,6 +30,7 @@ from .localization_cech import (
     H1Result,
     OpenSubset,
     SectionsModule,
+    _cochain_apply,
     _stabilize,
     h1_window,
     restriction_to_sections,
@@ -321,30 +322,15 @@ def _structure_sections(sections_o: SectionsModule | None, cover: OpenSubset, wi
     return sections_o
 
 
-def _generator_multiples(fp: FPGradedModule, i: int, deg_o, pieces_m) -> Mat:
-    """The C^0 vectors of a * gen_i over pieces_m, one column per H^0 basis
-    column a of deg_o.
-
-    deg_o is a Cech degree of O at some cap c and pieces_m are fp's
-    level-0 pieces at the same cap.  On D(f_j), a = n_j / f_j^c, so
-    a * gen_i = (n_j * gen_i) / f_j^c lands at cap c as well: the numerator
-    is one column selection of fp.gen_mult per piece."""
-    basis = deg_o.h0_basis()
-    blocks = {}
-    for j, (lp_o, lp_m) in enumerate(zip(deg_o.levels[0], pieces_m)):
-        off = deg_o.offsets[0][j]
-        numer = lp_o.incl @ basis.take_rows(off, off + lp_o.dim)
-        blocks[j, 0] = lp_m.proj @ (fp.gen_mult(i, lp_o.num_degree) @ numer)
-    return Mat.block(fp.ring.field, blocks, [lp.dim for lp in pieces_m], [basis.ncols])
-
-
 def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW,
                          policy: CapPolicy | None = None,
                          sections_o: SectionsModule | None = None) -> DefectTable:
     """Defect of the comparison map from tensored global sections.
 
     For each window degree the canonical map (F (x) Gamma(W,O))_d ->
-    Gamma(W, ~F)_d sends gen_i (x) a to a * res(gen_i).  Free modules have
+    Gamma(W, ~F)_d sends gen_i (x) a to a * res(gen_i): on D(f_j),
+    a = n_j / f_j^c, so a * gen_i = (n_j * gen_i) / f_j^c, one column
+    selection of f.gen_mult on the numerators at O's cap.  Free modules have
     zero defect; a nonzero entry certifies that restriction and tensoring
     do not commute for F over W.
     """
@@ -364,10 +350,7 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
             src_dim = s_o.piece(d - e).dim
             col_dims.append(src_dim)
             if src_dim and tgt_dim:
-                ro = s_o._realize(d - e)
-                pieces_f = [s_f._loc(j, d, ro.cap) for j in range(w.n)]
-                vecs = _generator_multiples(f, i, ro.cech, pieces_f)
-                blocks[0, i] = s_f._express(d, vecs, ro.cap)
+                blocks[0, i] = s_o._map_into(d - e, s_f, d, lambda j, a: f.gen_mult(i, a))
         free_map = Mat.block(field, blocks, [tgt_dim], col_dims)
         if t.rel_matrix.ncols and not (free_map @ t.rel_matrix).is_zero():
             raise ArithmeticError(
@@ -439,10 +422,13 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
         for d in range(lo, hi + 1):
             deg_m = cm.degree(d)
             a = deg_m.h0_basis()
-            p_mat = Mat.block(field, {
-                (0, i): _generator_multiples(fp, i, co.degree(d - e), deg_m.levels[0])
-                for i, e in enumerate(fp.gen_degrees)
-            })
+            blocks = {}
+            for i, e in enumerate(fp.gen_degrees):
+                deg_o = co.degree(d - e)
+                # a * gen_i for each a in the H^0 basis of O; see flat_sections_defect
+                blocks[0, i] = _cochain_apply(deg_o.levels[0], deg_m.levels[0],
+                                              lambda j, b: fp.gen_mult(i, b), deg_o.h0_basis())
+            p_mat = Mat.block(field, blocks)
             if rank(a.hstack(p_mat)) != a.ncols:
                 raise ArithmeticError(
                     f"a generator multiple is not a section in degree {d} at cap {cap}"
@@ -547,22 +533,16 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         raise ArithmeticError("witness candidate is a coboundary")
 
     pieces = cech.levels[1]
-    pairs = list(_level1_subsets(w))
+    pairs = list(combinations(range(w.n), 2))
     # re-verify at the next cap: a stable class must survive the lift.  At a
     # proven cap the lift is an isomorphism on H^1, so there is nothing to see
     if len(h1.sections._caps(found)) > 1:
-        cap2 = cap + h1.sections.policy.step
-        cech2 = h1.sections.complexes[cap2].degree(found)
-        lifted_blocks = {}
-        pos = 0
-        for k, lp in enumerate(pieces):
-            block = witness.take_rows(pos, pos + lp.dim)
-            pos += lp.dim
-            f_s = w.product(pairs[k])
-            lifted_blocks[k, 0] = cech2.levels[1][k].proj @ (
-                module.power_act(f_s, cap2 - cap, lp.num_degree) @ (lp.incl @ block)
-            )
-        lifted = Mat.block(field, lifted_blocks)
+        step = h1.sections.policy.step
+        cech2 = h1.sections.complexes[cap + step].degree(found)
+        lifted = _cochain_apply(
+            pieces, cech2.levels[1],
+            lambda k, a: module.power_act(w.product(pairs[k]), step, a), witness,
+        )
         d0_next = cech2.diffs[0]
         if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
             raise ArithmeticError("witness class dies at the next cap")
@@ -584,10 +564,6 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         f"{c}: {r}" for c, r in zip(comps, reps)
     )
     return NonaffineWitness(found, representative, tuple(comps), cap, witness)
-
-
-def _level1_subsets(w: OpenSubset):
-    return combinations(range(w.n), 2)
 
 
 def _component_string(module: DegreewiseModule, labels, numer_col: Mat,

@@ -77,7 +77,7 @@ class RelationNotKilled(ValueError):
 class PolyRing:
     """k[x_1..x_n] with the standard grading (every variable in degree 1)."""
 
-    __slots__ = ("field", "variables", "_monos", "_mono_index")
+    __slots__ = ("field", "variables", "_monos")
 
     def __init__(self, field: FieldSpec, variables):
         variables = tuple(variables)
@@ -86,7 +86,6 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self._monos: dict[int, tuple] = {}
-        self._mono_index: dict[int, dict] = {}
 
     def var_poly(self, i: int) -> "HomogPoly":
         return HomogPoly.variable(self, i)
@@ -117,17 +116,12 @@ class PolyRing:
 
         result = tuple(gen(d, self.nvars))
         self._monos[d] = result
-        self._mono_index[d] = {m: i for i, m in enumerate(result)}
         return result
 
     def dim(self, d: int) -> int:
         if d < 0:
             return 0
         return comb(d + self.nvars - 1, self.nvars - 1)
-
-    def mono_index(self, d: int, mono) -> int:
-        self.monomials(d)
-        return self._mono_index[d][mono]
 
     def var_index(self, name: str) -> int:
         try:
@@ -655,16 +649,12 @@ class FPGradedModule(DegreewiseModule):
         if not f.is_monomial():
             return None
         # monomial quotient: every relation column touches one generator
-        # with a single term; then (0 : f^inf) = (0 : f^T) with T the
-        # largest exponent appearing in the relation monomials
-        top = 0
+        # with a single term; fine_grading bounds its f-torsion
         for entries, _ in self.relations:
             nonzero = [p for p in entries if p is not None]
             if len(nonzero) != 1 or not nonzero[0].is_monomial():
                 return None
-            mono = next(iter(nonzero[0].terms))
-            top = max(top, max(mono))
-        return max(1, top)
+        return self.fine_grading().power(next(iter(f.terms)))
 
     def fine_grading(self) -> FineGrading | None:
         """The bounds of a Z^n-grading when the presentation is

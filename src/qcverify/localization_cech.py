@@ -24,9 +24,11 @@ the dimensions are unchanged for two consecutive increments, give up
 (CapExhausted) after five escalations.  Both report the same cap, so a
 proven degree reads exactly as an escalated one that settled at its
 start.  Sections over the cover then become an ordinary
-DegreewiseModule whose elements can be restricted to, acted on by
-variables and expressed from C^0 vectors given at any cap, with all
-cross-cap bookkeeping handled here.
+DegreewiseModule whose elements can be restricted to and expressed from
+C^0 vectors given at any cap.  Every map given on numerators (a variable
+action, an induced map, a lift to a larger cap, a * gen_i) carries
+cochains through _cochain_apply, the one place that builds
+proj @ numerator map @ incl.
 """
 
 from __future__ import annotations
@@ -216,14 +218,30 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     return LocalizedPiece(d, cap, num_degree, status, piece, coset, proj)
 
 
+def _cochain_apply(pieces_from, pieces_to, numer, vecs: Mat) -> Mat:
+    """Carry cochains through a map given on numerators.
+
+    vecs stacks one block of rows per piece of pieces_from; block k goes
+    to tgt.proj @ numer(k, src.num_degree) @ src.incl @ block, stacked
+    over pieces_to.  The map is applied to the vectors first, so no
+    product the size of a whole piece is built.
+    """
+    blocks = {}
+    pos = 0
+    for k, (src, tgt) in enumerate(zip(pieces_from, pieces_to)):
+        rows = vecs.take_rows(pos, pos + src.dim)
+        pos += src.dim
+        blocks[k, 0] = tgt.proj @ (numer(k, src.num_degree) @ (src.incl @ rows))
+    return Mat.block(vecs.field, blocks)
+
+
 class _CechDegree:
     """All realized pieces and differentials of the complex in one degree."""
 
-    __slots__ = ("levels", "offsets", "diffs", "n", "field", "_h0_basis")
+    __slots__ = ("levels", "diffs", "n", "field", "_h0_basis")
 
-    def __init__(self, levels, offsets, diffs, n, field):
+    def __init__(self, levels, diffs, n, field):
         self.levels = levels
-        self.offsets = offsets
         self.diffs = diffs
         self.n = n
         self.field = field
@@ -291,20 +309,11 @@ class CechComplexWindow:
             return got
         field = self.module.ring.field
         n = self.cover.n
-        levels = []
-        offsets = []
-        for k in range(n):
-            pieces = [
-                localize_piece(self.module, self.cover.product(S), d, self.cap)
-                for S in self._subsets[k]
-            ]
-            offs = []
-            acc = 0
-            for p in pieces:
-                offs.append(acc)
-                acc += p.dim
-            levels.append(pieces)
-            offsets.append(offs)
+        levels = [
+            [localize_piece(self.module, self.cover.product(S), d, self.cap)
+             for S in self._subsets[k]]
+            for k in range(n)
+        ]
         diffs = []
         for k in range(n - 1):
             src_pieces, tgt_pieces = levels[k], levels[k + 1]
@@ -330,7 +339,7 @@ class CechComplexWindow:
                 raise ArithmeticError(
                     f"Cech differential square is nonzero in degree {d} at cap {self.cap}"
                 )
-        got = _CechDegree(levels, offsets, diffs, n, field)
+        got = _CechDegree(levels, diffs, n, field)
         self._degrees[d] = got
         return got
 
@@ -364,11 +373,10 @@ def cech_complex(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WIN
 
 
 class _SecPiece:
-    __slots__ = ("cap", "cech", "basis", "piece", "certified")
+    __slots__ = ("cap", "basis", "piece", "certified")
 
-    def __init__(self, cap, cech, basis, piece, certified):
+    def __init__(self, cap, basis, piece, certified):
         self.cap = cap
-        self.cech = cech
         self.basis = basis
         self.piece = piece
         self.certified = certified
@@ -459,11 +467,12 @@ class SectionsModule(DegreewiseModule):
     """Gamma(W, ~M) as a degreewise module, W a union of distinguished opens.
 
     Each piece is the degree-d Cech H^0 at a per-degree cap, proven or
-    stabilized (see _caps).  Variable actions, restriction from M and
-    induced maps re-express their results across caps by lifting numerators (multiplying by
-    powers of the denominators) and solving exactly in the stabilized
-    basis; a failed solve means a cap lied and raises CapExhausted rather
-    than guessing.
+    stabilized (see _caps).  A map given on numerators (variable actions,
+    induced maps) is applied to the H^0 basis at its cap by _map_into;
+    its result, like restriction from M, is re-expressed in the target's
+    basis by lifting both to a common cap (multiplying numerators by
+    powers of the denominators) and solving exactly; a failed solve means
+    a cap lied and raises CapExhausted rather than guessing.
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
@@ -475,7 +484,6 @@ class SectionsModule(DegreewiseModule):
         self.complexes = _CechComplexes(base, cover, self.window)
         self._cap_floor = _proven_cap_floor(base, cover)
         self._loc_memo: dict[tuple, LocalizedPiece] = {}
-        self._lift_memo: dict[tuple, Mat] = {}
         self._sec: dict[int, _SecPiece] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")
 
@@ -501,7 +509,7 @@ class SectionsModule(DegreewiseModule):
         basis = cech.h0_basis()
         piece = GradedPiece(self.ring.field, tuple(("sec", j) for j in range(basis.ncols)))
         certified = all(s.startswith("certified") for s in cech.statuses())
-        got = _SecPiece(cap, cech, basis, piece, certified)
+        got = _SecPiece(cap, basis, piece, certified)
         self._sec[d] = got
         for i, lp in enumerate(cech.levels[0]):
             self._loc_memo.setdefault((i, d, cap), lp)
@@ -523,31 +531,25 @@ class SectionsModule(DegreewiseModule):
             self._loc_memo[key] = got
         return got
 
-    def _lift(self, d: int, cap_from: int, cap_to: int) -> Mat:
-        """Block-diagonal lift of C^0 coordinates from one cap to a larger one."""
+    def _locs(self, d: int, cap: int) -> list[LocalizedPiece]:
+        return [self._loc(i, d, cap) for i in range(self.cover.n)]
+
+    def _lift(self, d: int, cap_from: int, cap_to: int, vecs: Mat) -> Mat:
+        """C^0 vectors of degree d at one cap, lifted to a larger one."""
         if cap_from == cap_to:
-            dim = sum(self._loc(i, d, cap_from).dim for i in range(self.cover.n))
-            return Mat.identity(self.ring.field, dim)
-        key = (d, cap_from, cap_to)
-        got = self._lift_memo.get(key)
-        if got is not None:
-            return got
-        blocks = {}
-        for i in range(self.cover.n):
-            src = self._loc(i, d, cap_from)
-            tgt = self._loc(i, d, cap_to)
-            mult = self.base.power_act(self.cover.denoms[i], cap_to - cap_from, src.num_degree)
-            blocks[i, i] = tgt.proj @ mult @ src.incl
-        got = Mat.block(self.ring.field, blocks)
-        self._lift_memo[key] = got
-        return got
+            return vecs
+        t = cap_to - cap_from
+        return _cochain_apply(
+            self._locs(d, cap_from), self._locs(d, cap_to),
+            lambda i, a: self.base.power_act(self.cover.denoms[i], t, a), vecs,
+        )
 
     def _express(self, d: int, vecs: Mat, cap: int) -> Mat:
         """Coordinates in piece(d) of C^0 vectors given at some cap."""
         r = self._realize(d)
         common = max(cap, r.cap)
-        basis = self._lift(d, r.cap, common) @ r.basis
-        lifted = self._lift(d, cap, common) @ vecs
+        basis = self._lift(d, r.cap, common, r.basis)
+        lifted = self._lift(d, cap, common, vecs)
         coords = solve(basis, lifted)
         if coords is None:
             raise CapExhausted(
@@ -556,15 +558,17 @@ class SectionsModule(DegreewiseModule):
             )
         return coords
 
-    def _act(self, var: int, d: int) -> Mat:
+    def _map_into(self, d: int, target: "SectionsModule", d_to: int, numer) -> Mat:
+        """Matrix, in the bases of piece(d) and target.piece(d_to), of the
+        map that numer(i, a) : M_a -> N_(a + d_to - d) gives on the
+        numerators of the cover piece D(f_i)."""
         r = self._realize(d)
-        blocks = {}
-        for i in range(self.cover.n):
-            src = self._loc(i, d, r.cap)
-            tgt = self._loc(i, d + 1, r.cap)
-            blocks[i, i] = tgt.proj @ self.base.act(var, src.num_degree) @ src.incl
-        acted = Mat.block(self.ring.field, blocks) @ r.basis
-        return self._express(d + 1, acted, r.cap)
+        vecs = _cochain_apply(self._locs(d, r.cap), target._locs(d_to, r.cap),
+                              numer, r.basis)
+        return target._express(d_to, vecs, r.cap)
+
+    def _act(self, var: int, d: int) -> Mat:
+        return self._map_into(d, self, d + 1, lambda i, a: self.base.act(var, a))
 
     def restriction_matrix(self, d: int) -> Mat:
         """Matrix of the diagonal restriction M_d -> Gamma(W, ~M)_d."""
@@ -666,13 +670,6 @@ def sections_induced_map(u: GradedModuleMap, s_src: SectionsModule,
         raise ValueError("sections live on different covers")
 
     def matrix(d: int) -> Mat:
-        rs = s_src._realize(d)
-        blocks = {}
-        for i in range(s_src.cover.n):
-            lp_s = s_src._loc(i, d, rs.cap)
-            lp_t = s_tgt._loc(i, d, rs.cap)
-            blocks[i, i] = lp_t.proj @ u.matrix(lp_s.num_degree) @ lp_s.incl
-        mapped = Mat.block(s_src.ring.field, blocks) @ rs.basis
-        return s_tgt._express(d, mapped, rs.cap)
+        return s_src._map_into(d, s_tgt, d, lambda i, a: u.matrix(a))
 
     return GradedModuleMap(s_src, s_tgt, matrix, name=f"Gamma({u.name})")

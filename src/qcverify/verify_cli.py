@@ -692,7 +692,7 @@ class _Runner:
     def _nonaffine_witness(self, modname):
         s = self.s
         res = h1_window(s.modules[modname or "O"], s.overlap, s.window, s.policy)
-        wit = witness_nonaffine(s.overlap, s.window, policy=s.policy, h1=res)
+        wit = witness_nonaffine(s.overlap, h1=res)
         if wit is None:
             return {"h1": res.dims}, [], "no-witness-in-window"
         flags = [

@@ -35,12 +35,6 @@ def test_ring_dimensions(ring):
     assert len(ring.monomials(3)) == 4
 
 
-def test_mono_index_inverts_monomials(ring):
-    for d in range(4):
-        for i, m in enumerate(ring.monomials(d)):
-            assert ring.mono_index(d, m) == i
-
-
 def test_parse_basic(ring, x, y):
     p = HomogPoly.parse(ring, "x^2*y - 3*y^3")
     assert p.degree == 3

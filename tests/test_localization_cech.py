@@ -11,7 +11,7 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcverify import (
@@ -36,7 +36,7 @@ from qcverify import (
     map_from_gen_images,
 )
 from qcverify import localization_cech
-from qcverify.exact_linalg import kernel_basis, rank
+from qcverify.exact_linalg import kernel_basis, rank, solve
 from qcverify.verify_cli import parse_scenario, run_scenario
 from test_graded_modules import FIELDS, scalars
 
@@ -259,6 +259,124 @@ def test_induced_map_endpoint_validation(ring, w, y, kx_fp):
         sections_induced_map(f, s_wrong, s_b)
 
 
+# --- maps given on numerators -------------------------------------------------
+#
+# The reference: each map written out as a block-diagonal matrix over the
+# cover pieces, tgt.proj @ numerator map @ src.incl, applied to the H^0
+# basis, and re-expressed through block-diagonal lift matrices.
+
+
+def _ref_lift(s, d, cap_from, cap_to):
+    if cap_from == cap_to:
+        return Mat.identity(s.ring.field, sum(s._loc(i, d, cap_from).dim
+                                              for i in range(s.cover.n)))
+    blocks = {}
+    for i in range(s.cover.n):
+        src, tgt = s._loc(i, d, cap_from), s._loc(i, d, cap_to)
+        mult = s.base.power_act(s.cover.denoms[i], cap_to - cap_from, src.num_degree)
+        blocks[i, i] = tgt.proj @ mult @ src.incl
+    return Mat.block(s.ring.field, blocks)
+
+
+def _ref_express(s, d, vecs, cap):
+    r = s._realize(d)
+    common = max(cap, r.cap)
+    return solve(_ref_lift(s, d, r.cap, common) @ r.basis, _ref_lift(s, d, cap, common) @ vecs)
+
+
+def _ref_map(s_src, s_tgt, d, d_to, numer):
+    r = s_src._realize(d)
+    blocks = {}
+    for i in range(s_src.cover.n):
+        src, tgt = s_src._loc(i, d, r.cap), s_tgt._loc(i, d_to, r.cap)
+        blocks[i, i] = tgt.proj @ numer(i, src.num_degree) @ src.incl
+    return _ref_express(s_tgt, d_to, Mat.block(s_src.ring.field, blocks) @ r.basis, r.cap)
+
+
+def _ref_generator_multiples(fp, i, deg_o, pieces_m):
+    """The C^0 vectors of a * gen_i over pieces_m, a running over the H^0
+    basis of the Cech degree deg_o of O at the same cap."""
+    basis = deg_o.h0_basis()
+    blocks = {}
+    off = 0
+    for j, (lp_o, lp_m) in enumerate(zip(deg_o.levels[0], pieces_m)):
+        numer = lp_o.incl @ basis.take_rows(off, off + lp_o.dim)
+        off += lp_o.dim
+        blocks[j, 0] = lp_m.proj @ (fp.gen_mult(i, lp_o.num_degree) @ numer)
+    return Mat.block(fp.ring.field, blocks, [lp.dim for lp in pieces_m], [basis.ncols])
+
+
+@st.composite
+def binomial_presentations(draw, ring):
+    """Generators in degree 0 or 1 and one or two columns of binomials
+    x^a y^b + c x^a' y^b' (or zero): not fine-graded, so every degree
+    escalates."""
+    gens = draw(st.sampled_from([(0,), (0, 0), (0, 1)]))
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        c = max(gens) + draw(st.integers(1, 2))
+        col = []
+        for e in gens:
+            k = c - e
+            a, b = draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
+            col.append(draw(st.sampled_from([None, HomogPoly.monomial(ring, (a, k - a))
+                                             + HomogPoly.monomial(ring, (b, k - b),
+                                                                  draw(scalars(ring.field)))])))
+        rels.append(tuple(col))
+    return gens, tuple(rels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from(FIELDS[:2]), data=st.data())
+def test_maps_on_numerators_match_the_block_formulas(field, data):
+    # start cap 1: the binomial module's caps climb from degree to degree,
+    # while the free modules on the variable cover keep the proven start cap
+    ring = PolyRing(field, ("x", "y"))
+    cover = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
+    window, policy = (-3, 2), CapPolicy(start=1)
+    gens, rels = data.draw(binomial_presentations(ring))
+    m = FPGradedModule(ring, gens, rels)
+    free = free_module(ring, gens)
+    s_m = sections_window(m, cover, window, policy)
+    s_o = sections_window(free_module(ring), cover, window, policy)
+    lo, hi = window
+    assume(len({s_m._realize(d).cap for d in range(lo, hi + 1)}) > 1)
+
+    for d in range(lo, hi):
+        for var in (0, 1):
+            want = _ref_map(s_m, s_m, d, d + 1, lambda i, a: m.act(var, a))
+            assert s_m.act(var, d) == want
+
+    # the presentation F -> M: sources at the start cap, targets above it
+    u = map_from_gen_images(free, m, [m.gen_element(i) for i in range(len(gens))])
+    s_free = sections_window(free, cover, window, policy)
+    induced = sections_induced_map(u, s_free, s_m)
+    for d in range(lo, hi + 1):
+        assert induced.matrix(d) == _ref_map(s_free, s_m, d, d, lambda i, a: u.matrix(a))
+
+    # the lemma21 columns: a * gen_i for a in Gamma(W, O)_(d - e_i), at O's cap
+    for d in range(lo, hi + 1):
+        for i, e in enumerate(gens):
+            if not (s_o.piece(d - e).dim and s_m.piece(d).dim):
+                continue
+            got = s_o._map_into(d - e, s_m, d, lambda j, a: m.gen_mult(i, a))
+            ro = s_o._realize(d - e)
+            vecs = _ref_generator_multiples(
+                m, i, s_o.complexes[ro.cap].degree(d - e),
+                [s_m._loc(j, d, ro.cap) for j in range(cover.n)])
+            assert got == _ref_express(s_m, d, vecs, ro.cap)
+
+    # the obstruction's columns at one raw cap
+    for cap in (1, 3):
+        cm, co = s_m.complexes[cap], s_o.complexes[cap]
+        for d in range(lo, hi + 1):
+            for i, e in enumerate(gens):
+                deg_o, pieces_m = co.degree(d - e), cm.degree(d).levels[0]
+                got = localization_cech._cochain_apply(
+                    deg_o.levels[0], pieces_m, lambda j, b: m.gen_mult(i, b), deg_o.h0_basis())
+                assert got == _ref_generator_multiples(m, i, deg_o, pieces_m)
+
+
 # --- proven caps ---------------------------------------------------------------
 #
 # A free module on the cover by all n variables is built at the start cap
@@ -390,6 +508,48 @@ def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
                 stable = kernel_basis(m.power_act(f, t, d)).ncols
                 assert all(kernel_basis(m.power_act(f, t + j, d)).ncols == stable
                            for j in (1, 2, 3))
+
+
+class _TopExponentBound(FPGradedModule):
+    """A monomial quotient with the certified bound it had before
+    fine_grading: max(1, the largest exponent of a relation monomial)."""
+
+    def torsion_bound(self, f):
+        got = super().torsion_bound(f)
+        if not self.relations or not isinstance(got, int):
+            return got
+        return max(1, max(max(next(iter(p.terms)))
+                          for entries, _ in self.relations for p in entries if p is not None))
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(2, 3), data=st.data())
+def test_monomial_quotient_bound_gives_the_top_exponent_kernel(field, n, data):
+    # fine_grading's power and the top exponent both certify the stable
+    # kernel, so they give the same ker f^T and the same localized pieces
+    ring = PolyRing(field, ("x", "y", "z")[:n])
+    gens = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2)))
+    rels = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        col = [None] * len(gens)
+        j = data.draw(st.integers(0, len(gens) - 1))
+        mono = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        col[j] = HomogPoly.monomial(ring, mono, data.draw(scalars(field)))
+        rels.append(tuple(col))
+    m = FPGradedModule(ring, gens, rels)
+    old = _TopExponentBound(ring, gens, rels)
+    for u in data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
+                                min_size=1, max_size=3)):
+        f = HomogPoly.monomial(ring, u, data.draw(scalars(field)))
+        t_new, t_old = m.torsion_bound(f), old.torsion_bound(f)
+        assert t_new <= t_old
+        for d in range(min(gens), min(gens) + 4):
+            assert (kernel_basis(m.power_act(f, t_new, d))
+                    == kernel_basis(m.power_act(f, t_old, d)))
+        for d, cap in ((-1, 1), (0, 2), (1, 3)):
+            got, want = localize_piece(m, f, d, cap), localize_piece(old, f, d, cap)
+            assert got.piece.labels == want.piece.labels
+            assert (got.status, got.incl, got.proj) == (want.status, want.incl, want.proj)
 
 
 # The class boundary: the answers and caps below are those of escalation
