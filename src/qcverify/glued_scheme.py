@@ -9,7 +9,6 @@ per-degree exactness reports for three-term sequences of sheaves.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .exact_linalg import Mat, _quotient_with_indices, kernel_basis, rank, solve
 from .graded_modules import (
@@ -30,7 +29,9 @@ from .localization_cech import (
     H1Result,
     OpenSubset,
     SectionsModule,
+    _CAP_STEP,
     _cochain_apply,
+    _lift,
     _stabilize,
     h1_window,
     restriction_to_sections,
@@ -403,7 +404,8 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     fp = s.m_U
     if not isinstance(fp, FPGradedModule):
         raise ValueError("the flat-cover obstruction needs a finitely presented U-patch module")
-    buffer = max(fp.gen_degrees) + 2
+    # with no generators there is nothing to buffer and every codim is 0
+    buffer = max(fp.gen_degrees, default=0) + 2
     for e in fp.gen_degrees:
         if e > hi or e < lo - buffer:
             raise BufferTooSmall(
@@ -533,16 +535,11 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         raise ArithmeticError("witness candidate is a coboundary")
 
     pieces = cech.levels[1]
-    pairs = list(combinations(range(w.n), 2))
     # re-verify at the next cap: a stable class must survive the lift.  At a
     # proven cap the lift is an isomorphism on H^1, so there is nothing to see
     if len(h1.sections._caps(found)) > 1:
-        step = h1.sections.policy.step
-        cech2 = h1.sections.complexes[cap + step].degree(found)
-        lifted = _cochain_apply(
-            pieces, cech2.levels[1],
-            lambda k, a: module.power_act(w.product(pairs[k]), step, a), witness,
-        )
+        cech2 = h1.sections.complexes[cap + _CAP_STEP].degree(found)
+        lifted = _lift(module, w, 1, pieces, cech2.levels[1], _CAP_STEP, witness)
         d0_next = cech2.diffs[0]
         if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
             raise ArithmeticError("witness class dies at the next cap")
@@ -555,7 +552,7 @@ def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
         pos += lp.dim
         if block.is_zero():
             continue
-        f_s = w.product(pairs[k])
+        f_s = w.product(w.subsets[1][k])
         numer_col = lp.incl @ block
         labels = module.piece(lp.num_degree).labels
         comps.append("D(" + str(f_s) + ")")

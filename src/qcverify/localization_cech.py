@@ -25,10 +25,11 @@ the dimensions are unchanged for two consecutive increments, give up
 proven degree reads exactly as an escalated one that settled at its
 start.  Sections over the cover then become an ordinary
 DegreewiseModule whose elements can be restricted to and expressed from
-C^0 vectors given at any cap.  Every map given on numerators (a variable
-action, an induced map, a lift to a larger cap, a * gen_i) carries
-cochains through _cochain_apply, the one place that builds
-proj @ numerator map @ incl.
+C^0 vectors given at any cap; it keeps only the cap of each degree and
+reads every localization, H^0 basis and certificate from its Cech
+complexes.  Every map given on numerators (a variable action, an induced
+map, a lift to a larger cap, a * gen_i) carries cochains through
+_cochain_apply, the one place that builds proj @ numerator map @ incl.
 """
 
 from __future__ import annotations
@@ -72,25 +73,21 @@ class CapExhausted(RuntimeError):
     """Dimensions failed to stabilize within the cap escalation budget."""
 
 
+# cap escalation: steps of _CAP_STEP, at most _MAX_ESCALATIONS of them, so
+# that a value can repeat twice more (see _stabilize)
+_CAP_STEP = 2
+_MAX_ESCALATIONS = 5
+
+
 @dataclass(frozen=True)
 class CapPolicy:
-    """Cap escalation: start (default window width + 2), step, budget."""
+    """Cap escalation from start (default window width + 2)."""
 
     start: int | None = None
-    step: int = 2
-    max_escalations: int = 5
 
     def __post_init__(self):
-        # a step of 0 repeats one cap, so any value looks stable; with fewer
-        # than two escalations no value can repeat twice more
         if self.start is not None and self.start < 1:
             raise ValueError(f"cap start must be at least 1, got {self.start}")
-        if self.step < 1:
-            raise ValueError(f"cap step must be at least 1, got {self.step}")
-        if self.max_escalations < 2:
-            raise ValueError(
-                f"cap escalation needs at least 2 escalations, got {self.max_escalations}"
-            )
 
     def start_cap(self, window) -> int:
         if self.start is not None:
@@ -100,7 +97,7 @@ class CapPolicy:
 
     def caps(self, window) -> list[int]:
         c0 = self.start_cap(window)
-        return [c0 + self.step * k for k in range(self.max_escalations + 1)]
+        return [c0 + _CAP_STEP * k for k in range(_MAX_ESCALATIONS + 1)]
 
 
 DEFAULT_CAP_POLICY = CapPolicy()
@@ -120,6 +117,9 @@ class OpenSubset:
                 raise ValueError("zero is not allowed as a denominator")
         self.ring = ring
         self.denoms = denoms
+        # subsets[k]: the index sets of size k + 1, in the order of Cech level k
+        self.subsets = [tuple(combinations(range(len(denoms)), k + 1))
+                        for k in range(len(denoms))]
         self._products: dict[tuple, HomogPoly] = {}
 
     @property
@@ -235,6 +235,19 @@ def _cochain_apply(pieces_from, pieces_to, numer, vecs: Mat) -> Mat:
     return Mat.block(vecs.field, blocks)
 
 
+def _lift(module: DegreewiseModule, cover: OpenSubset, level: int, pieces_from, pieces_to,
+          t: int, vecs: Mat) -> Mat:
+    """Cochains of Cech level `level` lifted from cap c (pieces_from) to
+    cap c + t (pieces_to): the piece of the subset S is multiplied by f_S^t."""
+    if t == 0:
+        return vecs
+    subsets = cover.subsets[level]
+    return _cochain_apply(
+        pieces_from, pieces_to,
+        lambda k, a: module.power_act(cover.product(subsets[k]), t, a), vecs,
+    )
+
+
 class _CechDegree:
     """All realized pieces and differentials of the complex in one degree."""
 
@@ -281,8 +294,11 @@ class _CechDegree:
             cocycles = Mat.identity(self.field, self.level_dim(1))
         return cocycles, self.diffs[0]
 
-    def statuses(self) -> tuple[str, ...]:
-        return tuple(p.status for level in self.levels for p in level)
+    @property
+    def certified(self) -> bool:
+        """Whether every localization in this degree carried a certified
+        torsion bound (as opposed to the kernel-chain heuristic)."""
+        return all(p.status.startswith("certified") for level in self.levels for p in level)
 
 
 class CechComplexWindow:
@@ -297,10 +313,6 @@ class CechComplexWindow:
         self.cover = cover
         self.window = tuple(window)
         self.cap = cap
-        self._subsets = [tuple(combinations(range(cover.n), k + 1)) for k in range(cover.n)]
-        self._subset_index = [
-            {s: i for i, s in enumerate(level)} for level in self._subsets
-        ]
         self._degrees: dict[int, _CechDegree] = {}
 
     def degree(self, d: int) -> _CechDegree:
@@ -309,23 +321,22 @@ class CechComplexWindow:
             return got
         field = self.module.ring.field
         n = self.cover.n
+        subsets = self.cover.subsets
         levels = [
-            [localize_piece(self.module, self.cover.product(S), d, self.cap)
-             for S in self._subsets[k]]
-            for k in range(n)
+            [localize_piece(self.module, self.cover.product(S), d, self.cap) for S in level]
+            for level in subsets
         ]
         diffs = []
         for k in range(n - 1):
             src_pieces, tgt_pieces = levels[k], levels[k + 1]
             blocks = {}
-            for ti, T in enumerate(self._subsets[k + 1]):
+            for ti, T in enumerate(subsets[k + 1]):
                 tgt = tgt_pieces[ti]
                 if tgt.dim == 0:
                     continue
                 for pos in range(len(T)):
                     i = T[pos]
-                    S = T[:pos] + T[pos + 1:]
-                    si = self._subset_index[k][S]
+                    si = subsets[k].index(T[:pos] + T[pos + 1:])
                     src = src_pieces[si]
                     if src.dim == 0:
                         continue
@@ -348,7 +359,8 @@ class _CechComplexes(dict):
     """cap -> CechComplexWindow of one module on one cover, built on first use.
 
     This is the one cache of Cech complexes.  Only a SectionsModule owns
-    one; H^1 results and the obstruction scan read the complexes of the
+    one, and it reads its localizations, H^0 bases and certificates from
+    it; H^1 results and the obstruction scan read the complexes of the
     sections module that sections_window hands them, and the complexes die
     with that module: a cache kept on the module object would hold every
     complex of a run until the run ends.
@@ -370,16 +382,6 @@ def cech_complex(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WIN
     if cap is None:
         cap = DEFAULT_CAP_POLICY.start_cap(window)
     return CechComplexWindow(module, cover, window, cap)
-
-
-class _SecPiece:
-    __slots__ = ("cap", "basis", "piece", "certified")
-
-    def __init__(self, cap, basis, piece, certified):
-        self.cap = cap
-        self.basis = basis
-        self.piece = piece
-        self.certified = certified
 
 
 def _stabilize(dims_at, caps, what: str):
@@ -455,8 +457,8 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
         variables.append(next(iter(f.terms)).index(1))
     if sorted(variables) != list(range(n)):
         return None
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
+    for level in cover.subsets:
+        for subset in level:
             f = cover.product(subset)
             if module.torsion_bound(f) is None and fine.power(next(iter(f.terms))) > 1:
                 return None
@@ -466,13 +468,16 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
 class SectionsModule(DegreewiseModule):
     """Gamma(W, ~M) as a degreewise module, W a union of distinguished opens.
 
-    Each piece is the degree-d Cech H^0 at a per-degree cap, proven or
-    stabilized (see _caps).  A map given on numerators (variable actions,
-    induced maps) is applied to the H^0 basis at its cap by _map_into;
-    its result, like restriction from M, is re-expressed in the target's
-    basis by lifting both to a common cap (multiplying numerators by
-    powers of the denominators) and solving exactly; a failed solve means
-    a cap lied and raises CapExhausted rather than guessing.
+    Every per-degree fact is read from self.complexes, the one cache of
+    Cech complexes: each piece is the degree-d Cech H^0 at a per-degree
+    cap, proven or stabilized (see _caps and _stable), and its basis, the
+    localizations it lives on and its certificate are those of the
+    complex's degree at that cap.  A map given on numerators (variable
+    actions, induced maps) is applied to the H^0 basis at its cap by
+    _map_into; its result, like restriction from M, is re-expressed in the
+    target's basis by lifting both to a common cap (multiplying numerators
+    by powers of the denominators) and solving exactly; a failed solve
+    means a cap lied and raises CapExhausted rather than guessing.
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
@@ -483,8 +488,9 @@ class SectionsModule(DegreewiseModule):
         self.policy = policy or DEFAULT_CAP_POLICY
         self.complexes = _CechComplexes(base, cover, self.window)
         self._cap_floor = _proven_cap_floor(base, cover)
-        self._loc_memo: dict[tuple, LocalizedPiece] = {}
-        self._sec: dict[int, _SecPiece] = {}
+        # ("h0_dim" or "h1_dim", d) -> (cap, dimension, the complex's degree
+        # there), the cap proven or stabilized
+        self._stable_memo: dict[tuple[str, int], tuple[int, int, _CechDegree]] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")
 
     def _caps(self, d: int) -> list[int]:
@@ -496,65 +502,47 @@ class SectionsModule(DegreewiseModule):
             return caps[:1]
         return caps
 
-    def _realize(self, d: int) -> _SecPiece:
-        got = self._sec.get(d)
-        if got is not None:
-            return got
-        cap, _dim = _stabilize(
-            lambda c: self.complexes[c].degree(d).h0_dim,
-            self._caps(d),
-            f"H0 of {self.base.name} in degree {d}",
-        )
-        cech = self.complexes[cap].degree(d)
-        basis = cech.h0_basis()
-        piece = GradedPiece(self.ring.field, tuple(("sec", j) for j in range(basis.ncols)))
-        certified = all(s.startswith("certified") for s in cech.statuses())
-        got = _SecPiece(cap, basis, piece, certified)
-        self._sec[d] = got
-        for i, lp in enumerate(cech.levels[0]):
-            self._loc_memo.setdefault((i, d, cap), lp)
+    def _stable(self, what: str, d: int) -> tuple[int, int, _CechDegree]:
+        """(cap, dimension, the complex's degree at cap) of what, "h0_dim" or
+        "h1_dim", in degree d."""
+        got = self._stable_memo.get((what, d))
+        if got is None:
+            cap, dim = _stabilize(
+                lambda c: getattr(self.complexes[c].degree(d), what),
+                self._caps(d),
+                f"{what[:2].upper()} of {self.base.name} in degree {d}",
+            )
+            got = self._stable_memo[what, d] = (cap, dim, self.complexes[cap].degree(d))
         return got
 
     def _piece(self, d: int) -> GradedPiece:
-        return self._realize(d).piece
+        dim = self._stable("h0_dim", d)[1]
+        return GradedPiece(self.ring.field, tuple(("sec", j) for j in range(dim)))
 
     def certified(self, d: int) -> bool:
         """Whether every localization entering degree d carried a certified
         torsion bound (as opposed to the kernel-chain heuristic)."""
-        return self._realize(d).certified
-
-    def _loc(self, i: int, d: int, cap: int) -> LocalizedPiece:
-        key = (i, d, cap)
-        got = self._loc_memo.get(key)
-        if got is None:
-            got = localize_piece(self.base, self.cover.denoms[i], d, cap)
-            self._loc_memo[key] = got
-        return got
+        return self._stable("h0_dim", d)[2].certified
 
     def _locs(self, d: int, cap: int) -> list[LocalizedPiece]:
-        return [self._loc(i, d, cap) for i in range(self.cover.n)]
-
-    def _lift(self, d: int, cap_from: int, cap_to: int, vecs: Mat) -> Mat:
-        """C^0 vectors of degree d at one cap, lifted to a larger one."""
-        if cap_from == cap_to:
-            return vecs
-        t = cap_to - cap_from
-        return _cochain_apply(
-            self._locs(d, cap_from), self._locs(d, cap_to),
-            lambda i, a: self.base.power_act(self.cover.denoms[i], t, a), vecs,
-        )
+        """The cover pieces of degree d at cap, read from the complexes after
+        degree d is realized (its escalation builds the caps it tried)."""
+        own, _dim, cech = self._stable("h0_dim", d)
+        return (cech if cap == own else self.complexes[cap].degree(d)).levels[0]
 
     def _express(self, d: int, vecs: Mat, cap: int) -> Mat:
         """Coordinates in piece(d) of C^0 vectors given at some cap."""
-        r = self._realize(d)
-        common = max(cap, r.cap)
-        basis = self._lift(d, r.cap, common, r.basis)
-        lifted = self._lift(d, cap, common, vecs)
+        own, _dim, cech = self._stable("h0_dim", d)
+        common = max(cap, own)
+        pieces = self._locs(d, common)
+        basis = _lift(self.base, self.cover, 0, cech.levels[0], pieces, common - own,
+                      cech.h0_basis())
+        lifted = _lift(self.base, self.cover, 0, self._locs(d, cap), pieces, common - cap, vecs)
         coords = solve(basis, lifted)
         if coords is None:
             raise CapExhausted(
                 f"{self.name}: a section of degree {d} is not representable at the "
-                f"stabilized cap {r.cap}"
+                f"stabilized cap {own}"
             )
         return coords
 
@@ -562,35 +550,32 @@ class SectionsModule(DegreewiseModule):
         """Matrix, in the bases of piece(d) and target.piece(d_to), of the
         map that numer(i, a) : M_a -> N_(a + d_to - d) gives on the
         numerators of the cover piece D(f_i)."""
-        r = self._realize(d)
-        vecs = _cochain_apply(self._locs(d, r.cap), target._locs(d_to, r.cap),
-                              numer, r.basis)
-        return target._express(d_to, vecs, r.cap)
+        cap, _dim, cech = self._stable("h0_dim", d)
+        vecs = _cochain_apply(cech.levels[0], target._locs(d_to, cap), numer, cech.h0_basis())
+        return target._express(d_to, vecs, cap)
 
     def _act(self, var: int, d: int) -> Mat:
         return self._map_into(d, self, d + 1, lambda i, a: self.base.act(var, a))
 
     def restriction_matrix(self, d: int) -> Mat:
         """Matrix of the diagonal restriction M_d -> Gamma(W, ~M)_d."""
-        r = self._realize(d)
-        src_dim = self.base.piece(d).dim
-        if src_dim == 0:
-            return Mat.zeros(self.ring.field, r.piece.dim, 0)
-        blocks = {}
-        for i in range(self.cover.n):
-            lp = self._loc(i, d, r.cap)
-            mult = self.base.power_act(self.cover.denoms[i], r.cap, d)
-            blocks[i, 0] = lp.proj @ mult
-        return self._express(d, Mat.block(self.ring.field, blocks), r.cap)
+        cap, dim, cech = self._stable("h0_dim", d)
+        if self.base.piece(d).dim == 0:
+            return Mat.zeros(self.ring.field, dim, 0)
+        blocks = {
+            (i, 0): lp.proj @ self.base.power_act(self.cover.denoms[i], cap, d)
+            for i, lp in enumerate(cech.levels[0])
+        }
+        return self._express(d, Mat.block(self.ring.field, blocks), cap)
 
     def flags(self, window=None) -> list[str]:
         lo, hi = window or self.window
         caps = []
         heuristic = False
         for d in range(lo, hi + 1):
-            r = self._realize(d)
-            caps.append(r.cap)
-            heuristic = heuristic or not r.certified
+            cap, _dim, cech = self._stable("h0_dim", d)
+            caps.append(cap)
+            heuristic = heuristic or not cech.certified
         out = [f"caps:{min(caps)}..{max(caps)}", "stabilized"]
         out.append("kernels-heuristic" if heuristic else "kernels-certified")
         return out
@@ -623,24 +608,15 @@ class H1Result:
         self.module = module
         self.cover = cover
         self.window = tuple(window)
-        # the Cech complexes are those of the module's sections over the cover
+        # the Cech complexes and caps are those of the module's sections
         self.sections = sections_window(module, cover, self.window, policy)
-        complexes = self.sections.complexes
         self.dims: dict[int, int] = {}
         self.caps: dict[int, int] = {}
         self.certified: dict[int, bool] = {}
         lo, hi = self.window
         for d in range(lo, hi + 1):
-            cap, dim = _stabilize(
-                lambda c: complexes[c].degree(d).h1_dim,
-                self.sections._caps(d),
-                f"H1 of {module.name} in degree {d}",
-            )
-            self.dims[d] = dim
-            self.caps[d] = cap
-            self.certified[d] = all(
-                s.startswith("certified") for s in complexes[cap].degree(d).statuses()
-            )
+            self.caps[d], self.dims[d], cech = self.sections._stable("h1_dim", d)
+            self.certified[d] = cech.certified
 
     def realization(self, d: int) -> tuple[_CechDegree, int]:
         cap = self.caps[d]

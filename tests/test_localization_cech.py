@@ -6,6 +6,7 @@ sheaf on the punctured plane are the polynomials themselves, H^1 has dimension
 in every degree.
 """
 
+import sys
 from itertools import combinations
 from math import comb
 from operator import add
@@ -159,26 +160,19 @@ def test_sections_actions_commute(ring, w):
 def test_sections_over_affine_chart_do_not_stabilize(ring, x):
     # Gamma(D(x), O)_0 = k[y/x] is infinite dimensional: escalation must give up
     dx = OpenSubset(ring, (x,))
-    s = sections_window(free_module(ring, (0,)), dx, window=(-2, 2),
-                        policy=CapPolicy(start=4, step=2, max_escalations=2))
+    s = sections_window(free_module(ring, (0,)), dx, window=(-2, 2), policy=CapPolicy(start=4))
     with pytest.raises(CapExhausted):
         s.piece(0)
 
 
 def test_cap_policy_escalation_schedule():
-    p = CapPolicy(start=5, step=3, max_escalations=2)
-    assert p.caps((-2, 2)) == [5, 8, 11]
+    assert CapPolicy(start=5).caps((-2, 2)) == [5, 7, 9, 11, 13, 15]
     assert CapPolicy().start_cap((-6, 6)) == 14
 
 
 @pytest.mark.parametrize("kw", [
-    # a zero step repeats the start cap: H^1 of O in degree -6 would read 0
-    # as "stabilized" at cap 1, against the true 5
-    dict(start=1, step=0),
-    # one escalation can never see a value repeat twice more
-    dict(max_escalations=1),
     dict(start=0),
-], ids=["step-0", "one-escalation", "start-0"])
+], ids=["start-0"])
 def test_cap_policy_rejects_schedules_that_cannot_stabilize(kw):
     with pytest.raises(ValueError):
         CapPolicy(**kw)
@@ -259,6 +253,58 @@ def test_induced_map_endpoint_validation(ring, w, y, kx_fp):
         sections_induced_map(f, s_wrong, s_b)
 
 
+def test_only_the_complexes_localize(monkeypatch):
+    # every localization behind Gamma(W, O) -> Gamma(W, R/(x + y)) is made
+    # once, by a Cech degree, and the maps read those very pieces
+    ring = PolyRing(FieldSpec.prime(7), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    cover = OpenSubset(ring, (x, y))
+    o = free_module(ring, (0,))
+    c = FPGradedModule(ring, (0,), ((x + y,),))
+    u = map_from_gen_images(o, c, [c.gen_element(0)])
+
+    degree_code = localization_cech.CechComplexWindow.degree.__code__
+    from_degree = []
+    localize = localization_cech.localize_piece
+
+    def spy_localize(*args):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+            caller = caller.f_back
+        from_degree.append(caller.f_code is degree_code)
+        return localize(*args)
+
+    read = []
+    lift, apply = localization_cech._lift, localization_cech._cochain_apply
+
+    def spy_lift(module, cover, level, pieces_from, pieces_to, t, vecs):
+        read.extend(pieces_from + pieces_to)
+        return lift(module, cover, level, pieces_from, pieces_to, t, vecs)
+
+    def spy_apply(pieces_from, pieces_to, numer, vecs):
+        read.extend(pieces_from + pieces_to)
+        return apply(pieces_from, pieces_to, numer, vecs)
+
+    monkeypatch.setattr(localization_cech, "localize_piece", spy_localize)
+    monkeypatch.setattr(localization_cech, "_lift", spy_lift)
+    monkeypatch.setattr(localization_cech, "_cochain_apply", spy_apply)
+    window = (-2, 2)
+    s_o, s_c = sections_window(o, cover, window), sections_window(c, cover, window)
+    induced = sections_induced_map(u, s_o, s_c)
+    for d in range(-2, 3):
+        induced.matrix(d)
+        s_o.restriction_matrix(d)
+        s_c.restriction_matrix(d)
+
+    held = [lp for s in (s_o, s_c) for cx in s.complexes.values()
+            for deg in cx._degrees.values() for level in deg.levels for lp in level]
+    assert all(from_degree) and len(from_degree) == len(held)
+    assert read
+    for lp in read:
+        assert any(lp is piece for s in (s_o, s_c)
+                   for piece in s.complexes[lp.cap].degree(lp.d).levels[0])
+
+
 # --- maps given on numerators -------------------------------------------------
 #
 # The reference: each map written out as a block-diagonal matrix over the
@@ -266,31 +312,40 @@ def test_induced_map_endpoint_validation(ring, w, y, kx_fp):
 # basis, and re-expressed through block-diagonal lift matrices.
 
 
+def _ref_loc(s, i, d, cap):
+    return localize_piece(s.base, s.cover.denoms[i], d, cap)
+
+
+def _ref_cap_and_basis(s, d):
+    cap = s._stable("h0_dim", d)[0]
+    return cap, s.complexes[cap].degree(d).h0_basis()
+
+
 def _ref_lift(s, d, cap_from, cap_to):
     if cap_from == cap_to:
-        return Mat.identity(s.ring.field, sum(s._loc(i, d, cap_from).dim
+        return Mat.identity(s.ring.field, sum(_ref_loc(s, i, d, cap_from).dim
                                               for i in range(s.cover.n)))
     blocks = {}
     for i in range(s.cover.n):
-        src, tgt = s._loc(i, d, cap_from), s._loc(i, d, cap_to)
+        src, tgt = _ref_loc(s, i, d, cap_from), _ref_loc(s, i, d, cap_to)
         mult = s.base.power_act(s.cover.denoms[i], cap_to - cap_from, src.num_degree)
         blocks[i, i] = tgt.proj @ mult @ src.incl
     return Mat.block(s.ring.field, blocks)
 
 
 def _ref_express(s, d, vecs, cap):
-    r = s._realize(d)
-    common = max(cap, r.cap)
-    return solve(_ref_lift(s, d, r.cap, common) @ r.basis, _ref_lift(s, d, cap, common) @ vecs)
+    own, basis = _ref_cap_and_basis(s, d)
+    common = max(cap, own)
+    return solve(_ref_lift(s, d, own, common) @ basis, _ref_lift(s, d, cap, common) @ vecs)
 
 
 def _ref_map(s_src, s_tgt, d, d_to, numer):
-    r = s_src._realize(d)
+    cap, basis = _ref_cap_and_basis(s_src, d)
     blocks = {}
     for i in range(s_src.cover.n):
-        src, tgt = s_src._loc(i, d, r.cap), s_tgt._loc(i, d_to, r.cap)
+        src, tgt = _ref_loc(s_src, i, d, cap), _ref_loc(s_tgt, i, d_to, cap)
         blocks[i, i] = tgt.proj @ numer(i, src.num_degree) @ src.incl
-    return _ref_express(s_tgt, d_to, Mat.block(s_src.ring.field, blocks) @ r.basis, r.cap)
+    return _ref_express(s_tgt, d_to, Mat.block(s_src.ring.field, blocks) @ basis, cap)
 
 
 def _ref_generator_multiples(fp, i, deg_o, pieces_m):
@@ -340,7 +395,7 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
     s_m = sections_window(m, cover, window, policy)
     s_o = sections_window(free_module(ring), cover, window, policy)
     lo, hi = window
-    assume(len({s_m._realize(d).cap for d in range(lo, hi + 1)}) > 1)
+    assume(len({s_m._stable("h0_dim", d)[0] for d in range(lo, hi + 1)}) > 1)
 
     for d in range(lo, hi):
         for var in (0, 1):
@@ -360,11 +415,11 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
             if not (s_o.piece(d - e).dim and s_m.piece(d).dim):
                 continue
             got = s_o._map_into(d - e, s_m, d, lambda j, a: m.gen_mult(i, a))
-            ro = s_o._realize(d - e)
+            cap_o = s_o._stable("h0_dim", d - e)[0]
             vecs = _ref_generator_multiples(
-                m, i, s_o.complexes[ro.cap].degree(d - e),
-                [s_m._loc(j, d, ro.cap) for j in range(cover.n)])
-            assert got == _ref_express(s_m, d, vecs, ro.cap)
+                m, i, s_o.complexes[cap_o].degree(d - e),
+                [_ref_loc(s_m, j, d, cap_o) for j in range(cover.n)])
+            assert got == _ref_express(s_m, d, vecs, cap_o)
 
     # the obstruction's columns at one raw cap
     for cap in (1, 3):
@@ -422,7 +477,7 @@ def _caps_and_dims(module, cover, window, policy=None):
     h = h1_window(module, cover, window, policy)
     lo, hi = window
     return {
-        d: (s.piece(d).dim, s._realize(d).cap, h.dims[d], h.caps[d])
+        d: (s.piece(d).dim, s._stable("h0_dim", d)[0], h.dims[d], h.caps[d])
         for d in range(lo, hi + 1)
     }
 

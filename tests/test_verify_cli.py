@@ -439,6 +439,27 @@ def test_check_error_verdict_on_domain_failure():
     assert rep.exit_code() == 0  # no expectations, so nothing mismatched
 
 
+def test_obstruction_of_the_zero_module_is_a_zero_table():
+    # with no generators there is no buffer to check and nothing to span
+    text = HEAD.replace("window = -2:2", "window = -6:6") + """
+[module Z]
+generators =
+
+[sheaf patched]
+patch = Z
+
+[sheaf pushed]
+direct-image = Z
+
+[check obstruction patched]
+[check obstruction pushed]
+"""
+    for check in run_text(text).checks:
+        assert check.verdict == "no-obstruction-in-window"
+        assert check.flags == ["cap:14", "stabilized", "kernels-certified"]
+        assert check.tables == {"codim": {str(d): 0 for d in range(-6, 7)}}
+
+
 # --- the command line -------------------------------------------------------------
 
 
