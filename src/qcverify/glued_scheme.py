@@ -394,7 +394,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
 
     Gamma(W,-) pieces can be infinite-dimensional here (affine overlaps),
     so the table is computed at raw uniform caps and accepted only when
-    it is reproduced at three consecutive escalations.
+    it is reproduced at three consecutive escalations.  The kernels flag
+    is the certificate of M's and O's Cech degrees in the window at the
+    accepted cap.
 
     sections_o is Gamma(W, O) of the caller's structure module, whose
     complexes are then shared; without it a fresh free module stands in.
@@ -440,12 +442,8 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
 
     cap, table = _stabilize(table_at, s.policy.caps(window), f"obstruction table for {s.name}")
     codims = {d: table[d - lo] for d in range(lo, hi + 1)}
-    statuses = [
-        p.status
-        for d in range(lo, hi + 1)
-        for p in complexes_m[cap].degree(d).levels[0] + complexes_o[cap].degree(d).levels[0]
-    ]
-    certified = all(st.startswith("certified") for st in statuses)
+    certified = all(c[cap].degree(d).certified
+                    for c in (complexes_m, complexes_o) for d in range(lo, hi + 1))
     flags = [f"cap:{cap}", "stabilized",
              "kernels-certified" if certified else "kernels-heuristic"]
     return ObstructionCertificate(window, codims, cap, flags)

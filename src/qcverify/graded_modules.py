@@ -22,6 +22,7 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from math import comb
 from operator import add
 from typing import NamedTuple
@@ -50,11 +51,6 @@ __all__ = [
     "verify_action_commutation",
     "verify_naturality",
 ]
-
-# torsion_bound may return this sentinel: every element is killed by a
-# power of the localizing polynomial, so localizations vanish outright.
-ALL_TORSION = "all-torsion"
-
 
 class NonHomogeneousError(ValueError):
     """A polynomial or relation mixes degrees."""
@@ -407,11 +403,11 @@ class DegreewiseModule:
     the default _mono_act chains, or _mono_act itself when it can multiply
     by a monomial directly (and torsion_bound, when it can certify one).
 
-    torsion_bound(f) reports what is known about the f-power-torsion of
-    the module: an integer T certifies ker(f^t) = ker(f^T) for all t >= T
-    in every degree, ALL_TORSION certifies that some power of f kills any
-    element, and None means nothing is certified (callers fall back to a
-    heuristic and must say so).
+    torsion_bound(f) returns (t, certified) for the f-power-torsion of
+    the module.  When certified, ker(f^t) is all of it in every degree;
+    otherwise t is only where the kernel chain of a localization starts,
+    and the caller iterates f-powers from there and must say so.  The
+    default, (1, False), knows nothing.
     """
 
     def __init__(self, ring: PolyRing, name: str = "M", min_degree: int | None = None,
@@ -498,8 +494,8 @@ class DegreewiseModule:
             got = self._power_acts[key] = self.poly_act(f ** t, d)
         return got
 
-    def torsion_bound(self, f: HomogPoly):
-        return None
+    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
+        return 1, False
 
     def __repr__(self):
         return f"DegreewiseModule({self.name})"
@@ -641,20 +637,18 @@ class FPGradedModule(DegreewiseModule):
         """The i-th generator as an element of its piece."""
         return self.gen_mult(i, 0)
 
-    def torsion_bound(self, f: HomogPoly):
-        if f.is_zero():
-            return None
+    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         if not self.relations:
-            return 0  # free module over a domain: no f-torsion
-        if not f.is_monomial():
-            return None
-        # monomial quotient: every relation column touches one generator
-        # with a single term; fine_grading bounds its f-torsion
-        for entries, _ in self.relations:
-            nonzero = [p for p in entries if p is not None]
-            if len(nonzero) != 1 or not nonzero[0].is_monomial():
-                return None
-        return self.fine_grading().power(next(iter(f.terms)))
+            return 0, True  # free module over a domain: no f-torsion
+        fine = self.fine_grading()
+        if fine is None or not f.is_monomial():
+            return 1, False
+        t = fine.power(next(iter(f.terms)))
+        # a monomial quotient (every relation column one term on one
+        # generator) is where this power is certified
+        if all(sum(p is not None for p in entries) == 1 for entries, _ in self.relations):
+            return t, True
+        return max(1, t), False
 
     def fine_grading(self) -> FineGrading | None:
         """The bounds of a Z^n-grading when the presentation is
@@ -686,7 +680,12 @@ class FPGradedModule(DegreewiseModule):
         For a free module each generator is its own component, b = g, and
         every T_i is 0.  (This is the positively b-determined property of
         E. Miller, J. Algebra 231 (2000); Miller-Sturmfels, GTM 227.)
+        The answer is computed once per module.
         """
+        return self._fine
+
+    @cached_property
+    def _fine(self) -> FineGrading | None:
         n = self.ring.nvars
         # links[j]: (k, g_k - g_j) for each column on j and k; columns[j]:
         # the exponent m of each column whose first entry is on j, so that
@@ -910,15 +909,9 @@ class _DirectSum(DegreewiseModule):
     def _act(self, var: int, d: int) -> Mat:
         return Mat.block(self.ring.field, {(k, k): m.act(var, d) for k, m in enumerate(self.mods)})
 
-    def torsion_bound(self, f: HomogPoly):
+    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         bounds = [m.torsion_bound(f) for m in self.mods]
-        if any(b is None for b in bounds):
-            return None
-        if all(b == ALL_TORSION for b in bounds):
-            return ALL_TORSION
-        if any(b == ALL_TORSION for b in bounds):
-            return None  # mixed certificates do not combine into one bound
-        return max(bounds)
+        return max(t for t, _ in bounds), all(c for _, c in bounds)
 
 
 def direct_sum(mods, name: str | None = None) -> DegreewiseModule:

@@ -7,10 +7,13 @@ multiplication by f.  We realize the colimit at a finite stage, the "cap":
     (M_f)_d at cap N  :=  M_{d + N deg f} / (stable kernel of f-powers),
 
 an honest subspace of the true piece that grows with N.  The stable kernel
-is certified exactly when the module knows its f-torsion (free modules,
-monomial quotients, graded duals of finitely generated modules); otherwise
-powers of f are iterated until two consecutive kernels agree and the piece
-is flagged heuristic.
+is ker f^t for the (t, certified) of module.torsion_bound(f).  It is
+certified when the module knows its f-torsion (free modules, monomial
+quotients); otherwise t only starts the chain, powers of f are iterated
+from t until two consecutive kernels agree, and the piece is flagged
+heuristic.  A module bounded above (max_degree set, as for the graded
+dual of a finitely generated module) localizes to zero, certified, at
+every f of positive degree: some power of f kills each element.
 
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
@@ -40,7 +43,6 @@ from weakref import WeakValueDictionary
 
 from .exact_linalg import Mat, kernel_basis, rref, solve, _quotient_with_indices
 from .graded_modules import (
-    ALL_TORSION,
     DegreewiseModule,
     FPGradedModule,
     GradedModuleMap,
@@ -175,37 +177,25 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     field = module.ring.field
     num_degree = d + cap * f.degree
     num = module.piece(num_degree)
-    if num.dim == 0:
-        empty = Mat.zeros(field, 0, 0)
-        zero_piece = GradedPiece(field, ())
-        return LocalizedPiece(d, cap, num_degree, "certified-in-window",
-                              zero_piece, empty, empty)
+    if num.dim == 0 or (module.max_degree is not None and f.degree >= 1):
+        # nothing to localize, or bounded above: a power of f kills it all
+        return LocalizedPiece(d, cap, num_degree, "certified-in-window", GradedPiece(field, ()),
+                              Mat.zeros(field, num.dim, 0), Mat.zeros(field, 0, num.dim))
 
-    bound = module.torsion_bound(f)
-    if bound == ALL_TORSION:
-        stable = Mat.identity(field, num.dim)
-        status = "certified-in-window"
-    elif bound is not None:
-        t = bound
-        stable = (
-            Mat.zeros(field, num.dim, 0)
-            if t == 0
-            else kernel_basis(module.power_act(f, t, num_degree))
-        )
-        status = "certified-in-window"
-    else:
-        prev = kernel_basis(module.power_act(f, 1, num_degree))
-        t = 1
-        while True:
-            nxt = kernel_basis(module.power_act(f, t + 1, num_degree))
-            if nxt.ncols == prev.ncols:
-                break
-            prev = nxt
-            t += 1
-            if t > num.dim + 1:  # the kernel chain cannot strictly grow this long
-                raise ArithmeticError("stable kernel iteration failed to terminate")
-        stable = prev
-        status = f"heuristic({t})"
+    # stable = ker f^t, from the module's torsion power on; an uncertified
+    # power only starts the chain, which stops once ker f^t = ker f^(t+1)
+    t, certified = module.torsion_bound(f)
+    first = t
+    stable = (kernel_basis(module.power_act(f, t, num_degree)) if t
+              else Mat.zeros(field, num.dim, 0))
+    while not certified:
+        nxt = kernel_basis(module.power_act(f, t + 1, num_degree))
+        if nxt.ncols == stable.ncols:
+            break
+        stable, t = nxt, t + 1
+        if t - first > num.dim:  # the kernel chain cannot strictly grow this long
+            raise ArithmeticError("stable kernel iteration failed to terminate")
+    status = "certified-in-window" if certified else f"heuristic({t})"
 
     if stable.ncols == 0:
         # nothing is killed: incl and proj are x^0, one matrix per module
@@ -406,11 +396,12 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     whose presentation is fine-graded (FPGradedModule.fine_grading, with
     components C, bounds b_C and torsion powers T_i), and the cover is
     W = D(x_1) u ... u D(x_n) with every variable of R appearing exactly
-    once, up to a nonzero scalar.  Every localization must be exact: for
-    each cover product f = x_S, either torsion_bound(f) certifies the
-    stable kernel, or T(f) = max over i in S of T_i is at most 1, so the
-    kernel chain of localize_piece, which starts at t = 1, stops at some
-    t >= T(f) and returns ker f^T(f), the whole f-torsion.
+    once, up to a nonzero scalar.  Every localization is exact: the
+    kernel chain of localize_piece starts at T(f) = max over i in S of
+    T_i for each cover product f = x_S, and ker f^T(f) is the whole
+    f-torsion.  The class still asks that torsion_bound(f) certify T(f)
+    or that T(f) be at most 1, so a degree whose localizations are
+    flagged heuristic keeps its escalated caps.
 
     Theorem.  Every H^p of the Cech complex in degree d is the same at
     every cap c >= c0(d) = max(0, max_C |b_C| - n + 1 - d), and the lift
@@ -460,7 +451,8 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     for level in cover.subsets:
         for subset in level:
             f = cover.product(subset)
-            if module.torsion_bound(f) is None and fine.power(next(iter(f.terms))) > 1:
+            t, certified = module.torsion_bound(f)
+            if not certified and t > 1:
                 return None
     return fine.top - n + 1
 

@@ -30,7 +30,6 @@ a sheaf is computed on the sheaf's own modules, sharing their sections
 from weakref import WeakValueDictionary
 
 from .graded_modules import (
-    ALL_TORSION,
     DegreewiseModule,
     GradedModuleMap,
     GradedPiece,
@@ -55,8 +54,10 @@ class DualizedModule(DegreewiseModule):
 
     piece(d) is the dual of base.piece(-d); x^a acting from degree d is
     the transpose of the base action of x^a landing in degree -d.  Torsion
-    certificates: a dual of a bounded-below module is bounded above, so
-    any positive-degree element acts nilpotently on every element.
+    certificates: a nonzero constant kills nothing.  A dual of a
+    bounded-below module is bounded above, so every f of positive degree
+    kills each element after some power; localize_piece reads that from
+    max_degree, as it does for any module.
 
     DualizedModule(DualizedModule(M)) is M up to the evaluation
     isomorphism, which is the identity here: the same piece dimensions,
@@ -82,14 +83,12 @@ class DualizedModule(DegreewiseModule):
     def _mono_act(self, mono: tuple, d: int):
         return self.base.mono_act(mono, -d - sum(mono)).transpose()
 
-    def torsion_bound(self, f: HomogPoly):
+    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         if isinstance(self.base, DualizedModule):
             # double transpose: the action matrices equal the origin's
             return self.base.base.torsion_bound(f)
-        if self.base.min_degree is not None:
-            # bounded above, so f^t lands in zero pieces eventually
-            return ALL_TORSION if f.degree >= 1 else 0
-        return None
+        # a nonzero constant is a unit; see the class docstring for the rest
+        return (0, True) if f.degree == 0 else (1, False)
 
 
 # a dual holds its base, so the memo must hold neither: an entry goes when

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcverify import (
     BufferTooSmall,
@@ -38,6 +39,7 @@ from qcverify import (
 from qcverify.exact_linalg import rank
 from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario
 from test_graded_modules import FIELDS, RINGS, fp_modules
+from test_localization_cech import binomial_presentations, fine_graded
 
 WINDOW = (-3, 4)
 
@@ -128,6 +130,31 @@ def test_buffer_guard_rejects_far_generators(scheme):
     s = glued(scheme, high, window=(-2, 2))
     with pytest.raises(BufferTooSmall):
         flat_quotient_obstruction(s)
+
+
+@given(field=st.sampled_from(FIELDS[:2]), kind=st.sampled_from(["fine-graded", "binomial"]),
+       data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_obstruction_flag_matches_the_level_zero_status_scan(field, kind, data):
+    # the kernels flag reads the certificates of every Cech level at the
+    # accepted cap; the oracle scans the statuses of level 0 only, in every
+    # window degree of M and of O
+    ring = RINGS[field]
+    draw = fine_graded(ring) if kind == "fine-graded" else binomial_presentations(ring)
+    m = FPGradedModule(ring, *data.draw(draw))
+    scheme = double_origin_plane(ring)
+    window = (-2, 2)
+    for sheaf in (glued(scheme, m, window), direct_image_from_U(scheme, m, window)):
+        sections_o = sections_window(free_module(ring), scheme.overlap, window)
+        cert = flat_quotient_obstruction(sheaf, sections_o)
+        statuses = [
+            p.status
+            for s in (sheaf.w_sections(compare=False), sections_o)
+            for d in range(window[0], window[1] + 1)
+            for p in s.complexes[cert.cap].degree(d).levels[0]
+        ]
+        certified = all(status.startswith("certified") for status in statuses)
+        assert ("kernels-certified" if certified else "kernels-heuristic") in cert.flags
 
 
 # --- nonaffineness witness -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Graded rings, finitely presented modules, and degreewise maps."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcverify import (
@@ -17,13 +17,14 @@ from qcverify import (
     direct_sum,
     free_module,
     kernel_dw,
+    localize_piece,
     map_from_gen_images,
     matlis_dual,
     verify_action_commutation,
     verify_naturality,
 )
 from qcverify.exact_linalg import _quotient_with_indices, rank
-from qcverify.graded_modules import ALL_TORSION, GradedPiece, tensor_realization
+from qcverify.graded_modules import GradedPiece, tensor_realization
 
 
 # --- ring and polynomials ------------------------------------------------
@@ -258,13 +259,13 @@ def test_direct_sum_rejects_empty():
 
 def test_torsion_bounds(ring, sky_fp, kx_fp, ideal_fp, x, y):
     free = free_module(ring, (0,))
-    assert free.torsion_bound(x) == 0
-    assert sky_fp.torsion_bound(x) == 1
-    assert kx_fp.torsion_bound(y) == 1
-    # non-monomial relation: no certificate, the caller must iterate
-    assert ideal_fp.torsion_bound(x) is None
-    assert free.torsion_bound(x + y) == 0
-    assert kx_fp.torsion_bound(x + y) is None
+    assert free.torsion_bound(x) == (0, True)
+    assert sky_fp.torsion_bound(x) == (1, True)
+    assert kx_fp.torsion_bound(y) == (1, True)
+    # not a monomial quotient: no certificate, the caller must iterate
+    assert ideal_fp.torsion_bound(x) == (1, False)
+    assert free.torsion_bound(x + y) == (0, True)
+    assert kx_fp.torsion_bound(x + y) == (1, False)
 
 
 # --- multiplicativity as a property test -----------------------------------
@@ -357,6 +358,23 @@ def test_power_act_is_the_iterated_poly_act(m, data, t, d):
     for k in range(t):
         want = m.poly_act(f, d + k * f.degree) @ want
     assert m.power_act(f, t, d) == want
+
+
+@given(fp_modules(), fp_modules(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_direct_sums_combine_torsion_bounds_and_add_localizations(m, n, data):
+    # (max t, all certified) of the summands; the kernel chain of the sum
+    # stops exactly where both summands' chains are stable together
+    assume(m.ring == n.ring)
+    ring = m.ring
+    f = data.draw(homog_polys(ring, data.draw(st.integers(1, 2))).filter(
+        lambda p: not p.is_zero()))
+    total = direct_sum((m, n))
+    (tm, cm), (tn, cn) = m.torsion_bound(f), n.torsion_bound(f)
+    assert total.torsion_bound(f) == (max(tm, tn), cm and cn)
+    for d, cap in ((-1, 1), (0, 2), (1, 1), (2, 3)):
+        got = localize_piece(total, f, d, cap).dim
+        assert got == localize_piece(m, f, d, cap).dim + localize_piece(n, f, d, cap).dim
 
 
 @given(st.sampled_from(FIELDS), st.data(), st.integers(0, 3), st.integers(0, 3),

@@ -20,6 +20,7 @@ from qcverify import (
     CapPolicy,
     FieldSpec,
     FPGradedModule,
+    GradedModuleMap,
     HomogPoly,
     Mat,
     PolyRing,
@@ -28,7 +29,9 @@ from qcverify import (
     direct_sum,
     free_module,
     h1_window,
+    kernel_dw,
     localize_piece,
+    matlis_dual,
     restriction_to_sections,
     sections_induced_map,
     sections_window,
@@ -76,6 +79,21 @@ def test_heuristic_status_without_certificate(ideal_fp, x):
     # I is torsion free, so nothing is quotiented away: the cap-2 realization
     # is the full numerator piece I_3
     assert lp.dim == ideal_fp.piece(3).dim == 4
+
+
+def test_a_bounded_above_module_localizes_to_zero():
+    # the kernel of the zero map on the dual of O carries no torsion
+    # certificate of its own; it is bounded above, so every power of x
+    # eventually kills each element, and that alone certifies zero pieces
+    ring = PolyRing(FieldSpec.prime(7), ("x", "y"))
+    dual = matlis_dual(free_module(ring, (0,)))
+    zero = GradedModuleMap(dual, dual, lambda d: Mat.zeros(
+        ring.field, dual.piece(d).dim, dual.piece(d).dim))
+    k = kernel_dw(zero)
+    for d in (-5, -3):
+        lp = localize_piece(k, ring.var_poly(0), d, 2)
+        assert k.piece(lp.num_degree).dim > 0
+        assert (lp.dim, lp.status) == (0, "certified-in-window"), d
 
 
 def test_localize_at_zero_rejected(ring, kx_fp):
@@ -556,8 +574,8 @@ def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
             u = tuple(int(i in subset) for i in range(n))
             f = HomogPoly.monomial(ring, u)
             t = fine.power(u)
-            bound = m.torsion_bound(f)
-            if bound is not None:
+            bound, certified = m.torsion_bound(f)
+            if certified:
                 assert t <= bound
             for d in range(lo, lo + 4):
                 stable = kernel_basis(m.power_act(f, t, d)).ncols
@@ -570,11 +588,11 @@ class _TopExponentBound(FPGradedModule):
     fine_grading: max(1, the largest exponent of a relation monomial)."""
 
     def torsion_bound(self, f):
-        got = super().torsion_bound(f)
-        if not self.relations or not isinstance(got, int):
-            return got
+        got, certified = super().torsion_bound(f)
+        if not self.relations or not certified:
+            return got, certified
         return max(1, max(max(next(iter(p.terms)))
-                          for entries, _ in self.relations for p in entries if p is not None))
+                          for entries, _ in self.relations for p in entries if p is not None)), True
 
 
 @settings(max_examples=30, deadline=None)
@@ -596,7 +614,7 @@ def test_monomial_quotient_bound_gives_the_top_exponent_kernel(field, n, data):
     for u in data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
                                 min_size=1, max_size=3)):
         f = HomogPoly.monomial(ring, u, data.draw(scalars(field)))
-        t_new, t_old = m.torsion_bound(f), old.torsion_bound(f)
+        (t_new, _), (t_old, _) = m.torsion_bound(f), old.torsion_bound(f)
         assert t_new <= t_old
         for d in range(min(gens), min(gens) + 4):
             assert (kernel_basis(m.power_act(f, t_new, d))
@@ -734,3 +752,16 @@ def test_the_plateau_presentation_keeps_escalating():
     assert all(len(s._caps(d)) == 6 for d in range(-6, 7))
     check = run_scenario(scenario).checks[0]
     assert "kernels-heuristic" in check.flags
+
+
+def test_the_plateau_reads_the_table_of_its_monomial_presentation():
+    # the kernel chain of each localization starts at the torsion power
+    # T(f) of the fine grading, so it cannot stop on the plateau
+    # ker x = ker x^2 inside the x^20-torsion; the module has finite length
+    monomial = PLATEAU.replace(
+        "generators = 0, 0\nrelation = x^20; 0\nrelation = y; 0\nrelation = 1; 1\n",
+        "generators = 0\nrelation = x^20\nrelation = y\n")
+    assert monomial != PLATEAU
+    tables = [run_scenario(parse_scenario(text)).checks[0].tables["sections"]
+              for text in (PLATEAU, monomial)]
+    assert tables[0] == tables[1] == {str(d): 0 for d in range(-6, 7)}

@@ -22,6 +22,7 @@ from qcverify import (
     exactness_tables,
     free_module,
     injective_hull,
+    localize_piece,
     map_from_gen_images,
     matlis_dual,
     matlis_dual_map,
@@ -32,7 +33,6 @@ from qcverify import (
     verify_naturality,
 )
 from qcverify.exact_linalg import rank
-from qcverify.graded_modules import ALL_TORSION
 from test_graded_modules import FIELDS, RINGS, fp_modules, homog_polys
 
 WINDOW = (-4, 4)
@@ -147,13 +147,17 @@ def test_an_explicit_double_dual_returns_dimensions_and_actions(m):
 def test_torsion_certificates(ring, kx_fp, x, y):
     dual = matlis_dual(kx_fp)
     # the dual of a bounded-below module is bounded above: positive-degree
-    # multiplication is eventually zero on every element
-    assert dual.torsion_bound(x) == ALL_TORSION
+    # multiplication is eventually zero on every element, so it localizes
+    # to zero, certified
+    for d in range(-6, -1):
+        loc = localize_piece(dual, x, d, 2)
+        assert dual.piece(loc.num_degree).dim > 0
+        assert loc.dim == 0 and loc.status == "certified-in-window", d
     from qcverify import HomogPoly
 
-    assert dual.torsion_bound(HomogPoly.constant(ring, ring.field.one)) == 0
+    assert dual.torsion_bound(HomogPoly.constant(ring, ring.field.one)) == (0, True)
     bidual = DualizedModule(DualizedModule(kx_fp))
-    assert bidual.torsion_bound(y) == kx_fp.torsion_bound(y) == 1
+    assert bidual.torsion_bound(y) == kx_fp.torsion_bound(y) == (1, True)
 
 
 # --- dual maps ------------------------------------------------------------------

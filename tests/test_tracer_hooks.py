@@ -12,7 +12,15 @@ import sys
 
 import pytest
 
-from qcverify import FieldSpec, OpenSubset, PolyRing, cech_complex, free_module, localize_piece
+from qcverify import (
+    FieldSpec,
+    OpenSubset,
+    PolyRing,
+    cech_complex,
+    free_module,
+    localize_piece,
+    matlis_dual,
+)
 from qcverify.exact_linalg import Mat, rref
 from qcverify.localization_cech import CechComplexWindow
 
@@ -44,6 +52,10 @@ def test_built_degrees_and_statuses_are_where_the_tracer_reads_them():
     for f in (ring.var_poly(0), ring.var_poly(0) + ring.var_poly(1)):
         status = localize_piece(o, f, 0, 3).status
         assert status.startswith(("certified", "heuristic")), status
+    # a bounded-above module localizes to zero with a certified status, which
+    # the tracer must not count as heuristic
+    status = localize_piece(matlis_dual(o), ring.var_poly(0), -3, 1).status
+    assert status.startswith("certified"), status
 
 
 def test_rref_is_cached_on_the_matrix():
