@@ -17,7 +17,7 @@ Layers, from the bottom up:
 
 __version__ = "0.1.0"
 
-from .exact_linalg import FieldSpec, Mat, kernel_basis, rref, solve
+from .exact_linalg import FieldSpec, Mat, kernel_basis, kernel_coords, rref, solve
 from .graded_modules import (
     DegreewiseModule,
     FPGradedModule,

@@ -3,13 +3,13 @@
 Everything downstream reduces to row reduction of small, very sparse
 matrices, so this module is deliberately minimal: a field descriptor, an
 immutable matrix type whose rows are {column: entry} dicts holding the
-nonzero entries only, and the three workhorses (reduced row echelon form,
-kernel basis, quotient-space basis with projection).  Entries are plain
-Python numbers: over F_p an int in range(p), over Q an int, or a Fraction
-once a non-unit has been inverted.  FieldSpec owns the field decision
-(reduction and inverses); there is no floating point anywhere, and every
-algorithm makes deterministic pivot choices, so equal inputs give
-byte-identical results.
+nonzero entries only, and the workhorses (reduced row echelon form, kernel
+basis and coordinates in it, quotient-space basis with projection).
+Entries are plain Python numbers: over F_p an int in range(p), over Q an
+int, or a Fraction once a non-unit has been inverted.  FieldSpec owns the
+field decision (reduction and inverses); there is no floating point
+anywhere, and every algorithm makes deterministic pivot choices, so equal
+inputs give byte-identical results.
 
 Every operation visits the stored nonzero entries only.  The matrices
 that arise in practice (monomial multiplication, Cech restriction) are
@@ -28,6 +28,7 @@ __all__ = [
     "Mat",
     "rref",
     "kernel_basis",
+    "kernel_coords",
     "solve",
 ]
 
@@ -136,8 +137,8 @@ class Mat:
     data holds one {column: entry} dict per row with the nonzero entries
     only; rows are shared between matrices and never changed after
     construction.  The reduced row echelon form is cached on the instance,
-    which matters: ranks, kernels and solves of the same matrix are asked
-    for repeatedly by the degreewise machinery.
+    which matters: the degreewise machinery asks for the rank and kernel of
+    the same matrix repeatedly.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_ident")
@@ -310,10 +311,21 @@ class Mat:
         return Mat.block(self.field, {(0, 0): self, (0, 1): other})
 
     def take_cols(self, indices) -> "Mat":
-        """The columns at the given distinct indices, in their order."""
+        """The columns at the given distinct indices, in their order.
+
+        From an identity the result is a selection matrix, built from the
+        shared unit rows and one shared empty row without copying.
+        """
         new = {j: k for k, j in enumerate(indices)}
         if len(new) != len(indices):
             raise ValueError("take_cols needs distinct column indices")
+        if self._ident:
+            n = self.nrows
+            rows = [_EMPTY_ROW] * n
+            for j, k in new.items():
+                if 0 <= j < n:
+                    rows[j] = _UNIT_ROWS[k]
+            return Mat._of(self.field, n, len(new), rows)
         rows = (
             {new[j]: v for j, v in row.items() if j in new} for row in self.data
         )
@@ -346,6 +358,8 @@ class Mat:
 
 # row i is {i: 1}, shared by every identity matrix (rows are never changed)
 _UNIT_ROWS: list = []
+# the zero row shared by selection matrices
+_EMPTY_ROW: dict = {}
 
 
 def _sparse_row(row, n: int) -> dict:
@@ -474,6 +488,21 @@ def kernel_basis(m: Mat) -> Mat:
     return Mat._of(m.field, m.ncols, len(free), rows)
 
 
+def kernel_coords(m: Mat, vecs: Mat) -> Mat | None:
+    """Coordinates of the columns of vecs in kernel_basis(m), or None when
+    some column is not in the kernel of m.
+
+    The basis vector of a free column has a 1 there and zeros in the other
+    free columns, so the coordinates of a kernel vector are its entries at
+    the free columns; membership is checked by one product.
+    """
+    if not (m @ vecs).is_zero():
+        return None
+    pivots = set(rref(m)[1])
+    rows = [row for c, row in enumerate(vecs.data) if c not in pivots]
+    return Mat._of(m.field, len(rows), vecs.ncols, rows)
+
+
 def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int, ...]]:
     """Basis and projection for k^amb_dim modulo the column span of sub.
 
@@ -521,8 +550,10 @@ def solve(a: Mat, rhs: Mat) -> Mat | None:
     """A solution X of a @ X = rhs with free variables set to zero.
 
     Returns None when the system is inconsistent.  When the columns of a
-    are independent the solution is unique, which is how the degreewise
-    code uses this (expressing vectors in a basis).
+    are independent the solution is unique.  Coordinates in a kernel basis
+    are read off by kernel_coords instead; this general solve serves only
+    the basis that Gamma(W, -) lifts to a higher cap before expressing
+    vectors in it.
     """
     if a.nrows != rhs.nrows:
         raise ValueError("row count mismatch in solve")

@@ -10,7 +10,7 @@ per-degree exactness reports for three-term sequences of sheaves.
 
 from dataclasses import dataclass
 
-from .exact_linalg import Mat, _quotient_with_indices, kernel_basis, rank, solve
+from .exact_linalg import Mat, _quotient_with_indices, kernel_basis, kernel_coords, rank
 from .graded_modules import (
     DegreewiseModule,
     FPGradedModule,
@@ -272,8 +272,7 @@ class SheafMap:
 
         def matrix(d: int) -> Mat:
             both = Mat.block(field, {(0, 0): self.u_U.matrix(d), (1, 1): self.u_V.matrix(d)})
-            img = both @ ks.inclusion.matrix(d)
-            sol = solve(kt.inclusion.matrix(d), img)
+            sol = kernel_coords(kt.f.matrix(d), both @ ks.basis(d))
             if sol is None:
                 raise ArithmeticError(
                     f"{self.name}: patch maps do not respect the equalizer in degree {d}"

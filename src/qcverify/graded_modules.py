@@ -31,7 +31,7 @@ from .exact_linalg import (
     FieldSpec,
     Mat,
     kernel_basis,
-    solve,
+    kernel_coords,
     _quotient_with_indices,
 )
 
@@ -795,41 +795,39 @@ def map_from_gen_images(src: FPGradedModule, tgt: DegreewiseModule, images) -> G
 
 
 class _BasisBackedModule(DegreewiseModule):
-    """A submodule of an ambient DegreewiseModule given by per-degree bases.
+    """The degreewise kernel of a map f, as a submodule of f.source.
 
-    The variable action is obtained by acting in the ambient module and
-    re-expressing in the basis of the next piece; inconsistency (which
-    would mean the claimed bases are not closed under the action) raises.
+    Its degree-d basis is the canonical kernel basis of f.matrix(d).  The
+    variable action is obtained by acting in f.source and reading
+    coordinates in the kernel basis of the next degree; a vector outside
+    that kernel (which would mean f is not natural) raises.
     """
 
-    def __init__(self, ring, ambient: DegreewiseModule, basis_fn, name, label_tag):
-        self.ambient = ambient
-        self._basis_fn = basis_fn
+    def __init__(self, f: GradedModuleMap):
+        self.f = f
         self._bases: dict[int, Mat] = {}
-        self._tag = label_tag
-        super().__init__(ring, name=name, min_degree=ambient.min_degree,
-                         max_degree=ambient.max_degree)
+        super().__init__(f.source.ring, name=f"ker({f.name})",
+                         min_degree=f.source.min_degree, max_degree=f.source.max_degree)
 
     def basis(self, d: int) -> Mat:
         got = self._bases.get(d)
         if got is None:
-            got = self._basis_fn(d)
-            self._bases[d] = got
+            got = self._bases[d] = kernel_basis(self.f.matrix(d))
         return got
 
     @property
     def inclusion(self) -> GradedModuleMap:
-        """The inclusion into the ambient module, basis(d) in degree d; built
+        """The inclusion into f.source, basis(d) in degree d; built
         on each access, since a stored map would point back at the module."""
-        return GradedModuleMap(self, self.ambient, self.basis, name=f"{self.name}->")
+        return GradedModuleMap(self, self.f.source, self.basis, name=f"{self.name}->")
 
     def _piece(self, d: int) -> GradedPiece:
         b = self.basis(d)
-        return GradedPiece(self.ring.field, tuple((self._tag, j) for j in range(b.ncols)))
+        return GradedPiece(self.ring.field, tuple(("ker", j) for j in range(b.ncols)))
 
     def _act(self, var: int, d: int) -> Mat:
-        acted = self.ambient.act(var, d) @ self.basis(d)
-        coords = solve(self.basis(d + 1), acted)
+        acted = self.f.source.act(var, d) @ self.basis(d)
+        coords = kernel_coords(self.f.matrix(d + 1), acted)
         if coords is None:
             raise ArithmeticError(
                 f"{self.name}: action by x_{var} leaves the degree-{d} basis span"
@@ -839,13 +837,7 @@ class _BasisBackedModule(DegreewiseModule):
 
 def kernel_dw(f: GradedModuleMap) -> DegreewiseModule:
     """The degreewise kernel of f, as a module with induced actions."""
-    return _BasisBackedModule(
-        f.source.ring,
-        f.source,
-        lambda d: kernel_basis(f.matrix(d)),
-        name=f"ker({f.name})",
-        label_tag="ker",
-    )
+    return _BasisBackedModule(f)
 
 
 class _TensorRealization:

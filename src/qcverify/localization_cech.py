@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from weakref import WeakValueDictionary
 
-from .exact_linalg import Mat, kernel_basis, rref, solve, _quotient_with_indices
+from .exact_linalg import Mat, kernel_basis, kernel_coords, rref, solve, _quotient_with_indices
 from .graded_modules import (
     DegreewiseModule,
     FPGradedModule,
@@ -466,10 +466,12 @@ class SectionsModule(DegreewiseModule):
     localizations it lives on and its certificate are those of the
     complex's degree at that cap.  A map given on numerators (variable
     actions, induced maps) is applied to the H^0 basis at its cap by
-    _map_into; its result, like restriction from M, is re-expressed in the
-    target's basis by lifting both to a common cap (multiplying numerators
-    by powers of the denominators) and solving exactly; a failed solve
-    means a cap lied and raises CapExhausted rather than guessing.
+    _map_into; its result, like restriction from M, is lifted to the
+    target's cap (multiplying numerators by powers of the denominators),
+    and its coordinates are read off the canonical kernel basis of d0 after
+    a membership check.  Only a vector given above the target's cap is
+    solved for, in the basis lifted to the vector's cap.  A vector outside
+    H^0 means a cap lied and raises CapExhausted rather than guessing.
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
@@ -527,10 +529,16 @@ class SectionsModule(DegreewiseModule):
         own, _dim, cech = self._stable("h0_dim", d)
         common = max(cap, own)
         pieces = self._locs(d, common)
-        basis = _lift(self.base, self.cover, 0, cech.levels[0], pieces, common - own,
-                      cech.h0_basis())
         lifted = _lift(self.base, self.cover, 0, self._locs(d, cap), pieces, common - cap, vecs)
-        coords = solve(basis, lifted)
+        if cap > own:
+            basis = _lift(self.base, self.cover, 0, cech.levels[0], pieces, cap - own,
+                          cech.h0_basis())
+            coords = solve(basis, lifted)
+        elif cech.n == 1:
+            # one chart: H^0 is all of C^0, in the identity basis
+            coords = lifted
+        else:
+            coords = kernel_coords(cech.diffs[0], lifted)
         if coords is None:
             raise CapExhausted(
                 f"{self.name}: a section of degree {d} is not representable at the "

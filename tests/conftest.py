@@ -4,8 +4,11 @@ Session scope matters here; realization caches live on the module objects,
 so reusing them keeps the suite fast.
 """
 
+from collections import Counter
+
 import pytest
 
+import qcverify
 from qcverify import (
     FPGradedModule,
     FieldSpec,
@@ -15,6 +18,7 @@ from qcverify import (
     double_origin_plane,
     free_module,
 )
+from qcverify import exact_linalg, glued_scheme, graded_modules, localization_cech
 from qcverify.localization_cech import CechComplexWindow
 
 
@@ -84,3 +88,21 @@ def complexes_built(monkeypatch):
 
     monkeypatch.setattr(CechComplexWindow, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def coordinate_calls(monkeypatch):
+    """Calls of solve and kernel_coords while the test runs, by name,
+    counted in every layer that binds them."""
+    calls = Counter()
+    for name in ("solve", "kernel_coords"):
+        real = getattr(exact_linalg, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in (qcverify, exact_linalg, localization_cech, graded_modules, glued_scheme):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcverify import FieldSpec, Mat, kernel_basis, rref, solve
+from qcverify import FieldSpec, Mat, exact_linalg, kernel_basis, kernel_coords, rref, solve
 from qcverify.exact_linalg import _quotient_with_indices, rank
 
 Q = FieldSpec.rationals()
@@ -334,6 +334,8 @@ def test_every_operation_keeps_rows_sparse(inputs, s):
         Mat.block(field, {(0, 0): i_n, (0, 1): a, (1, 1): i_m}, [n, m], [n, m]),
         rref(i_n)[0], rref(a.hstack(i_n))[0], rref(Mat.block(field, {(0, 0): a, (1, 0): i_m}))[0],
         kernel_basis(i_n), kernel_basis(a.hstack(i_n)), solve(i_n, a), solve(a.hstack(i_n), b),
+        i_n.take_cols(list(range(n))[::-2]), i_m.take_cols([]),
+        kernel_coords(a.hstack(i_n), kernel_basis(a.hstack(i_n))),
     ]
     results += [
         a, a + b, a - b, a - a, a + a.scale(field.of_int(-1)), -a,
@@ -341,6 +343,7 @@ def test_every_operation_keeps_rows_sparse(inputs, s):
         Mat.block(field, {(0, 0): a, (0, 1): a @ c, (1, 0): b}, [n, n], [m, c.ncols]),
         a.transpose(), a.take_cols(list(range(m))[::-1]), a.take_rows(n // 2, n),
         rref(a)[0], kernel_basis(a), *_quotient_with_indices(a, n)[:2],
+        kernel_coords(a, kernel_basis(a)), kernel_coords(a, kernel_basis(a).scale(field.of_int(s))),
     ]
     x = solve(a, b.take_cols(list(range(min(m, 1)))))
     if x is not None:
@@ -349,6 +352,57 @@ def test_every_operation_keeps_rows_sparse(inputs, s):
         assert_sparse(r)
     assert (a - a).is_zero() and (a + -a).data == ({},) * n
     assert all(row == {i: 1} for i, row in enumerate(Mat.identity(field, n + m).data))
+
+
+@st.composite
+def kernel_coords_inputs(draw):
+    """A field, a matrix m with possibly zero rows or columns, and a block
+    of coordinates c for its kernel basis."""
+    field = draw(st.sampled_from([Q, F7, F65537]))
+    m = draw(sparse_mats(field, draw(st.integers(0, 5)), draw(st.integers(0, 6))))
+    c = draw(sparse_mats(field, kernel_basis(m).ncols, draw(st.integers(0, 3))))
+    return field, m, c
+
+
+@given(kernel_coords_inputs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_kernel_coords_inverts_the_kernel_basis(inputs, data):
+    field, m, c = inputs
+    k = kernel_basis(m)
+    assert kernel_coords(m, k @ c) == c
+    # against the general solve, on vectors in the kernel and vectors off it
+    noise = data.draw(sparse_mats(field, m.ncols, c.ncols))
+    for v in (k @ c, noise, k @ c + noise):
+        got, want = kernel_coords(m, v), solve(k, v)
+        assert (got is None) == (want is None)
+        assert got == want
+
+
+def test_kernel_coords_of_a_vector_off_the_kernel():
+    a = mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    assert kernel_coords(a, mat([[1], [0], [0]])) is None
+    assert kernel_coords(a, mat([[1, 0], [-2, 0], [1, 0]])) == mat([[1, 0]])
+    with pytest.raises(ValueError):
+        kernel_coords(a, mat([[1], [0]]))
+
+
+@given(st.sampled_from([Q, F7, F65537]), st.integers(0, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_take_cols_of_an_identity_shares_unit_rows(field, n, data):
+    picked = data.draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    ident = Mat.identity(field, n)
+    # equal to the identity, but not flagged as one: the generic path
+    plain = Mat(field, n, n, [{i: 1} for i in range(n)])
+    assert plain == ident and not plain._ident
+    sel = ident.take_cols(picked)
+    assert sel.data == plain.take_cols(picked).data
+    assert (sel.nrows, sel.ncols) == (n, len(picked))
+    for k, j in enumerate(picked):
+        assert sel.data[j] is exact_linalg._UNIT_ROWS[k]
+    assert all(sel.data[j] is exact_linalg._EMPTY_ROW for j in set(range(n)) - set(picked))
+    if n:
+        with pytest.raises(ValueError):
+            ident.take_cols([0, 0])
 
 
 def test_dense_and_mapping_rows_agree():

@@ -36,7 +36,7 @@ from qcverify import (
     verify_action_commutation,
     witness_nonaffine,
 )
-from qcverify.exact_linalg import rank
+from qcverify.exact_linalg import rank, solve
 from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario
 from test_graded_modules import FIELDS, RINGS, fp_modules
 from test_localization_cech import binomial_presentations, fine_graded
@@ -337,6 +337,33 @@ def test_ideal_sequence_exact_on_patches_not_on_x(scheme, ideal_fp, o_fp, sky_fp
     assert on_x.verdict == "left-exact-only"
     assert on_x.cokernel[0] == 1
     assert all(v == 0 for d, v in on_x.cokernel.items() if d != 0)
+
+
+def test_maps_on_x_sections_are_read_without_a_solve(coordinate_calls, scheme, ideal_fp,
+                                                     o_fp, x, y):
+    f = SheafMap.glued(glued(scheme, ideal_fp), glued(scheme, o_fp),
+                       ideal_inclusion(scheme, ideal_fp, o_fp, x, y))
+    ks, kt = f.source.x_sections(), f.target.x_sections()
+    on_x = f.on_sections("X")
+    for d in range(*WINDOW):
+        both = Mat.block(scheme.ring.field, {(0, 0): f.u_U.matrix(d), (1, 1): f.u_V.matrix(d)})
+        assert on_x.matrix(d) == solve(kt.basis(d), both @ ks.basis(d))
+    assert coordinate_calls["solve"] == 0
+    assert coordinate_calls["kernel_coords"] > 0
+
+
+def test_patch_maps_that_break_the_equalizer_are_rejected(scheme, o_fp):
+    # the identity on U and zero on V send the constant 1 to (1, 0), which
+    # does not glue
+    s = glued(scheme, o_fp)
+    field = scheme.ring.field
+    ident = GradedModuleMap(o_fp, o_fp, lambda d: Mat.identity(field, o_fp.piece(d).dim))
+    zero = GradedModuleMap(o_fp, o_fp, lambda d: Mat.zeros(field, o_fp.piece(d).dim,
+                                                            o_fp.piece(d).dim))
+    u = SheafMap(s, s, ident, zero, name="u")
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "u: patch maps do not respect the equalizer in degree 0")):
+        u.on_sections("X").matrix(0)
 
 
 def test_twist_sequence_left_exact_only_on_w(scheme, kx_fp, y):

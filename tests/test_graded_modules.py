@@ -1,5 +1,7 @@
 """Graded rings, finitely presented modules, and degreewise maps."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from qcverify import (
     verify_action_commutation,
     verify_naturality,
 )
-from qcverify.exact_linalg import _quotient_with_indices, rank
+from qcverify.exact_linalg import _quotient_with_indices, rank, solve
 from qcverify.graded_modules import GradedPiece, tensor_realization
 
 
@@ -231,6 +233,40 @@ def test_short_sequence_is_exact_degreewise(ring, y, kx_fp):
         assert b.ncols - rank(b) == rank(a)
         assert rank(a.hstack(Mat.zeros(ring.field, a.nrows, 0))) == rank(a)
         assert g.target.piece(d).dim == rank(b)  # g surjective degreewise
+
+
+def test_kernel_actions_are_read_off_the_kernel_basis(coordinate_calls, ring, x, y):
+    # (a, b) -> x a + y b on R(-1) + R(-1): the kernel is R(-2) on the
+    # syzygy (y, -x)
+    src = free_module(ring, (1, 1))
+    tgt = free_module(ring, (0,))
+    f = map_from_gen_images(src, tgt, [tgt.poly_act(p, 0) @ tgt.gen_element(0) for p in (x, y)])
+    k = kernel_dw(f)
+    for d in range(-1, 4):
+        assert k.piece(d).dim == ring.dim(d - 2)
+        for var in (0, 1):
+            want = solve(k.basis(d + 1), src.act(var, d) @ k.basis(d))
+            assert k.act(var, d) == want
+    # one read per variable in degrees 2 and 3; below them the kernel is zero
+    assert coordinate_calls["solve"] == 0
+    assert coordinate_calls["kernel_coords"] == 4
+
+
+def test_the_kernel_of_a_non_natural_map_rejects_its_action(ring):
+    o = free_module(ring, (0,))
+    x1 = o.act(0, 0)
+
+    def matrix(d):
+        n = o.piece(d).dim
+        return x1 @ x1.transpose() if d == 1 else Mat.zeros(ring.field, n, n)
+
+    # zero except in degree 1, where it keeps x and kills y: 1 is in the
+    # kernel, and so is y, but x is not
+    k = kernel_dw(GradedModuleMap(o, o, matrix, name="f"))
+    assert (k.piece(0).dim, k.piece(1).dim) == (1, 1)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "ker(f): action by x_0 leaves the degree-0 basis span")):
+        k.act(0, 0)
 
 
 # --- tensor, direct sums ----------------------------------------------

@@ -6,7 +6,9 @@ sheaf on the punctured plane are the polynomials themselves, H^1 has dimension
 in every degree.
 """
 
+import re
 import sys
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import add
@@ -41,7 +43,7 @@ from qcverify import (
 )
 from qcverify import localization_cech
 from qcverify.exact_linalg import kernel_basis, rank, solve
-from qcverify.verify_cli import parse_scenario, run_scenario
+from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario, run_scenario
 from test_graded_modules import FIELDS, scalars
 
 WINDOW = (-4, 4)
@@ -448,6 +450,67 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
                 got = localization_cech._cochain_apply(
                     deg_o.levels[0], pieces_m, lambda j, b: m.gen_mult(i, b), deg_o.h0_basis())
                 assert got == _ref_generator_multiples(m, i, deg_o, pieces_m)
+
+
+# --- coordinates in the H^0 basis ----------------------------------------------
+#
+# A vector given at or below its target's own cap is lifted to that cap, and
+# its coordinates are read off the canonical kernel basis of d0; only a vector
+# given above the own cap needs the lifted basis and a solve.
+
+
+@pytest.mark.parametrize("name", ["lemma21-free", "double-origin-flat"])
+def test_the_builtins_read_coordinates_without_a_solve(coordinate_calls, name):
+    rep = run_scenario(parse_scenario(BUILTIN_SCENARIOS[name], window=(-2, 2)))
+    assert rep.exit_code() == 0
+    assert coordinate_calls["solve"] == 0
+    assert coordinate_calls["kernel_coords"] > 0
+
+
+def test_a_vector_above_the_own_cap_is_solved_for(coordinate_calls):
+    # k[x] = R/(x + y) at start cap 1: degree -2 stabilizes at cap 3 and
+    # degree -1 at cap 1, so the action from degree -2 lifts the basis of
+    # degree -1 to cap 3 and solves against it
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    m = FPGradedModule(ring, (0,), ((x + y,),))
+    s = sections_window(m, OpenSubset(ring, (x, y)), (-3, 2), CapPolicy(start=1))
+    assert [s._stable("h0_dim", d)[0] for d in (-2, -1)] == [3, 1]
+    for var in (0, 1):
+        assert s.act(var, -2) == _ref_map(s, s, -2, -1, lambda i, a: m.act(var, a))
+    assert coordinate_calls["solve"] == 2
+
+
+def test_a_vector_outside_h0_at_the_own_cap_is_rejected(o_fp, w):
+    s = sections_window(o_fp, w, WINDOW)
+    own, _dim, cech = s._stable("h0_dim", 0)
+    units = Mat.identity(o_fp.ring.field, cech.level_dim(0))
+    stray = next(col for col in (units.take_cols([j]) for j in range(units.ncols))
+                 if not (cech.diffs[0] @ col).is_zero())
+    with pytest.raises(CapExhausted, match=re.escape(
+            f"sections(O): a section of degree 0 is not representable at the "
+            f"stabilized cap {own}")):
+        s._express(0, stray, own)
+
+
+@pytest.mark.xfail(strict=True, raises=CapExhausted,
+                   reason="ROADMAP item 3: the kernel chain of a binomial presentation "
+                          "can stop on a plateau below the whole torsion")
+def test_the_binomial_plateau_maps_match_the_block_formulas():
+    # R/(x^3, x^2 y) + R(-1), presented by the binomial columns
+    # -3/2 x^3 + x^2 y and -3 x^3 + x^2 y on the first generator: in
+    # numerator degree 0, ker x = ker x^2 = 0 while x^3 kills 1, so degree -1
+    # stabilizes at cap 1 with too few sections, and the action from degree
+    # -2 (cap 3) lands outside them
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    cover = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
+    x3, x2y = HomogPoly.monomial(ring, (3, 0)), HomogPoly.monomial(ring, (2, 1))
+    rels = ((x3.scale(Fraction(-3, 2)) + x2y, None), (x3.scale(-3) + x2y, None))
+    m = FPGradedModule(ring, (0, 1), rels)
+    s_m = sections_window(m, cover, (-3, 2), CapPolicy(start=1))
+    for d in range(-3, 2):
+        for var in (0, 1):
+            assert s_m.act(var, d) == _ref_map(s_m, s_m, d, d + 1, lambda i, a: m.act(var, a))
 
 
 # --- proven caps ---------------------------------------------------------------
