@@ -17,8 +17,8 @@ from .graded_modules import (
     GradedModuleMap,
     HomogPoly,
     PolyRing,
+    _mono_str,
     direct_sum,
-    free_module,
     kernel_dw,
     tensor_realization,
 )
@@ -33,7 +33,6 @@ from .localization_cech import (
     _cochain_apply,
     _lift,
     _stabilize,
-    h1_window,
     restriction_to_sections,
     sections_induced_map,
     sections_window,
@@ -169,7 +168,7 @@ class QcohSheafOnX:
         if self._x is not None:
             return self._x
         sw = self.w_sections(compare=False)
-        res_u = restriction_to_sections(self.m_U, self.scheme.overlap, sections=sw)
+        res_u = restriction_to_sections(sw)
         if self.gluing == "identity":
             res_v_matrix = res_u.matrix
         else:
@@ -303,13 +302,9 @@ class DefectTable:
         return sum(self.defect.values())
 
 
-def _structure_sections(sections_o: SectionsModule | None, cover: OpenSubset, window,
-                        policy: CapPolicy | None) -> SectionsModule:
-    """Gamma(W, O) for the two generator-multiple checks: the given sections,
-    checked to be those of the rank-one free module O = R(0) on the cover,
-    or fresh ones of a new free module."""
-    if sections_o is None:
-        return sections_window(free_module(cover.ring), cover, window, policy)
+def _structure_sections(sections_o: SectionsModule) -> None:
+    """Refuse Gamma(W, -) of anything but the rank-one free module O = R(0)
+    generated in degree 0, for the two generator-multiple checks."""
     base = sections_o.base
     if not (isinstance(base, FPGradedModule) and base.gen_degrees == (0,)
             and not base.relations):
@@ -317,40 +312,39 @@ def _structure_sections(sections_o: SectionsModule | None, cover: OpenSubset, wi
             f"structure sections must be those of the rank-one free module generated "
             f"in degree 0, not of {base.name}"
         )
-    if sections_o.cover is not cover:
-        raise ValueError("structure sections live on a different cover")
-    return sections_o
 
 
-def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW,
-                         policy: CapPolicy | None = None,
-                         sections_o: SectionsModule | None = None) -> DefectTable:
+def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> DefectTable:
     """Defect of the comparison map from tensored global sections.
 
-    For each window degree the canonical map (F (x) Gamma(W,O))_d ->
+    sections_o is Gamma(W, O); its cover, window and cap policy are those
+    of the table, and Gamma(W, ~F) is taken with the same three.  For each
+    window degree the canonical map (F (x) Gamma(W,O))_d ->
     Gamma(W, ~F)_d sends gen_i (x) a to a * res(gen_i): on D(f_j),
     a = n_j / f_j^c, so a * gen_i = (n_j * gen_i) / f_j^c, one column
     selection of f.gen_mult on the numerators at O's cap.  Free modules have
     zero defect; a nonzero entry certifies that restriction and tensoring
     do not commute for F over W.
     """
+    _structure_sections(sections_o)
+    window = sections_o.window
     lo, hi = window
-    s_f = sections_window(f, w, window, policy)
-    s_o = _structure_sections(sections_o, w, window, policy)
+    s_f = sections_window(f, sections_o.cover, window, sections_o.policy)
 
     field = f.ring.field
     kernel: dict = {}
     cokernel: dict = {}
     for d in range(lo, hi + 1):
-        t = tensor_realization(f, s_o, d)
+        t = tensor_realization(f, sections_o, d)
         tgt_dim = s_f.piece(d).dim
         blocks = {}
         col_dims = []
         for i, e in enumerate(f.gen_degrees):
-            src_dim = s_o.piece(d - e).dim
+            src_dim = sections_o.piece(d - e).dim
             col_dims.append(src_dim)
             if src_dim and tgt_dim:
-                blocks[0, i] = s_o._map_into(d - e, s_f, d, lambda j, a: f.gen_mult(i, a))
+                blocks[0, i] = sections_o._map_into(d - e, s_f, d,
+                                                    lambda j, a: f.gen_mult(i, a))
         free_map = Mat.block(field, blocks, [tgt_dim], col_dims)
         if t.rel_matrix.ncols and not (free_map @ t.rel_matrix).is_zero():
             raise ArithmeticError(
@@ -360,7 +354,7 @@ def flat_sections_defect(f: FPGradedModule, w: OpenSubset, window=DEFAULT_WINDOW
         r = rank(mu)
         kernel[d] = t.piece.dim - r
         cokernel[d] = tgt_dim - r
-    return DefectTable(tuple(window), kernel, cokernel, flags=s_f.flags(window))
+    return DefectTable(window, kernel, cokernel, flags=s_f.flags())
 
 
 @dataclass
@@ -382,7 +376,7 @@ class ObstructionCertificate:
 
 
 def flat_quotient_obstruction(s: QcohSheafOnX,
-                              sections_o: SectionsModule | None = None) -> ObstructionCertificate:
+                              sections_o: SectionsModule) -> ObstructionCertificate:
     """Codim of the span of Gamma(W,O)-multiples of U-patch sections.
 
     Nonzero codim in some degree certifies that the sheaf cannot be an
@@ -397,8 +391,8 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     is the certificate of M's and O's Cech degrees in the window at the
     accepted cap.
 
-    sections_o is Gamma(W, O) of the caller's structure module, whose
-    complexes are then shared; without it a fresh free module stands in.
+    sections_o is Gamma(W, O) of the caller's structure module, on the
+    sheaf's overlap; its complexes are shared with every other check on O.
     """
     window = s.window
     lo, hi = window
@@ -412,9 +406,10 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
             raise BufferTooSmall(
                 f"generator degree {e} outside the buffered window [{lo - buffer}, {hi}]"
             )
-    cover = s.scheme.overlap
     field = s.scheme.ring.field
-    sections_o = _structure_sections(sections_o, cover, window, s.policy)
+    _structure_sections(sections_o)
+    if sections_o.cover is not s.scheme.overlap:
+        raise ValueError("structure sections live on a different cover")
     # the U-module's complexes are those of the sheaf's W-sections
     complexes_m = s.w_sections(compare=False).complexes
     complexes_o = sections_o.complexes
@@ -464,14 +459,7 @@ def _laurent_string(ring: PolyRing, numerator: HomogPoly, shift) -> str:
     parts = []
     for mono in sorted(numerator.terms, reverse=True):
         c = numerator.terms[mono]
-        exps = [a - s for a, s in zip(mono, shift)]
-        factors = []
-        for v, e in zip(ring.variables, exps):
-            if e == 1:
-                factors.append(v)
-            elif e != 0:
-                factors.append(f"{v}^{e}")
-        body = "*".join(factors) if factors else "1"
+        body = _mono_str(ring, tuple(a - s for a, s in zip(mono, shift)))
         if c == ring.field.one:
             parts.append(body)
         else:
@@ -479,26 +467,15 @@ def _laurent_string(ring: PolyRing, numerator: HomogPoly, shift) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def witness_nonaffine(w: OpenSubset, window=DEFAULT_WINDOW,
-                      module: DegreewiseModule | None = None,
-                      policy: CapPolicy | None = None,
-                      h1: H1Result | None = None) -> NonaffineWitness | None:
-    """A nonzero H^1 class over W with explicit representative, if one exists
-    in the window.  Returns None otherwise (absence proves nothing outside
-    the window; a single-set cover never has one).
+def witness_nonaffine(h1: H1Result) -> NonaffineWitness | None:
+    """A nonzero H^1 class with explicit representative, in the top degree
+    of h1's window where H^1 is nonzero.  Returns None if there is none
+    (absence proves nothing outside the window; a single-set cover never
+    has one).
 
-    h1, when given, is the H^1 of the module on w already computed by the
-    caller; its module, window and policy are used, and nothing is
-    recomputed."""
-    if w.n == 1:
-        return None
-    if h1 is None:
-        if module is None:
-            module = free_module(w.ring, (0,))
-        h1 = h1_window(module, w, window, policy)
-    elif h1.cover is not w or (module is not None and h1.module is not module):
-        raise ValueError("the H^1 result belongs to another module or cover")
-    module = h1.module
+    Module, cover, window and caps are those of h1, and the cocycle is
+    read from its Cech complexes; nothing is recomputed."""
+    module, w = h1.module, h1.cover
     field = module.ring.field
     lo, hi = h1.window
     found = None

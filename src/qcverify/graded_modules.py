@@ -308,8 +308,6 @@ class HomogPoly:
                 raise ValueError(f"cannot tokenize {text[pos:]!r}")
             tokens.append(m)
             pos = m.end()
-        if text[pos:].strip():
-            raise ValueError(f"cannot tokenize {text[pos:]!r}")
 
         idx = 0
 
@@ -348,30 +346,22 @@ class HomogPoly:
 
         if not tokens:
             raise ValueError("empty polynomial")
-        sign = 1
-        while peek(5) or peek(6):
-            if peek(5):
-                take(5)
-            else:
-                take(6)
-                sign = -sign
-        result = parse_term()
-        if sign < 0:
-            result = -result
+        # each term takes the signs before it; every term after the first needs one
+        result = None
         while idx < len(tokens):
             sign = 1
             saw = False
             while peek(5) or peek(6):
-                if peek(5):
-                    take(5)
-                else:
-                    take(6)
+                if peek(6):
                     sign = -sign
+                idx += 1
                 saw = True
-            if not saw:
+            if result is not None and not saw:
                 raise ValueError("expected '+' or '-' between terms")
             t = parse_term()
-            result = result + (t if sign > 0 else -t)
+            if sign < 0:
+                t = -t
+            result = t if result is None else result + t
         return result
 
 

@@ -367,10 +367,8 @@ class _CechComplexes(dict):
         return got
 
 
-def cech_complex(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
-                 cap: int | None = None) -> CechComplexWindow:
-    if cap is None:
-        cap = DEFAULT_CAP_POLICY.start_cap(window)
+def cech_complex(module: DegreewiseModule, cover: OpenSubset, window,
+                 cap: int) -> CechComplexWindow:
     return CechComplexWindow(module, cover, window, cap)
 
 
@@ -628,13 +626,9 @@ def h1_window(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW
     return H1Result(module, cover, window, policy)
 
 
-def restriction_to_sections(module: DegreewiseModule, cover: OpenSubset,
-                            window=DEFAULT_WINDOW, policy: CapPolicy | None = None,
-                            sections: SectionsModule | None = None) -> GradedModuleMap:
-    s = sections if sections is not None else sections_window(module, cover, window, policy)
-    if s.base is not module:
-        raise ValueError("sections module does not match the module being restricted")
-    return GradedModuleMap(module, s, s.restriction_matrix, name=f"res({module.name})")
+def restriction_to_sections(s: SectionsModule) -> GradedModuleMap:
+    """The diagonal restriction M -> Gamma(W, ~M) onto the given sections of M."""
+    return GradedModuleMap(s.base, s, s.restriction_matrix, name=f"res({s.base.name})")
 
 
 def sections_induced_map(u: GradedModuleMap, s_src: SectionsModule,

@@ -662,8 +662,7 @@ class _Runner:
         return {"h1": res.dims}, flags, "table-computed"
 
     def _obstruction(self, sheaf_name):
-        cert = flat_quotient_obstruction(self.sheaf(sheaf_name),
-                                         sections_o=self.sections_o)
+        cert = flat_quotient_obstruction(self.sheaf(sheaf_name), self.sections_o)
         flags = list(cert.flags)
         degs = cert.obstructed_degrees
         if degs:
@@ -681,10 +680,7 @@ class _Runner:
         return tables, [f"plus-over-u:{pu.verdict}"] + list(bv.flags), rep.verdict
 
     def _lemma21(self, modname):
-        s = self.s
-        tbl = flat_sections_defect(s.modules[modname], s.overlap,
-                                   window=s.window, policy=s.policy,
-                                   sections_o=self.sections_o)
+        tbl = flat_sections_defect(self.s.modules[modname], self.sections_o)
         tables = {"kernel": tbl.kernel, "cokernel": tbl.cokernel,
                   "defect": tbl.defect}
         return tables, list(tbl.flags), "zero-defect" if tbl.total == 0 else "defect-found"
@@ -692,7 +688,7 @@ class _Runner:
     def _nonaffine_witness(self, modname):
         s = self.s
         res = h1_window(s.modules[modname or "O"], s.overlap, s.window, s.policy)
-        wit = witness_nonaffine(s.overlap, h1=res)
+        wit = witness_nonaffine(res)
         if wit is None:
             return {"h1": res.dims}, [], "no-witness-in-window"
         flags = [

@@ -71,6 +71,11 @@ def criterion(n: int, desc: str):
     return deco
 
 
+def structure_sections(cover):
+    """Gamma(W, O) over the gate window, as the defect and the obstruction read it."""
+    return sections_window(free_module(RING, (0,)), cover, window=WINDOW)
+
+
 def twist_maps():
     """R(-1) --y--> R --> R/(y) as sheaf maps on the doubled plane."""
     src = free_module(RING, (1,), name="R(-1)")
@@ -94,7 +99,7 @@ def test_criterion_1_sections_table():
 @criterion(2, "flat-cover obstruction with affine control")
 def test_criterion_2_obstruction():
     pushed = direct_image_from_U(SCHEME, IDEAL, window=WINDOW)
-    cert = flat_quotient_obstruction(pushed)
+    cert = flat_quotient_obstruction(pushed, structure_sections(SCHEME.overlap))
     assert cert.codims == {d: (1 if d == 0 else 0) for d in range(LO, HI + 1)}
     assert cert.obstructed_degrees == (0,)
 
@@ -102,7 +107,7 @@ def test_criterion_2_obstruction():
     control_scheme = DoubleGluedScheme(RING, OpenSubset(RING, (X,)))
     x_ideal = free_module(RING, (1,), name="xI")
     control = direct_image_from_U(control_scheme, x_ideal, window=WINDOW)
-    control_cert = flat_quotient_obstruction(control)
+    control_cert = flat_quotient_obstruction(control, structure_sections(control_scheme.overlap))
     assert control_cert.obstructed_degrees == ()
     assert all(v == 0 for v in control_cert.codims.values())
 
@@ -123,7 +128,7 @@ def test_criterion_4_h1_and_witness():
     res = h1_window(free_module(RING, (0,)), W, window=WINDOW)
     assert res.dims == {d: (abs(d) - 1 if d <= -2 else 0) for d in range(LO, HI + 1)}
 
-    wit = witness_nonaffine(W, window=WINDOW)
+    wit = witness_nonaffine(res)
     assert wit is not None
     assert wit.degree == -2
     assert wit.representative == "x^-1*y^-1"
@@ -145,13 +150,13 @@ def test_criterion_5_bidual():
 
 @criterion(6, "zero defect for frees, defect at the origin skyscraper")
 def test_criterion_6_defect_grid():
-    shared_o = sections_window(free_module(RING, (0,)), W, window=WINDOW)
+    shared_o = structure_sections(W)
     for a in range(-3, 4):
         for r in range(1, 5):
             fp = free_module(RING, (a,) * r, name=f"free({a})^{r}")
-            t = flat_sections_defect(fp, W, window=WINDOW, sections_o=shared_o)
+            t = flat_sections_defect(fp, shared_o)
             assert t.total == 0, (a, r, t.defect)
-    sky_table = flat_sections_defect(SKY, W, window=WINDOW, sections_o=shared_o)
+    sky_table = flat_sections_defect(SKY, shared_o)
     assert sky_table.defect == {d: (1 if d == 0 else 0) for d in range(LO, HI + 1)}
 
 

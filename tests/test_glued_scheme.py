@@ -20,6 +20,7 @@ from qcverify import (
     GradedModuleMap,
     HomogPoly,
     Mat,
+    OpenSubset,
     QcohSheafOnX,
     SheafMap,
     direct_image_from_U,
@@ -46,6 +47,15 @@ WINDOW = (-3, 4)
 
 def glued(scheme, fp, window=WINDOW):
     return QcohSheafOnX.glued(scheme, fp, window=window)
+
+
+def o_sections(cover, window):
+    """Gamma(W, O) on the cover, as the defect and the obstruction read it."""
+    return sections_window(free_module(cover.ring), cover, window)
+
+
+def obstruction(sheaf):
+    return flat_quotient_obstruction(sheaf, o_sections(sheaf.scheme.overlap, sheaf.window))
 
 
 def ideal_inclusion(scheme, ideal_fp, o_fp, x, y, window=WINDOW):
@@ -104,7 +114,7 @@ def test_x_sections_carry_commuting_actions(scheme, ideal_fp):
 
 def test_ideal_sheaf_is_obstructed_at_degree_zero(scheme, ideal_fp):
     s = glued(scheme, ideal_fp, window=(-2, 3))
-    cert = flat_quotient_obstruction(s)
+    cert = obstruction(s)
     assert cert.obstructed_degrees == (0,)
     assert cert.codims[0] == 1
     assert all(cert.codims[d] == 0 for d in cert.codims if d != 0)
@@ -112,7 +122,7 @@ def test_ideal_sheaf_is_obstructed_at_degree_zero(scheme, ideal_fp):
 
 
 def test_structure_sheaf_is_unobstructed(scheme):
-    cert = flat_quotient_obstruction(glued(scheme, free_module(scheme.ring), window=(-2, 3)))
+    cert = obstruction(glued(scheme, free_module(scheme.ring), window=(-2, 3)))
     assert cert.obstructed_degrees == ()
     assert cert.verdict == "no-obstruction-in-window"
 
@@ -122,14 +132,14 @@ def test_obstruction_needs_fp_module(scheme, ideal_fp, o_fp, x, y):
     ker = kernel_dw(f)  # degreewise module with no presentation attached
     s = QcohSheafOnX.glued(scheme, ker, window=(-2, 2))
     with pytest.raises(ValueError):
-        flat_quotient_obstruction(s)
+        obstruction(s)
 
 
 def test_buffer_guard_rejects_far_generators(scheme):
     high = free_module(scheme.ring, (8,))
     s = glued(scheme, high, window=(-2, 2))
     with pytest.raises(BufferTooSmall):
-        flat_quotient_obstruction(s)
+        obstruction(s)
 
 
 @given(field=st.sampled_from(FIELDS[:2]), kind=st.sampled_from(["fine-graded", "binomial"]),
@@ -160,8 +170,9 @@ def test_obstruction_flag_matches_the_level_zero_status_scan(field, kind, data):
 # --- nonaffineness witness -----------------------------------------------------
 
 
-def test_witness_on_punctured_plane(scheme, w):
-    wit = witness_nonaffine(w, window=(-3, 3))
+def test_witness_on_punctured_plane(ring, w):
+    h1 = h1_window(free_module(ring), w, (-3, 3))
+    wit = witness_nonaffine(h1)
     assert wit is not None
     assert wit.degree == -2
     assert wit.representative == "x^-1*y^-1"
@@ -169,14 +180,13 @@ def test_witness_on_punctured_plane(scheme, w):
 
 
 def test_no_witness_on_affine_chart(ring, x):
-    from qcverify import OpenSubset
-
     dx = OpenSubset(ring, (x,))
-    assert witness_nonaffine(dx, window=(-3, 3)) is None
+    # H^1 of an affine chart is 0 in every degree, so the scan finds no class
+    assert witness_nonaffine(h1_window(free_module(ring), dx, (-3, 3))) is None
 
 
 def test_no_witness_for_line_module(w, kx_fp):
-    assert witness_nonaffine(w, window=(-3, 3), module=kx_fp) is None
+    assert witness_nonaffine(h1_window(kx_fp, w, (-3, 3))) is None
 
 
 def _survives_lift(h1, wit, step=2):
@@ -202,7 +212,7 @@ def _survives_lift(h1, wit, step=2):
 def test_witness_of_h1_punctured_survives_the_lift():
     s = parse_scenario(BUILTIN_SCENARIOS["h1-punctured"], window=(-6, 6))
     h1 = h1_window(s.modules["O"], s.overlap, s.window, s.policy)
-    wit = witness_nonaffine(s.overlap, h1=h1)
+    wit = witness_nonaffine(h1)
     assert wit.degree == -2 and len(h1.sections._caps(wit.degree)) == 1
     assert _survives_lift(h1, wit)
 
@@ -210,7 +220,7 @@ def test_witness_of_h1_punctured_survives_the_lift():
 @pytest.mark.parametrize("e", range(-2, 3))
 def test_witness_of_a_shifted_free_module_survives_the_lift(ring, w, e):
     h1 = h1_window(free_module(ring, (e,)), w, window=(-4, 4))
-    wit = witness_nonaffine(w, h1=h1)
+    wit = witness_nonaffine(h1)
     assert wit.degree == e - 2
     assert _survives_lift(h1, wit)
 
@@ -220,18 +230,18 @@ def test_witness_of_a_shifted_free_module_survives_the_lift(ring, w, e):
 
 def test_free_modules_have_zero_defect(scheme, w):
     for shifts in ((0,), (2,), (-1, 1)):
-        t = flat_sections_defect(free_module(scheme.ring, shifts), w, window=(-2, 3))
+        t = flat_sections_defect(free_module(scheme.ring, shifts), o_sections(w, (-2, 3)))
         assert t.total == 0
 
 
 def test_skyscraper_defect_is_one_at_origin_degree(sky_fp, w):
-    t = flat_sections_defect(sky_fp, w, window=(-2, 3))
+    t = flat_sections_defect(sky_fp, o_sections(w, (-2, 3)))
     assert t.defect == {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0, 3: 0}
     assert t.kernel[0] == 1 and t.cokernel[0] == 0
 
 
 def test_ideal_defect_shows_missing_section(ideal_fp, w):
-    t = flat_sections_defect(ideal_fp, w, window=(-2, 3))
+    t = flat_sections_defect(ideal_fp, o_sections(w, (-2, 3)))
     # gen (x) sections only reach the ideal's multiples in degree 0
     assert t.kernel[0] == 0 and t.cokernel[0] == 1
     assert all(t.defect[d] == 0 for d in t.defect if d != 0)
@@ -240,8 +250,8 @@ def test_ideal_defect_shows_missing_section(ideal_fp, w):
 def test_defect_is_additive_on_presentations(ring, w, x, y, sky_fp):
     # skyscraper plus a free summand, presented on two generators
     both = FPGradedModule(ring, (0, 0), ((x, None), (y, None)), name="k0+R")
-    t = flat_sections_defect(both, w, window=(-2, 2))
-    single = flat_sections_defect(sky_fp, w, window=(-2, 2))
+    t = flat_sections_defect(both, o_sections(w, (-2, 2)))
+    single = flat_sections_defect(sky_fp, o_sections(w, (-2, 2)))
     assert t.defect == single.defect
 
 
@@ -251,11 +261,16 @@ def test_wrong_structure_sections_are_rejected(scheme, ideal_fp, shifts):
     # refuse it and name the module, rather than mistake it for O
     wrong = free_module(scheme.ring, shifts)
     s_wrong = sections_window(wrong, scheme.overlap, (-2, 2))
+    sheaf = glued(scheme, ideal_fp, (-2, 2))
     with pytest.raises(ValueError, match=re.escape(wrong.name)):
-        flat_sections_defect(ideal_fp, scheme.overlap, window=(-2, 2), sections_o=s_wrong)
+        flat_sections_defect(ideal_fp, s_wrong)
     with pytest.raises(ValueError, match=re.escape(wrong.name)):
-        flat_quotient_obstruction(glued(scheme, ideal_fp, window=(-2, 2)),
-                                  sections_o=s_wrong)
+        flat_quotient_obstruction(sheaf, s_wrong)
+    # Gamma(W, O) itself, but taken on another cover of W
+    x, y = scheme.ring.var_poly(0), scheme.ring.var_poly(1)
+    s_other = o_sections(OpenSubset(scheme.ring, (x, y, x + y)), (-2, 2))
+    with pytest.raises(ValueError, match="structure sections live on a different cover"):
+        flat_quotient_obstruction(sheaf, s_other)
 
 
 # --- Gamma(W, O) = R: the comparison map is the restriction ---------------------
@@ -298,11 +313,11 @@ def test_defect_and_obstruction_match_the_restriction(field, k):
     scheme = double_origin_plane(f.ring)
     w = scheme.overlap
     kernel, cokernel = restriction_tables(f, w, window)
-    t = flat_sections_defect(f, w, window=window)
+    t = flat_sections_defect(f, o_sections(w, window))
     assert (t.kernel, t.cokernel) == (kernel, cokernel)
     # the obstruction measures the same span at uniform caps, per sheaf
     for sheaf in (glued(scheme, f, window), direct_image_from_U(scheme, f, window)):
-        assert flat_quotient_obstruction(sheaf).codims == cokernel
+        assert obstruction(sheaf).codims == cokernel
 
 
 @given(fp_modules())
@@ -310,7 +325,7 @@ def test_defect_and_obstruction_match_the_restriction(field, k):
 def test_defect_of_random_presentations_matches_the_restriction(f):
     window = (-2, 2)
     w = double_origin_plane(f.ring).overlap
-    t = flat_sections_defect(f, w, window=window)
+    t = flat_sections_defect(f, o_sections(w, window))
     assert (t.kernel, t.cokernel) == restriction_tables(f, w, window)
 
 

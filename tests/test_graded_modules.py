@@ -55,6 +55,22 @@ def test_parse_round_trips(ring):
         assert HomogPoly.parse(ring, str(p)) == p
 
 
+def test_parse_reads_runs_of_signs(ring, x, y):
+    # every sign before a term counts, the first term's as much as any other
+    assert HomogPoly.parse(ring, "--x") == x
+    assert HomogPoly.parse(ring, "+x - -y") == x + y
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x y", "expected '+' or '-' between terms"),
+    ("x +", "expected a coefficient or a variable"),
+    ("", "empty polynomial"),
+])
+def test_parse_rejects_malformed_signs(ring, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HomogPoly.parse(ring, text)
+
+
 def test_poly_arithmetic(ring, x, y):
     assert (x + y) * (x - y) == x * x - y * y
     assert (x + y) ** 2 == x * x + (x * y).scale(ring.field.of_int(2)) + y * y

@@ -224,7 +224,7 @@ def test_h1_vanishes_on_single_chart(ring, x):
 def test_restriction_is_iso_in_nonnegative_degrees(ring, w):
     m = free_module(ring, (0,))
     s = sections_window(m, w, window=WINDOW)
-    res = restriction_to_sections(m, w, window=WINDOW, sections=s)
+    res = restriction_to_sections(s)
     for d in range(0, 4):
         mat = res.matrix(d)
         assert rank(mat) == d + 1 == mat.nrows == mat.ncols
@@ -232,7 +232,7 @@ def test_restriction_is_iso_in_nonnegative_degrees(ring, w):
 
 
 def test_restriction_of_skyscraper_is_zero(sky_fp, w):
-    res = restriction_to_sections(sky_fp, w, window=(-2, 2))
+    res = restriction_to_sections(sections_window(sky_fp, w, (-2, 2)))
     assert res.matrix(0).nrows == 0
 
 
@@ -262,15 +262,22 @@ def test_induced_map_left_exact_but_not_right(ring, w, y, kx_fp):
         assert coker == (1 if d < 0 else 0)
 
 
-def test_induced_map_endpoint_validation(ring, w, y, kx_fp):
+def test_induced_map_endpoint_validation(ring, w, x, y, kx_fp):
     src = free_module(ring, (1,))
     tgt = free_module(ring, (0,))
     img = tgt.poly_act(y, 0) @ tgt.gen_element(0)
     f = map_from_gen_images(src, tgt, [img])
     s_wrong = sections_window(kx_fp, w, window=(-2, 2))
+    s_a = sections_window(src, w, window=(-2, 2))
     s_b = sections_window(tgt, w, window=(-2, 2))
-    with pytest.raises(ValueError):
+    endpoints = "sections modules do not match the map's endpoints"
+    with pytest.raises(ValueError, match=endpoints):
         sections_induced_map(f, s_wrong, s_b)
+    with pytest.raises(ValueError, match=endpoints):
+        sections_induced_map(f, s_a, s_wrong)
+    s_b_other = sections_window(tgt, OpenSubset(ring, (x, y, x + y)), window=(-2, 2))
+    with pytest.raises(ValueError, match="sections live on different covers"):
+        sections_induced_map(f, s_a, s_b_other)
 
 
 def test_only_the_complexes_localize(monkeypatch):
