@@ -385,11 +385,19 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     form a * res(m) is a Gamma(W,O)-combination of those, so nothing is
     lost (and nothing is assumed) by enumerating generators only.
 
-    Gamma(W,-) pieces can be infinite-dimensional here (affine overlaps),
-    so the table is computed at raw uniform caps and accepted only when
-    it is reproduced at three consecutive escalations.  The kernels flag
-    is the certificate of M's and O's Cech degrees in the window at the
-    accepted cap.
+    The table at a uniform cap c is the codimension, inside H^0 of M's
+    Cech degree d, of the span of the a * gen_i for a in H^0 of O's degree
+    d - e_i.  Where every one of these degrees sits at a proven cap
+    (SectionsModule.proven at the start cap), the table is taken at the
+    start cap alone: from there on the lifts between caps are
+    isomorphisms on each H^0 and commute with a * gen_i, so every larger
+    cap gives the same table, and escalation would accept the start cap
+    with it.  Elsewhere Gamma(W,-) pieces can be infinite-dimensional
+    (affine overlaps) or the caps unproven (presentations that are not
+    fine-graded), so the table is computed at raw uniform caps and
+    accepted only when it is reproduced at three consecutive escalations.
+    The kernels flag is the certificate of M's and O's Cech degrees in
+    the window at the accepted cap.
 
     sections_o is Gamma(W, O) of the caller's structure module, on the
     sheaf's overlap; its complexes are shared with every other check on O.
@@ -411,7 +419,8 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     if sections_o.cover is not s.scheme.overlap:
         raise ValueError("structure sections live on a different cover")
     # the U-module's complexes are those of the sheaf's W-sections
-    complexes_m = s.w_sections(compare=False).complexes
+    sections_m = s.w_sections(compare=False)
+    complexes_m = sections_m.complexes
     complexes_o = sections_o.complexes
 
     def table_at(cap: int) -> tuple:
@@ -434,7 +443,12 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
             out.append(a.ncols - rank(p_mat))
         return tuple(out)
 
-    cap, table = _stabilize(table_at, s.policy.caps(window), f"obstruction table for {s.name}")
+    caps = s.policy.caps(window)
+    if all(sections_m.proven(d, caps[0])
+           and all(sections_o.proven(d - e, caps[0]) for e in fp.gen_degrees)
+           for d in range(lo, hi + 1)):
+        caps = caps[:1]
+    cap, table = _stabilize(table_at, caps, f"obstruction table for {s.name}")
     codims = {d: table[d - lo] for d in range(lo, hi + 1)}
     certified = all(c[cap].degree(d).certified
                     for c in (complexes_m, complexes_o) for d in range(lo, hi + 1))
@@ -511,7 +525,7 @@ def witness_nonaffine(h1: H1Result) -> NonaffineWitness | None:
     pieces = cech.levels[1]
     # re-verify at the next cap: a stable class must survive the lift.  At a
     # proven cap the lift is an isomorphism on H^1, so there is nothing to see
-    if len(h1.sections._caps(found)) > 1:
+    if not h1.sections.proven(found, cap):
         cech2 = h1.sections.complexes[cap + _CAP_STEP].degree(found)
         lifted = _lift(module, w, 1, pieces, cech2.levels[1], _CAP_STEP, witness)
         d0_next = cech2.diffs[0]

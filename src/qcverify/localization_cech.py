@@ -19,14 +19,14 @@ Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
 Cohomology in a degree window is reported at a cap found in one of two
 ways.  Where a theorem fixes the cap (a fine-graded presentation with
-exact localizations on the cover by all the variables; see
-_proven_cap_floor) the degree is built at the start cap alone, because
-every larger cap gives the same dimensions.  Everywhere else the cap is
-found by escalation: start at (window width + 2), step by 2, accept once
-the dimensions are unchanged for two consecutive increments, give up
-(CapExhausted) after five escalations.  Both report the same cap, so a
-proven degree reads exactly as an escalated one that settled at its
-start.  Sections over the cover then become an ordinary
+exact localizations on the cover by all the variables, or its sections
+over such a cover; see _proven_cap_floor) the degree is built at the
+start cap alone, because every larger cap gives the same dimensions.
+Everywhere else the cap is found by escalation: start at (window width
++ 2), step by 2, accept once the dimensions are unchanged for two
+consecutive increments, give up (CapExhausted) after five escalations.
+Both report the same cap, so a proven degree reads exactly as an
+escalated one that settled at its start.  Sections over the cover then become an ordinary
 DegreewiseModule whose elements can be restricted to and expressed from
 C^0 vectors given at any cap; it keeps only the cap of each degree and
 reads every localization, H^0 basis and certificate from its Cech
@@ -432,7 +432,39 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
 
     So when c0(d) <= the start cap, escalation would return the start cap
     with these same dimensions, and one complex at the start cap says it.
+
+    Sections of sections.  Let N = Gamma(W', ~M) be a SectionsModule whose
+    base M is in the class on its own all-variable cover W', so that N has
+    a floor.  Then N is in the class on the cover W whenever M is, with
+    M's floor, and the answer for N is the answer for M on W.  N is the
+    equalizer of the localizations M_(x_j), so it is Z^n-graded and splits
+    over M's components C.
+      (a) If a_i >= b_C,i, x_i : N_a -> N_(a+e_i) is an isomorphism: it is
+    one on every (M_(x_S))_a, the colimit of the M_(a + c 1_S), whose i-th
+    coordinates are all >= b_i, and it commutes with the differentials.
+      (b) N embeds in prod_j M_(x_j).  If m / x_j^k is x^u-torsion there,
+    then x_j^l m is x^u-torsion in M for some l, so a power (x^u)^t that
+    kills all x^u-torsion of M kills x_j^l m and hence m / x_j^k.  So
+    N.torsion_bound(f) is M.torsion_bound(f) (SectionsModule.torsion_bound),
+    and every localization of N is exact as well.
+    Steps (1)-(3) read nothing but b and (a), so the theorem holds for N
+    with the same c0(d) = max(0, max_C |b_C| - n + 1 - d).
+
+    The gate.  The theorem speaks of the true N; the complexes read its
+    realization, whose degree e is the true N_e when e sits at a proven
+    cap (SectionsModule.proven).  A degree d of Gamma(W, ~N) built at a
+    cap c >= c0(d) reads N only in numerator degrees e >= d + c >= floor
+    (c >= 1, and every cover product has degree >= 1), where N's own
+    c0(e) is 0: every degree of N that a proven degree reads is itself at
+    a proven cap, whatever N's window and policy, so the gate needs no
+    check of its own.  A degree below the floor escalates as before; it
+    may read degrees of N at escalated caps, but a realization at any cap
+    is a graded submodule of the true N (each term at a cap injects into
+    its limit), so the inherited torsion powers still kill all of its
+    torsion and its certificates stay honest.
     """
+    while isinstance(module, SectionsModule) and module._cap_floor is not None:
+        module = module.base
     if not isinstance(module, FPGradedModule) or not module.gen_degrees:
         return None
     fine = module.fine_grading()
@@ -470,6 +502,11 @@ class SectionsModule(DegreewiseModule):
     a membership check.  Only a vector given above the target's cap is
     solved for, in the basis lifted to the vector's cap.  A vector outside
     H^0 means a cap lied and raises CapExhausted rather than guessing.
+
+    Where the base has a proven floor, so does this module, with the
+    base's floor and torsion powers (proven, torsion_bound): its own
+    sections over a cover by all the variables are built at proven caps
+    too (see _proven_cap_floor, sections of sections).
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
@@ -485,14 +522,25 @@ class SectionsModule(DegreewiseModule):
         self._stable_memo: dict[tuple[str, int], tuple[int, int, _CechDegree]] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")
 
+    def proven(self, d: int, cap: int) -> bool:
+        """Whether _proven_cap_floor shows that degree d is stable from cap
+        on: every H^p there is that of every larger cap, and the lifts
+        between such caps are isomorphisms on it."""
+        return self._cap_floor is not None and max(0, self._cap_floor - d) <= cap
+
     def _caps(self, d: int) -> list[int]:
-        """The caps to try in degree d: the start cap alone where
-        _proven_cap_floor shows it gives the stable dimensions, the whole
-        escalation otherwise."""
+        """The caps to try in degree d: the start cap alone where it is
+        proven, the whole escalation otherwise."""
         caps = self.policy.caps(self.window)
-        if self._cap_floor is not None and max(0, self._cap_floor - d) <= caps[0]:
-            return caps[:1]
-        return caps
+        return caps[:1] if self.proven(d, caps[0]) else caps
+
+    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
+        """The base's torsion power where the base's floor is proven: a
+        power that kills all f-torsion of the base kills that of its
+        sections (see _proven_cap_floor, sections of sections)."""
+        if self._cap_floor is None:
+            return super().torsion_bound(f)
+        return self.base.torsion_bound(f)
 
     def _stable(self, what: str, d: int) -> tuple[int, int, _CechDegree]:
         """(cap, dimension, the complex's degree at cap) of what, "h0_dim" or

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qcverify import (
     BufferTooSmall,
+    DoubleGluedScheme,
     FPGradedModule,
     GradedModuleMap,
     HomogPoly,
@@ -125,6 +126,26 @@ def test_structure_sheaf_is_unobstructed(scheme):
     cert = obstruction(glued(scheme, free_module(scheme.ring), window=(-2, 3)))
     assert cert.obstructed_degrees == ()
     assert cert.verdict == "no-obstruction-in-window"
+
+
+@pytest.mark.parametrize("case", ["binomial", "affine"])
+def test_the_obstruction_escalates_outside_the_proven_class(complexes_built, ring, x, y, case):
+    # the ideal (x, y) on the generators x + y and x - y has a binomial
+    # column, and the overlap D(x) is affine: neither has proven caps, so
+    # the table is accepted only once three caps agree
+    if case == "binomial":
+        scheme = double_origin_plane(ring)
+        m = FPGradedModule(ring, (1, 1), ((x - y, -(x + y)),), name="I")
+        want = {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+    else:
+        scheme = DoubleGluedScheme(ring, OpenSubset(ring, (x,)))
+        m = free_module(ring, (1,), name="I")
+        want = {d: 0 for d in range(-2, 3)}
+    cert = obstruction(direct_image_from_U(scheme, m, window=(-2, 2)))
+    assert cert.codims == want
+    assert cert.cap == 6
+    caps_o = sorted({cap for module, _, cap in complexes_built if module.name == "O"})
+    assert caps_o == [6, 8, 10]
 
 
 def test_obstruction_needs_fp_module(scheme, ideal_fp, o_fp, x, y):

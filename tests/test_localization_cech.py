@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from qcverify import (
     CapExhausted,
     CapPolicy,
+    DoubleGluedScheme,
     FieldSpec,
     FPGradedModule,
     GradedModuleMap,
@@ -28,7 +29,9 @@ from qcverify import (
     PolyRing,
     OpenSubset,
     cech_complex,
+    direct_image_from_U,
     direct_sum,
+    flat_quotient_obstruction,
     free_module,
     h1_window,
     kernel_dw,
@@ -650,6 +653,80 @@ def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
             for d in range(lo, lo + 4):
                 stable = kernel_basis(m.power_act(f, t, d)).ncols
                 assert all(kernel_basis(m.power_act(f, t + j, d)).ncols == stable
+                           for j in (1, 2, 3))
+
+
+def _sections_of_sections_and_obstruction(module, cover, window):
+    """Caps, dims and certificates of Gamma(W, Gamma(W, ~M)~) over the
+    window, the codims, cap and flags of the obstruction table of the
+    direct image of M, and the floor of Gamma(W, ~M)."""
+    ring = module.ring
+    sheaf = direct_image_from_U(DoubleGluedScheme(ring, cover), module, window)
+    outer = sections_window(sheaf.m_V, cover, window)
+    lo, hi = window
+    sections = {d: (outer.piece(d).dim, outer._stable("h0_dim", d)[0]) for d in range(lo, hi + 1)}
+    certified = {d: outer.certified(d) for d in range(lo, hi + 1)}
+    cert = flat_quotient_obstruction(sheaf, sections_window(free_module(ring), cover, window))
+    return sections, certified, (cert.codims, cert.cap, cert.flags), sheaf.m_V._cap_floor
+
+
+# three variables are left to the golden digest of the Koszul ideal in
+# tests/test_verify_cli.py: escalating sections of sections there takes seconds
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(1, 2), lo=st.integers(-2, 0),
+       data=st.data())
+def test_proven_caps_agree_with_escalation_for_sections_of_sections(field, n, lo, data):
+    # Gamma(W, ~M) inherits M's floor and torsion powers on the cover by all
+    # the variables, and the obstruction table is taken at the start cap
+    # when all it reads is proven; with _proven_cap_floor off everything
+    # escalates, and the caps, dims and tables must be the same
+    ring = PolyRing(field, ("x", "y", "z")[:n])
+    presentation = data.draw(fine_graded(ring))
+    # the obstruction needs every generator degree inside the window
+    window = (lo, max(lo + 1, *presentation[0]))
+    order = data.draw(st.permutations(range(n)))
+    denoms = [ring.var_poly(i).scale(data.draw(scalars(field))) for i in order]
+
+    def run():
+        return _sections_of_sections_and_obstruction(
+            FPGradedModule(ring, *presentation), OpenSubset(ring, denoms), window)
+
+    proven = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localization_cech, "_proven_cap_floor", lambda module, cover: None)
+        escalated = run()
+    # M's floor reaches Gamma(W, ~M) through _proven_cap_floor alone
+    floor = localization_cech._proven_cap_floor(FPGradedModule(ring, *presentation),
+                                                OpenSubset(ring, denoms))
+    assert (proven[3], escalated[3]) == (floor, None)
+    assert proven[0] == escalated[0]
+    assert proven[2] == escalated[2]
+    # with the floor off, the torsion power of Gamma(W, ~M) is the
+    # uncertified default, so an escalated certificate can only be weaker
+    assert all(proven[1][d] for d in proven[1] if escalated[1][d])
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(2, 3), data=st.data())
+def test_inherited_torsion_power_is_the_stable_kernel_of_the_sections(field, n, data):
+    # where M has a floor, N = Gamma(W, ~M) takes M's torsion power T for
+    # every cover product f = x_S, and ker f^T = ker f^(T+k) on N in every
+    # degree of a range; elsewhere N keeps the uncertified default
+    ring, cover = _all_variable_cover(field, n)
+    m = FPGradedModule(ring, *data.draw(fine_graded(ring)))
+    sections = sections_window(m, cover, (-2, 2))
+    inherited = localization_cech._proven_cap_floor(m, cover) is not None
+    lo = min(m.gen_degrees) - 1
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            f = cover.product(subset)
+            t, certified = sections.torsion_bound(f)
+            assert (t, certified) == (m.torsion_bound(f) if inherited else (1, False))
+            if not inherited:
+                continue
+            for d in range(lo, lo + 3):
+                stable = kernel_basis(sections.power_act(f, t, d)).ncols
+                assert all(kernel_basis(sections.power_act(f, t + j, d)).ncols == stable
                            for j in (1, 2, 3))
 
 

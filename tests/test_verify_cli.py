@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import qcverify
-from qcverify import CapPolicy, FieldSpec, FPGradedModule, NonHomogeneousError
+from qcverify import CapPolicy, FieldSpec, FPGradedModule, GradedPiece, NonHomogeneousError
 from qcverify import localization_cech
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
@@ -723,19 +723,39 @@ def test_lemma21_free_builds_one_complex_per_free_module(complexes_built):
 
 
 @pytest.mark.parametrize("check, caps", [
-    ("sections ideal over W", {"I": [6], "sections(I)": [6, 8, 10]}),
+    ("sections ideal over W", {"I": [6], "sections(I)": [6]}),
     ("sections ideal over X", {"I": [6]}),
-    ("obstruction ideal", {"I": [6, 8, 10], "O": [6, 8, 10]}),
+    ("obstruction ideal", {"I": [6], "O": [6]}),
 ])
-def test_double_origin_flat_proves_the_ideal_caps_but_not_the_obstruction(
-        complexes_built, check, caps):
-    # the ideal's sections sit at the start cap alone; sections of sections
-    # and the obstruction table still escalate
+def test_double_origin_flat_proves_every_cap(complexes_built, check, caps):
+    # the ideal's sections sit at the start cap alone, and so do their own
+    # sections (the V side of the gluing check) and the obstruction table
     text = BUILTIN_SCENARIOS["double-origin-flat"]
     text = text[:text.index("[check")] + f"[check {check}]\n"
     rep = run_text(text, window=(-2, 2))
     assert rep.checks[0].verdict in ("table-computed", "obstructed")
     assert _caps_per_module(complexes_built) == caps
+
+
+def test_a_v_side_that_disagrees_is_a_gluing_mismatch(complexes_built, monkeypatch):
+    # the V side of a direct image, Gamma(W, Gamma(W, I)~), is built at
+    # proven caps; one degree of it made one larger must still stop the check
+    real = SectionsModule._piece
+
+    def piece(self, d):
+        got = real(self, d)
+        if isinstance(self.base, SectionsModule) and d == 0:
+            return GradedPiece(got.field, got.labels + (("sec", got.dim),))
+        return got
+
+    monkeypatch.setattr(SectionsModule, "_piece", piece)
+    text = BUILTIN_SCENARIOS["double-origin-flat"]
+    text = text[:text.index("[check")] + "[check sections ideal over W]\n"
+    (check,) = run_text(text, window=(-2, 2)).checks
+    assert check.verdict == "check-error"
+    assert check.flags == [
+        "error: W-sections disagree in degree 0: 1 from patch U, 2 from patch V"]
+    assert _caps_per_module(complexes_built) == {"I": [6], "sections(I)": [6]}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -803,6 +823,45 @@ def test_non_unit_report_bytes_are_unchanged(field):
     rep = run_text(text, name="non-unit")
     assert rep.exit_code() == 0
     assert report_digest(rep) == NON_UNIT_DIGESTS[field]
+
+
+# the Koszul presentation of the ideal (x, y, z) pushed forward to
+# three-space with a doubled origin: sections of sections and an
+# obstruction table in three variables
+KOSZUL_3 = """\
+[ring]
+variables = x, y, z
+field = Q
+
+[options]
+window = -2:2
+
+[scheme]
+overlap = x, y, z
+
+[module I]
+generators = 1, 1, 1
+relation = y; -x; 0
+relation = z; 0; -x
+relation = 0; z; -y
+
+[sheaf ideal]
+direct-image = I
+
+[check sections ideal over W]
+[check sections ideal over X]
+[check obstruction ideal]
+"""
+
+# recorded from the program before sections of sections and the obstruction
+# table were built at proven caps
+KOSZUL_3_DIGEST = "b490ab091300bd498d11177df92b6af4e65109bdfe103b49abd44d63d7e56998"
+
+
+def test_three_variable_report_bytes_are_unchanged():
+    rep = run_text(KOSZUL_3)
+    assert [c.verdict for c in rep.checks] == ["table-computed", "table-computed", "obstructed"]
+    assert report_digest(rep) == KOSZUL_3_DIGEST
 
 
 def _live(cls) -> int:
