@@ -36,11 +36,9 @@ from .graded_modules import (
 )
 from .localization_cech import (
     CapExhausted,
-    CapPolicy,
+    CechComplexWindow,
     OpenSubset,
     SectionsModule,
-    cech_complex,
-    h1_window,
     localize_piece,
     restriction_to_sections,
     sections_induced_map,

@@ -23,10 +23,7 @@ from .graded_modules import (
     tensor_realization,
 )
 from .localization_cech import (
-    DEFAULT_CAP_POLICY,
     DEFAULT_WINDOW,
-    CapPolicy,
-    H1Result,
     OpenSubset,
     SectionsModule,
     _CAP_STEP,
@@ -112,14 +109,14 @@ class QcohSheafOnX:
     module is its module of W-sections, and restriction V -> W is the
     identity on that realization.
 
-    The degree window and cap policy are fixed at construction; every
-    section functor of the sheaf (and of maps out of it) uses them, and
-    its W- and X-sections are computed once and kept.
+    The degree window and start cap (None: window width + 2) are fixed at
+    construction; every section functor of the sheaf (and of maps out of
+    it) uses them, and its W- and X-sections are computed once and kept.
     """
 
     def __init__(self, scheme: DoubleGluedScheme, m_U: DegreewiseModule,
                  m_V: DegreewiseModule, gluing: str, name: str | None = None,
-                 window=DEFAULT_WINDOW, policy: CapPolicy | None = None):
+                 window=DEFAULT_WINDOW, start: int | None = None):
         if gluing == "identity":
             if m_U is not m_V:
                 raise ValueError("identity gluing requires one shared module object")
@@ -135,19 +132,19 @@ class QcohSheafOnX:
         self.gluing = gluing
         self.name = name or m_U.name
         self.window = tuple(window)
-        self.policy = policy or DEFAULT_CAP_POLICY
+        self.start = start
         self._w: tuple | None = None
         self._x: DegreewiseModule | None = None
 
     @classmethod
     def glued(cls, scheme: DoubleGluedScheme, m: DegreewiseModule, name: str | None = None,
-              window=DEFAULT_WINDOW, policy: CapPolicy | None = None) -> "QcohSheafOnX":
-        return cls(scheme, m, m, "identity", name=name, window=window, policy=policy)
+              window=DEFAULT_WINDOW, start: int | None = None) -> "QcohSheafOnX":
+        return cls(scheme, m, m, "identity", name=name, window=window, start=start)
 
     def _w_pair(self):
         """(canonical Gamma(W) realization, V-side recomputation)."""
         if self._w is None:
-            sw_v = sections_window(self.m_V, self.scheme.overlap, self.window, self.policy)
+            sw_v = sections_window(self.m_V, self.scheme.overlap, self.window, self.start)
             # identity gluing: one module object, hence literally one W-computation
             self._w = (sw_v, sw_v) if self.gluing == "identity" else (self.m_V, sw_v)
         return self._w
@@ -195,12 +192,12 @@ class QcohSheafOnX:
 
 
 def direct_image_from_U(scheme: DoubleGluedScheme, n: DegreewiseModule,
-                        window=DEFAULT_WINDOW, policy: CapPolicy | None = None,
+                        window=DEFAULT_WINDOW, start: int | None = None,
                         name: str | None = None) -> QcohSheafOnX:
     """The pushforward along U -> X of the sheaf associated to n."""
-    m_v = sections_window(n, scheme.overlap, window, policy)
+    m_v = sections_window(n, scheme.overlap, window, start)
     return QcohSheafOnX(scheme, n, m_v, "direct-image",
-                        name=name or f"push({n.name})", window=window, policy=policy)
+                        name=name or f"push({n.name})", window=window, start=start)
 
 
 def sheaf_sections(s: QcohSheafOnX, open_name: str) -> DegreewiseModule:
@@ -219,7 +216,7 @@ def sheaf_sections(s: QcohSheafOnX, open_name: str) -> DegreewiseModule:
 class SheafMap:
     """A morphism of sheaves on X, recorded as one map per patch.
 
-    Its maps on sections are taken over the window and cap policy of its
+    Its maps on sections are taken over the window and start cap of its
     source and target sheaves, fixed when those were built.
     """
 
@@ -317,19 +314,19 @@ def _structure_sections(sections_o: SectionsModule) -> None:
 def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> DefectTable:
     """Defect of the comparison map from tensored global sections.
 
-    sections_o is Gamma(W, O); its cover, window and cap policy are those
-    of the table, and Gamma(W, ~F) is taken with the same three.  For each
-    window degree the canonical map (F (x) Gamma(W,O))_d ->
-    Gamma(W, ~F)_d sends gen_i (x) a to a * res(gen_i): on D(f_j),
-    a = n_j / f_j^c, so a * gen_i = (n_j * gen_i) / f_j^c, one column
-    selection of f.gen_mult on the numerators at O's cap.  Free modules have
-    zero defect; a nonzero entry certifies that restriction and tensoring
-    do not commute for F over W.
+    sections_o is Gamma(W, O); its cover, window and start cap
+    (sections_o.caps[0]) are those of the table, and Gamma(W, ~F) is
+    taken with the same three.  For each window degree the canonical map
+    (F (x) Gamma(W,O))_d -> Gamma(W, ~F)_d sends gen_i (x) a to
+    a * res(gen_i): on D(f_j), a = n_j / f_j^c, so a * gen_i =
+    (n_j * gen_i) / f_j^c, one column selection of f.gen_mult on the
+    numerators at O's cap.  Free modules have zero defect; a nonzero entry
+    certifies that restriction and tensoring do not commute for F over W.
     """
     _structure_sections(sections_o)
     window = sections_o.window
     lo, hi = window
-    s_f = sections_window(f, sections_o.cover, window, sections_o.policy)
+    s_f = sections_window(f, sections_o.cover, window, sections_o.caps[0])
 
     field = f.ring.field
     kernel: dict = {}
@@ -394,8 +391,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     cap gives the same table, and escalation would accept the start cap
     with it.  Elsewhere Gamma(W,-) pieces can be infinite-dimensional
     (affine overlaps) or the caps unproven (presentations that are not
-    fine-graded), so the table is computed at raw uniform caps and
-    accepted only when it is reproduced at three consecutive escalations.
+    fine-graded), so the table is computed at the raw uniform caps of the
+    W-sections' escalation (sections_m.caps) and accepted only when it is
+    reproduced at three consecutive escalations.
     The kernels flag is the certificate of M's and O's Cech degrees in
     the window at the accepted cap.
 
@@ -443,7 +441,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
             out.append(a.ncols - rank(p_mat))
         return tuple(out)
 
-    caps = s.policy.caps(window)
+    caps = sections_m.caps
     if all(sections_m.proven(d, caps[0])
            and all(sections_o.proven(d - e, caps[0]) for e in fp.gen_degrees)
            for d in range(lo, hi + 1)):
@@ -481,25 +479,22 @@ def _laurent_string(ring: PolyRing, numerator: HomogPoly, shift) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def witness_nonaffine(h1: H1Result) -> NonaffineWitness | None:
+def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
     """A nonzero H^1 class with explicit representative, in the top degree
-    of h1's window where H^1 is nonzero.  Returns None if there is none
+    of the window of s where H^1 is nonzero.  Returns None if there is none
     (absence proves nothing outside the window; a single-set cover never
     has one).
 
-    Module, cover, window and caps are those of h1, and the cocycle is
-    read from its Cech complexes; nothing is recomputed."""
-    module, w = h1.module, h1.cover
+    Module, cover, window and caps are those of the sections module s,
+    and the cocycle is read from its Cech complexes (SectionsModule.h1),
+    scanning down from the top degree."""
+    module, w = s.base, s.cover
     field = module.ring.field
-    lo, hi = h1.window
-    found = None
-    for d in range(hi, lo - 1, -1):
-        if h1.dims[d] > 0:
-            found = d
-            break
+    lo, hi = s.window
+    found = next((d for d in range(hi, lo - 1, -1) if s.h1(d)[1] > 0), None)
     if found is None:
         return None
-    cech, cap = h1.realization(found)
+    cap, _dim, cech = s.h1(found)
     cocycles, d0 = cech.h1_parts()
     c1_dim = cech.level_dim(1)
     _, proj, idx = _quotient_with_indices(d0, c1_dim)
@@ -525,8 +520,8 @@ def witness_nonaffine(h1: H1Result) -> NonaffineWitness | None:
     pieces = cech.levels[1]
     # re-verify at the next cap: a stable class must survive the lift.  At a
     # proven cap the lift is an isomorphism on H^1, so there is nothing to see
-    if not h1.sections.proven(found, cap):
-        cech2 = h1.sections.complexes[cap + _CAP_STEP].degree(found)
+    if not s.proven(found, cap):
+        cech2 = s.complexes[cap + _CAP_STEP].degree(found)
         lifted = _lift(module, w, 1, pieces, cech2.levels[1], _CAP_STEP, witness)
         d0_next = cech2.diffs[0]
         if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:

@@ -22,22 +22,23 @@ ways.  Where a theorem fixes the cap (a fine-graded presentation with
 exact localizations on the cover by all the variables, or its sections
 over such a cover; see _proven_cap_floor) the degree is built at the
 start cap alone, because every larger cap gives the same dimensions.
-Everywhere else the cap is found by escalation: start at (window width
-+ 2), step by 2, accept once the dimensions are unchanged for two
-consecutive increments, give up (CapExhausted) after five escalations.
-Both report the same cap, so a proven degree reads exactly as an
-escalated one that settled at its start.  Sections over the cover then become an ordinary
-DegreewiseModule whose elements can be restricted to and expressed from
-C^0 vectors given at any cap; it keeps only the cap of each degree and
-reads every localization, H^0 basis and certificate from its Cech
-complexes.  Every map given on numerators (a variable action, an induced
-map, a lift to a larger cap, a * gen_i) carries cochains through
-_cochain_apply, the one place that builds proj @ numerator map @ incl.
+Everywhere else the cap is found by escalation: start at the start cap
+(window width + 2 unless one is given), step by 2, accept once the
+dimensions are unchanged for two consecutive increments, give up
+(CapExhausted) after five escalations.  Both report the same cap, so a
+proven degree reads exactly as an escalated one that settled at its
+start.  Sections over the cover then become an ordinary DegreewiseModule
+whose elements can be restricted to and expressed from C^0 vectors given
+at any cap.  It owns the cap schedule, keeps the cap of each degree and
+its H^1, and reads every localization, H^0 basis and certificate from
+its Cech complexes.  Every map given on numerators (a variable action,
+an induced map, a lift to a larger cap, a * gen_i) carries cochains
+through _cochain_apply, the one place that builds
+proj @ numerator map @ incl.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from weakref import WeakValueDictionary
 
@@ -53,17 +54,13 @@ from .graded_modules import (
 
 __all__ = [
     "CapExhausted",
-    "CapPolicy",
     "DEFAULT_WINDOW",
     "OpenSubset",
     "LocalizedPiece",
     "localize_piece",
     "CechComplexWindow",
-    "cech_complex",
     "SectionsModule",
     "sections_window",
-    "H1Result",
-    "h1_window",
     "restriction_to_sections",
     "sections_induced_map",
 ]
@@ -81,28 +78,14 @@ _CAP_STEP = 2
 _MAX_ESCALATIONS = 5
 
 
-@dataclass(frozen=True)
-class CapPolicy:
-    """Cap escalation from start (default window width + 2)."""
-
-    start: int | None = None
-
-    def __post_init__(self):
-        if self.start is not None and self.start < 1:
-            raise ValueError(f"cap start must be at least 1, got {self.start}")
-
-    def start_cap(self, window) -> int:
-        if self.start is not None:
-            return self.start
+def _start_cap(window, start: int | None) -> int:
+    """The first cap of the escalation: start, or window width + 2."""
+    if start is None:
         lo, hi = window
         return (hi - lo) + 2
-
-    def caps(self, window) -> list[int]:
-        c0 = self.start_cap(window)
-        return [c0 + _CAP_STEP * k for k in range(_MAX_ESCALATIONS + 1)]
-
-
-DEFAULT_CAP_POLICY = CapPolicy()
+    if start < 1:
+        raise ValueError(f"cap start must be at least 1, got {start}")
+    return start
 
 
 class OpenSubset:
@@ -350,10 +333,10 @@ class _CechComplexes(dict):
 
     This is the one cache of Cech complexes.  Only a SectionsModule owns
     one, and it reads its localizations, H^0 bases and certificates from
-    it; H^1 results and the obstruction scan read the complexes of the
-    sections module that sections_window hands them, and the complexes die
-    with that module: a cache kept on the module object would hold every
-    complex of a run until the run ends.
+    it; H^1, the witness and the obstruction scan read the complexes of
+    the sections module that sections_window hands them, and the
+    complexes die with that module: a cache kept on the module object
+    would hold every complex of a run until the run ends.
     """
 
     def __init__(self, module: DegreewiseModule, cover: OpenSubset, window):
@@ -365,11 +348,6 @@ class _CechComplexes(dict):
     def __missing__(self, cap: int) -> CechComplexWindow:
         got = self[cap] = CechComplexWindow(self.module, self.cover, self.window, cap)
         return got
-
-
-def cech_complex(module: DegreewiseModule, cover: OpenSubset, window,
-                 cap: int) -> CechComplexWindow:
-    return CechComplexWindow(module, cover, window, cap)
 
 
 def _stabilize(dims_at, caps, what: str):
@@ -456,7 +434,7 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     cap c >= c0(d) reads N only in numerator degrees e >= d + c >= floor
     (c >= 1, and every cover product has degree >= 1), where N's own
     c0(e) is 0: every degree of N that a proven degree reads is itself at
-    a proven cap, whatever N's window and policy, so the gate needs no
+    a proven cap, whatever N's window and start cap, so the gate needs no
     check of its own.  A degree below the floor escalates as before; it
     may read degrees of N at escalated caps, but a realization at any cap
     is a graded submodule of the true N (each term at a cap injects into
@@ -503,6 +481,9 @@ class SectionsModule(DegreewiseModule):
     solved for, in the basis lifted to the vector's cap.  A vector outside
     H^0 means a cap lied and raises CapExhausted rather than guessing.
 
+    self.caps is the one cap schedule, the escalation from the start cap
+    (default window width + 2); H^1 (h1) and the obstruction read it too.
+
     Where the base has a proven floor, so does this module, with the
     base's floor and torsion powers (proven, torsion_bound): its own
     sections over a cover by all the variables are built at proven caps
@@ -510,11 +491,12 @@ class SectionsModule(DegreewiseModule):
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
-                 policy: CapPolicy | None = None, name: str | None = None):
+                 start: int | None = None, name: str | None = None):
         self.base = base
         self.cover = cover
         self.window = tuple(window)
-        self.policy = policy or DEFAULT_CAP_POLICY
+        c0 = _start_cap(self.window, start)
+        self.caps = [c0 + _CAP_STEP * k for k in range(_MAX_ESCALATIONS + 1)]
         self.complexes = _CechComplexes(base, cover, self.window)
         self._cap_floor = _proven_cap_floor(base, cover)
         # ("h0_dim" or "h1_dim", d) -> (cap, dimension, the complex's degree
@@ -531,8 +513,7 @@ class SectionsModule(DegreewiseModule):
     def _caps(self, d: int) -> list[int]:
         """The caps to try in degree d: the start cap alone where it is
         proven, the whole escalation otherwise."""
-        caps = self.policy.caps(self.window)
-        return caps[:1] if self.proven(d, caps[0]) else caps
+        return self.caps[:1] if self.proven(d, self.caps[0]) else self.caps
 
     def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         """The base's torsion power where the base's floor is proven: a
@@ -554,6 +535,10 @@ class SectionsModule(DegreewiseModule):
             )
             got = self._stable_memo[what, d] = (cap, dim, self.complexes[cap].degree(d))
         return got
+
+    def h1(self, d: int) -> tuple[int, int, _CechDegree]:
+        """(cap, H^1 dimension, the complex's degree at cap) in degree d."""
+        return self._stable("h1_dim", d)
 
     def _piece(self, d: int) -> GradedPiece:
         dim = self._stable("h0_dim", d)[1]
@@ -614,8 +599,8 @@ class SectionsModule(DegreewiseModule):
         }
         return self._express(d, Mat.block(self.ring.field, blocks), cap)
 
-    def flags(self, window=None) -> list[str]:
-        lo, hi = window or self.window
+    def flags(self) -> list[str]:
+        lo, hi = self.window
         caps = []
         heuristic = False
         for d in range(lo, hi + 1):
@@ -631,47 +616,22 @@ _live_sections: "WeakValueDictionary[tuple, SectionsModule]" = WeakValueDictiona
 
 
 def sections_window(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
-                    policy: CapPolicy | None = None) -> SectionsModule:
-    """Gamma(cover, ~module) over the window.
+                    start: int | None = None) -> SectionsModule:
+    """Gamma(cover, ~module) over the window, escalating from the start cap.
 
-    While a sections module for the same module, cover, window and policy
-    is alive, this returns it, so every check on the module shares one set
-    of Cech complexes.  The registry keeps nothing alive: an entry goes
-    when the last holder of its sections module drops it.
+    While a sections module for the same module, cover, window and start
+    cap is alive, this returns it, so every check on the module shares one
+    set of Cech complexes.  The key holds the resolved start, so leaving
+    the start out and passing its default give the same module.  The
+    registry keeps nothing alive: an entry goes when the last holder of
+    its sections module drops it.
     """
-    policy = policy or DEFAULT_CAP_POLICY
-    key = (module, cover, tuple(window), policy)
+    start = _start_cap(window, start)
+    key = (module, cover, tuple(window), start)
     got = _live_sections.get(key)
     if got is None:
-        got = _live_sections[key] = SectionsModule(module, cover, window, policy)
+        got = _live_sections[key] = SectionsModule(module, cover, window, start)
     return got
-
-
-class H1Result:
-    """Per-degree H^1 dimensions over a window, with stabilization data."""
-
-    def __init__(self, module, cover, window, policy):
-        self.module = module
-        self.cover = cover
-        self.window = tuple(window)
-        # the Cech complexes and caps are those of the module's sections
-        self.sections = sections_window(module, cover, self.window, policy)
-        self.dims: dict[int, int] = {}
-        self.caps: dict[int, int] = {}
-        self.certified: dict[int, bool] = {}
-        lo, hi = self.window
-        for d in range(lo, hi + 1):
-            self.caps[d], self.dims[d], cech = self.sections._stable("h1_dim", d)
-            self.certified[d] = cech.certified
-
-    def realization(self, d: int) -> tuple[_CechDegree, int]:
-        cap = self.caps[d]
-        return self.sections.complexes[cap].degree(d), cap
-
-
-def h1_window(module: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,
-              policy: CapPolicy | None = None) -> H1Result:
-    return H1Result(module, cover, window, policy)
 
 
 def restriction_to_sections(s: SectionsModule) -> GradedModuleMap:

@@ -164,7 +164,7 @@ class BidualReport:
 
 def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
     """Dualize a short exact sequence A -> B -> C twice and report where
-    exactness survives, over the window and cap policy of the sheaves.
+    exactness survives, over the window and start cap of the sheaves.
 
     Requires the input to be short exact on U-sections in the window
     (kernel, homology and cokernel all zero); raises ValueError

@@ -69,10 +69,8 @@ from .graded_modules import (
 from .localization_cech import (
     DEFAULT_WINDOW,
     CapExhausted,
-    CapPolicy,
     OpenSubset,
     SectionsModule,
-    h1_window,
     sections_window,
 )
 from .glued_scheme import (
@@ -166,7 +164,7 @@ class Scenario:
     field: FieldSpec
     ring: PolyRing
     window: tuple
-    policy: CapPolicy | None
+    start: int | None  # the start cap; None is window width + 2
     overlap: OpenSubset
     modules: dict
     maps: dict
@@ -247,7 +245,7 @@ def _poly(ring: PolyRing, text: str, lineno: int) -> HomogPoly | None:
 def parse_scenario(text: str, name: str = "scenario",
                    field: FieldSpec | None = None,
                    window: tuple | None = None,
-                   policy: CapPolicy | None = None) -> Scenario:
+                   start: int | None = None) -> Scenario:
     """Parse and fully validate a scenario; the keyword arguments are
     command-line overrides applied on top of the file's own settings."""
     # first pass: group lines into sections
@@ -308,6 +306,8 @@ def parse_scenario(text: str, name: str = "scenario",
             file_window = _parse_window(v)
         except ParseError as e:
             raise ParseError(e.message, lineno)
+    if window is not None and window[0] > window[1]:
+        raise ParseError(f"bad window {tuple(window)!r}: lo > hi")
     the_window = tuple(window) if window is not None else file_window
 
     scheme_sec = _unique_section(sections, "scheme")
@@ -484,7 +484,7 @@ def parse_scenario(text: str, name: str = "scenario",
         field=the_field,
         ring=ring,
         window=the_window,
-        policy=policy,
+        start=start,
         overlap=overlap,
         modules=modules,
         maps=maps,
@@ -587,7 +587,7 @@ class _Runner:
         # it, and through sections_window every other check on O shares its
         # complexes; its pieces are still built on first use
         self.sections_o = sections_window(s.modules["O"], s.overlap,
-                                          s.window, s.policy)
+                                          s.window, s.start)
 
     def _table(self, dims) -> dict:
         lo, hi = self.s.window
@@ -600,10 +600,10 @@ class _Runner:
             mod = self.s.modules[modname]
             if gluing == "identity":
                 got = QcohSheafOnX.glued(self.scheme, mod, name=name,
-                                         window=self.s.window, policy=self.s.policy)
+                                         window=self.s.window, start=self.s.start)
             else:
                 got = direct_image_from_U(self.scheme, mod, window=self.s.window,
-                                          policy=self.s.policy, name=name)
+                                          start=self.s.start, name=name)
             self._sheaves[name] = got
         return got
 
@@ -614,7 +614,7 @@ class _Runner:
         if got is None:
             got = QcohSheafOnX.glued(
                 self.scheme, self.s.modules[modname], name=modname,
-                window=self.s.window, policy=self.s.policy,
+                window=self.s.window, start=self.s.start,
             )
             self._module_sheaves[modname] = got
         return got
@@ -654,12 +654,20 @@ class _Runner:
             flags.append("kernels-certified" if ok else "kernels-heuristic")
         return {"sections": dims}, flags, "table-computed"
 
-    def _h1(self, modname):
+    def _h1_dims(self, modname):
+        """The module's sections and its H^1 table, read in ascending
+        degree order: a cap-exhausted message names the lowest degree
+        that does not stabilize."""
         s = self.s
-        res = h1_window(s.modules[modname], s.overlap, s.window, s.policy)
-        ok = all(res.certified[d] for d in range(s.window[0], s.window[1] + 1))
+        sw = sections_window(s.modules[modname], s.overlap, s.window, s.start)
+        lo, hi = s.window
+        return sw, {d: sw.h1(d)[1] for d in range(lo, hi + 1)}
+
+    def _h1(self, modname):
+        sw, dims = self._h1_dims(modname)
+        ok = all(sw.h1(d)[2].certified for d in dims)
         flags = ["kernels-certified" if ok else "kernels-heuristic"]
-        return {"h1": res.dims}, flags, "table-computed"
+        return {"h1": dims}, flags, "table-computed"
 
     def _obstruction(self, sheaf_name):
         cert = flat_quotient_obstruction(self.sheaf(sheaf_name), self.sections_o)
@@ -686,18 +694,17 @@ class _Runner:
         return tables, list(tbl.flags), "zero-defect" if tbl.total == 0 else "defect-found"
 
     def _nonaffine_witness(self, modname):
-        s = self.s
-        res = h1_window(s.modules[modname or "O"], s.overlap, s.window, s.policy)
-        wit = witness_nonaffine(res)
+        sw, dims = self._h1_dims(modname or "O")
+        wit = witness_nonaffine(sw)
         if wit is None:
-            return {"h1": res.dims}, [], "no-witness-in-window"
+            return {"h1": dims}, [], "no-witness-in-window"
         flags = [
             f"degree:{wit.degree}",
             f"representative:{wit.representative}",
             "components:" + ",".join(wit.components),
             f"cap:{wit.cap}",
         ]
-        return {"h1": res.dims}, flags, "witness-found"
+        return {"h1": dims}, flags, "witness-found"
 
 
 # Every check form, once: its keyword, its grammar and its handler.  In a
@@ -960,11 +967,8 @@ def main(argv=None) -> int:
     try:
         window = _parse_window(args.window) if args.window else None
         field = _parse_field_spec(args.field) if args.field else None
-        policy = None
-        if args.den_cap is not None:
-            if args.den_cap < 1:
-                raise ParseError("--den-cap must be positive")
-            policy = CapPolicy(start=args.den_cap)
+        if args.den_cap is not None and args.den_cap < 1:
+            raise ParseError("--den-cap must be positive")
 
         if args.command == "run":
             try:
@@ -986,7 +990,7 @@ def main(argv=None) -> int:
             name = args.name
 
         scenario = parse_scenario(text, name=name, field=field, window=window,
-                                  policy=policy)
+                                  start=args.den_cap)
     except (ParseError, NonHomogeneousError) as e:
         print(f"qcv: {e}", file=sys.stderr)
         return 3

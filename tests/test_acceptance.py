@@ -10,6 +10,7 @@ import sys
 import time
 
 from qcverify import (
+    CechComplexWindow,
     DoubleGluedScheme,
     FPGradedModule,
     FieldSpec,
@@ -18,14 +19,12 @@ from qcverify import (
     QcohSheafOnX,
     SheafMap,
     bidual_pipeline,
-    cech_complex,
     direct_image_from_U,
     double_origin_plane,
     exactness_tables,
     flat_quotient_obstruction,
     flat_sections_defect,
     free_module,
-    h1_window,
     injective_hull,
     kernel_dw,
     map_from_gen_images,
@@ -125,10 +124,11 @@ def test_criterion_3_star_sequence():
 
 @criterion(4, "H^1 of the punctured plane with explicit witness")
 def test_criterion_4_h1_and_witness():
-    res = h1_window(free_module(RING, (0,)), W, window=WINDOW)
-    assert res.dims == {d: (abs(d) - 1 if d <= -2 else 0) for d in range(LO, HI + 1)}
+    s = sections_window(free_module(RING, (0,)), W, window=WINDOW)
+    dims = {d: s.h1(d)[1] for d in range(LO, HI + 1)}
+    assert dims == {d: (abs(d) - 1 if d <= -2 else 0) for d in range(LO, HI + 1)}
 
-    wit = witness_nonaffine(res)
+    wit = witness_nonaffine(s)
     assert wit is not None
     assert wit.degree == -2
     assert wit.representative == "x^-1*y^-1"
@@ -244,7 +244,7 @@ def test_criterion_7_random_duality():
 def test_criterion_8_infrastructure():
     # Cech differentials square to zero in every realized degree
     three = OpenSubset(RING, (X, Y, X + Y))
-    c = cech_complex(free_module(RING, (0,)), three, window=WINDOW, cap=14)
+    c = CechComplexWindow(free_module(RING, (0,)), three, window=WINDOW, cap=14)
     for d in range(LO, HI + 1):
         cd = c.degree(d)
         assert len(cd.diffs) == 2

@@ -29,7 +29,6 @@ from qcverify import (
     flat_quotient_obstruction,
     flat_sections_defect,
     free_module,
-    h1_window,
     kernel_dw,
     map_from_gen_images,
     sheaf_sections,
@@ -192,8 +191,7 @@ def test_obstruction_flag_matches_the_level_zero_status_scan(field, kind, data):
 
 
 def test_witness_on_punctured_plane(ring, w):
-    h1 = h1_window(free_module(ring), w, (-3, 3))
-    wit = witness_nonaffine(h1)
+    wit = witness_nonaffine(sections_window(free_module(ring), w, (-3, 3)))
     assert wit is not None
     assert wit.degree == -2
     assert wit.representative == "x^-1*y^-1"
@@ -203,19 +201,19 @@ def test_witness_on_punctured_plane(ring, w):
 def test_no_witness_on_affine_chart(ring, x):
     dx = OpenSubset(ring, (x,))
     # H^1 of an affine chart is 0 in every degree, so the scan finds no class
-    assert witness_nonaffine(h1_window(free_module(ring), dx, (-3, 3))) is None
+    assert witness_nonaffine(sections_window(free_module(ring), dx, (-3, 3))) is None
 
 
 def test_no_witness_for_line_module(w, kx_fp):
-    assert witness_nonaffine(h1_window(kx_fp, w, (-3, 3))) is None
+    assert witness_nonaffine(sections_window(kx_fp, w, (-3, 3))) is None
 
 
-def _survives_lift(h1, wit, step=2):
+def _survives_lift(s, wit, step=2):
     """Whether the witness cocycle, lifted from its cap to cap + step, is
     still not a coboundary there."""
-    w, module = h1.cover, h1.module
-    cech, cap = h1.realization(wit.degree)
-    cech2 = h1.sections.complexes[cap + step].degree(wit.degree)
+    w, module = s.cover, s.base
+    cap, _dim, cech = s.h1(wit.degree)
+    cech2 = s.complexes[cap + step].degree(wit.degree)
     blocks = {}
     pos = 0
     for k, (pair, lp) in enumerate(zip(combinations(range(w.n), 2), cech.levels[1])):
@@ -232,15 +230,15 @@ def _survives_lift(h1, wit, step=2):
 # checked here instead
 def test_witness_of_h1_punctured_survives_the_lift():
     s = parse_scenario(BUILTIN_SCENARIOS["h1-punctured"], window=(-6, 6))
-    h1 = h1_window(s.modules["O"], s.overlap, s.window, s.policy)
+    h1 = sections_window(s.modules["O"], s.overlap, s.window, s.start)
     wit = witness_nonaffine(h1)
-    assert wit.degree == -2 and len(h1.sections._caps(wit.degree)) == 1
+    assert wit.degree == -2 and len(h1._caps(wit.degree)) == 1
     assert _survives_lift(h1, wit)
 
 
 @pytest.mark.parametrize("e", range(-2, 3))
 def test_witness_of_a_shifted_free_module_survives_the_lift(ring, w, e):
-    h1 = h1_window(free_module(ring, (e,)), w, window=(-4, 4))
+    h1 = sections_window(free_module(ring, (e,)), w, window=(-4, 4))
     wit = witness_nonaffine(h1)
     assert wit.degree == e - 2
     assert _survives_lift(h1, wit)

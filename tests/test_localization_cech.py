@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from qcverify import (
     CapExhausted,
-    CapPolicy,
+    CechComplexWindow,
     DoubleGluedScheme,
     FieldSpec,
     FPGradedModule,
@@ -28,12 +28,10 @@ from qcverify import (
     Mat,
     PolyRing,
     OpenSubset,
-    cech_complex,
     direct_image_from_U,
     direct_sum,
     flat_quotient_obstruction,
     free_module,
-    h1_window,
     kernel_dw,
     localize_piece,
     matlis_dual,
@@ -113,7 +111,7 @@ def test_localize_at_zero_rejected(ring, kx_fp):
 
 def test_cech_h0_of_structure_sheaf(ring, w):
     m = free_module(ring, (0,))
-    c = cech_complex(m, w, window=WINDOW, cap=10)
+    c = CechComplexWindow(m, w, window=WINDOW, cap=10)
     for d in range(-4, 5):
         assert c.degree(d).h0_dim == (d + 1 if d >= 0 else 0)
 
@@ -121,7 +119,7 @@ def test_cech_h0_of_structure_sheaf(ring, w):
 def test_cech_differentials_compose_to_zero_on_three_cover(ring, x, y):
     cover = OpenSubset(ring, (x, y, x + y))
     m = free_module(ring, (0,))
-    c = cech_complex(m, cover, window=(-3, 3), cap=8)
+    c = CechComplexWindow(m, cover, window=(-3, 3), cap=8)
     for d in range(-3, 4):
         diffs = c.degree(d).diffs
         assert len(diffs) == 2
@@ -131,8 +129,8 @@ def test_cech_differentials_compose_to_zero_on_three_cover(ring, x, y):
 def test_cover_refinement_does_not_change_h0(ring, w, x, y):
     m = free_module(ring, (0,))
     fine = OpenSubset(ring, (x, y, x + y))
-    coarse = cech_complex(m, w, window=(-2, 3), cap=8)
-    refined = cech_complex(m, fine, window=(-2, 3), cap=8)
+    coarse = CechComplexWindow(m, w, window=(-2, 3), cap=8)
+    refined = CechComplexWindow(m, fine, window=(-2, 3), cap=8)
     for d in range(-2, 4):
         assert coarse.degree(d).h0_dim == refined.degree(d).h0_dim
 
@@ -145,8 +143,8 @@ def test_sections_of_structure_sheaf(ring, w):
     dims = {d: s.piece(d).dim for d in range(-4, 5)}
     assert dims == {-4: 0, -3: 0, -2: 0, -1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
     assert s.certified(0)
-    assert "kernels-certified" in s.flags(WINDOW)
-    assert "stabilized" in s.flags(WINDOW)
+    assert "kernels-certified" in s.flags()
+    assert "stabilized" in s.flags()
 
 
 def test_sections_of_ideal_match_structure_sheaf(ideal_fp, ring, w):
@@ -183,42 +181,55 @@ def test_sections_actions_commute(ring, w):
 def test_sections_over_affine_chart_do_not_stabilize(ring, x):
     # Gamma(D(x), O)_0 = k[y/x] is infinite dimensional: escalation must give up
     dx = OpenSubset(ring, (x,))
-    s = sections_window(free_module(ring, (0,)), dx, window=(-2, 2), policy=CapPolicy(start=4))
+    s = sections_window(free_module(ring, (0,)), dx, window=(-2, 2), start=4)
     with pytest.raises(CapExhausted):
         s.piece(0)
 
 
-def test_cap_policy_escalation_schedule():
-    assert CapPolicy(start=5).caps((-2, 2)) == [5, 7, 9, 11, 13, 15]
-    assert CapPolicy().start_cap((-6, 6)) == 14
+def test_cap_policy_escalation_schedule(ring, w):
+    o = free_module(ring, (0,))
+    assert sections_window(o, w, (-2, 2), start=5).caps == [5, 7, 9, 11, 13, 15]
+    assert sections_window(o, w, (-6, 6)).caps[0] == 14
 
 
 @pytest.mark.parametrize("kw", [
     dict(start=0),
 ], ids=["start-0"])
-def test_cap_policy_rejects_schedules_that_cannot_stabilize(kw):
-    with pytest.raises(ValueError):
-        CapPolicy(**kw)
+def test_cap_policy_rejects_schedules_that_cannot_stabilize(ring, w, kw):
+    with pytest.raises(ValueError, match="cap start must be at least 1, got 0"):
+        sections_window(free_module(ring, (0,)), w, (-2, 2), **kw)
+
+
+def test_an_explicit_default_start_gives_the_same_sections(ring, w):
+    # the registry keys on the resolved start cap, window width + 2
+    o = free_module(ring, (0,))
+    assert sections_window(o, w, (-2, 2)) is sections_window(o, w, (-2, 2), 6)
+    assert sections_window(o, w, (-2, 2)) is not sections_window(o, w, (-2, 2), 8)
 
 
 # --- H^1 --------------------------------------------------------------------
 
 
+def _h1_dims(s):
+    lo, hi = s.window
+    return {d: s.h1(d)[1] for d in range(lo, hi + 1)}
+
+
 def test_h1_of_punctured_plane(ring, w):
-    r = h1_window(free_module(ring, (0,)), w, window=WINDOW)
-    assert r.dims == {d: (abs(d) - 1 if d <= -2 else 0) for d in range(-4, 5)}
-    assert all(r.certified[d] for d in r.dims)
+    s = sections_window(free_module(ring, (0,)), w, window=WINDOW)
+    assert _h1_dims(s) == {d: (abs(d) - 1 if d <= -2 else 0) for d in range(-4, 5)}
+    assert all(s.h1(d)[2].certified for d in range(-4, 5))
 
 
 def test_h1_vanishes_for_line_module(kx_fp, w):
-    r = h1_window(kx_fp, w, window=(-3, 3))
-    assert all(v == 0 for v in r.dims.values())
+    s = sections_window(kx_fp, w, window=(-3, 3))
+    assert all(v == 0 for v in _h1_dims(s).values())
 
 
 def test_h1_vanishes_on_single_chart(ring, x):
     dx = OpenSubset(ring, (x,))
-    r = h1_window(free_module(ring, (0,)), dx, window=(-2, 2))
-    assert all(v == 0 for v in r.dims.values())
+    s = sections_window(free_module(ring, (0,)), dx, window=(-2, 2))
+    assert all(v == 0 for v in _h1_dims(s).values())
 
 
 # --- restriction and multiplication -----------------------------------------
@@ -418,12 +429,12 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
     # while the free modules on the variable cover keep the proven start cap
     ring = PolyRing(field, ("x", "y"))
     cover = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
-    window, policy = (-3, 2), CapPolicy(start=1)
+    window, start = (-3, 2), 1
     gens, rels = data.draw(binomial_presentations(ring))
     m = FPGradedModule(ring, gens, rels)
     free = free_module(ring, gens)
-    s_m = sections_window(m, cover, window, policy)
-    s_o = sections_window(free_module(ring), cover, window, policy)
+    s_m = sections_window(m, cover, window, start)
+    s_o = sections_window(free_module(ring), cover, window, start)
     lo, hi = window
     assume(len({s_m._stable("h0_dim", d)[0] for d in range(lo, hi + 1)}) > 1)
 
@@ -434,7 +445,7 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
 
     # the presentation F -> M: sources at the start cap, targets above it
     u = map_from_gen_images(free, m, [m.gen_element(i) for i in range(len(gens))])
-    s_free = sections_window(free, cover, window, policy)
+    s_free = sections_window(free, cover, window, start)
     induced = sections_induced_map(u, s_free, s_m)
     for d in range(lo, hi + 1):
         assert induced.matrix(d) == _ref_map(s_free, s_m, d, d, lambda i, a: u.matrix(a))
@@ -484,7 +495,7 @@ def test_a_vector_above_the_own_cap_is_solved_for(coordinate_calls):
     ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
     x, y = ring.var_poly(0), ring.var_poly(1)
     m = FPGradedModule(ring, (0,), ((x + y,),))
-    s = sections_window(m, OpenSubset(ring, (x, y)), (-3, 2), CapPolicy(start=1))
+    s = sections_window(m, OpenSubset(ring, (x, y)), (-3, 2), 1)
     assert [s._stable("h0_dim", d)[0] for d in (-2, -1)] == [3, 1]
     for var in (0, 1):
         assert s.act(var, -2) == _ref_map(s, s, -2, -1, lambda i, a: m.act(var, a))
@@ -517,7 +528,7 @@ def test_the_binomial_plateau_maps_match_the_block_formulas():
     x3, x2y = HomogPoly.monomial(ring, (3, 0)), HomogPoly.monomial(ring, (2, 1))
     rels = ((x3.scale(Fraction(-3, 2)) + x2y, None), (x3.scale(-3) + x2y, None))
     m = FPGradedModule(ring, (0, 1), rels)
-    s_m = sections_window(m, cover, (-3, 2), CapPolicy(start=1))
+    s_m = sections_window(m, cover, (-3, 2), 1)
     for d in range(-3, 2):
         for var in (0, 1):
             assert s_m.act(var, d) == _ref_map(s_m, s_m, d, d + 1, lambda i, a: m.act(var, a))
@@ -554,21 +565,21 @@ def test_free_modules_on_the_all_variable_cover_match_closed_forms(field, n, win
     ring, cover = _all_variable_cover(field, n)
     m = free_module(ring, shifts)
     s = sections_window(m, cover, window=window)
-    h = h1_window(m, cover, window=window)
     lo, hi = window
     for d in range(lo, hi + 1):
-        assert s._caps(d) == [s.policy.start_cap(window)]
+        assert s._caps(d) == [s.caps[0]]
         assert s.piece(d).dim == _h0_closed_form(n, shifts, d)
-        assert h.dims[d] == _h1_closed_form(n, shifts, d)
-        assert h.certified[d]
+        _cap, h1_dim, cech = s.h1(d)
+        assert h1_dim == _h1_closed_form(n, shifts, d)
+        assert cech.certified
 
 
-def _caps_and_dims(module, cover, window, policy=None):
-    s = sections_window(module, cover, window, policy)
-    h = h1_window(module, cover, window, policy)
+def _caps_and_dims(module, cover, window, start=None):
+    s = sections_window(module, cover, window, start)
     lo, hi = window
+    h1 = {d: s.h1(d)[:2] for d in range(lo, hi + 1)}
     return {
-        d: (s.piece(d).dim, s._stable("h0_dim", d)[0], h.dims[d], h.caps[d])
+        d: (s.piece(d).dim, s._stable("h0_dim", d)[0], h1[d][1], h1[d][0])
         for d in range(lo, hi + 1)
     }
 
@@ -775,11 +786,11 @@ def test_monomial_quotient_bound_gives_the_top_exponent_kernel(field, n, data):
 # The class boundary: the answers and caps below are those of escalation
 # before proven caps existed, and each of these builds three or more caps.
 
-def _assert_escalates(built, module, cover, window, policy=None):
-    s = sections_window(module, cover, window, policy)
+def _assert_escalates(built, module, cover, window, start=None):
+    s = sections_window(module, cover, window, start)
     lo, hi = window
     assert all(len(s._caps(d)) >= 3 for d in range(lo, hi + 1))
-    got = _caps_and_dims(module, cover, window, policy)
+    got = _caps_and_dims(module, cover, window, start)
     assert len({cap for _, _, cap in built}) >= 3
     return got
 
@@ -824,18 +835,18 @@ def test_a_cover_missing_a_variable_escalates_and_gives_up(complexes_built):
     s = sections_window(o, cover, window=(-2, 2))
     assert [s.piece(d).dim for d in range(-2, 3)] == [0, 0, 1, 3, 6]
     with pytest.raises(CapExhausted):
-        h1_window(o, cover, window=(-2, 2))
+        _h1_dims(s)
     assert sorted({cap for _, _, cap in complexes_built}) == [6, 8, 10, 12, 14, 16]
 
 
 def test_degrees_past_the_start_cap_escalate(complexes_built, ring, w):
     # with start 1, c0(d) = -d - 1 exceeds the start for d <= -3
     o = free_module(ring, (0,))
-    policy = CapPolicy(start=1)
+    start = 1
     window = (-6, 6)
-    s = sections_window(o, w, window, policy)
+    s = sections_window(o, w, window, start)
     assert [d for d in range(-6, 7) if len(s._caps(d)) > 1] == [-6, -5, -4, -3]
-    got = _caps_and_dims(o, w, window, policy)
+    got = _caps_and_dims(o, w, window, start)
     h1_caps = {-6: 5, -5: 5, -4: 3, -3: 3}
     assert got == {
         d: (d + 1 if d >= 0 else 0, 1, max(0, -d - 1), h1_caps.get(d, 1))

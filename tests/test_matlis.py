@@ -243,7 +243,7 @@ def reference_bidual_over_v(f: SheafMap, g: SheafMap):
     with V-maps induced on the V-sections."""
     def plusplus(s):
         dd = DualizedModule(DualizedModule(s.m_U))
-        return direct_image_from_U(s.scheme, dd, window=s.window, policy=s.policy)
+        return direct_image_from_U(s.scheme, dd, window=s.window, start=s.start)
 
     def plusplus_map(u, src, tgt):
         m = GradedModuleMap(src.m_U, tgt.m_U,

@@ -16,7 +16,6 @@ from qcverify import (
     FieldSpec,
     OpenSubset,
     PolyRing,
-    cech_complex,
     free_module,
     localize_piece,
     matlis_dual,
@@ -45,7 +44,7 @@ def test_built_degrees_and_statuses_are_where_the_tracer_reads_them():
     ring = PolyRing(FieldSpec.prime(7), ("x", "y"))
     cover = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
     o = free_module(ring, (0,))
-    cx = cech_complex(o, cover, window=(-1, 1), cap=3)
+    cx = CechComplexWindow(o, cover, window=(-1, 1), cap=3)
     assert 0 not in cx._degrees
     cx.degree(0)
     assert 0 in cx._degrees

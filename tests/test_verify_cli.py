@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import qcverify
-from qcverify import CapPolicy, FieldSpec, FPGradedModule, GradedPiece, NonHomogeneousError
+from qcverify import FieldSpec, FPGradedModule, GradedPiece, NonHomogeneousError
 from qcverify import localization_cech
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
@@ -161,6 +161,13 @@ def test_bad_window():
         parse_scenario(HEAD.replace("window = -2:2", "window = 2"))
     with pytest.raises(ParseError):
         parse_scenario(HEAD.replace("window = -2:2", "window = 3:-3"))
+
+
+def test_a_reversed_window_override_is_rejected():
+    # as in a file or --window; a reversed window would also give a
+    # default start cap below 1
+    with pytest.raises(ParseError, match="lo > hi"):
+        parse_scenario(BUILTIN_SCENARIOS["lemma21-free"], window=(2, -2))
 
 
 @pytest.mark.parametrize("text, bad", [
@@ -647,11 +654,41 @@ def test_builtin_report_bytes_at_the_full_window(name):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_an_explicit_default_cap_policy_changes_no_byte(name):
     # 6 is the default start cap at -2:2, so naming it must not change the
-    # report; sheaves fix their policy, so their W-sections stay shared
+    # report; sheaves fix their start cap, so their W-sections stay shared
     text = BUILTIN_SCENARIOS[name]
     default = run_text(text, name=name, window=(-2, 2))
-    explicit = run_text(text, name=name, window=(-2, 2), policy=CapPolicy(start=6))
+    explicit = run_text(text, name=name, window=(-2, 2), start=6)
     assert emit_report(explicit, "json") == emit_report(default, "json")
+
+
+# H^1 of O on D(x) u D(y) in three-space is infinite dimensional in every
+# degree: both checks give up, naming the lowest degree of the window, since
+# the H^1 table is read in ascending degree order before the witness scans
+# down from the top
+H1_EXHAUSTED = """\
+[ring]
+variables = x, y, z
+
+[options]
+window = -2:2
+
+[scheme]
+overlap = x, y
+
+[check h1 O]
+
+[check nonaffine-witness]
+"""
+H1_EXHAUSTED_DIGEST = "7b740d46a5478162f76bcdcd3ea50b9350acae2bd7cc74bf3881353c285f40d2"
+
+
+def test_an_inconclusive_h1_report_is_unchanged():
+    rep = run_text(H1_EXHAUSTED, name="h1x")
+    message = ("cap-exhausted: H1 of O in degree -2: dimensions [36, 64, 100, 144, 196, 256] "
+               "did not stabilize at caps [6, 8, 10, 12, 14, 16]")
+    assert [(c.verdict, c.flags) for c in rep.checks] == [("inconclusive", [message])] * 2
+    assert rep.exit_code() == 2
+    assert report_digest(rep) == H1_EXHAUSTED_DIGEST
 
 
 def test_star_sequence_over_x_under_den_cap(tmp_path, capsys):
