@@ -382,20 +382,22 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     form a * res(m) is a Gamma(W,O)-combination of those, so nothing is
     lost (and nothing is assumed) by enumerating generators only.
 
-    The table at a uniform cap c is the codimension, inside H^0 of M's
+    Row d of the table at a cap c is the codimension, inside H^0 of M's
     Cech degree d, of the span of the a * gen_i for a in H^0 of O's degree
-    d - e_i.  Where every one of these degrees sits at a proven cap
-    (SectionsModule.proven at the start cap), the table is taken at the
-    start cap alone: from there on the lifts between caps are
-    isomorphisms on each H^0 and commute with a * gen_i, so every larger
-    cap gives the same table, and escalation would accept the start cap
-    with it.  Elsewhere Gamma(W,-) pieces can be infinite-dimensional
-    (affine overlaps) or the caps unproven (presentations that are not
+    d - e_i.  Where every one of these degrees is proven at the start cap
+    (SectionsModule.floor_cap), row d is taken at the largest floor cap it
+    reads alone, M's at d and O's at each d - e_i: from there on the lifts
+    between caps are isomorphisms on each H^0 and commute with a * gen_i,
+    so every larger cap gives the same row, and escalation would accept
+    the start cap with the same table; the start cap is reported.
+    Elsewhere Gamma(W,-) pieces can be infinite-dimensional (affine
+    overlaps) or the caps unproven (presentations that are not
     fine-graded), so the table is computed at the raw uniform caps of the
     W-sections' escalation (sections_m.caps) and accepted only when it is
     reproduced at three consecutive escalations.
-    The kernels flag is the certificate of M's and O's Cech degrees in
-    the window at the accepted cap.
+    The kernels flag is the certificate of M's Cech degrees in the window,
+    each at the cap its row was read at; O is free, so its localizations
+    are certified at every cap.
 
     sections_o is Gamma(W, O) of the caller's structure module, on the
     sheaf's overlap; its complexes are shared with every other check on O.
@@ -421,35 +423,36 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     complexes_m = sections_m.complexes
     complexes_o = sections_o.complexes
 
-    def table_at(cap: int) -> tuple:
-        cm, co = complexes_m[cap], complexes_o[cap]
-        out = []
-        for d in range(lo, hi + 1):
-            deg_m = cm.degree(d)
-            a = deg_m.h0_basis()
-            blocks = {}
-            for i, e in enumerate(fp.gen_degrees):
-                deg_o = co.degree(d - e)
-                # a * gen_i for each a in the H^0 basis of O; see flat_sections_defect
-                blocks[0, i] = _cochain_apply(deg_o.levels[0], deg_m.levels[0],
-                                              lambda j, b: fp.gen_mult(i, b), deg_o.h0_basis())
-            p_mat = Mat.block(field, blocks)
-            if rank(a.hstack(p_mat)) != a.ncols:
-                raise ArithmeticError(
-                    f"a generator multiple is not a section in degree {d} at cap {cap}"
-                )
-            out.append(a.ncols - rank(p_mat))
-        return tuple(out)
+    def row(d: int, cap: int) -> int:
+        deg_m = complexes_m[cap].degree(d)
+        a = deg_m.h0_basis()
+        blocks = {}
+        for i, e in enumerate(fp.gen_degrees):
+            deg_o = complexes_o[cap].degree(d - e)
+            # a * gen_i for each a in the H^0 basis of O; see flat_sections_defect
+            blocks[0, i] = _cochain_apply(deg_o.levels[0], deg_m.levels[0],
+                                          lambda j, b: fp.gen_mult(i, b), deg_o.h0_basis())
+        p_mat = Mat.block(field, blocks)
+        if rank(a.hstack(p_mat)) != a.ncols:
+            raise ArithmeticError(
+                f"a generator multiple is not a section in degree {d} at cap {cap}"
+            )
+        return a.ncols - rank(p_mat)
 
-    caps = sections_m.caps
-    if all(sections_m.proven(d, caps[0])
-           and all(sections_o.proven(d - e, caps[0]) for e in fp.gen_degrees)
-           for d in range(lo, hi + 1)):
-        caps = caps[:1]
-    cap, table = _stabilize(table_at, caps, f"obstruction table for {s.name}")
-    codims = {d: table[d - lo] for d in range(lo, hi + 1)}
-    certified = all(c[cap].degree(d).certified
-                    for c in (complexes_m, complexes_o) for d in range(lo, hi + 1))
+    degrees = range(lo, hi + 1)
+    floors = [[sections_m.floor_cap(d)] + [sections_o.floor_cap(d - e) for e in fp.gen_degrees]
+              for d in degrees]
+    if all(None not in f for f in floors):
+        # every degree read is proven: row d at the largest floor it reads
+        row_caps = dict(zip(degrees, map(max, floors)))
+        cap = sections_m.caps[0]
+        codims = {d: row(d, row_caps[d]) for d in degrees}
+    else:
+        cap, table = _stabilize(lambda c: tuple(row(d, c) for d in degrees), sections_m.caps,
+                                f"obstruction table for {s.name}")
+        row_caps = dict.fromkeys(degrees, cap)
+        codims = dict(zip(degrees, table))
+    certified = all(complexes_m[row_caps[d]].degree(d).certified for d in degrees)
     flags = [f"cap:{cap}", "stabilized",
              "kernels-certified" if certified else "kernels-heuristic"]
     return ObstructionCertificate(window, codims, cap, flags)
@@ -487,7 +490,8 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
 
     Module, cover, window and caps are those of the sections module s,
     and the cocycle is read from its Cech complexes (SectionsModule.h1),
-    scanning down from the top degree."""
+    scanning down from the top degree.  A proven degree's H^1 is found at
+    its floor cap, and its cocycle is read at the start cap it reports."""
     module, w = s.base, s.cover
     field = module.ring.field
     lo, hi = s.window
@@ -495,6 +499,11 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
     if found is None:
         return None
     cap, _dim, cech = s.h1(found)
+    if s.floor_cap(found) is not None:
+        # a proven degree is reported at the start cap, where escalation
+        # would accept it; the representative is the one read there
+        cap = s.caps[0]
+        cech = s.complexes[cap].degree(found)
     cocycles, d0 = cech.h1_parts()
     c1_dim = cech.level_dim(1)
     _, proj, idx = _quotient_with_indices(d0, c1_dim)

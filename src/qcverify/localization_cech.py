@@ -17,17 +17,18 @@ every f of positive degree: some power of f kills each element.
 
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
-Cohomology in a degree window is reported at a cap found in one of two
-ways.  Where a theorem fixes the cap (a fine-graded presentation with
-exact localizations on the cover by all the variables, or its sections
-over such a cover; see _proven_cap_floor) the degree is built at the
-start cap alone, because every larger cap gives the same dimensions.
-Everywhere else the cap is found by escalation: start at the start cap
-(window width + 2 unless one is given), step by 2, accept once the
-dimensions are unchanged for two consecutive increments, give up
-(CapExhausted) after five escalations.  Both report the same cap, so a
-proven degree reads exactly as an escalated one that settled at its
-start.  Sections over the cover then become an ordinary DegreewiseModule
+Cohomology in a degree window is found at a cap in one of two ways.
+Where a theorem fixes the cap (a fine-graded presentation with exact
+localizations on the cover by all the variables, or its sections over
+such a cover; see _proven_cap_floor) degree d is built at its floor cap
+max(1, floor - d) alone, because every cap from there on gives the same
+dimensions.  Everywhere else the cap is found by escalation: start at the
+start cap (window width + 2 unless one is given), step by 2, accept once
+the dimensions are unchanged for two consecutive increments, give up
+(CapExhausted) after five escalations.  A proven degree is reported at
+the start cap, which escalation would accept with the same dimensions,
+so it reads exactly as an escalated one that settled at its start.
+Sections over the cover then become an ordinary DegreewiseModule
 whose elements can be restricted to and expressed from C^0 vectors given
 at any cap.  It owns the cap schedule, keeps the cap of each degree and
 its H^1, and reads every localization, H^0 basis and certificate from
@@ -191,20 +192,24 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     return LocalizedPiece(d, cap, num_degree, status, piece, coset, proj)
 
 
-def _cochain_apply(pieces_from, pieces_to, numer, vecs: Mat) -> Mat:
+def _cochain_apply(pieces_from, pieces_to, numer, vecs: Mat, after=None) -> Mat:
     """Carry cochains through a map given on numerators.
 
     vecs stacks one block of rows per piece of pieces_from; block k goes
     to tgt.proj @ numer(k, src.num_degree) @ src.incl @ block, stacked
-    over pieces_to.  The map is applied to the vectors first, so no
-    product the size of a whole piece is built.
+    over pieces_to, with after(k, src.num_degree) applied after numer when
+    given.  The maps are applied to the vectors first, so no product the
+    size of a whole piece is built.
     """
     blocks = {}
     pos = 0
     for k, (src, tgt) in enumerate(zip(pieces_from, pieces_to)):
         rows = vecs.take_rows(pos, pos + src.dim)
         pos += src.dim
-        blocks[k, 0] = tgt.proj @ (numer(k, src.num_degree) @ (src.incl @ rows))
+        image = numer(k, src.num_degree) @ (src.incl @ rows)
+        if after is not None:
+            image = after(k, src.num_degree) @ image
+        blocks[k, 0] = tgt.proj @ image
     return Mat.block(vecs.field, blocks)
 
 
@@ -409,7 +414,10 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     |b| = e_k, and c0(d) reads max(0, max_k e_k - n + 1 - d).  QED.
 
     So when c0(d) <= the start cap, escalation would return the start cap
-    with these same dimensions, and one complex at the start cap says it.
+    with these same dimensions, and one complex at any cap c >= c0(d) says
+    it: SectionsModule builds degree d at c = max(1, c0(d)) = max(1, t - d)
+    alone, its floor cap (floor_cap), and reports the start cap.  The floor
+    cap is at least 1 so that the gate below holds.
 
     Sections of sections.  Let N = Gamma(W', ~M) be a SectionsModule whose
     base M is in the class on its own all-variable cover W', so that N has
@@ -430,16 +438,16 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
 
     The gate.  The theorem speaks of the true N; the complexes read its
     realization, whose degree e is the true N_e when e sits at a proven
-    cap (SectionsModule.proven).  A degree d of Gamma(W, ~N) built at a
-    cap c >= c0(d) reads N only in numerator degrees e >= d + c >= floor
-    (c >= 1, and every cover product has degree >= 1), where N's own
-    c0(e) is 0: every degree of N that a proven degree reads is itself at
-    a proven cap, whatever N's window and start cap, so the gate needs no
-    check of its own.  A degree below the floor escalates as before; it
-    may read degrees of N at escalated caps, but a realization at any cap
-    is a graded submodule of the true N (each term at a cap injects into
-    its limit), so the inherited torsion powers still kill all of its
-    torsion and its certificates stay honest.
+    cap (SectionsModule.proven).  A degree d of Gamma(W, ~N) built at its
+    floor cap c = max(1, floor - d), or at any larger cap, reads N only in
+    numerator degrees e >= d + c >= floor (c >= 1, and every cover product
+    has degree >= 1), where N's own c0(e) is 0: every degree of N that a
+    proven degree reads is itself at a proven cap, whatever N's window and
+    start cap, so the gate needs no check of its own.  A degree below the
+    floor escalates as before; it may read degrees of N at escalated caps,
+    but a realization at any cap is a graded submodule of the true N (each
+    term at a cap injects into its limit), so the inherited torsion powers
+    still kill all of its torsion and its certificates stay honest.
     """
     while isinstance(module, SectionsModule) and module._cap_floor is not None:
         module = module.base
@@ -470,7 +478,8 @@ class SectionsModule(DegreewiseModule):
 
     Every per-degree fact is read from self.complexes, the one cache of
     Cech complexes: each piece is the degree-d Cech H^0 at a per-degree
-    cap, proven or stabilized (see _caps and _stable), and its basis, the
+    cap, the floor cap of a proven degree or the stabilized cap of an
+    escalated one (see _caps and _stable), and its basis, the
     localizations it lives on and its certificate are those of the
     complex's degree at that cap.  A map given on numerators (variable
     actions, induced maps) is applied to the H^0 basis at its cap by
@@ -483,6 +492,8 @@ class SectionsModule(DegreewiseModule):
 
     self.caps is the one cap schedule, the escalation from the start cap
     (default window width + 2); H^1 (h1) and the obstruction read it too.
+    A proven degree is built at its floor cap (floor_cap) and reported at
+    caps[0] (flags, and the witness's cap).
 
     Where the base has a proven floor, so does this module, with the
     base's floor and torsion powers (proven, torsion_bound): its own
@@ -510,10 +521,18 @@ class SectionsModule(DegreewiseModule):
         between such caps are isomorphisms on it."""
         return self._cap_floor is not None and max(0, self._cap_floor - d) <= cap
 
+    def floor_cap(self, d: int) -> int | None:
+        """max(1, floor - d), the least cap at which degree d is proven,
+        where it is proven at the start cap; None where it escalates."""
+        if not self.proven(d, self.caps[0]):
+            return None
+        return max(1, self._cap_floor - d)
+
     def _caps(self, d: int) -> list[int]:
-        """The caps to try in degree d: the start cap alone where it is
+        """The caps to try in degree d: its floor cap alone where it is
         proven, the whole escalation otherwise."""
-        return self.caps[:1] if self.proven(d, self.caps[0]) else self.caps
+        c = self.floor_cap(d)
+        return self.caps if c is None else [c]
 
     def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         """The base's torsion power where the base's floor is proven: a
@@ -556,20 +575,18 @@ class SectionsModule(DegreewiseModule):
         return (cech if cap == own else self.complexes[cap].degree(d)).levels[0]
 
     def _express(self, d: int, vecs: Mat, cap: int) -> Mat:
-        """Coordinates in piece(d) of C^0 vectors given at some cap."""
+        """Coordinates in piece(d) of C^0 vectors given at a cap no lower
+        than the one piece(d) was read at."""
         own, _dim, cech = self._stable("h0_dim", d)
-        common = max(cap, own)
-        pieces = self._locs(d, common)
-        lifted = _lift(self.base, self.cover, 0, self._locs(d, cap), pieces, common - cap, vecs)
         if cap > own:
-            basis = _lift(self.base, self.cover, 0, cech.levels[0], pieces, cap - own,
-                          cech.h0_basis())
-            coords = solve(basis, lifted)
+            basis = _lift(self.base, self.cover, 0, cech.levels[0], self._locs(d, cap),
+                          cap - own, cech.h0_basis())
+            coords = solve(basis, vecs)
         elif cech.n == 1:
             # one chart: H^0 is all of C^0, in the identity basis
-            coords = lifted
+            coords = vecs
         else:
-            coords = kernel_coords(cech.diffs[0], lifted)
+            coords = kernel_coords(cech.diffs[0], vecs)
         if coords is None:
             raise CapExhausted(
                 f"{self.name}: a section of degree {d} is not representable at the "
@@ -580,9 +597,23 @@ class SectionsModule(DegreewiseModule):
     def _map_into(self, d: int, target: "SectionsModule", d_to: int, numer) -> Mat:
         """Matrix, in the bases of piece(d) and target.piece(d_to), of the
         map that numer(i, a) : M_a -> N_(a + d_to - d) gives on the
-        numerators of the cover piece D(f_i)."""
+        numerators of the cover piece D(f_i).  Where the target's cap is
+        the larger, the image is lifted on the numerators, so the target
+        is read at its own cap alone."""
         cap, _dim, cech = self._stable("h0_dim", d)
-        vecs = _cochain_apply(cech.levels[0], target._locs(d_to, cap), numer, cech.h0_basis())
+        own = target._stable("h0_dim", d_to)[0]
+        after = None
+        if own > cap:
+            # lift on the numerators, by f_i^(own - cap) after numer, so that
+            # the target is read at its own cap and not realized at this one
+            t, shift = own - cap, d_to - d
+            denoms = self.cover.denoms
+
+            def after(i, a):
+                return target.base.power_act(denoms[i], t, a + shift)
+            cap = own
+        vecs = _cochain_apply(cech.levels[0], target._locs(d_to, cap), numer, cech.h0_basis(),
+                              after)
         return target._express(d_to, vecs, cap)
 
     def _act(self, var: int, d: int) -> Mat:
@@ -605,7 +636,8 @@ class SectionsModule(DegreewiseModule):
         heuristic = False
         for d in range(lo, hi + 1):
             cap, _dim, cech = self._stable("h0_dim", d)
-            caps.append(cap)
+            # a proven degree reads as escalation would accept it: at the start cap
+            caps.append(cap if self.floor_cap(d) is None else self.caps[0])
             heuristic = heuristic or not cech.certified
         out = [f"caps:{min(caps)}..{max(caps)}", "stabilized"]
         out.append("kernels-heuristic" if heuristic else "kernels-certified")

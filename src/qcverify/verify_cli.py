@@ -248,6 +248,8 @@ def parse_scenario(text: str, name: str = "scenario",
                    start: int | None = None) -> Scenario:
     """Parse and fully validate a scenario; the keyword arguments are
     command-line overrides applied on top of the file's own settings."""
+    if start is not None and start < 1:
+        raise ParseError("--den-cap must be positive")
     # first pass: group lines into sections
     sections: list = []  # (lineno, header, [(lineno, line), ...])
     current = None
@@ -967,8 +969,6 @@ def main(argv=None) -> int:
     try:
         window = _parse_window(args.window) if args.window else None
         field = _parse_field_spec(args.field) if args.field else None
-        if args.den_cap is not None and args.den_cap < 1:
-            raise ParseError("--den-cap must be positive")
 
         if args.command == "run":
             try:

@@ -212,7 +212,8 @@ def _survives_lift(s, wit, step=2):
     """Whether the witness cocycle, lifted from its cap to cap + step, is
     still not a coboundary there."""
     w, module = s.cover, s.base
-    cap, _dim, cech = s.h1(wit.degree)
+    cap = wit.cap
+    cech = s.complexes[cap].degree(wit.degree)
     cech2 = s.complexes[cap + step].degree(wit.degree)
     blocks = {}
     pos = 0
@@ -227,12 +228,14 @@ def _survives_lift(s, wit, step=2):
 
 
 # the witness skips its own lift where the cap is proven; the lift is
-# checked here instead
+# checked here instead.  A proven degree's H^1 is built at its floor cap,
+# and the witness is read at the start cap it reports
 def test_witness_of_h1_punctured_survives_the_lift():
     s = parse_scenario(BUILTIN_SCENARIOS["h1-punctured"], window=(-6, 6))
     h1 = sections_window(s.modules["O"], s.overlap, s.window, s.start)
     wit = witness_nonaffine(h1)
-    assert wit.degree == -2 and len(h1._caps(wit.degree)) == 1
+    assert wit.degree == -2 and h1._caps(wit.degree) == [1]
+    assert wit.cap == h1.caps[0] == 14
     assert _survives_lift(h1, wit)
 
 
@@ -241,6 +244,9 @@ def test_witness_of_a_shifted_free_module_survives_the_lift(ring, w, e):
     h1 = sections_window(free_module(ring, (e,)), w, window=(-4, 4))
     wit = witness_nonaffine(h1)
     assert wit.degree == e - 2
+    # the floor of R(-e) is e - 1, so H^1 in degree e - 2 is built at cap 1
+    assert h1._caps(wit.degree) == [1]
+    assert wit.cap == h1.caps[0] == 10
     assert _survives_lift(h1, wit)
 
 

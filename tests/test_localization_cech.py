@@ -28,6 +28,8 @@ from qcverify import (
     Mat,
     PolyRing,
     OpenSubset,
+    QcohSheafOnX,
+    SectionsModule,
     direct_image_from_U,
     direct_sum,
     flat_quotient_obstruction,
@@ -322,9 +324,9 @@ def test_only_the_complexes_localize(monkeypatch):
         read.extend(pieces_from + pieces_to)
         return lift(module, cover, level, pieces_from, pieces_to, t, vecs)
 
-    def spy_apply(pieces_from, pieces_to, numer, vecs):
+    def spy_apply(pieces_from, pieces_to, numer, vecs, after=None):
         read.extend(pieces_from + pieces_to)
-        return apply(pieces_from, pieces_to, numer, vecs)
+        return apply(pieces_from, pieces_to, numer, vecs, after)
 
     monkeypatch.setattr(localization_cech, "localize_piece", spy_localize)
     monkeypatch.setattr(localization_cech, "_lift", spy_lift)
@@ -536,8 +538,9 @@ def test_the_binomial_plateau_maps_match_the_block_formulas():
 
 # --- proven caps ---------------------------------------------------------------
 #
-# A free module on the cover by all n variables is built at the start cap
-# alone (localization_cech._proven_cap_floor).  The closed forms count fine
+# A free module on the cover by all n variables is built in each degree d
+# at its floor cap max(1, floor - d) alone, with floor = max shift - n + 1
+# (localization_cech._proven_cap_floor).  The closed forms count fine
 # degrees: H^0 in degree d is R_{d-e} for each summand R(-e) (one Laurent
 # monomial when n = 1), and H^1 on the punctured plane counts the a <= -1
 # with a_1 + a_2 = d - e.
@@ -567,7 +570,7 @@ def test_free_modules_on_the_all_variable_cover_match_closed_forms(field, n, win
     s = sections_window(m, cover, window=window)
     lo, hi = window
     for d in range(lo, hi + 1):
-        assert s._caps(d) == [s.caps[0]]
+        assert s._caps(d) == [max(1, max(shifts) - n + 1 - d)]
         assert s.piece(d).dim == _h0_closed_form(n, shifts, d)
         _cap, h1_dim, cech = s.h1(d)
         assert h1_dim == _h1_closed_form(n, shifts, d)
@@ -633,13 +636,27 @@ def test_proven_caps_agree_with_escalation(field, n, kind, lo, data):
     def module():
         return FPGradedModule(ring, *presentation)
 
-    proven = _caps_and_dims(module(), OpenSubset(ring, denoms), window)
+    m, cover = module(), OpenSubset(ring, denoms)
+    proven = _caps_and_dims(m, cover, window)
+    s = sections_window(m, cover, window)
+    floor = localization_cech._proven_cap_floor(m, cover)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(localization_cech, "_proven_cap_floor", lambda module, cover: None)
         cover = OpenSubset(ring, denoms)
         escalated = _caps_and_dims(module(), cover, window)
         assert len(sections_window(module(), cover, window)._caps(lo)) > 1
-    assert proven == escalated
+    # a proven degree is built at its floor cap alone, and escalation
+    # accepts the start cap there with the same dimensions
+    expected = {}
+    for d, (h0, h0_cap, h1, h1_cap) in escalated.items():
+        if s.proven(d, s.caps[0]):
+            assert s.floor_cap(d) == max(1, floor - d)
+            assert h0_cap == h1_cap == s.caps[0]
+            h0_cap = h1_cap = s.floor_cap(d)
+        else:
+            assert s.floor_cap(d) is None
+        expected[d] = (h0, h0_cap, h1, h1_cap)
+    assert proven == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -670,7 +687,8 @@ def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
 def _sections_of_sections_and_obstruction(module, cover, window):
     """Caps, dims and certificates of Gamma(W, Gamma(W, ~M)~) over the
     window, the codims, cap and flags of the obstruction table of the
-    direct image of M, and the floor of Gamma(W, ~M)."""
+    direct image of M, the floor of Gamma(W, ~M), and the start cap and
+    floor caps of Gamma(W, Gamma(W, ~M)~)."""
     ring = module.ring
     sheaf = direct_image_from_U(DoubleGluedScheme(ring, cover), module, window)
     outer = sections_window(sheaf.m_V, cover, window)
@@ -678,7 +696,9 @@ def _sections_of_sections_and_obstruction(module, cover, window):
     sections = {d: (outer.piece(d).dim, outer._stable("h0_dim", d)[0]) for d in range(lo, hi + 1)}
     certified = {d: outer.certified(d) for d in range(lo, hi + 1)}
     cert = flat_quotient_obstruction(sheaf, sections_window(free_module(ring), cover, window))
-    return sections, certified, (cert.codims, cert.cap, cert.flags), sheaf.m_V._cap_floor
+    floor_caps = {d: outer.floor_cap(d) for d in range(lo, hi + 1)}
+    return (sections, certified, (cert.codims, cert.cap, cert.flags), sheaf.m_V._cap_floor,
+            outer.caps[0], floor_caps)
 
 
 # three variables are left to the golden digest of the Koszul ideal in
@@ -710,11 +730,62 @@ def test_proven_caps_agree_with_escalation_for_sections_of_sections(field, n, lo
     floor = localization_cech._proven_cap_floor(FPGradedModule(ring, *presentation),
                                                 OpenSubset(ring, denoms))
     assert (proven[3], escalated[3]) == (floor, None)
-    assert proven[0] == escalated[0]
+    # a proven degree of the outer sections sits at its floor cap
+    # max(1, floor - d), where escalation accepts the start cap
+    start, floor_caps = proven[4], proven[5]
+    assert all(c is None for c in escalated[5].values())
+    expected = {}
+    for d, (dim, cap) in escalated[0].items():
+        if floor_caps[d] is not None:
+            assert floor_caps[d] == max(1, floor - d) and cap == start
+            cap = floor_caps[d]
+        expected[d] = (dim, cap)
+    assert proven[0] == expected
     assert proven[2] == escalated[2]
     # with the floor off, the torsion power of Gamma(W, ~M) is the
     # uncertified default, so an escalated certificate can only be weaker
     assert all(proven[1][d] for d in proven[1] if escalated[1][d])
+
+
+def _at_the_start_cap(self, d):
+    """SectionsModule.floor_cap as it was before the floor: the start cap
+    wherever a degree is proven there."""
+    return self.caps[0] if self.proven(d, self.caps[0]) else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(1, 3), lo=st.integers(-3, 0),
+       data=st.data())
+def test_proven_degrees_read_the_same_at_their_floor_and_above(field, n, lo, data):
+    # the theorem of _proven_cap_floor, as an oracle: each proven degree
+    # reads the same H^0, H^1 and certificate at its floor cap, at the start
+    # cap and two caps above it, and the obstruction table with rows at
+    # their floors is the uniform table at the start cap
+    ring, cover = _all_variable_cover(field, n)
+    presentation = data.draw(fine_graded(ring))
+    window = (lo, max(lo + 1, *presentation[0]))
+    m = FPGradedModule(ring, *presentation)
+    s = sections_window(m, cover, window)
+    start = s.caps[0]
+    proven = [d for d in range(lo, window[1] + 1) if s.floor_cap(d) is not None]
+    assume(proven)
+    for d in proven:
+        reads = {}
+        for c in (s.floor_cap(d), start, start + 2):
+            deg = s.complexes[c].degree(d)
+            reads[c] = (deg.h0_dim, deg.h1_dim, deg.certified)
+        assert len(set(reads.values())) == 1, (d, reads)
+
+    def obstruction():
+        sheaf = QcohSheafOnX.glued(DoubleGluedScheme(ring, cover), m, window=window)
+        cert = flat_quotient_obstruction(sheaf, sections_window(free_module(ring), cover, window))
+        return cert.codims, cert.cap, cert.flags
+
+    per_degree = obstruction()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SectionsModule, "floor_cap", _at_the_start_cap)
+        uniform = obstruction()
+    assert per_degree == uniform
 
 
 @settings(max_examples=20, deadline=None)
@@ -811,13 +882,20 @@ def test_a_module_with_relations_escalates(complexes_built, ring, x, y, w):
 
 def test_the_ideal_is_held_to_the_start_cap(complexes_built, ring, x, y, w):
     # the Koszul presentation of (x, y) is fine-graded with T = (1, 1):
-    # its kernel chains are exact, so its caps are proven
+    # its kernel chains are exact, so its caps are proven from the floor 1
+    # on; each degree is built at max(1, 1 - d) and reported at the start
+    # cap 6, with the dimensions escalation gives there
     ideal = FPGradedModule(ring, (1, 1), ((y, -x),), name="I")
     window = (-2, 2)
     s = sections_window(ideal, w, window)
-    assert all(s._caps(d) == [6] for d in range(-2, 3))
-    assert _caps_and_dims(ideal, w, window) == PUNCTURED_AT_CAP_6
-    assert {cap for _, _, cap in complexes_built} == {6}
+    floor_caps = {-2: 3, -1: 2, 0: 1, 1: 1, 2: 1}
+    assert all(s._caps(d) == [floor_caps[d]] for d in range(-2, 3))
+    assert _caps_and_dims(ideal, w, window) == {
+        d: (h0, floor_caps[d], h1, floor_caps[d])
+        for d, (h0, _, h1, _) in PUNCTURED_AT_CAP_6.items()
+    }
+    assert s.flags() == ["caps:6..6", "stabilized", "kernels-heuristic"]
+    assert [cap for _, _, cap in complexes_built] == [3, 2, 1]
 
 
 @pytest.mark.parametrize("denoms", ["x, x+y", "x, y, x*y"])

@@ -588,6 +588,14 @@ def test_identifier_variable_names_parse():
 
 def test_main_rejects_bad_den_cap(capsys):
     assert main(["builtin", "affine-control", "--den-cap", "0"]) == 3
+    assert capsys.readouterr().err == "qcv: --den-cap must be positive\n"
+
+
+@pytest.mark.parametrize("start", [0, -3])
+def test_a_start_cap_below_one_is_a_parse_error(start):
+    # refused while parsing, not as a traceback when the checks run
+    with pytest.raises(ParseError, match="^--den-cap must be positive$"):
+        parse_scenario(BUILTIN_SCENARIOS["affine-control"], start=start)
 
 
 @pytest.mark.parametrize("field_line, flags", [
@@ -747,26 +755,35 @@ def _caps_per_module(complexes_built):
 
 
 def test_lemma21_free_builds_one_complex_per_free_module(complexes_built):
-    # 28 free modules and O each get one complex at the start cap, and so
-    # does the skyscraper R/(x, y): its monomial presentation is fine-graded
-    # with certified torsion, so its cap is proven too
+    # 28 free modules and O get one complex per floor cap they read, and
+    # so does the skyscraper R/(x, y): its monomial presentation is
+    # fine-graded with certified torsion, so its caps are proven too.  The
+    # floor of R(-e)^r is e - 1, so window degree d sits at max(1, e - 1 - d)
     rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
     assert rep.exit_code() == 0
     per_module = _caps_per_module(complexes_built)
     assert len(per_module) == 30
-    assert per_module.pop("sky") == [6]
-    assert all(caps == [6] for caps in per_module.values())
-    assert len(complexes_built) == 30
+    assert per_module.pop("sky") == [3, 2, 1]
+    # O is read in degrees d - e, at caps 1 to 4 as e grows
+    assert per_module.pop("O") == [1, 2, 3, 4]
+    lemma = parse_scenario(BUILTIN_SCENARIOS["lemma21-free"]).modules
+    assert per_module == {
+        name: list(dict.fromkeys(max(1, lemma[name].gen_degrees[0] - 1 - d)
+                                 for d in range(-2, 3)))
+        for name in per_module
+    }
+    assert len(complexes_built) == 59
 
 
 @pytest.mark.parametrize("check, caps", [
-    ("sections ideal over W", {"I": [6], "sections(I)": [6]}),
-    ("sections ideal over X", {"I": [6]}),
-    ("obstruction ideal", {"I": [6], "O": [6]}),
+    ("sections ideal over W", {"I": [3, 1, 2], "sections(I)": [3, 2, 1]}),
+    ("sections ideal over X", {"I": [3, 2, 1]}),
+    ("obstruction ideal", {"I": [3, 2, 1], "O": [3, 2, 1]}),
 ])
 def test_double_origin_flat_proves_every_cap(complexes_built, check, caps):
-    # the ideal's sections sit at the start cap alone, and so do their own
-    # sections (the V side of the gluing check) and the obstruction table
+    # the ideal's sections sit at their floor caps max(1, 1 - d) alone, and
+    # so do their own sections (the V side of the gluing check) and the
+    # rows of the obstruction table
     text = BUILTIN_SCENARIOS["double-origin-flat"]
     text = text[:text.index("[check")] + f"[check {check}]\n"
     rep = run_text(text, window=(-2, 2))
@@ -776,7 +793,7 @@ def test_double_origin_flat_proves_every_cap(complexes_built, check, caps):
 
 def test_a_v_side_that_disagrees_is_a_gluing_mismatch(complexes_built, monkeypatch):
     # the V side of a direct image, Gamma(W, Gamma(W, I)~), is built at
-    # proven caps; one degree of it made one larger must still stop the check
+    # its floor caps; one degree of it made one larger must still stop the check
     real = SectionsModule._piece
 
     def piece(self, d):
@@ -792,7 +809,7 @@ def test_a_v_side_that_disagrees_is_a_gluing_mismatch(complexes_built, monkeypat
     assert check.verdict == "check-error"
     assert check.flags == [
         "error: W-sections disagree in degree 0: 1 from patch U, 2 from patch V"]
-    assert _caps_per_module(complexes_built) == {"I": [6], "sections(I)": [6]}
+    assert _caps_per_module(complexes_built) == {"I": [3, 1, 2], "sections(I)": [3, 2, 1]}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -895,10 +912,28 @@ direct-image = I
 KOSZUL_3_DIGEST = "b490ab091300bd498d11177df92b6af4e65109bdfe103b49abd44d63d7e56998"
 
 
+# the same at the window -4:4, recorded from the program before each
+# proven degree was built at its own floor cap
+KOSZUL_3_DIGEST_4 = "8989f759e20df9ad33af25cc52eadc70ab70b6e2009fdc44aa0a96609ef75c36"
+
+
 def test_three_variable_report_bytes_are_unchanged():
     rep = run_text(KOSZUL_3)
     assert [c.verdict for c in rep.checks] == ["table-computed", "table-computed", "obstructed"]
     assert report_digest(rep) == KOSZUL_3_DIGEST
+
+
+def test_three_variable_input_at_a_wider_window_reads_only_its_floors():
+    # at -4:4 every degree of I, of Gamma(W, I), of the outer sections and
+    # of O is proven, so each is built at max(1, floor - d) alone: the
+    # lowest degree -4 at cap 5 rather than the start cap 10.  I is then
+    # realized up to degree 26 and O up to 10 (76 and 33 at the start cap),
+    # and the report keeps its bytes
+    s = parse_scenario(KOSZUL_3, window=(-4, 4))
+    rep = run_scenario(s)
+    assert [c.verdict for c in rep.checks] == ["table-computed", "table-computed", "obstructed"]
+    assert report_digest(rep) == KOSZUL_3_DIGEST_4
+    assert {name: max(m._realizations) for name, m in s.modules.items()} == {"O": 10, "I": 26}
 
 
 def _live(cls) -> int:
@@ -960,7 +995,10 @@ def test_witness_reuses_the_h1_complexes(complexes_built):
     complexes_built.clear()
     rep = run_text(HEAD + "[check nonaffine-witness]\n")
     assert rep.checks[0].verdict == "witness-found"
-    assert 0 < len(complexes_built) <= h1_only
+    # H^1 of O sits at its floor cap 1 in every degree; the witness reuses
+    # that complex and reads its representative at the start cap 6
+    assert h1_only == 1
+    assert [cap for _, _, cap in complexes_built] == [1, 6]
 
 
 # one module M reached through a named sheaf, a module sheaf, H^1 and the
@@ -1062,11 +1100,12 @@ def test_no_cech_complex_is_built_twice(complexes_built, text, code):
 
 def test_matlis_bidual_builds_three_complexes(complexes_built):
     # A and O are free on the all-variable cover and C = R/(y) is a
-    # fine-graded monomial quotient, so each gets one proven cap
+    # fine-graded monomial quotient, so each is built at its floor caps
+    # alone: 1 and 2 over the window -2:2
     rep = run_scenario(parse_scenario(BUILTIN_SCENARIOS["matlis-bidual"], window=(-2, 2)))
     assert rep.exit_code() == 0
-    names = sorted(m.name for m, _, _ in complexes_built)
-    assert names == ["A", "C", "O"]
+    built = sorted((m.name, cap) for m, _, cap in complexes_built)
+    assert built == [("A", 1), ("A", 2), ("C", 1), ("C", 2), ("O", 1), ("O", 2)]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
