@@ -425,7 +425,6 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
 
     def row(d: int, cap: int) -> int:
         deg_m = complexes_m[cap].degree(d)
-        a = deg_m.h0_basis()
         blocks = {}
         for i, e in enumerate(fp.gen_degrees):
             deg_o = complexes_o[cap].degree(d - e)
@@ -433,11 +432,11 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
             blocks[0, i] = _cochain_apply(deg_o.levels[0], deg_m.levels[0],
                                           lambda j, b: fp.gen_mult(i, b), deg_o.h0_basis())
         p_mat = Mat.block(field, blocks)
-        if rank(a.hstack(p_mat)) != a.ncols:
+        if not (deg_m.diff(0) @ p_mat).is_zero():
             raise ArithmeticError(
                 f"a generator multiple is not a section in degree {d} at cap {cap}"
             )
-        return a.ncols - rank(p_mat)
+        return deg_m.h0_dim - rank(p_mat)
 
     degrees = range(lo, hi + 1)
     floors = [[sections_m.floor_cap(d)] + [sections_o.floor_cap(d - e) for e in fp.gen_degrees]
@@ -499,23 +498,24 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
     if found is None:
         return None
     cap, _dim, cech = s.h1(found)
-    if s.floor_cap(found) is not None:
+    proven = s.floor_cap(found) is not None
+    if proven:
         # a proven degree is reported at the start cap, where escalation
         # would accept it; the representative is the one read there
         cap = s.caps[0]
         cech = s.complexes[cap].degree(found)
-    cocycles, d0 = cech.h1_parts()
+    d0, d1 = cech.diff(0), cech.diff(1)
     c1_dim = cech.level_dim(1)
     _, proj, idx = _quotient_with_indices(d0, c1_dim)
-    d1 = cech.diffs[1] if cech.n >= 3 else None
 
     witness = None
     for j in idx:  # prefer a single-coordinate representative
         cand = Mat.from_cols(field, [{j: field.one}], c1_dim)
-        if d1 is None or (d1 @ cand).is_zero():
+        if (d1 @ cand).is_zero():
             witness = cand
             break
     if witness is None:
+        cocycles = kernel_basis(d1)
         for j in range(cocycles.ncols):
             cand = cocycles.take_cols([j])
             if not (proj @ cand).is_zero():
@@ -527,12 +527,13 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
         raise ArithmeticError("witness candidate is a coboundary")
 
     pieces = cech.levels[1]
-    # re-verify at the next cap: a stable class must survive the lift.  At a
-    # proven cap the lift is an isomorphism on H^1, so there is nothing to see
-    if not s.proven(found, cap):
+    # re-verify at the next cap, which the escalation has built: a stable
+    # class must survive the lift.  At a proven degree the lift is an
+    # isomorphism on H^1, so there is nothing to see
+    if not proven:
         cech2 = s.complexes[cap + _CAP_STEP].degree(found)
         lifted = _lift(module, w, 1, pieces, cech2.levels[1], _CAP_STEP, witness)
-        d0_next = cech2.diffs[0]
+        d0_next = cech2.diff(0)
         if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
             raise ArithmeticError("witness class dies at the next cap")
 

@@ -17,6 +17,9 @@ every f of positive degree: some power of f kills each element.
 
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
+Its diff(k) is d_k, the zero map to C^(k+1) = 0 past the top level, so
+H^0 = ker d0 and H^1 = dim C^1 - rank d1 - rank d0 on every cover, a
+single open included.
 Cohomology in a degree window is found at a cap in one of two ways.
 Where a theorem fixes the cap (a fine-graded presentation with exact
 localizations on the cover by all the variables, or its sections over
@@ -34,8 +37,9 @@ at any cap.  It owns the cap schedule, keeps the cap of each degree and
 its H^1, and reads every localization, H^0 basis and certificate from
 its Cech complexes.  Every map given on numerators (a variable action,
 an induced map, a lift to a larger cap, a * gen_i) carries cochains
-through _cochain_apply, the one place that builds
-proj @ numerator map @ incl.
+through _cochain_apply, which applies proj @ numerator map @ incl to the
+vectors without building that product; only the differentials and the
+restriction from M build it whole.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from itertools import combinations
 from weakref import WeakValueDictionary
 
-from .exact_linalg import Mat, kernel_basis, kernel_coords, rref, solve, _quotient_with_indices
+from .exact_linalg import Mat, kernel_basis, kernel_coords, rank, solve, _quotient_with_indices
 from .graded_modules import (
     DegreewiseModule,
     FPGradedModule,
@@ -80,9 +84,12 @@ _MAX_ESCALATIONS = 5
 
 
 def _start_cap(window, start: int | None) -> int:
-    """The first cap of the escalation: start, or window width + 2."""
+    """The first cap of the escalation: start, or window width + 2.  A
+    reversed window is refused here, whether or not a start is given."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("bad window (lo, hi): lo > hi")
     if start is None:
-        lo, hi = window
         return (hi - lo) + 2
     if start < 1:
         raise ValueError(f"cap start must be at least 1, got {start}")
@@ -229,24 +236,27 @@ def _lift(module: DegreewiseModule, cover: OpenSubset, level: int, pieces_from, 
 class _CechDegree:
     """All realized pieces and differentials of the complex in one degree."""
 
-    __slots__ = ("levels", "diffs", "n", "field", "_h0_basis")
+    __slots__ = ("levels", "diffs", "field", "_h0_basis")
 
-    def __init__(self, levels, diffs, n, field):
+    def __init__(self, levels, diffs, field):
         self.levels = levels
         self.diffs = diffs
-        self.n = n
         self.field = field
         self._h0_basis = None
 
     def level_dim(self, k: int) -> int:
         return sum(p.dim for p in self.levels[k]) if k < len(self.levels) else 0
 
+    def diff(self, k: int) -> Mat:
+        """d_k : C^k -> C^(k+1), the zero map to C^(k+1) = 0 past the top
+        level of the cover."""
+        if k < len(self.diffs):
+            return self.diffs[k]
+        return Mat.zeros(self.field, 0, self.level_dim(k))
+
     def h0_basis(self) -> Mat:
         if self._h0_basis is None:
-            if self.n == 1:
-                self._h0_basis = Mat.identity(self.field, self.level_dim(0))
-            else:
-                self._h0_basis = kernel_basis(self.diffs[0])
+            self._h0_basis = kernel_basis(self.diff(0))
         return self._h0_basis
 
     @property
@@ -255,22 +265,7 @@ class _CechDegree:
 
     @property
     def h1_dim(self) -> int:
-        if self.n == 1:
-            return 0
-        rank_d0 = len(rref(self.diffs[0])[1])
-        dim_c1 = self.level_dim(1)
-        rank_d1 = len(rref(self.diffs[1])[1]) if self.n >= 3 else 0
-        return (dim_c1 - rank_d1) - rank_d0
-
-    def h1_parts(self) -> tuple[Mat, Mat]:
-        """(basis of 1-cocycles, matrix of d0) for witness extraction."""
-        if self.n == 1:
-            raise ValueError("no H^1 on a single-element cover")
-        if self.n >= 3:
-            cocycles = kernel_basis(self.diffs[1])
-        else:
-            cocycles = Mat.identity(self.field, self.level_dim(1))
-        return cocycles, self.diffs[0]
+        return self.level_dim(1) - rank(self.diff(0)) - rank(self.diff(1))
 
     @property
     def certified(self) -> bool:
@@ -298,14 +293,13 @@ class CechComplexWindow:
         if got is not None:
             return got
         field = self.module.ring.field
-        n = self.cover.n
         subsets = self.cover.subsets
         levels = [
             [localize_piece(self.module, self.cover.product(S), d, self.cap) for S in level]
             for level in subsets
         ]
         diffs = []
-        for k in range(n - 1):
+        for k in range(self.cover.n - 1):
             src_pieces, tgt_pieces = levels[k], levels[k + 1]
             blocks = {}
             for ti, T in enumerate(subsets[k + 1]):
@@ -328,7 +322,7 @@ class CechComplexWindow:
                 raise ArithmeticError(
                     f"Cech differential square is nonzero in degree {d} at cap {self.cap}"
                 )
-        got = _CechDegree(levels, diffs, n, field)
+        got = _CechDegree(levels, diffs, field)
         self._degrees[d] = got
         return got
 
@@ -437,17 +431,18 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     with the same c0(d) = max(0, max_C |b_C| - n + 1 - d).
 
     The gate.  The theorem speaks of the true N; the complexes read its
-    realization, whose degree e is the true N_e when e sits at a proven
-    cap (SectionsModule.proven).  A degree d of Gamma(W, ~N) built at its
-    floor cap c = max(1, floor - d), or at any larger cap, reads N only in
-    numerator degrees e >= d + c >= floor (c >= 1, and every cover product
-    has degree >= 1), where N's own c0(e) is 0: every degree of N that a
-    proven degree reads is itself at a proven cap, whatever N's window and
-    start cap, so the gate needs no check of its own.  A degree below the
-    floor escalates as before; it may read degrees of N at escalated caps,
-    but a realization at any cap is a graded submodule of the true N (each
-    term at a cap injects into its limit), so the inherited torsion powers
-    still kill all of its torsion and its certificates stay honest.
+    realization, whose degree e is the true N_e when e is built at a cap
+    c >= c0(e), as a degree with a floor cap is (SectionsModule.floor_cap).
+    A degree d of Gamma(W, ~N) built at its floor cap c = max(1, floor - d),
+    or at any larger cap, reads N only in numerator degrees
+    e >= d + c >= floor (c >= 1, and every cover product has degree >= 1),
+    where N's own c0(e) is 0: every degree of N that a proven degree reads
+    is itself at a proven cap, whatever N's window and start cap, so the
+    gate needs no check of its own.  A degree below the floor escalates as
+    before; it may read degrees of N at escalated caps, but a realization
+    at any cap is a graded submodule of the true N (each term at a cap
+    injects into its limit), so the inherited torsion powers still kill
+    all of its torsion and its certificates stay honest.
     """
     while isinstance(module, SectionsModule) and module._cap_floor is not None:
         module = module.base
@@ -496,7 +491,7 @@ class SectionsModule(DegreewiseModule):
     caps[0] (flags, and the witness's cap).
 
     Where the base has a proven floor, so does this module, with the
-    base's floor and torsion powers (proven, torsion_bound): its own
+    base's floor and torsion powers (floor_cap, torsion_bound): its own
     sections over a cover by all the variables are built at proven caps
     too (see _proven_cap_floor, sections of sections).
     """
@@ -515,16 +510,12 @@ class SectionsModule(DegreewiseModule):
         self._stable_memo: dict[tuple[str, int], tuple[int, int, _CechDegree]] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")
 
-    def proven(self, d: int, cap: int) -> bool:
-        """Whether _proven_cap_floor shows that degree d is stable from cap
-        on: every H^p there is that of every larger cap, and the lifts
-        between such caps are isomorphisms on it."""
-        return self._cap_floor is not None and max(0, self._cap_floor - d) <= cap
-
     def floor_cap(self, d: int) -> int | None:
-        """max(1, floor - d), the least cap at which degree d is proven,
-        where it is proven at the start cap; None where it escalates."""
-        if not self.proven(d, self.caps[0]):
+        """max(1, floor - d), the least cap at which _proven_cap_floor shows
+        degree d stable (every H^p there is that of every larger cap, and
+        the lifts between such caps are isomorphisms on it), where
+        floor - d is at most the start cap; None where degree d escalates."""
+        if self._cap_floor is None or self._cap_floor - d > self.caps[0]:
             return None
         return max(1, self._cap_floor - d)
 
@@ -571,8 +562,8 @@ class SectionsModule(DegreewiseModule):
     def _locs(self, d: int, cap: int) -> list[LocalizedPiece]:
         """The cover pieces of degree d at cap, read from the complexes after
         degree d is realized (its escalation builds the caps it tried)."""
-        own, _dim, cech = self._stable("h0_dim", d)
-        return (cech if cap == own else self.complexes[cap].degree(d)).levels[0]
+        self._stable("h0_dim", d)
+        return self.complexes[cap].degree(d).levels[0]
 
     def _express(self, d: int, vecs: Mat, cap: int) -> Mat:
         """Coordinates in piece(d) of C^0 vectors given at a cap no lower
@@ -582,11 +573,8 @@ class SectionsModule(DegreewiseModule):
             basis = _lift(self.base, self.cover, 0, cech.levels[0], self._locs(d, cap),
                           cap - own, cech.h0_basis())
             coords = solve(basis, vecs)
-        elif cech.n == 1:
-            # one chart: H^0 is all of C^0, in the identity basis
-            coords = vecs
         else:
-            coords = kernel_coords(cech.diffs[0], vecs)
+            coords = kernel_coords(cech.diff(0), vecs)
         if coords is None:
             raise CapExhausted(
                 f"{self.name}: a section of degree {d} is not representable at the "

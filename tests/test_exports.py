@@ -1,5 +1,6 @@
-"""Export lists: every exported name exists, and the package re-exports
-only what its layer exports, so a deleted helper cannot linger in one."""
+"""Export lists and imports: every exported name exists, the package
+re-exports only what its layer exports, and every name a layer imports is
+used there, so a deleted helper cannot linger in either."""
 
 import ast
 import importlib
@@ -31,3 +32,21 @@ def test_the_package_reexports_only_what_its_layers_export():
         names = [a.name for a in node.names]
         assert [n for n in names if n not in layer_all] == [], node.module
     assert seen == set(LAYERS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_name_a_layer_imports_is_used(layer):
+    # __init__.py imports only to re-export, and is checked above
+    path = Path(qcverify.__file__).with_name(f"{layer}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert {name: line for name, line in imported.items() if name not in used} == {}

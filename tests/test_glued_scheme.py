@@ -37,8 +37,9 @@ from qcverify import (
     verify_action_commutation,
     witness_nonaffine,
 )
+from qcverify import glued_scheme
 from qcverify.exact_linalg import rank, solve
-from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario
+from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario, run_scenario
 from test_graded_modules import FIELDS, RINGS, fp_modules
 from test_localization_cech import binomial_presentations, fine_graded
 
@@ -160,6 +161,26 @@ def test_buffer_guard_rejects_far_generators(scheme):
     s = glued(scheme, high, window=(-2, 2))
     with pytest.raises(BufferTooSmall):
         obstruction(s)
+
+
+def test_a_generator_multiple_outside_h0_is_refused(monkeypatch, scheme, ideal_fp):
+    # every a * gen_i made one nonzero entry in chart 0's block: the ideal is
+    # torsion-free, so that cochain restricts to nonzero on D(xy) and is not
+    # a section; the check says so, and a run reports a check-error
+    def off_h0(pieces_from, pieces_to, numer, vecs, after=None):
+        cols = [{}] * vecs.ncols
+        if cols and pieces_to[0].dim:
+            cols[0] = {0: 1}
+        return Mat.from_cols(vecs.field, cols, sum(p.dim for p in pieces_to))
+
+    monkeypatch.setattr(glued_scheme, "_cochain_apply", off_h0)
+    with pytest.raises(ArithmeticError, match="a generator multiple is not a section"):
+        obstruction(glued(scheme, ideal_fp, window=(-2, 2)))
+    text = BUILTIN_SCENARIOS["double-origin-flat"]
+    text = text[:text.index("[check")] + "[check obstruction ideal]\n"
+    (check,) = run_scenario(parse_scenario(text, window=(-2, 2))).checks
+    assert check.verdict == "check-error"
+    assert check.flags[0].startswith("error: a generator multiple is not a section")
 
 
 @given(field=st.sampled_from(FIELDS[:2]), kind=st.sampled_from(["fine-graded", "binomial"]),

@@ -137,6 +137,39 @@ def test_cover_refinement_does_not_change_h0(ring, w, x, y):
         assert coarse.degree(d).h0_dim == refined.degree(d).h0_dim
 
 
+def _sympy_rank(a: Mat) -> int:
+    """The rank of a, by SymPy over the same field, from its dense entries."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if not (a.nrows and a.ncols):
+        return 0
+    dom = sympy.QQ if a.field.p is None else sympy.GF(a.field.p)
+    rows = [[dom.convert(a.entry(i, j)) for j in range(a.ncols)] for i in range(a.nrows)]
+    return DomainMatrix(rows, (a.nrows, a.ncols), dom).rank()
+
+
+@settings(max_examples=12, deadline=None)
+@given(field=st.sampled_from([FieldSpec.rationals(), FieldSpec.prime(7)]),
+       n=st.integers(1, 3), d=st.integers(-2, 1), cap=st.integers(1, 3), data=st.data())
+def test_cech_cohomology_matches_the_ranks_of_the_differentials(field, n, d, cap, data):
+    # on covers of one, two and three opens, H^0 = dim C^0 - rank d0 and
+    # H^1 = dim C^1 - rank d0 - rank d1, ranks by SymPy from the n - 1
+    # differentials built; past the top level diff(k) is the zero map to 0
+    ring, cover = _all_variable_cover(field, n)
+    m = FPGradedModule(ring, *data.draw(fine_graded(ring)))
+    deg = CechComplexWindow(m, cover, (d, d), cap).degree(d)
+    assert len(deg.diffs) == n - 1
+    ranks = [_sympy_rank(a) for a in deg.diffs] + [0, 0]
+    assert deg.h0_dim == deg.level_dim(0) - ranks[0]
+    assert deg.h1_dim == deg.level_dim(1) - ranks[0] - ranks[1]
+    for k in range(n + 1):
+        if k < n - 1:
+            assert deg.diff(k) is deg.diffs[k]
+        else:
+            assert (deg.diff(k).nrows, deg.diff(k).ncols) == (0, deg.level_dim(k))
+
+
 # --- sections over the punctured plane -------------------------------------
 
 
@@ -200,6 +233,15 @@ def test_cap_policy_escalation_schedule(ring, w):
 def test_cap_policy_rejects_schedules_that_cannot_stabilize(ring, w, kw):
     with pytest.raises(ValueError, match="cap start must be at least 1, got 0"):
         sections_window(free_module(ring, (0,)), w, (-2, 2), **kw)
+
+
+@pytest.mark.parametrize("start", [None, 3], ids=["default-start", "start-3"])
+@pytest.mark.parametrize("window", [(1, 0), (2, 0), (3, 0)], ids=str)
+def test_a_reversed_window_is_refused(ring, w, window, start):
+    # refused before the start cap is read: (1, 0) would give flags() no
+    # degree to read, and (2, 0), (3, 0) a default start cap below 1
+    with pytest.raises(ValueError, match=r"^bad window \(lo, hi\): lo > hi$"):
+        sections_window(free_module(ring, (0,)), w, window, start)
 
 
 def test_an_explicit_default_start_gives_the_same_sections(ring, w):
@@ -649,7 +691,7 @@ def test_proven_caps_agree_with_escalation(field, n, kind, lo, data):
     # accepts the start cap there with the same dimensions
     expected = {}
     for d, (h0, h0_cap, h1, h1_cap) in escalated.items():
-        if s.proven(d, s.caps[0]):
+        if floor is not None and floor - d <= s.caps[0]:
             assert s.floor_cap(d) == max(1, floor - d)
             assert h0_cap == h1_cap == s.caps[0]
             h0_cap = h1_cap = s.floor_cap(d)
@@ -749,8 +791,9 @@ def test_proven_caps_agree_with_escalation_for_sections_of_sections(field, n, lo
 
 def _at_the_start_cap(self, d):
     """SectionsModule.floor_cap as it was before the floor: the start cap
-    wherever a degree is proven there."""
-    return self.caps[0] if self.proven(d, self.caps[0]) else None
+    wherever the theorem of _proven_cap_floor reaches it."""
+    floor = self._cap_floor
+    return self.caps[0] if floor is not None and floor - d <= self.caps[0] else None
 
 
 @settings(max_examples=40, deadline=None)
