@@ -62,34 +62,31 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """The ground field: the rationals, or F_p for a prime p.
 
-    Scalars are plain numbers, and 0 and 1 are zero and one in both
-    fields.  norm brings the result of +, - or * into canonical form, inv
-    inverts; p is None over Q, so "if p" is the test for a prime field.
+    The field is its modulus: FieldSpec(p) is F_p, and FieldSpec() (p is
+    None) is Q, so "if p" is the test for a prime field.  Scalars are
+    plain numbers, and 0 and 1 are zero and one in both fields.  norm
+    brings the result of +, - or * into canonical form, inv inverts.
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
     zero = 0
     one = 1
 
-    def __init__(self, kind: str = "rationals", p: int | None = None):
-        if kind == "prime":
-            if p is None or not _is_prime(p):
-                raise ValueError(f"prime field needs a prime modulus, got {p!r}")
-        elif kind == "rationals":
-            p = None
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
+    def __init__(self, p: int | None = None):
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"prime field needs a prime modulus, got {p!r}")
         self.p = p
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls("rationals")
+        return cls()
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls("prime", p)
+        if p is None:
+            raise ValueError(f"prime field needs a prime modulus, got {p!r}")
+        return cls(p)
 
     def norm(self, x):
         """x mod p over F_p; x itself over Q."""
@@ -118,17 +115,13 @@ class FieldSpec:
         return self.of_int(int(text))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+        return isinstance(other, FieldSpec) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
-        return "Q" if self.kind == "rationals" else f"F{self.p}"
+        return f"F{self.p}" if self.p else "Q"
 
 
 class Mat:
@@ -532,7 +525,7 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
     red, rev_pivots = rref(Mat._of(field, sub.ncols, amb_dim, rows))
     dropped = {last - p for p in rev_pivots}
     coset_idx = tuple(j for j in range(amb_dim) if j not in dropped)
-    coset = Mat.from_cols(field, [{j: 1} for j in coset_idx], amb_dim)
+    coset = Mat.identity(field, amb_dim).take_cols(coset_idx)
     # a reduced row reads e_p = -(its coset entries) modulo the span, which
     # gives the column of proj at p; proj is the identity on the coset
     pos = {j: k for k, j in enumerate(coset_idx)}

@@ -76,14 +76,12 @@ class BufferTooSmall(ValueError):
 class DoubleGluedScheme:
     """X = U u_W V: two copies of Spec of the patch ring, glued along W.
 
-    v1 restriction: both patches carry the same ring and the gluing is the
-    identity on W.
+    The overlap W determines the scheme: the patch ring is overlap.ring,
+    both patches carry it, and the gluing is the identity on W.
     """
 
-    def __init__(self, ring: PolyRing, overlap: OpenSubset):
-        if overlap.ring is not ring:
-            raise ValueError("the overlap cover must live over the patch ring")
-        self.ring = ring
+    def __init__(self, overlap: OpenSubset):
+        self.ring = overlap.ring
         self.overlap = overlap
 
     def __repr__(self):
@@ -97,17 +95,18 @@ def double_origin_plane(ring: PolyRing) -> DoubleGluedScheme:
         raise ValueError("the doubled-origin plane needs exactly two variables")
     x = HomogPoly.variable(ring, 0)
     y = HomogPoly.variable(ring, 1)
-    return DoubleGluedScheme(ring, OpenSubset(ring, (x, y)))
+    return DoubleGluedScheme(OpenSubset(ring, (x, y)))
 
 
 class QcohSheafOnX:
     """A quasicoherent sheaf on the doubled scheme: one module per patch.
 
-    gluing "identity" means both patches carry literally the same module
-    object, identified over W by the identity.  gluing "direct-image"
-    means the sheaf is the pushforward of the U-patch module: the V-patch
-    module is its module of W-sections, and restriction V -> W is the
-    identity on that realization.
+    The gluing is read off the two modules.  It is "identity" when both
+    patches carry literally the same module object (m_V is m_U),
+    identified over W by the identity.  It is "direct-image" when m_V is
+    the module of W-sections of m_U on the scheme's overlap: the sheaf is
+    the pushforward of the U-patch module, and restriction V -> W is the
+    identity on that realization.  Any other pair is refused.
 
     The degree window and start cap (None: window width + 2) are fixed at
     construction; every section functor of the sheaf (and of maps out of
@@ -115,56 +114,45 @@ class QcohSheafOnX:
     """
 
     def __init__(self, scheme: DoubleGluedScheme, m_U: DegreewiseModule,
-                 m_V: DegreewiseModule, gluing: str, name: str | None = None,
+                 m_V: DegreewiseModule, name: str | None = None,
                  window=DEFAULT_WINDOW, start: int | None = None):
-        if gluing == "identity":
-            if m_U is not m_V:
-                raise ValueError("identity gluing requires one shared module object")
-        elif gluing == "direct-image":
-            if not isinstance(m_V, SectionsModule) or m_V.base is not m_U \
-                    or m_V.cover is not scheme.overlap:
-                raise ValueError("direct-image gluing requires m_V = W-sections of m_U")
+        if m_V is m_U:
+            self.gluing = "identity"
+        elif isinstance(m_V, SectionsModule) and m_V.base is m_U \
+                and m_V.cover is scheme.overlap:
+            self.gluing = "direct-image"
         else:
-            raise ValueError(f"unknown gluing {gluing!r}")
+            raise ValueError("the V-patch module must be the U-patch module (identity "
+                             "gluing) or its W-sections (direct image)")
         self.scheme = scheme
         self.m_U = m_U
         self.m_V = m_V
-        self.gluing = gluing
         self.name = name or m_U.name
         self.window = tuple(window)
         self.start = start
-        self._w: tuple | None = None
+        self._w: DegreewiseModule | None = None
         self._x: DegreewiseModule | None = None
 
     @classmethod
     def glued(cls, scheme: DoubleGluedScheme, m: DegreewiseModule, name: str | None = None,
               window=DEFAULT_WINDOW, start: int | None = None) -> "QcohSheafOnX":
-        return cls(scheme, m, m, "identity", name=name, window=window, start=start)
+        return cls(scheme, m, m, name=name, window=window, start=start)
 
-    def _w_pair(self):
-        """(canonical Gamma(W) realization, V-side recomputation)."""
+    def w_sections(self) -> DegreewiseModule:
+        """Gamma(W) of the sheaf, from the U patch: m_V itself for a direct
+        image.  sheaf_sections(s, "W") checks it against the V patch."""
         if self._w is None:
-            sw_v = sections_window(self.m_V, self.scheme.overlap, self.window, self.start)
-            # identity gluing: one module object, hence literally one W-computation
-            self._w = (sw_v, sw_v) if self.gluing == "identity" else (self.m_V, sw_v)
+            if self.gluing == "direct-image":
+                self._w = self.m_V
+            else:
+                self._w = sections_window(self.m_U, self.scheme.overlap, self.window, self.start)
         return self._w
-
-    def w_sections(self, compare: bool = True) -> DegreewiseModule:
-        """Gamma(W) of the sheaf; checks the two patch computations agree."""
-        sw_u, sw_v = self._w_pair()
-        if compare and sw_v is not sw_u:
-            lo, hi = self.window
-            for d in range(lo, hi + 1):
-                du, dv = sw_u.piece(d).dim, sw_v.piece(d).dim
-                if du != dv:
-                    raise GluingMismatch(d, du, dv)
-        return sw_u
 
     def x_sections(self) -> DegreewiseModule:
         """Gamma(X): the equalizer of the two patch restrictions to W."""
         if self._x is not None:
             return self._x
-        sw = self.w_sections(compare=False)
+        sw = self.w_sections()
         res_u = restriction_to_sections(sw)
         if self.gluing == "identity":
             res_v_matrix = res_u.matrix
@@ -196,18 +184,31 @@ def direct_image_from_U(scheme: DoubleGluedScheme, n: DegreewiseModule,
                         name: str | None = None) -> QcohSheafOnX:
     """The pushforward along U -> X of the sheaf associated to n."""
     m_v = sections_window(n, scheme.overlap, window, start)
-    return QcohSheafOnX(scheme, n, m_v, "direct-image",
-                        name=name or f"push({n.name})", window=window, start=start)
+    return QcohSheafOnX(scheme, n, m_v, name=name or f"push({n.name})", window=window,
+                        start=start)
 
 
 def sheaf_sections(s: QcohSheafOnX, open_name: str) -> DegreewiseModule:
-    """Sections of s over one of the four canonical opens."""
+    """Sections of s over one of the four canonical opens.
+
+    Over W the two patch computations are compared: for a direct image,
+    Gamma(W) from U (m_V) against the W-sections of the V patch, degree by
+    degree, and a disagreement raises GluingMismatch.  An identity-glued
+    sheaf has one module object, hence literally one W-computation."""
     if open_name == "U":
         return s.m_U
     if open_name == "V":
         return s.m_V
     if open_name == "W":
-        return s.w_sections()
+        sw_u = s.w_sections()
+        if s.gluing == "direct-image":
+            sw_v = sections_window(s.m_V, s.scheme.overlap, s.window, s.start)
+            lo, hi = s.window
+            for d in range(lo, hi + 1):
+                du, dv = sw_u.piece(d).dim, sw_v.piece(d).dim
+                if du != dv:
+                    raise GluingMismatch(d, du, dv)
+        return sw_u
     if open_name == "X":
         return s.x_sections()
     raise ValueError(f"unknown open {open_name!r}: expected one of X, U, V, W")
@@ -253,8 +254,8 @@ class SheafMap:
             if self.source.gluing == "direct-image":
                 return self.u_V
             if self._w_map is None:
-                sw_s = self.source.w_sections(compare=False)
-                sw_t = self.target.w_sections(compare=False)
+                sw_s = self.source.w_sections()
+                sw_t = self.target.w_sections()
                 self._w_map = sections_induced_map(self.u_U, sw_s, sw_t)
             return self._w_map
         if open_name == "X":
@@ -419,7 +420,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     if sections_o.cover is not s.scheme.overlap:
         raise ValueError("structure sections live on a different cover")
     # the U-module's complexes are those of the sheaf's W-sections
-    sections_m = s.w_sections(compare=False)
+    sections_m = s.w_sections()
     complexes_m = sections_m.complexes
     complexes_o = sections_o.complexes
 
@@ -509,8 +510,9 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
     _, proj, idx = _quotient_with_indices(d0, c1_dim)
 
     witness = None
+    ident = Mat.identity(field, c1_dim)
     for j in idx:  # prefer a single-coordinate representative
-        cand = Mat.from_cols(field, [{j: field.one}], c1_dim)
+        cand = ident.take_cols([j])
         if (d1 @ cand).is_zero():
             witness = cand
             break
@@ -589,7 +591,6 @@ def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
 class ExactnessReport:
     """Per-degree kernel / middle-homology / cokernel of a three-term sequence."""
 
-    open_name: str
     window: tuple
     kernel: dict
     homology: dict
@@ -611,8 +612,7 @@ class ExactnessReport:
         return "not-exact"
 
 
-def exactness_tables(f: GradedModuleMap, g: GradedModuleMap, window,
-                     open_name: str = "") -> ExactnessReport:
+def exactness_tables(f: GradedModuleMap, g: GradedModuleMap, window) -> ExactnessReport:
     """Exactness bookkeeping for A -f-> B -g-> C, degree by degree.
 
     homology[d] = dim ker(g)_d - dim(im(f)_d n ker(g)_d): zero exactly when
@@ -639,8 +639,7 @@ def exactness_tables(f: GradedModuleMap, g: GradedModuleMap, window,
         homology[d] = kg.ncols - inter
         cokernel[d] = mg.nrows - rank(mg)
     flags = [] if complex_ok else ["not-a-complex"]
-    return ExactnessReport(open_name, tuple(window), kernel, homology, cokernel,
-                           complex_ok, flags)
+    return ExactnessReport(tuple(window), kernel, homology, cokernel, complex_ok, flags)
 
 
 def sequence_report(f: SheafMap, g: SheafMap, open_name: str) -> ExactnessReport:
@@ -650,4 +649,4 @@ def sequence_report(f: SheafMap, g: SheafMap, open_name: str) -> ExactnessReport
         raise ValueError("the sheaf maps are not composable")
     uf = f.on_sections(open_name)
     ug = g.on_sections(open_name)
-    return exactness_tables(uf, ug, f.source.window, open_name=open_name)
+    return exactness_tables(uf, ug, f.source.window)

@@ -88,7 +88,7 @@ def _start_cap(window, start: int | None) -> int:
     reversed window is refused here, whether or not a start is given."""
     lo, hi = window
     if lo > hi:
-        raise ValueError("bad window (lo, hi): lo > hi")
+        raise ValueError(f"bad window {(lo, hi)!r}: lo > hi")
     if start is None:
         return (hi - lo) + 2
     if start < 1:
@@ -136,26 +136,25 @@ class OpenSubset:
 class LocalizedPiece:
     """(M_f)_d realized at a finite cap.
 
-    piece has the surviving numerator labels; incl embeds the realized
-    basis into the numerator space M_{d + cap deg f}, proj is the quotient
-    projection the other way.  status records whether the stable kernel
-    was certified or found heuristically.
+    incl embeds the realized basis into the numerator space
+    M_{d + cap deg f}, one column per basis vector, so dim is its column
+    count; proj is the quotient projection the other way.  status records
+    whether the stable kernel was certified or found heuristically.
     """
 
-    __slots__ = ("d", "cap", "num_degree", "status", "piece", "incl", "proj")
+    __slots__ = ("d", "cap", "num_degree", "status", "incl", "proj")
 
-    def __init__(self, d, cap, num_degree, status, piece, incl, proj):
+    def __init__(self, d, cap, num_degree, status, incl, proj):
         self.d = d
         self.cap = cap
         self.num_degree = num_degree
         self.status = status
-        self.piece = piece
         self.incl = incl
         self.proj = proj
 
     @property
     def dim(self) -> int:
-        return self.piece.dim
+        return self.incl.ncols
 
     def __repr__(self):
         return f"LocalizedPiece(d={self.d}, cap={self.cap}, dim={self.dim}, {self.status})"
@@ -170,7 +169,7 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     num = module.piece(num_degree)
     if num.dim == 0 or (module.max_degree is not None and f.degree >= 1):
         # nothing to localize, or bounded above: a power of f kills it all
-        return LocalizedPiece(d, cap, num_degree, "certified-in-window", GradedPiece(field, ()),
+        return LocalizedPiece(d, cap, num_degree, "certified-in-window",
                               Mat.zeros(field, num.dim, 0), Mat.zeros(field, 0, num.dim))
 
     # stable = ker f^t, from the module's torsion power on; an uncertified
@@ -191,12 +190,10 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     if stable.ncols == 0:
         # nothing is killed: incl and proj are x^0, one matrix per module
         # and degree however many localizations share it
-        piece = GradedPiece(field, num.labels)
         ident = module.mono_act((0,) * module.ring.nvars, num_degree)
-        return LocalizedPiece(d, cap, num_degree, status, piece, ident, ident)
-    coset, proj, idx = _quotient_with_indices(stable, num.dim)
-    piece = GradedPiece(field, tuple(num.labels[j] for j in idx))
-    return LocalizedPiece(d, cap, num_degree, status, piece, coset, proj)
+        return LocalizedPiece(d, cap, num_degree, status, ident, ident)
+    coset, proj, _ = _quotient_with_indices(stable, num.dim)
+    return LocalizedPiece(d, cap, num_degree, status, coset, proj)
 
 
 def _cochain_apply(pieces_from, pieces_to, numer, vecs: Mat, after=None) -> Mat:

@@ -98,7 +98,7 @@ _dual_memo: "WeakValueDictionary[DegreewiseModule, DualizedModule]" = WeakValueD
 
 def matlis_dual(m: DegreewiseModule) -> DegreewiseModule:
     """The graded dual of m; while that dual is alive, repeated calls
-    return the same object, so maps built with default endpoints compose.
+    return the same object, so the duals of composable maps compose.
 
     The dual of a dual is its origin: m.base itself, since the evaluation
     isomorphism base -> dual(m) is the identity on every piece and every
@@ -113,20 +113,17 @@ def matlis_dual(m: DegreewiseModule) -> DegreewiseModule:
     return got
 
 
-def matlis_dual_map(f: GradedModuleMap, source: DegreewiseModule | None = None,
-                    target: DegreewiseModule | None = None) -> GradedModuleMap:
-    """The dual of f, contravariantly: dual(target) -> dual(source),
-    with matrix in degree d the transpose of f's matrix in degree -d.
+def matlis_dual_map(f: GradedModuleMap) -> GradedModuleMap:
+    """The dual of f, contravariantly: matlis_dual(f.target) ->
+    matlis_dual(f.source), with matrix in degree d the transpose of f's
+    matrix in degree -d.
 
-    Given endpoints must be the objects matlis_dual returns, so the dual
-    of a map between duals runs between their origins, with matrices
-    equal to the original ones."""
-    src = matlis_dual(f.target)
-    tgt = matlis_dual(f.source)
-    if (source is not None and source is not src) or (target is not None and target is not tgt):
-        raise ValueError("dual endpoints do not match the map being dualized")
+    The endpoints are the objects matlis_dual returns, so the duals of
+    composable maps compose, and the dual of a map between duals runs
+    between their origins, with matrices equal to the original ones."""
     return GradedModuleMap(
-        src, tgt, lambda d: f.matrix(-d).transpose(), name=f"dual({f.name})"
+        matlis_dual(f.target), matlis_dual(f.source), lambda d: f.matrix(-d).transpose(),
+        name=f"dual({f.name})"
     )
 
 
@@ -191,7 +188,6 @@ def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
             + base.verdict
         )
     plus_u = exactness_tables(matlis_dual_map(g.u_U), matlis_dual_map(f.u_U),
-                              g.target.window, "U")
-    bidual_v = exactness_tables(f.on_sections("W"), g.on_sections("W"),
-                                f.source.window, "V")
+                              g.target.window)
+    bidual_v = exactness_tables(f.on_sections("W"), g.on_sections("W"), f.source.window)
     return BidualReport(plus_u, bidual_v)

@@ -74,7 +74,6 @@ from .localization_cech import (
     sections_window,
 )
 from .glued_scheme import (
-    BufferTooSmall,
     DoubleGluedScheme,
     GluingMismatch,
     QcohSheafOnX,
@@ -582,7 +581,7 @@ class _Runner:
 
     def __init__(self, s: Scenario):
         self.s = s
-        self.scheme = DoubleGluedScheme(s.ring, s.overlap)
+        self.scheme = DoubleGluedScheme(s.overlap)
         self._sheaves: dict = {}
         self._module_sheaves: dict = {}
         # Gamma(W, O), held for the whole run: lemma21 and obstruction read
@@ -633,8 +632,7 @@ class _Runner:
             tables = {name: self._table(table) for name, table in dims.items()}
         except CapExhausted as e:
             return CheckResult(spec.name, {}, [f"cap-exhausted: {e}"], "inconclusive")
-        except (GluingMismatch, BufferTooSmall, NonHomogeneousError,
-                RelationNotKilled, ValueError, ArithmeticError) as e:
+        except (GluingMismatch, ValueError, ArithmeticError) as e:
             return CheckResult(spec.name, {}, [f"error: {e}"], "check-error")
         return CheckResult(spec.name, tables, flags, verdict)
 

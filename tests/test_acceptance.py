@@ -103,7 +103,7 @@ def test_criterion_2_obstruction():
     assert cert.obstructed_degrees == (0,)
 
     # same module family over an affine overlap: no obstruction anywhere
-    control_scheme = DoubleGluedScheme(RING, OpenSubset(RING, (X,)))
+    control_scheme = DoubleGluedScheme(OpenSubset(RING, (X,)))
     x_ideal = free_module(RING, (1,), name="xI")
     control = direct_image_from_U(control_scheme, x_ideal, window=WINDOW)
     control_cert = flat_quotient_obstruction(control, structure_sections(control_scheme.overlap))
@@ -217,7 +217,7 @@ def test_criterion_7_random_duality():
         assert forward.verdict == "exact", case
 
         d_pi = matlis_dual_map(pi)
-        d_incl = matlis_dual_map(ker.inclusion, source=d_pi.target)
+        d_incl = matlis_dual_map(ker.inclusion)
         backward = exactness_tables(d_pi, d_incl, WINDOW)
         assert backward.verdict == "exact", case
         for d in range(LO, HI + 1):

@@ -53,8 +53,17 @@ def test_prime_field_division_by_zero():
 
 
 def test_prime_must_be_prime():
-    with pytest.raises(ValueError):
-        FieldSpec.prime(6)
+    for make, p in [(FieldSpec.prime, 6), (FieldSpec.prime, None), (FieldSpec, 6),
+                    (FieldSpec, 1)]:
+        with pytest.raises(ValueError, match=rf"^prime field needs a prime modulus, got {p}$"):
+            make(p)
+
+
+def test_a_field_is_its_modulus():
+    assert FieldSpec() == FieldSpec.rationals() == FieldSpec(None)
+    assert FieldSpec(7) == F7 != Q
+    assert hash(FieldSpec(7)) == hash(F7)
+    assert (repr(Q), repr(F7)) == ("Q", "F7")
 
 
 # --- basic matrix ops ----------------------------------------------------
@@ -405,6 +414,19 @@ def test_take_cols_of_an_identity_shares_unit_rows(field, n, data):
             ident.take_cols([0, 0])
 
 
+@pytest.mark.parametrize("field", [Q, F7])
+def test_a_coset_basis_is_a_selection_of_unit_rows(field):
+    # the coset basis of a quotient is the identity's columns at its
+    # indices, built from the shared unit rows and the shared empty row
+    for rows in ([[1], [1], [0], [0]], [[1, 0], [2, 1], [0, 3], [0, 0]], [[0], [0], [0], [5]]):
+        sub = Mat(field, len(rows), len(rows[0]), rows)
+        coset, _proj, idx = exact_linalg._quotient_with_indices(sub, sub.nrows)
+        assert coset == Mat.from_cols(field, [{j: 1} for j in idx], sub.nrows)
+        for j, row in enumerate(coset.data):
+            want = exact_linalg._UNIT_ROWS[idx.index(j)] if j in idx else exact_linalg._EMPTY_ROW
+            assert row is want
+
+
 def test_dense_and_mapping_rows_agree():
     dense = Mat(Q, 2, 3, [[0, 2, 0], [Fraction(1, 2), 0, 0]])
     sparse = Mat(Q, 2, 3, [{1: Fraction(2), 2: Fraction(0)}, {0: Fraction(1, 2)}])
@@ -430,14 +452,14 @@ def _to_sympy(a: Mat):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    dom = sympy.QQ if a.field.kind == "rationals" else sympy.GF(a.field.p)
+    dom = sympy.GF(a.field.p) if a.field.p else sympy.QQ
     rows = [[dom.convert(a.entry(i, j)) for j in range(a.ncols)]
             for i in range(a.nrows)]
     return DomainMatrix(rows, (a.nrows, a.ncols), dom)
 
 
 def _from_sympy(field: FieldSpec, x) -> list:
-    if field.kind == "rationals":
+    if field.p is None:
         return [[Fraction(int(e.numerator), int(e.denominator)) for e in r] for r in x.to_list()]
     return [[int(e) % field.p for e in r] for r in x.to_list()]
 

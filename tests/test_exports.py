@@ -50,3 +50,46 @@ def test_every_name_a_layer_imports_is_used(layer):
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def _attribute_reads():
+    """Every attribute name read as .name anywhere in src/ or tests/."""
+    root = Path(qcverify.__file__).parents[2]
+    reads = set()
+    for path in [*root.joinpath("src").rglob("*.py"), *root.joinpath("tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return reads
+
+
+def _stored_names(cls: ast.ClassDef):
+    """The attributes a class sets on self, and its dataclass fields."""
+    if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in cls.decorator_list):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield node.target.id
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for e in t.elts if isinstance(t, ast.Tuple) else [t]:
+                    if (isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+                            and e.value.id == "self"):
+                        yield e.attr
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_stored_value_is_read(layer):
+    # an exception's payload is for its callers, so exceptions are exempt
+    mod = importlib.import_module(f"qcverify.{layer}")
+    tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+    reads = _attribute_reads()
+    unread = {
+        f"{node.name}.{name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not issubclass(getattr(mod, node.name), BaseException)
+        for name in _stored_names(node)
+        if name not in reads
+    }
+    assert unread == set()

@@ -90,13 +90,43 @@ def test_pushed_ideal_loses_degree_zero(scheme, ideal_fp):
     assert [v.piece(d).dim for d in range(0, 4)] == [1, 2, 3, 4]
     assert [xx.piece(d).dim for d in range(0, 4)] == [0, 2, 3, 4]
     # the W computation agrees whether done from U or from V
-    s.w_sections(compare=True)
+    assert sheaf_sections(s, "W") is s.w_sections() is v
 
 
 def test_identity_gluing_requires_shared_module(scheme, o_fp):
     other = free_module(scheme.ring, (0,))
     with pytest.raises(ValueError):
-        QcohSheafOnX(scheme, o_fp, other, "identity")
+        QcohSheafOnX(scheme, o_fp, other)
+
+
+def _koszul_ideal(ring, x, y):
+    # double-origin-flat's ideal, made afresh so that no live sections
+    # module already holds its complexes
+    return FPGradedModule(ring, (1, 1), ((y, -x),), name="I")
+
+
+def test_the_gluing_is_read_off_the_modules(scheme, ring, x, y, o_fp):
+    m = _koszul_ideal(ring, x, y)
+    assert QcohSheafOnX(scheme, m, m).gluing == "identity"
+    assert direct_image_from_U(scheme, m, window=(-2, 2)).gluing == "direct-image"
+    # W-sections of another module, and sections of m on another cover
+    # object with the same denominators, are not a direct image of m
+    for m_v in (sections_window(o_fp, scheme.overlap, (-2, 2)),
+                sections_window(m, OpenSubset(ring, (x, y)), (-2, 2))):
+        with pytest.raises(ValueError, match="the V-patch module must be"):
+            QcohSheafOnX(scheme, m, m_v)
+
+
+def test_only_the_w_sections_check_builds_the_v_side(complexes_built, scheme, ring, x, y):
+    # Gamma(W) of a direct image is its V patch; the sections of that
+    # patch are built only to compare the two sides, for sections over W
+    s = direct_image_from_U(scheme, _koszul_ideal(ring, x, y), window=(-2, 2))
+    for d in range(-2, 3):
+        s.w_sections().piece(d)
+        s.x_sections().piece(d)
+    assert {m.name for m, _, _ in complexes_built} == {"I"}
+    sheaf_sections(s, "W")
+    assert [cap for m, _, cap in complexes_built if m.name == "sections(I)"] == [3, 2, 1]
 
 
 def test_unknown_open_rejected(scheme):
@@ -138,7 +168,7 @@ def test_the_obstruction_escalates_outside_the_proven_class(complexes_built, rin
         m = FPGradedModule(ring, (1, 1), ((x - y, -(x + y)),), name="I")
         want = {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
     else:
-        scheme = DoubleGluedScheme(ring, OpenSubset(ring, (x,)))
+        scheme = DoubleGluedScheme(OpenSubset(ring, (x,)))
         m = free_module(ring, (1,), name="I")
         want = {d: 0 for d in range(-2, 3)}
     cert = obstruction(direct_image_from_U(scheme, m, window=(-2, 2)))
@@ -200,7 +230,7 @@ def test_obstruction_flag_matches_the_level_zero_status_scan(field, kind, data):
         cert = flat_quotient_obstruction(sheaf, sections_o)
         statuses = [
             p.status
-            for s in (sheaf.w_sections(compare=False), sections_o)
+            for s in (sheaf.w_sections(), sections_o)
             for d in range(window[0], window[1] + 1)
             for p in s.complexes[cert.cap].degree(d).levels[0]
         ]
