@@ -20,7 +20,7 @@ from .graded_modules import (
     _mono_str,
     direct_sum,
     kernel_dw,
-    tensor_realization,
+    tensor_relations,
 )
 from .localization_cech import (
     DEFAULT_WINDOW,
@@ -286,7 +286,6 @@ class SheafMap:
 class DefectTable:
     """Per-degree kernel/cokernel of (F tensor Gamma(W,O))_d -> Gamma(W, ~F)_d."""
 
-    window: tuple
     kernel: dict
     cokernel: dict
     flags: list
@@ -323,17 +322,22 @@ def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> Defec
     (n_j * gen_i) / f_j^c, one column selection of f.gen_mult on the
     numerators at O's cap.  Free modules have zero defect; a nonzero entry
     certifies that restriction and tensoring do not commute for F over W.
+
+    Only ranks are read.  The map is given on the free part
+    ⊕_i Gamma(W,O)_(d-e_i) and kills the span of the tensor relations
+    (tensor_relations; checked), so its rank on the tensor piece is its
+    rank on the free part, and the piece has dimension nrows - rank of
+    the relation matrix.
     """
     _structure_sections(sections_o)
-    window = sections_o.window
-    lo, hi = window
-    s_f = sections_window(f, sections_o.cover, window, sections_o.caps[0])
+    lo, hi = sections_o.window
+    s_f = sections_window(f, sections_o.cover, sections_o.window, sections_o.caps[0])
 
     field = f.ring.field
     kernel: dict = {}
     cokernel: dict = {}
     for d in range(lo, hi + 1):
-        t = tensor_realization(f, sections_o, d)
+        rel = tensor_relations(f, sections_o, d)
         tgt_dim = s_f.piece(d).dim
         blocks = {}
         col_dims = []
@@ -344,22 +348,20 @@ def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> Defec
                 blocks[0, i] = sections_o._map_into(d - e, s_f, d,
                                                     lambda j, a: f.gen_mult(i, a))
         free_map = Mat.block(field, blocks, [tgt_dim], col_dims)
-        if t.rel_matrix.ncols and not (free_map @ t.rel_matrix).is_zero():
+        if rel.ncols and not (free_map @ rel).is_zero():
             raise ArithmeticError(
                 f"comparison map fails to kill a tensor relation in degree {d}"
             )
-        mu = free_map @ t.incl
-        r = rank(mu)
-        kernel[d] = t.piece.dim - r
+        r = rank(free_map)
+        kernel[d] = rel.nrows - rank(rel) - r
         cokernel[d] = tgt_dim - r
-    return DefectTable(window, kernel, cokernel, flags=s_f.flags())
+    return DefectTable(kernel, cokernel, flags=s_f.flags())
 
 
 @dataclass
 class ObstructionCertificate:
     """Codimension table of the section-generated submodule of Gamma(W, M)."""
 
-    window: tuple
     codims: dict
     cap: int
     flags: list
@@ -403,8 +405,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     sections_o is Gamma(W, O) of the caller's structure module, on the
     sheaf's overlap; its complexes are shared with every other check on O.
     """
-    window = s.window
-    lo, hi = window
+    lo, hi = s.window
     fp = s.m_U
     if not isinstance(fp, FPGradedModule):
         raise ValueError("the flat-cover obstruction needs a finitely presented U-patch module")
@@ -455,7 +456,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     certified = all(complexes_m[row_caps[d]].degree(d).certified for d in degrees)
     flags = [f"cap:{cap}", "stabilized",
              "kernels-certified" if certified else "kernels-heuristic"]
-    return ObstructionCertificate(window, codims, cap, flags)
+    return ObstructionCertificate(codims, cap, flags)
 
 
 @dataclass
@@ -591,7 +592,6 @@ def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
 class ExactnessReport:
     """Per-degree kernel / middle-homology / cokernel of a three-term sequence."""
 
-    window: tuple
     kernel: dict
     homology: dict
     cokernel: dict
@@ -639,7 +639,7 @@ def exactness_tables(f: GradedModuleMap, g: GradedModuleMap, window) -> Exactnes
         homology[d] = kg.ncols - inter
         cokernel[d] = mg.nrows - rank(mg)
     flags = [] if complex_ok else ["not-a-complex"]
-    return ExactnessReport(tuple(window), kernel, homology, cokernel, complex_ok, flags)
+    return ExactnessReport(kernel, homology, cokernel, complex_ok, flags)
 
 
 def sequence_report(f: SheafMap, g: SheafMap, open_name: str) -> ExactnessReport:

@@ -3,10 +3,12 @@
 A graded module here is never a global object: it is the family of its
 finite-dimensional graded pieces together with the multiplication maps
 x_i : M_d -> M_{d+1}.  Every module is a DegreewiseModule that produces
-pieces and action matrices on demand and memoizes them: finitely
+pieces and monomial actions on demand and memoizes them: finitely
 presented modules (generator degrees plus homogeneous relation columns)
 realize theirs per degree by exact linear algebra, and so do kernels,
-sections and duals.
+sections and duals.  A tensor product with a finitely presented module is
+not realized: tensor_relations gives its relations on the free part, and
+a dimension count needs no more.
 
 Conventions that the rest of the package relies on:
   * monomials of a fixed degree are ordered by descending exponent tuple
@@ -388,10 +390,13 @@ class DegreewiseModule:
     piece(d) returns the GradedPiece in degree d and mono_act(a, d) the
     matrix of the monomial x^a : M_d -> M_{d+|a|} in the canonical bases;
     both are memoized, and act(i, d) is mono_act of the variable x_i.
-    Every polynomial action goes through mono_act.  A subclass defines the
-    module by overriding _piece and either _act, the variable actions that
-    the default _mono_act chains, or _mono_act itself when it can multiply
-    by a monomial directly (and torsion_bound, when it can certify one).
+    mono_act is the one memoized action: poly_act and power_act sum its
+    terms on each call, and for a monomial with coefficient 1 they return
+    its very matrix, so the rref cached on that matrix is shared.  A
+    subclass defines the module by overriding _piece and either _act, the
+    variable actions that the default _mono_act chains, or _mono_act
+    itself when it can multiply by a monomial directly (and torsion_bound,
+    when it can certify one).
 
     torsion_bound(f) returns (t, certified) for the f-power-torsion of
     the module.  When certified, ker(f^t) is all of it in every degree;
@@ -408,8 +413,6 @@ class DegreewiseModule:
         self.max_degree = max_degree
         self._pieces: dict[int, GradedPiece] = {}
         self._mono_acts: dict[tuple, Mat] = {}
-        self._poly_acts: dict[tuple, Mat] = {}
-        self._power_acts: dict[tuple, Mat] = {}
 
     def piece(self, d: int) -> GradedPiece:
         got = self._pieces.get(d)
@@ -465,24 +468,17 @@ class DegreewiseModule:
     def poly_act(self, p: HomogPoly, d: int) -> Mat:
         """Matrix of multiplication by p from degree d: the sum of its
         terms c * x^a; a lone term x^a is mono_act itself."""
-        key = (p, d)
-        got = self._poly_acts.get(key)
+        got = None
+        for mono, c in p.terms.items():
+            term = self.mono_act(mono, d).scale(c)
+            got = term if got is None else got + term
         if got is None:
-            for mono, c in p.terms.items():
-                term = self.mono_act(mono, d).scale(c)
-                got = term if got is None else got + term
-            if got is None:
-                got = Mat.zeros(self.ring.field, self.piece(d + p.degree).dim, self.piece(d).dim)
-            self._poly_acts[key] = got
+            got = Mat.zeros(self.ring.field, self.piece(d + p.degree).dim, self.piece(d).dim)
         return got
 
     def power_act(self, f: HomogPoly, t: int, d: int) -> Mat:
         """Matrix of multiplication by f^t from degree d."""
-        key = (f, t, d)
-        got = self._power_acts.get(key)
-        if got is None:
-            got = self._power_acts[key] = self.poly_act(f ** t, d)
-        return got
+        return self.poly_act(f ** t, d)
 
     def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         return 1, False
@@ -830,29 +826,15 @@ def kernel_dw(f: GradedModuleMap) -> DegreewiseModule:
     return _BasisBackedModule(f)
 
 
-class _TensorRealization:
-    __slots__ = ("piece", "incl", "rel_matrix")
+def tensor_relations(m: FPGradedModule, n: DegreewiseModule, d: int) -> Mat:
+    """The relations of (m tensor n)_d on its free part ⊕_i n_{d - e_i}.
 
-    def __init__(self, piece, incl, rel_matrix):
-        self.piece = piece
-        self.incl = incl
-        self.rel_matrix = rel_matrix
-
-
-def tensor_realization(m: FPGradedModule, n: DegreewiseModule, d: int) -> _TensorRealization:
-    """(m tensor n)_d as a quotient of the free part ⊕_i n_{d - e_i}.
-
-    Returns the realized piece together with the inclusion (free-cover
-    representatives) and the matrix whose columns span the relation image
-    (useful to sanity-check that an induced map kills it).
+    A relation column of m of degree c, with entries p_i, gives the block
+    column of the maps p_i : n_{d - c} -> n_{d - e_i}.  (m tensor n)_d is
+    the free part modulo their span, so its dimension is nrows - rank, and
+    a map out of it is a map on the free part that kills these columns.
     """
-    field = n.ring.field
-    free_labels = []
-    row_dims = []
-    for i, e in enumerate(m.gen_degrees):
-        p = n.piece(d - e)
-        free_labels.extend((i, lab) for lab in p.labels)
-        row_dims.append(p.dim)
+    row_dims = [n.piece(d - e).dim for e in m.gen_degrees]
     blocks = {}
     col_dims = []
     for entries, c in m.relations:
@@ -863,10 +845,7 @@ def tensor_realization(m: FPGradedModule, n: DegreewiseModule, d: int) -> _Tenso
             if p is not None:
                 blocks[i, len(col_dims)] = n.poly_act(p, d - c)
         col_dims.append(src_dim)
-    rel = Mat.block(field, blocks, row_dims, col_dims)
-    coset, _proj, idx = _quotient_with_indices(rel, len(free_labels))
-    piece = GradedPiece(field, tuple(free_labels[j] for j in idx))
-    return _TensorRealization(piece, coset, rel)
+    return Mat.block(n.ring.field, blocks, row_dims, col_dims)
 
 
 class _DirectSum(DegreewiseModule):

@@ -187,11 +187,6 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
             raise ArithmeticError("stable kernel iteration failed to terminate")
     status = "certified-in-window" if certified else f"heuristic({t})"
 
-    if stable.ncols == 0:
-        # nothing is killed: incl and proj are x^0, one matrix per module
-        # and degree however many localizations share it
-        ident = module.mono_act((0,) * module.ring.nvars, num_degree)
-        return LocalizedPiece(d, cap, num_degree, status, ident, ident)
     coset, proj, _ = _quotient_with_indices(stable, num.dim)
     return LocalizedPiece(d, cap, num_degree, status, coset, proj)
 
@@ -584,9 +579,12 @@ class SectionsModule(DegreewiseModule):
         map that numer(i, a) : M_a -> N_(a + d_to - d) gives on the
         numerators of the cover piece D(f_i).  Where the target's cap is
         the larger, the image is lifted on the numerators, so the target
-        is read at its own cap alone."""
-        cap, _dim, cech = self._stable("h0_dim", d)
-        own = target._stable("h0_dim", d_to)[0]
+        is read at its own cap alone.  A map from an empty piece is zero, and
+        nothing is realized for it."""
+        cap, dim, cech = self._stable("h0_dim", d)
+        own, dim_to, _ = target._stable("h0_dim", d_to)
+        if not dim:
+            return Mat.zeros(self.ring.field, dim_to, 0)
         after = None
         if own > cap:
             # lift on the numerators, by f_i^(own - cap) after numer, so that

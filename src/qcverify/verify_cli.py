@@ -57,7 +57,6 @@ from . import __version__
 from .exact_linalg import FieldSpec, Mat
 from .graded_modules import (
     FPGradedModule,
-    GradedModuleMap,
     HomogPoly,
     NonHomogeneousError,
     PolyRing,
@@ -141,14 +140,6 @@ class UnknownName(ParseError):
 
 
 @dataclass
-class _MapEntry:
-    name: str
-    src: str
-    tgt: str
-    gmap: GradedModuleMap
-
-
-@dataclass
 class _CheckSpec:
     kind: str
     args: tuple
@@ -160,8 +151,6 @@ class Scenario:
     """A parsed and validated scenario, ready to run."""
 
     name: str
-    field: FieldSpec
-    ring: PolyRing
     window: tuple
     start: int | None  # the start cap; None is window width + 2
     overlap: OpenSubset
@@ -430,7 +419,7 @@ def parse_scenario(text: str, name: str = "scenario",
             except RelationNotKilled as e:
                 raise ParseError(f"map {mapname!r}: {e}", sec_line)
             gmap.name = mapname
-            maps[mapname] = _MapEntry(mapname, src_name, tgt_name, gmap)
+            maps[mapname] = gmap
 
         elif kind == "sheaf":
             if not rest:
@@ -482,8 +471,6 @@ def parse_scenario(text: str, name: str = "scenario",
 
     return Scenario(
         name=name,
-        field=the_field,
-        ring=ring,
         window=the_window,
         start=start,
         overlap=overlap,
@@ -522,7 +509,7 @@ def _parse_check(rest: str, lineno: int, modules, maps, sheaves) -> _CheckSpec:
         if space is not None or g == _OPEN:
             args.append(w)
     named = dict(zip(slots, words))
-    if "F" in named and maps[named["F"]].tgt != maps[named["G"]].src:
+    if "F" in named and maps[named["F"]].target is not maps[named["G"]].source:
         raise ParseError(
             f"maps {named['F']!r} and {named['G']!r} do not compose", lineno
         )
@@ -608,23 +595,20 @@ class _Runner:
             self._sheaves[name] = got
         return got
 
-    def module_sheaf(self, modname: str) -> QcohSheafOnX:
-        """Identity-glued sheaf of a named module, shared across checks so
+    def module_sheaf(self, mod: FPGradedModule) -> QcohSheafOnX:
+        """Identity-glued sheaf of a scenario module, shared across checks so
         sheaf maps stay composable."""
-        got = self._module_sheaves.get(modname)
+        got = self._module_sheaves.get(mod)
         if got is None:
-            got = QcohSheafOnX.glued(
-                self.scheme, self.s.modules[modname], name=modname,
-                window=self.s.window, start=self.s.start,
-            )
-            self._module_sheaves[modname] = got
+            got = QcohSheafOnX.glued(self.scheme, mod, name=mod.name,
+                                     window=self.s.window, start=self.s.start)
+            self._module_sheaves[mod] = got
         return got
 
     def sheaf_map(self, mapname: str) -> SheafMap:
-        e = self.s.maps[mapname]
-        return SheafMap.glued(
-            self.module_sheaf(e.src), self.module_sheaf(e.tgt), e.gmap, name=mapname
-        )
+        u = self.s.maps[mapname]
+        return SheafMap.glued(self.module_sheaf(u.source), self.module_sheaf(u.target), u,
+                              name=mapname)
 
     def run_check(self, spec: _CheckSpec) -> CheckResult:
         try:

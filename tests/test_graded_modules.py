@@ -26,7 +26,7 @@ from qcverify import (
     verify_naturality,
 )
 from qcverify.exact_linalg import _quotient_with_indices, rank, solve
-from qcverify.graded_modules import GradedPiece, tensor_realization
+from qcverify.graded_modules import GradedPiece, tensor_relations
 
 
 # --- ring and polynomials ------------------------------------------------
@@ -289,7 +289,8 @@ def test_the_kernel_of_a_non_natural_map_rejects_its_action(ring):
 
 
 def test_tensor_with_skyscraper_counts_generators(ideal_fp, sky_fp):
-    dims = {d: tensor_realization(ideal_fp, sky_fp, d).piece.dim for d in range(-1, 4)}
+    rels = {d: tensor_relations(ideal_fp, sky_fp, d) for d in range(-1, 4)}
+    dims = {d: rel.nrows - rank(rel) for d, rel in rels.items()}
     assert dims == {-1: 0, 0: 0, 1: 2, 2: 0, 3: 0}
 
 
@@ -410,6 +411,17 @@ def test_power_act_is_the_iterated_poly_act(m, data, t, d):
     for k in range(t):
         want = m.poly_act(f, d + k * f.degree) @ want
     assert m.power_act(f, t, d) == want
+
+
+@given(fp_modules(), st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 3),
+       st.integers(-1, 2))
+@settings(max_examples=40, deadline=None)
+def test_a_monomial_acts_by_the_memoized_mono_act(m, a, t, d):
+    # mono_act is the one action memo: poly_act and power_act of x^a return
+    # its very matrix, so the rref cached on that matrix is shared
+    f = HomogPoly.monomial(m.ring, a)
+    assert m.poly_act(f, d) is m.mono_act(a, d)
+    assert m.power_act(f, t, d) is m.mono_act(tuple(t * e for e in a), d)
 
 
 @given(fp_modules(), fp_modules(), st.data())
