@@ -539,6 +539,39 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
     return coset, Mat._of(field, len(coset_idx), amb_dim, proj_rows), coset_idx
 
 
+def _quotient_by_rules(rules: dict, vecs: list, n: int, field: FieldSpec) -> tuple:
+    """The indices and projection of _quotient_with_indices for k^n modulo
+    the span S of the rules and vecs, without row-reducing the rules.
+
+    rules[k] = {j: c} with every j < k says that e_k - sum c e_j is in S:
+    rows in echelon form, each led by its k.  One pass up the indices gives
+    each e_k its normal form modulo the rules on the candidates, the
+    indices no rule leads, and for j < k that of e_j holds only candidates
+    below k.  So e_k is outside span(e_j : j < k) + S, which is what
+    _quotient_with_indices keeps for S, exactly when k is a candidate that
+    it keeps for the normal forms of the vecs.  The projection, which
+    kills S and fixes the kept indices, is unique.
+    """
+    cand, proj, mod = range(n), Mat.identity(field, n), field.p
+    if rules:
+        cand, nf = [], []  # nf[k]: e_k modulo the rules, on the candidates
+        for k in range(n):
+            if k not in rules:
+                nf.append({len(cand): 1})
+                cand.append(k)
+                continue
+            acc: dict = {}
+            for j, c in rules[k].items():
+                for r, v in nf[j].items():
+                    acc[r] = acc.get(r, 0) + c * v
+            nf.append({r: e for r, v in acc.items() if (e := v % mod if mod else v)})
+        proj = Mat._of(field, n, len(cand), nf).transpose()
+    if vecs and not (res := proj @ Mat.from_cols(field, vecs, n)).is_zero():
+        _, sub, idx = _quotient_with_indices(res, len(cand))
+        cand, proj = [cand[j] for j in idx], sub @ proj
+    return cand, proj
+
+
 def solve(a: Mat, rhs: Mat) -> Mat | None:
     """A solution X of a @ X = rhs with free variables set to zero.
 

@@ -3,10 +3,10 @@
 A graded module here is never a global object: it is the family of its
 finite-dimensional graded pieces together with the multiplication maps
 x_i : M_d -> M_{d+1}.  Every module is a DegreewiseModule that produces
-pieces and monomial actions on demand and memoizes them: finitely
-presented modules (generator degrees plus homogeneous relation columns)
-realize theirs per degree by exact linear algebra, and so do kernels,
-sections and duals.  A tensor product with a finitely presented module is
+pieces and monomial actions on demand and memoizes them by exact linear
+algebra: kernels, sections and duals per degree, finitely presented
+modules (generator degrees plus homogeneous relation columns) each degree
+from the one below.  A tensor product with a finitely presented module is
 not realized: tensor_relations gives its relations on the free part, and
 a dimension count needs no more.
 
@@ -34,10 +34,11 @@ from .exact_linalg import (
     Mat,
     kernel_basis,
     kernel_coords,
-    _quotient_with_indices,
+    _quotient_by_rules,
 )
 
 __all__ = [
+    "CapExhausted",
     "PolyRing",
     "HomogPoly",
     "NonHomogeneousError",
@@ -70,6 +71,14 @@ class RelationNotKilled(ValueError):
             message or f"relation column {relation_index} is not sent to zero"
         )
         self.relation_index = relation_index
+
+
+class CapExhausted(RuntimeError):
+    """Dimensions failed to stabilize within the cap escalation budget, or
+    a degree lies past what a module realizes."""
+
+
+_MAX_DEGREE_SPAN = 1000  # FPGradedModule's degrees above its lowest generator
 
 
 class PolyRing:
@@ -520,7 +529,9 @@ class FPGradedModule(DegreewiseModule):
     column of homogeneous polynomials (None for zero entries), one entry
     per generator, with entry degrees aligned so the column is homogeneous.
     Each piece is the quotient of the free cover's piece by the relation
-    span.
+    span, realized from min_degree up: the normal forms of the degree below
+    times each variable give most of a degree, and only what they miss is
+    row-reduced (_lift).  Past _MAX_DEGREE_SPAN above min_degree, CapExhausted.
     """
 
     def __init__(self, ring: PolyRing, gen_degrees, relations=(), name: str = "M"):
@@ -555,49 +566,71 @@ class FPGradedModule(DegreewiseModule):
             cleaned.append((tuple(entries), degree))
         self.relations = tuple(cleaned)
         self._realizations: dict[int, _Realization] = {}
+        self._reach: tuple = (None, {})
 
     @property
     def ngens(self) -> int:
         return len(self.gen_degrees)
 
-    def free_labels(self, d: int):
-        labels = []
-        for i, e in enumerate(self.gen_degrees):
-            for mono in self.ring.monomials(d - e):
-                labels.append((i, mono))
-        return tuple(labels)
-
-    def relation_span(self, d: int, free_index) -> list:
-        """Degree-d vectors spanning the relation submodule of the free
-        cover, as {free index: coefficient} mappings."""
-        norm = self.ring.field.norm
-        vecs = []
-        for entries, c in self.relations:
-            for u in self.ring.monomials(d - c):
-                v: dict = {}
-                for i, p in enumerate(entries):
-                    if p is None:
-                        continue
-                    for mono, coeff in p.terms.items():
-                        k = free_index[(i, _mono_mul(u, mono))]
-                        v[k] = norm(v[k] + coeff) if k in v else coeff
-                vecs.append(v)
-        return vecs
-
     def _realize(self, d: int) -> _Realization:
         got = self._realizations.get(d)
-        if got is not None:
-            return got
-        field = self.ring.field
-        free_labels = self.free_labels(d)
+        if got is None:
+            if d - self.min_degree > _MAX_DEGREE_SPAN:
+                raise CapExhausted(
+                    f"{self.name}: degree {d} is over {_MAX_DEGREE_SPAN} above its generators")
+            lo = d  # each degree is lifted from the one below
+            while self.relations and lo > self.min_degree and lo - 1 not in self._realizations:
+                lo -= 1
+            for k in range(lo, d + 1):
+                got = self._realizations[k] = self._lift(k)
+        return got
+
+    def _lift(self, d: int) -> _Realization:
+        """Degree d, from degree d - 1.
+
+        The free labels in index order are in a monomial order: x_v keeps it.
+        The coset is the labels k with e_k outside span(e_j : j < k) + N_d,
+        N the relation submodule, and proj, which kills N_d and fixes the
+        coset, is then unique: what _quotient_with_indices gives for N_d.
+        N_d is spanned by the relations of degree d and the lifts x_v r_p,
+        led by x_v p, of the rows r_p = e_p - proj(e_p) of N_(d-1).  The
+        first lift to reach a label is its rule, on lower labels only; the
+        relations and the other lifts are left to _quotient_by_rules.  A lift
+        x_v r_p meeting an earlier lift x_u r_q at k needs no reducing when
+        s = p / x_u is outside its coset: each differs from x_u x_v r_s by
+        lifts led below k.
+        """
+        ring, field = self.ring, self.ring.field
+        free_labels = [(i, m) for i, e in enumerate(self.gen_degrees)
+                       for m in ring.monomials(d - e)]
         free_index = {lab: k for k, lab in enumerate(free_labels)}
         n = len(free_labels)
-        span = Mat.from_cols(field, self.relation_span(d, free_index), n)
-        _, proj, idx = _quotient_with_indices(span, n)
-        piece = GradedPiece(field, tuple(free_labels[j] for j in idx))
-        got = _Realization(free_index, proj, piece)
-        self._realizations[d] = got
-        return got
+        # the relations of degree d, then the lifts that meet a rule
+        checks = [{free_index[i, m]: c for i, p in enumerate(entries) if p is not None
+                   for m, c in p.terms.items()} for entries, e in self.relations if e == d]
+        # rules: k -> {j: c}, e_k = sum c e_j modulo N_d, each j < k; reach:
+        # k -> bitmask of the variables whose lifts reach k, read one degree up
+        rules, reach = {}, {}
+        prev = self._realizations.get(d - 1)
+        if prev is not None and prev.piece.dim < len(prev.free_index):
+            below = self._reach[1] if self._reach[0] == d - 1 else {}
+            coset = set(prev.piece.labels)
+            cols = [(p, lab, col) for p, (lab, col) in
+                    enumerate(zip(prev.free_index, prev.proj.transpose().data)) if lab not in coset]
+            for v in range(ring.nvars):
+                u = ring.unit(v)
+                up = [free_index[i, _mono_mul(m, u)] for i, m in prev.piece.labels]
+                for p, (i, m), col in cols:
+                    k = free_index[i, _mono_mul(m, u)]
+                    seen = reach.get(k, 0)
+                    reach[k] = seen | 1 << v
+                    if not seen:
+                        rules[k] = {up[pos]: c for pos, c in col.items()}
+                    elif not below.get(p, 0) & seen:
+                        checks.append({k: 1, **{up[pos]: field.norm(-c) for pos, c in col.items()}})
+        self._reach = (d, reach)
+        cand, proj = _quotient_by_rules(rules, checks, n, field)
+        return _Realization(free_index, proj, GradedPiece(field, [free_labels[j] for j in cand]))
 
     def _images(self, d: int, free_labels) -> Mat:
         """The images in the degree-d piece of the given free basis

@@ -49,6 +49,7 @@ from weakref import WeakValueDictionary
 
 from .exact_linalg import Mat, kernel_basis, kernel_coords, rank, solve, _quotient_with_indices
 from .graded_modules import (
+    CapExhausted,
     DegreewiseModule,
     FPGradedModule,
     GradedModuleMap,
@@ -71,10 +72,6 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW = (-6, 6)
-
-
-class CapExhausted(RuntimeError):
-    """Dimensions failed to stabilize within the cap escalation budget."""
 
 
 # cap escalation: steps of _CAP_STEP, at most _MAX_ESCALATIONS of them, so

@@ -388,35 +388,35 @@ def parse_scenario(text: str, name: str = "scenario",
                     sec_line,
                 )
             images = []
-            for i, (lineno, line) in enumerate(body):
-                entries = [_poly(ring, part, lineno) for part in line.split(";")]
-                if len(entries) != tgt.ngens:
-                    raise ParseError(
-                        f"image line has {len(entries)} entries, target has "
-                        f"{tgt.ngens} generators",
-                        lineno,
-                    )
-                col = None
-                for j, p in enumerate(entries):
-                    if p is None:
-                        continue
-                    want = src.gen_degrees[i] - tgt.gen_degrees[j]
-                    if p.degree != want:
-                        raise NonHomogeneousError(
-                            f"line {lineno}: entry {j} has degree {p.degree}, "
-                            f"needs {want} to preserve degrees",
-                            line=lineno,
-                        )
-                    term = tgt.poly_act(p, tgt.gen_degrees[j]) @ tgt.gen_element(j)
-                    col = term if col is None else col + term
-                if col is None:
-                    col = Mat.zeros(
-                        ring.field, tgt.piece(src.gen_degrees[i]).dim, 1
-                    )
-                images.append(col)
             try:
+                for i, (lineno, line) in enumerate(body):
+                    entries = [_poly(ring, part, lineno) for part in line.split(";")]
+                    if len(entries) != tgt.ngens:
+                        raise ParseError(
+                            f"image line has {len(entries)} entries, target has "
+                            f"{tgt.ngens} generators",
+                            lineno,
+                        )
+                    col = None
+                    for j, p in enumerate(entries):
+                        if p is None:
+                            continue
+                        want = src.gen_degrees[i] - tgt.gen_degrees[j]
+                        if p.degree != want:
+                            raise NonHomogeneousError(
+                                f"line {lineno}: entry {j} has degree {p.degree}, "
+                                f"needs {want} to preserve degrees",
+                                line=lineno,
+                            )
+                        term = tgt.poly_act(p, tgt.gen_degrees[j]) @ tgt.gen_element(j)
+                        col = term if col is None else col + term
+                    if col is None:
+                        col = Mat.zeros(
+                            ring.field, tgt.piece(src.gen_degrees[i]).dim, 1
+                        )
+                    images.append(col)
                 gmap = map_from_gen_images(src, tgt, images)
-            except RelationNotKilled as e:
+            except (RelationNotKilled, CapExhausted) as e:
                 raise ParseError(f"map {mapname!r}: {e}", sec_line)
             gmap.name = mapname
             maps[mapname] = gmap

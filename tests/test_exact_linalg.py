@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcverify import FieldSpec, Mat, exact_linalg, kernel_basis, kernel_coords, rref, solve
-from qcverify.exact_linalg import _quotient_with_indices, rank
+from qcverify.exact_linalg import _quotient_by_rules, _quotient_with_indices, rank
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -316,6 +316,33 @@ def test_quotient_dimensions_add_up(sub):
     assert proj.nrows == q and coset.ncols == q
     assert (proj @ sub).is_zero()
     assert proj @ coset == Mat.identity(sub.field, q)
+
+
+@st.composite
+def rule_inputs(draw):
+    """(field, n, rules, vecs): rules led by a random set of indices in
+    range(n), each on a few lower indices, and a few sparse vectors."""
+    field = draw(st.sampled_from([Q, F7, F65537]))
+    n = draw(st.integers(0, 8))
+    rules = {}
+    for k in sorted(draw(st.sets(st.integers(0, n - 1))) if n else ()):
+        lower = st.dictionaries(st.integers(0, k - 1), st.integers(1, 3), max_size=3)
+        rules[k] = {j: field.of_int(c) for j, c in (draw(lower) if k else {}).items()}
+    vecs = draw(sparse_mats(field, n, draw(st.integers(0, 3))))
+    return field, n, rules, [dict(col) for col in vecs.transpose().data]
+
+
+@given(rule_inputs())
+@settings(max_examples=80, deadline=None)
+def test_quotient_by_rules_is_the_quotient_by_their_span(inputs):
+    # the rules are rows e_k - sum c e_j; reducing them in one pass and the
+    # vecs after gives what row-reducing the whole span gives
+    field, n, rules, vecs = inputs
+    rows = [{k: 1, **{j: field.norm(-c) for j, c in rule.items()}} for k, rule in rules.items()]
+    _, want_proj, want_idx = _quotient_with_indices(Mat.from_cols(field, rows + vecs, n), n)
+    idx, proj = _quotient_by_rules(rules, vecs, n, field)
+    assert (tuple(idx), proj) == (want_idx, want_proj)
+    assert_sparse(proj)
 
 
 def assert_sparse(x: Mat):

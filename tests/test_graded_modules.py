@@ -1,12 +1,14 @@
 """Graded rings, finitely presented modules, and degreewise maps."""
 
 import re
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcverify import (
+    CapExhausted,
     DegreewiseModule,
     FPGradedModule,
     FieldSpec,
@@ -25,6 +27,7 @@ from qcverify import (
     verify_action_commutation,
     verify_naturality,
 )
+from qcverify import exact_linalg, localization_cech
 from qcverify.exact_linalg import _quotient_with_indices, rank, solve
 from qcverify.graded_modules import GradedPiece, tensor_relations
 
@@ -452,3 +455,113 @@ def test_monomial_power_is_repeated_multiplication(field, data, a, b, n):
         want = want * p
     assert p ** n == want
     assert (p ** n).degree == want.degree
+
+
+# --- realization degree by degree -----------------------------------------------
+
+LIFT_FIELDS = (FieldSpec.rationals(), FieldSpec.prime(7))
+LIFT_RINGS = {(f, n): PolyRing(f, ("x", "y", "z")[:n]) for f in LIFT_FIELDS for n in (2, 3)}
+
+
+def macaulay(m: FPGradedModule, d: int):
+    """The coset labels and projection of degree d from scratch: every
+    relation times every monomial of its degree, row-reduced as a whole
+    (the reversed rref of _quotient_with_indices), as FPGradedModule did
+    before it lifted each degree from the one below."""
+    ring = m.ring
+    labels = [(i, u) for i, e in enumerate(m.gen_degrees) for u in ring.monomials(d - e)]
+    index = {lab: k for k, lab in enumerate(labels)}
+    vecs = []
+    for entries, c in m.relations:
+        for u in ring.monomials(d - c):
+            v: dict = {}
+            for i, p in enumerate(entries):
+                for mono, coeff in (p.terms.items() if p is not None else ()):
+                    k = index[i, tuple(a + b for a, b in zip(u, mono))]
+                    v[k] = ring.field.norm(v.get(k, 0) + coeff)
+            vecs.append(v)
+    _, proj, idx = _quotient_with_indices(Mat.from_cols(ring.field, vecs, len(labels)), len(labels))
+    return tuple(labels[j] for j in idx), proj
+
+
+@st.composite
+def presentations(draw):
+    """One to three generators in degrees 0..2 over Q or F_7, in two or
+    three variables, and one to three relation columns, each either a
+    binomial (two terms, on one generator or two) or random entries."""
+    ring = LIFT_RINGS[draw(st.sampled_from(LIFT_FIELDS)), draw(st.sampled_from((2, 3)))]
+    gens = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.integers(min(gens), max(gens) + 2))
+        col = [None] * len(gens)
+        if draw(st.booleans()):
+            for _ in range(2):
+                i = draw(st.sampled_from([i for i, e in enumerate(gens) if e <= c]))
+                mono = draw(st.sampled_from(ring.monomials(c - gens[i])))
+                term = HomogPoly.monomial(ring, mono, draw(scalars(ring.field)))
+                col[i] = term if col[i] is None else col[i] + term
+        else:
+            col = [draw(homog_polys(ring, c - e)) if draw(st.integers(0, 3)) else None
+                   for e in gens]
+        rels.append(col)
+    return FPGradedModule(ring, gens, rels)
+
+
+@given(presentations(), st.one_of(st.just(range(8, -2, -1)), st.permutations(range(-1, 9))))
+@settings(max_examples=60, deadline=None)
+def test_the_lift_matches_the_macaulay_construction(m, degrees):
+    # degrees in any order, the highest first among them: each is lifted
+    # from the degrees below, and gives the coset and projection that
+    # row-reducing the whole relation span gives
+    for d in degrees:
+        r = m._realize(d)
+        assert (r.piece.labels, r.proj) == macaulay(m, d), d
+
+
+@given(st.sampled_from(LIFT_FIELDS), st.sampled_from((2, 3)), st.data())
+@settings(max_examples=25, deadline=None)
+def test_cyclic_pieces_count_the_monomials_outside_the_leading_terms(field, nvars, data):
+    # an independent oracle: dim (R/I)_d is the number of degree-d monomials
+    # outside in(I), for a Groebner basis of I from SymPy
+    sympy = pytest.importorskip("sympy")
+    ring = LIFT_RINGS[field, nvars]
+    polys = data.draw(st.lists(st.integers(1, 3).flatmap(lambda c: homog_polys(ring, c)).filter(
+        lambda p: not p.is_zero()), min_size=1, max_size=3))
+    m = FPGradedModule(ring, (0,), [(p,) for p in polys])
+    xs = sympy.symbols(ring.variables)
+    exprs = [sum(int(c) * prod(v ** e for v, e in zip(xs, mono)) for mono, c in p.terms.items())
+             for p in polys]
+    domain = {"modulus": field.p} if field.p else {"domain": sympy.QQ}
+    basis = sympy.groebner(exprs, *xs, order="grevlex", **domain)
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    for d in range(8):
+        outside = [u for u in ring.monomials(d)
+                   if not any(all(a >= b for a, b in zip(u, lead)) for lead in leads)]
+        assert m.piece(d).dim == len(outside), d
+
+
+def test_degrees_above_a_quadric_are_lifted_without_row_reduction(monkeypatch):
+    # R/(p), deg p = 2: degree 2 row-reduces the relation; every lift above
+    # it reaches a new label or meets a rule that needs no residue
+    ring = RINGS[FieldSpec.rationals()]
+    m = FPGradedModule(ring, (0,), ((HomogPoly.parse(ring, "x^2 - 3*x*y + 5*y^2"),),))
+    assert m.piece(2).dim == 2
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _quotient_with_indices(*args)
+
+    monkeypatch.setattr(exact_linalg, "_quotient_with_indices", counted)
+    assert [m.piece(d).dim for d in range(3, 13)] == [2] * 10
+    assert calls == []
+
+
+def test_a_degree_past_the_realized_span_is_cap_exhausted(ring, x):
+    # raised before anything is built, not a loop over every degree below
+    assert localization_cech.CapExhausted is CapExhausted
+    for m in (free_module(ring, (0,)), FPGradedModule(ring, (0,), ((x ** 3,),))):
+        with pytest.raises(CapExhausted, match="degree 100000000000000000000 is over 1000 above"):
+            m.piece(10 ** 20)
+        assert m._realizations == {}

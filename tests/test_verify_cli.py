@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -699,6 +700,55 @@ def test_an_inconclusive_h1_report_is_unchanged():
     assert [(c.verdict, c.flags) for c in rep.checks] == [("inconclusive", [message])] * 2
     assert rep.exit_code() == 2
     assert report_digest(rep) == H1_EXHAUSTED_DIGEST
+
+
+FAR_OUT = """\
+[ring]
+variables = x, y
+
+[options]
+window = -1:1
+
+[scheme]
+overlap = {overlap}
+
+[module M]
+generators = 0
+relation = {relation}
+
+[check h1 M]
+"""
+
+
+@pytest.mark.parametrize("overlap,relation,flags", [
+    # R/(x^N) certifies x-torsion power N, so its localization asks for degree N
+    ("x, y", "x^99999999999999999999", []),
+    # the affine cover escalates from the start cap, so it asks for degree ~cap
+    ("x", "x^2", ["--den-cap", "99999999999"]),
+])
+def test_a_degree_far_out_ends_inconclusive_at_once(tmp_path, capsys, overlap, relation, flags):
+    f = tmp_path / "far.qcv"
+    f.write_text(FAR_OUT.format(overlap=overlap, relation=relation))
+    start = time.perf_counter()
+    assert main(["run", str(f), *flags]) == 2
+    assert time.perf_counter() - start < 5
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "inconclusive"
+    assert check["flags"][0].startswith("cap-exhausted: M: degree ")
+
+
+@pytest.mark.parametrize("extra,message", [
+    # checking that f kills the relation reads M in degree 10^20
+    ("[map f: M -> M]\n1\n", "map 'f': M: degree "),
+    # the generator's image is read in O in degree 10^20
+    ("[module G]\ngenerators = 99999999999999999999\n[map f: G -> O]\nx^99999999999999999999\n",
+     "map 'f': O: degree "),
+])
+def test_a_map_read_far_out_is_an_input_error(tmp_path, capsys, extra, message):
+    f = tmp_path / "far-map.qcv"
+    f.write_text(FAR_OUT.format(overlap="x, y", relation="x^99999999999999999999") + extra)
+    assert main(["run", str(f)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_star_sequence_over_x_under_den_cap(tmp_path, capsys):
