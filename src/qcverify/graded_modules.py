@@ -6,9 +6,9 @@ x_i : M_d -> M_{d+1}.  Every module is a DegreewiseModule that produces
 pieces and monomial actions on demand and memoizes them by exact linear
 algebra: kernels, sections and duals per degree, finitely presented
 modules (generator degrees plus homogeneous relation columns) each degree
-from the one below.  A tensor product with a finitely presented module is
-not realized: tensor_relations gives its relations on the free part, and
-a dimension count needs no more.
+from the one below, or alone far out.  A tensor product with a finitely
+presented module is not realized: tensor_relations gives its relations on
+the free part, and a dimension count needs no more.
 
 Conventions that the rest of the package relies on:
   * monomials of a fixed degree are ordered by descending exponent tuple
@@ -78,7 +78,7 @@ class CapExhausted(RuntimeError):
     a degree lies past what a module realizes."""
 
 
-_MAX_DEGREE_SPAN = 1000  # FPGradedModule's degrees above its lowest generator
+_MAX_LABELS = 100_000  # free labels that one FPGradedModule._realize may build
 
 
 class PolyRing:
@@ -514,12 +514,13 @@ class FineGrading(NamedTuple):
 
 
 class _Realization:
-    __slots__ = ("free_index", "proj", "piece")
+    __slots__ = ("free_index", "proj", "piece", "reach")
 
-    def __init__(self, free_index, proj, piece):
+    def __init__(self, free_index, proj, piece, reach):
         self.free_index = free_index
         self.proj = proj
         self.piece = piece
+        self.reach = reach  # see FPGradedModule._lift
 
 
 class FPGradedModule(DegreewiseModule):
@@ -529,9 +530,11 @@ class FPGradedModule(DegreewiseModule):
     column of homogeneous polynomials (None for zero entries), one entry
     per generator, with entry degrees aligned so the column is homogeneous.
     Each piece is the quotient of the free cover's piece by the relation
-    span, realized from min_degree up: the normal forms of the degree below
-    times each variable give most of a degree, and only what they miss is
-    row-reduced (_lift).  Past _MAX_DEGREE_SPAN above min_degree, CapExhausted.
+    span, realized up from the highest degree realized below it: the normal
+    forms of the degree below times each variable give most of a degree,
+    and only what they miss is row-reduced (_lift).  Where that walk would
+    build over _MAX_LABELS free labels, the degree is built alone from all
+    relation multiples; where the degree alone has more, CapExhausted.
     """
 
     def __init__(self, ring: PolyRing, gen_degrees, relations=(), name: str = "M"):
@@ -566,27 +569,35 @@ class FPGradedModule(DegreewiseModule):
             cleaned.append((tuple(entries), degree))
         self.relations = tuple(cleaned)
         self._realizations: dict[int, _Realization] = {}
-        self._reach: tuple = (None, {})
 
     @property
     def ngens(self) -> int:
         return len(self.gen_degrees)
 
+    def _labels(self, lo: int, d: int) -> int:
+        """The number of free labels in degrees lo..d."""
+        n = self.ring.nvars
+        return sum(comb(max(d - e + n, 0), n) - comb(max(lo - e + n - 1, 0), n)
+                   for e in self.gen_degrees)
+
     def _realize(self, d: int) -> _Realization:
         got = self._realizations.get(d)
         if got is None:
-            if d - self.min_degree > _MAX_DEGREE_SPAN:
-                raise CapExhausted(
-                    f"{self.name}: degree {d} is over {_MAX_DEGREE_SPAN} above its generators")
-            lo = d  # each degree is lifted from the one below
-            while self.relations and lo > self.min_degree and lo - 1 not in self._realizations:
-                lo -= 1
+            lo = d  # each degree is lifted from the one below, up from the highest realized
+            if self.relations:
+                lo = min(d, 1 + max((k for k in self._realizations if k < d),
+                                    default=self.min_degree - 1))
+            if self._labels(lo, d) > _MAX_LABELS:
+                if self._labels(d, d) > _MAX_LABELS:
+                    raise CapExhausted(
+                        f"{self.name}: degree {d} has over {_MAX_LABELS} free labels")
+                lo = d
             for k in range(lo, d + 1):
                 got = self._realizations[k] = self._lift(k)
         return got
 
     def _lift(self, d: int) -> _Realization:
-        """Degree d, from degree d - 1.
+        """Degree d, from degree d - 1 if that is realized.
 
         The free labels in index order are in a monomial order: x_v keeps it.
         The coset is the labels k with e_k outside span(e_j : j < k) + N_d,
@@ -598,22 +609,26 @@ class FPGradedModule(DegreewiseModule):
         relations and the other lifts are left to _quotient_by_rules.  A lift
         x_v r_p meeting an earlier lift x_u r_q at k needs no reducing when
         s = p / x_u is outside its coset: each differs from x_u x_v r_s by
-        lifts led below k.
+        lifts led below k.  Without degree d - 1, nothing is lifted and N_d
+        is spanned by every relation times every monomial of the degree it
+        lacks.
         """
         ring, field = self.ring, self.ring.field
         free_labels = [(i, m) for i, e in enumerate(self.gen_degrees)
                        for m in ring.monomials(d - e)]
         free_index = {lab: k for k, lab in enumerate(free_labels)}
         n = len(free_labels)
-        # the relations of degree d, then the lifts that meet a rule
-        checks = [{free_index[i, m]: c for i, p in enumerate(entries) if p is not None
-                   for m, c in p.terms.items()} for entries, e in self.relations if e == d]
+        prev = self._realizations.get(d - 1)
+        # the relations of degree d (all multiples without d - 1), then the
+        # lifts that meet a rule
+        checks = [{free_index[i, _mono_mul(u, m)]: c for i, p in enumerate(entries)
+                   if p is not None for m, c in p.terms.items()}
+                  for entries, e in self.relations if e == d or prev is None
+                  for u in ring.monomials(d - e)]
         # rules: k -> {j: c}, e_k = sum c e_j modulo N_d, each j < k; reach:
         # k -> bitmask of the variables whose lifts reach k, read one degree up
         rules, reach = {}, {}
-        prev = self._realizations.get(d - 1)
         if prev is not None and prev.piece.dim < len(prev.free_index):
-            below = self._reach[1] if self._reach[0] == d - 1 else {}
             coset = set(prev.piece.labels)
             cols = [(p, lab, col) for p, (lab, col) in
                     enumerate(zip(prev.free_index, prev.proj.transpose().data)) if lab not in coset]
@@ -626,11 +641,11 @@ class FPGradedModule(DegreewiseModule):
                     reach[k] = seen | 1 << v
                     if not seen:
                         rules[k] = {up[pos]: c for pos, c in col.items()}
-                    elif not below.get(p, 0) & seen:
+                    elif not prev.reach.get(p, 0) & seen:
                         checks.append({k: 1, **{up[pos]: field.norm(-c) for pos, c in col.items()}})
-        self._reach = (d, reach)
         cand, proj = _quotient_by_rules(rules, checks, n, field)
-        return _Realization(free_index, proj, GradedPiece(field, [free_labels[j] for j in cand]))
+        piece = GradedPiece(field, [free_labels[j] for j in cand])
+        return _Realization(free_index, proj, piece, reach)
 
     def _images(self, d: int, free_labels) -> Mat:
         """The images in the degree-d piece of the given free basis

@@ -27,7 +27,7 @@ from qcverify import (
     verify_action_commutation,
     verify_naturality,
 )
-from qcverify import exact_linalg, localization_cech
+from qcverify import exact_linalg, graded_modules, localization_cech
 from qcverify.exact_linalg import _quotient_with_indices, rank, solve
 from qcverify.graded_modules import GradedPiece, tensor_relations
 
@@ -508,15 +508,20 @@ def presentations(draw):
     return FPGradedModule(ring, gens, rels)
 
 
+@pytest.mark.parametrize("walk", ["any", "one degree"])
 @given(presentations(), st.one_of(st.just(range(8, -2, -1)), st.permutations(range(-1, 9))))
 @settings(max_examples=60, deadline=None)
-def test_the_lift_matches_the_macaulay_construction(m, degrees):
+def test_the_lift_matches_the_macaulay_construction(walk, m, degrees):
     # degrees in any order, the highest first among them: each is lifted
-    # from the degrees below, and gives the coset and projection that
+    # from the degrees below, or built alone where the walk up to it is
+    # over the label budget, and gives the coset and projection that
     # row-reducing the whole relation span gives
-    for d in degrees:
-        r = m._realize(d)
-        assert (r.piece.labels, r.proj) == macaulay(m, d), d
+    with pytest.MonkeyPatch.context() as patch:
+        if walk == "one degree":  # a walk of two degrees from the top is over it
+            patch.setattr(graded_modules, "_MAX_LABELS", m._labels(8, 8))
+        for d in degrees:
+            r = m._realize(d)
+            assert (r.piece.labels, r.proj) == macaulay(m, d), d
 
 
 @given(st.sampled_from(LIFT_FIELDS), st.sampled_from((2, 3)), st.data())
@@ -558,10 +563,20 @@ def test_degrees_above_a_quadric_are_lifted_without_row_reduction(monkeypatch):
     assert calls == []
 
 
-def test_a_degree_past_the_realized_span_is_cap_exhausted(ring, x):
+def test_a_degree_past_the_label_budget_is_cap_exhausted(ring, x):
     # raised before anything is built, not a loop over every degree below
     assert localization_cech.CapExhausted is CapExhausted
     for m in (free_module(ring, (0,)), FPGradedModule(ring, (0,), ((x ** 3,),))):
-        with pytest.raises(CapExhausted, match="degree 100000000000000000000 is over 1000 above"):
+        with pytest.raises(CapExhausted, match="degree 100000000000000000000 has over 100000 "):
             m.piece(10 ** 20)
         assert m._realizations == {}
+
+
+def test_a_far_degree_within_the_budget_is_built_alone(ring, x):
+    # the walk up to degree 1200 would build 721k free labels, degree 1200
+    # alone has 1201: it is built from every multiple of x^3, 1201 is lifted
+    # from it, and 3 is lifted from the degrees below
+    m = FPGradedModule(ring, (0,), ((x ** 3,),))
+    assert [m.piece(d).dim for d in (1200, 1201, 3)] == [3, 3, 3]
+    assert sorted(m._realizations) == [0, 1, 2, 3, 1200, 1201]
+    assert free_module(ring, (0,)).piece(1200).dim == 1201

@@ -704,7 +704,7 @@ def test_an_inconclusive_h1_report_is_unchanged():
 
 FAR_OUT = """\
 [ring]
-variables = x, y
+variables = {variables}
 
 [options]
 window = -1:1
@@ -720,15 +720,19 @@ relation = {relation}
 """
 
 
-@pytest.mark.parametrize("overlap,relation,flags", [
+@pytest.mark.parametrize("variables,overlap,relation,flags", [
     # R/(x^N) certifies x-torsion power N, so its localization asks for degree N
-    ("x, y", "x^99999999999999999999", []),
+    ("x, y", "x, y", "x^99999999999999999999", []),
     # the affine cover escalates from the start cap, so it asks for degree ~cap
-    ("x", "x^2", ["--den-cap", "99999999999"]),
+    ("x, y", "x", "x^2", ["--den-cap", "99999999999"]),
+    # degrees 301 and 601 of R/(x^300): the walk up to 301 is over the label
+    # budget, 301 alone is not, and 601 alone is
+    ("x, y, z", "x, y, z", "x^300", []),
 ])
-def test_a_degree_far_out_ends_inconclusive_at_once(tmp_path, capsys, overlap, relation, flags):
+def test_a_degree_far_out_ends_inconclusive_at_once(tmp_path, capsys, variables, overlap,
+                                                    relation, flags):
     f = tmp_path / "far.qcv"
-    f.write_text(FAR_OUT.format(overlap=overlap, relation=relation))
+    f.write_text(FAR_OUT.format(variables=variables, overlap=overlap, relation=relation))
     start = time.perf_counter()
     assert main(["run", str(f), *flags]) == 2
     assert time.perf_counter() - start < 5
@@ -746,9 +750,24 @@ def test_a_degree_far_out_ends_inconclusive_at_once(tmp_path, capsys, overlap, r
 ])
 def test_a_map_read_far_out_is_an_input_error(tmp_path, capsys, extra, message):
     f = tmp_path / "far-map.qcv"
-    f.write_text(FAR_OUT.format(overlap="x, y", relation="x^99999999999999999999") + extra)
+    f.write_text(FAR_OUT.format(variables="x, y", overlap="x, y",
+                                relation="x^99999999999999999999") + extra)
     assert main(["run", str(f)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overlap,extra,flags", [
+    # the affine cover escalates up to degree ~1200 of R/(x^2)
+    ("x", "", ["--den-cap", "1200"]),
+    # the generator's image is read in O in degree 1200: 1201 free labels
+    ("x, y", "[module G]\ngenerators = 1200\n[map f: G -> O]\nx^1200\n", []),
+])
+def test_a_high_degree_with_few_labels_is_answered(tmp_path, capsys, overlap, extra, flags):
+    f = tmp_path / "high.qcv"
+    f.write_text(FAR_OUT.format(variables="x, y", overlap=overlap, relation="x^2") + extra)
+    assert main(["run", str(f), *flags]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (check["verdict"], check["tables"]["h1"]) == ("table-computed", {"-1": 0, "0": 0, "1": 0})
 
 
 def test_star_sequence_over_x_under_den_cap(tmp_path, capsys):
