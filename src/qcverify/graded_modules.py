@@ -409,9 +409,9 @@ class DegreewiseModule:
 
     torsion_bound(f) returns (t, certified) for the f-power-torsion of
     the module.  When certified, ker(f^t) is all of it in every degree;
-    otherwise t is only where the kernel chain of a localization starts,
-    and the caller iterates f-powers from there and must say so.  The
-    default, (1, False), knows nothing.
+    otherwise t only starts the kernel chain of a localization, which says
+    so, unless proven_power(f) is such a t, proven but not reported as
+    certified.  The defaults, (1, False) and None, know nothing.
     """
 
     def __init__(self, ring: PolyRing, name: str = "M", min_degree: int | None = None,
@@ -492,6 +492,9 @@ class DegreewiseModule:
     def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         return 1, False
 
+    def proven_power(self, f: HomogPoly) -> int | None:
+        return None
+
     def __repr__(self):
         return f"DegreewiseModule({self.name})"
 
@@ -569,6 +572,7 @@ class FPGradedModule(DegreewiseModule):
             cleaned.append((tuple(entries), degree))
         self.relations = tuple(cleaned)
         self._realizations: dict[int, _Realization] = {}
+        self._saturation: dict[int, int | None] = {}  # v -> T_v, see saturation
 
     @property
     def ngens(self) -> int:
@@ -593,13 +597,14 @@ class FPGradedModule(DegreewiseModule):
                         f"{self.name}: degree {d} has over {_MAX_LABELS} free labels")
                 lo = d
             for k in range(lo, d + 1):
-                got = self._realizations[k] = self._lift(k)
+                got = self._realizations[k] = self._lift(k, self._realizations.get(k - 1))
         return got
 
-    def _lift(self, d: int) -> _Realization:
-        """Degree d, from degree d - 1 if that is realized.
+    def _lift(self, d: int, prev: _Realization | None, v: int | None = None) -> _Realization:
+        """Degree d, from prev, the realization of degree d - 1, if given.
 
         The free labels in index order are in a monomial order: x_v keeps it.
+        With v given, x_v exponents sort first, descending (see saturation).
         The coset is the labels k with e_k outside span(e_j : j < k) + N_d,
         N the relation submodule, and proj, which kills N_d and fixes the
         coset, is then unique: what _quotient_with_indices gives for N_d.
@@ -616,9 +621,10 @@ class FPGradedModule(DegreewiseModule):
         ring, field = self.ring, self.ring.field
         free_labels = [(i, m) for i, e in enumerate(self.gen_degrees)
                        for m in ring.monomials(d - e)]
+        if v is not None:
+            free_labels.sort(key=lambda lab: -lab[1][v])
         free_index = {lab: k for k, lab in enumerate(free_labels)}
         n = len(free_labels)
-        prev = self._realizations.get(d - 1)
         # the relations of degree d (all multiples without d - 1), then the
         # lifts that meet a rule
         checks = [{free_index[i, _mono_mul(u, m)]: c for i, p in enumerate(entries)
@@ -683,6 +689,51 @@ class FPGradedModule(DegreewiseModule):
         if all(sum(p is not None for p in entries) == 1 for entries, _ in self.relations):
             return t, True
         return max(1, t), False
+
+    def proven_power(self, f: HomogPoly) -> int | None:
+        """The largest ceil(T_i / u_i) over supp u for a monomial f = x^u
+        whose saturation powers T_i are proven.  If x_i^k x_j^l g is in N,
+        x_j^l g is x_i-torsion, so x_i^(T_i) g is x_j-torsion, and
+        x_i^(T_i) x_j^(T_j), which divides f^t, kills g; likewise for more."""
+        if not f.is_monomial():
+            return None
+        mono = next(iter(f.terms))
+        powers = [self.saturation(i) if u else 0 for i, u in enumerate(mono)]
+        if None not in powers:
+            return max((-(-t // u) for t, u in zip(powers, mono) if u), default=0)
+
+    def saturation(self, v: int) -> int | None:
+        """T_v, the least power of x_v that kills all x_v-torsion, or None
+        once the walk below has built _MAX_LABELS free labels.
+
+        Sort the free labels by descending x_v exponent, ties in index
+        order (_lift with v).  In that monomial order x_v divides a
+        homogeneous g when it divides LT(g), so in(N : x_v^k) =
+        in(N) : x_v^k for the relation submodule N.  Graded A in B with
+        in(A) = in(B) are equal, so N : x_v^k is the saturation exactly when
+        k >= T_v, the largest x_v exponent of a minimal generator of in(N)
+        (Bayer-Stillman, Invent. Math. 87, 1987; Eisenbud, GTM 150, 15.12).
+
+        The walk lifts degree after degree in this order.  The minimal
+        generators of in(N) in degree D are the labels outside the coset
+        that no lift reaches, and the elements they lead reduce all of N up
+        to degree D to zero.  Once D is at least the top relation degree and
+        every S-pair of two on one generator has degree at most D, they
+        generate N and are a Groebner basis by Buchberger's criterion.
+        """
+        if v not in self._saturation:
+            prev, found = None, []
+            d, top = self.min_degree, max((e for _, e in self.relations), default=0)
+            while d <= top and self._labels(self.min_degree, d) <= _MAX_LABELS:
+                r = prev = self._lift(d, prev, v)
+                for i, m in set(r.free_index).difference(r.piece.labels):
+                    if r.free_index[i, m] not in r.reach:
+                        top = max([top] + [self.gen_degrees[i] + sum(map(max, m, m2))
+                                           for j, m2 in found if j == i])
+                        found.append((i, m))
+                d += 1
+            self._saturation[v] = max((m[v] for _, m in found), default=0) if d > top else None
+        return self._saturation[v]
 
     def fine_grading(self) -> FineGrading | None:
         """The bounds of a Z^n-grading when the presentation is
@@ -921,6 +972,11 @@ class _DirectSum(DegreewiseModule):
     def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
         bounds = [m.torsion_bound(f) for m in self.mods]
         return max(t for t, _ in bounds), all(c for _, c in bounds)
+
+    def proven_power(self, f: HomogPoly) -> int | None:
+        bounds = [m.torsion_bound(f) for m in self.mods]
+        powers = [t if c else m.proven_power(f) for m, (t, c) in zip(self.mods, bounds)]
+        return None if None in powers else max(powers)
 
 
 def direct_sum(mods, name: str | None = None) -> DegreewiseModule:

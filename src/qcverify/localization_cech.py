@@ -7,13 +7,14 @@ multiplication by f.  We realize the colimit at a finite stage, the "cap":
     (M_f)_d at cap N  :=  M_{d + N deg f} / (stable kernel of f-powers),
 
 an honest subspace of the true piece that grows with N.  The stable kernel
-is ker f^t for the (t, certified) of module.torsion_bound(f).  It is
-certified when the module knows its f-torsion (free modules, monomial
-quotients); otherwise t only starts the chain, powers of f are iterated
-from t until two consecutive kernels agree, and the piece is flagged
-heuristic.  A module bounded above (max_degree set, as for the graded
-dual of a finitely generated module) localizes to zero, certified, at
-every f of positive degree: some power of f kills each element.
+is ker f^t, and the status says how t was found: certified-in-window where
+module.torsion_bound(f) certifies it (free modules, monomial quotients);
+proven(t) where module.proven_power(f) proves it (a monomial f on a
+presentation, or a direct sum of such); else heuristic(t), the first power
+from torsion_bound's on with ker f^t = ker f^(t+1).  Only the first counts
+as certified in flags.  A module bounded above (max_degree set, as for the
+graded dual of a finitely generated module) localizes to zero, certified,
+at every f of positive degree: some power of f kills each element.
 
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
@@ -135,8 +136,8 @@ class LocalizedPiece:
 
     incl embeds the realized basis into the numerator space
     M_{d + cap deg f}, one column per basis vector, so dim is its column
-    count; proj is the quotient projection the other way.  status records
-    whether the stable kernel was certified or found heuristically.
+    count; proj is the quotient projection the other way.  status is
+    certified-in-window, proven(t) or heuristic(t) (module docstring).
     """
 
     __slots__ = ("d", "cap", "num_degree", "status", "incl", "proj")
@@ -169,20 +170,23 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
         return LocalizedPiece(d, cap, num_degree, "certified-in-window",
                               Mat.zeros(field, num.dim, 0), Mat.zeros(field, 0, num.dim))
 
-    # stable = ker f^t, from the module's torsion power on; an uncertified
-    # power only starts the chain, which stops once ker f^t = ker f^(t+1)
+    # stable = ker f^t, from the module's torsion or proven power on; an
+    # uncertified power only starts the chain, which stops once ker f^t = ker f^(t+1)
     t, certified = module.torsion_bound(f)
+    proven = None if certified else module.proven_power(f)
+    t = t if proven is None else proven
     first = t
     stable = (kernel_basis(module.power_act(f, t, num_degree)) if t
               else Mat.zeros(field, num.dim, 0))
-    while not certified:
+    while not certified and proven is None:
         nxt = kernel_basis(module.power_act(f, t + 1, num_degree))
         if nxt.ncols == stable.ncols:
             break
         stable, t = nxt, t + 1
         if t - first > num.dim:  # the kernel chain cannot strictly grow this long
             raise ArithmeticError("stable kernel iteration failed to terminate")
-    status = "certified-in-window" if certified else f"heuristic({t})"
+    status = ("certified-in-window" if certified
+              else f"heuristic({t})" if proven is None else f"proven({t})")
 
     coset, proj, _ = _quotient_with_indices(stable, num.dim)
     return LocalizedPiece(d, cap, num_degree, status, coset, proj)

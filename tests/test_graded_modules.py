@@ -1,6 +1,7 @@
 """Graded rings, finitely presented modules, and degreewise maps."""
 
 import re
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -463,13 +464,16 @@ LIFT_FIELDS = (FieldSpec.rationals(), FieldSpec.prime(7))
 LIFT_RINGS = {(f, n): PolyRing(f, ("x", "y", "z")[:n]) for f in LIFT_FIELDS for n in (2, 3)}
 
 
-def macaulay(m: FPGradedModule, d: int):
+def macaulay(m: FPGradedModule, d: int, v=None):
     """The coset labels and projection of degree d from scratch: every
     relation times every monomial of its degree, row-reduced as a whole
     (the reversed rref of _quotient_with_indices), as FPGradedModule did
-    before it lifted each degree from the one below."""
+    before it lifted each degree from the one below.  With v given, the
+    labels are sorted by descending x_v exponent first."""
     ring = m.ring
     labels = [(i, u) for i, e in enumerate(m.gen_degrees) for u in ring.monomials(d - e)]
+    if v is not None:
+        labels.sort(key=lambda lab: -lab[1][v])
     index = {lab: k for k, lab in enumerate(labels)}
     vecs = []
     for entries, c in m.relations:
@@ -524,6 +528,18 @@ def test_the_lift_matches_the_macaulay_construction(walk, m, degrees):
             assert (r.piece.labels, r.proj) == macaulay(m, d), d
 
 
+@given(presentations(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_lift_in_a_variable_order_matches_the_macaulay_construction(m, data):
+    # the chain of FPGradedModule.saturation: labels sorted by descending
+    # x_v exponent, each degree lifted from the one below
+    v = data.draw(st.integers(0, m.ring.nvars - 1))
+    prev = None
+    for d in range(min(m.gen_degrees), 7):
+        prev = m._lift(d, prev, v)
+        assert (prev.piece.labels, prev.proj) == macaulay(m, d, v), d
+
+
 @given(st.sampled_from(LIFT_FIELDS), st.sampled_from((2, 3)), st.data())
 @settings(max_examples=25, deadline=None)
 def test_cyclic_pieces_count_the_monomials_outside_the_leading_terms(field, nvars, data):
@@ -561,6 +577,57 @@ def test_degrees_above_a_quadric_are_lifted_without_row_reduction(monkeypatch):
     monkeypatch.setattr(exact_linalg, "_quotient_with_indices", counted)
     assert [m.piece(d).dim for d in range(3, 13)] == [2] * 10
     assert calls == []
+
+
+# --- saturation exponents ---------------------------------------------------------
+
+
+def _sympy_saturation_exponent(ring, polys, v):
+    """The least k with I : x_v^k = I : x_v^(k+1), I the ideal of polys, by
+    SymPy's ideal quotient over QQ, iterated until two ideals agree."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(ring.variables)
+    qq = sympy.QQ.old_poly_ring(*xs)
+    ideal = qq.ideal(*[sum(sympy.Rational(c.numerator, c.denominator)
+                           * prod(x ** e for x, e in zip(xs, mono))
+                           for mono, c in p.terms.items()) for p in polys])
+    k, var = 0, qq.ideal(xs[v])
+    while (nxt := ideal.quotient(var)) != ideal:
+        ideal, k = nxt, k + 1
+    return k
+
+
+@st.composite
+def binomial_ideals(draw):
+    """One to three binomials x^a - c x^b of degree 1 to 3 in two or three
+    variables over Q (c = 0 gives a monomial)."""
+    ring = LIFT_RINGS[FieldSpec.rationals(), draw(st.sampled_from((2, 3)))]
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.lists(st.sampled_from(ring.monomials(draw(st.integers(1, 3)))),
+                             min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from((0, 1, -1, 2, Fraction(3, 2))))
+        polys.append(HomogPoly.monomial(ring, a) - HomogPoly.monomial(ring, b, c))
+    return ring, polys
+
+
+@given(binomial_ideals())
+@settings(max_examples=40, deadline=None)
+def test_saturation_exponents_match_the_iterated_sympy_quotient(ideal):
+    ring, polys = ideal
+    m = FPGradedModule(ring, (0,), [(p,) for p in polys])
+    for v in range(ring.nvars):
+        assert m.saturation(v) == _sympy_saturation_exponent(ring, polys, v), v
+
+
+def test_the_binomial_plateau_ideal_saturates_at_x_cubed():
+    # (x^2 (y - 3/2 x), x^2 (y - 3 x)) = (x^3, x^2 y): x^3 kills 1, x^2 does not
+    ring = LIFT_RINGS[FieldSpec.rationals(), 2]
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    polys = [x * x * (y - x.scale(Fraction(3, 2))), x * x * (y - x.scale(3))]
+    m = FPGradedModule(ring, (0,), [(p,) for p in polys])
+    assert [m.saturation(v) for v in (0, 1)] == [3, 1]
+    assert [_sympy_saturation_exponent(ring, polys, v) for v in (0, 1)] == [3, 1]
 
 
 def test_a_degree_past_the_label_budget_is_cap_exhausted(ring, x):

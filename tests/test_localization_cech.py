@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from qcverify import (
     CapExhausted,
     CechComplexWindow,
+    DegreewiseModule,
     DoubleGluedScheme,
     FieldSpec,
     FPGradedModule,
@@ -44,10 +45,10 @@ from qcverify import (
     verify_naturality,
     map_from_gen_images,
 )
-from qcverify import localization_cech
+from qcverify import graded_modules, localization_cech
 from qcverify.exact_linalg import kernel_basis, rank, solve
 from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario, run_scenario
-from test_graded_modules import FIELDS, scalars
+from test_graded_modules import FIELDS, homog_polys, scalars
 
 WINDOW = (-4, 4)
 
@@ -77,13 +78,75 @@ def test_localized_piece_projection_splits_inclusion(kx_fp, x):
     assert lp.proj @ lp.incl == Mat.identity(kx_fp.ring.field, lp.dim)
 
 
-def test_heuristic_status_without_certificate(ideal_fp, x):
-    # the Koszul relation is not monomial, so the kernel chain is iterated
+def test_heuristic_status_without_certificate(ideal_fp, x, y):
+    # the Koszul relation is not monomial, so torsion_bound certifies nothing;
+    # the saturation walk proves that x kills no torsion of I
     lp = localize_piece(ideal_fp, x, 1, 2)
-    assert lp.status.startswith("heuristic")
+    assert lp.status == "proven(0)"
     # I is torsion free, so nothing is quotiented away: the cap-2 realization
     # is the full numerator piece I_3
     assert lp.dim == ideal_fp.piece(3).dim == 4
+    # x + y is not a monomial, so its kernel chain is still iterated
+    lp = localize_piece(ideal_fp, x + y, 1, 2)
+    assert lp.status.startswith("heuristic")
+    assert lp.dim == 4
+
+
+def test_a_torsion_free_presentation_localizes_without_a_power(monkeypatch):
+    # R/(p) is neither fine-graded nor torsion for x or y: every localization
+    # at a monomial is proven(0), and no power of f is applied
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    m = FPGradedModule(ring, (0,), ((HomogPoly.parse(ring, "x^2 - 3*x*y + 5*y^2"),),))
+    assert m.fine_grading() is None
+    calls = []
+    power_act = DegreewiseModule.power_act
+    monkeypatch.setattr(DegreewiseModule, "power_act",
+                        lambda self, *args: calls.append(args) or power_act(self, *args))
+    for f in (x, y, x * y):
+        for d, cap in ((-1, 2), (0, 1), (2, 3)):
+            lp = localize_piece(m, f, d, cap)
+            assert (lp.status, lp.dim) == ("proven(0)", m.piece(lp.num_degree).dim)
+    assert calls == []
+
+
+def test_past_the_label_budget_the_kernel_chain_is_iterated():
+    # x kills x + y in R/(x^2 + x y).  Within 5 free labels the saturation
+    # walk (1 + 2 + 3 labels up to the relation degree) gives up, and the
+    # kernel chain finds the stable kernel that the proven power gives
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+
+    def localized(budget):
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(graded_modules, "_MAX_LABELS", budget)
+            m = FPGradedModule(ring, (0,), ((x * x + x * y,),))
+            return m.saturation(0), localize_piece(m, x, 0, 1)
+
+    (t_chain, chain), (t, proven) = localized(5), localized(None)
+    assert (t_chain, chain.status, t, proven.status) == (None, "heuristic(1)", 1, "proven(1)")
+    assert (chain.incl, chain.proj) == (proven.incl, proven.proj)
+    assert chain.dim == 1
+
+
+def test_a_direct_sum_takes_the_largest_power_of_its_summands():
+    # R(-2)/(xy, x^2 + y^2) has finite length, and y^3 kills it while in
+    # degree 2 ker y = ker y^2 = 0, where a kernel chain stops.  R + it
+    # localizes at y as R alone does, at the power 3 that the summand proves
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    n = FPGradedModule(ring, (2,), ((x * y,), (x * x + y * y,)))
+    o = free_module(ring, (0,))
+    total = direct_sum((o, n))
+    assert total.torsion_bound(y) == (1, False)
+    lp = localize_piece(total, y, 0, 2)
+    assert (lp.status, lp.dim) == ("proven(3)", localize_piece(o, y, 0, 2).dim)
+    assert localize_piece(n, y, 0, 2).dim == 0
+    # a summand that torsion_bound alone certifies counts with that power
+    s = sections_window(o, OpenSubset(ring, (x, y)), (-1, 1))
+    assert (s.torsion_bound(y), s.proven_power(y)) == ((0, True), None)
+    assert localize_piece(direct_sum((s, n)), y, 0, 2).status == "proven(3)"
 
 
 def test_a_bounded_above_module_localizes_to_zero():
@@ -559,24 +622,52 @@ def test_a_vector_outside_h0_at_the_own_cap_is_rejected(o_fp, w):
         s._express(0, stray, own)
 
 
-@pytest.mark.xfail(strict=True, raises=CapExhausted,
-                   reason="ROADMAP item 3: the kernel chain of a binomial presentation "
-                          "can stop on a plateau below the whole torsion")
 def test_the_binomial_plateau_maps_match_the_block_formulas():
     # R/(x^3, x^2 y) + R(-1), presented by the binomial columns
     # -3/2 x^3 + x^2 y and -3 x^3 + x^2 y on the first generator: in
-    # numerator degree 0, ker x = ker x^2 = 0 while x^3 kills 1, so degree -1
-    # stabilizes at cap 1 with too few sections, and the action from degree
-    # -2 (cap 3) lands outside them
+    # numerator degree 0, ker x = ker x^2 = 0 while x^3 kills 1.  A kernel
+    # chain stopped there, so degree -1 stabilized at cap 1 with too few
+    # sections and the action from degree -2 (cap 3) landed outside them;
+    # the saturation walk proves T_x = 3 and T_y = 1 instead
     ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
     cover = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
     x3, x2y = HomogPoly.monomial(ring, (3, 0)), HomogPoly.monomial(ring, (2, 1))
     rels = ((x3.scale(Fraction(-3, 2)) + x2y, None), (x3.scale(-3) + x2y, None))
     m = FPGradedModule(ring, (0, 1), rels)
+    assert (m.saturation(0), m.saturation(1)) == (3, 1)
     s_m = sections_window(m, cover, (-3, 2), 1)
     for d in range(-3, 2):
         for var in (0, 1):
             assert s_m.act(var, d) == _ref_map(s_m, s_m, d, d + 1, lambda i, a: m.act(var, a))
+
+
+# the generator and relation degrees of the random-fp bench workload
+RANDOM_FP_SHAPES = (((0,), (2,)), ((0,), (1, 2)), ((1,), (2,)), ((0, 0), (1,)),
+                    ((0, 1), (2,)), ((0, 0), (1, 1)), ((0, 1), (2, 2)), ((1, 1), (2,)))
+
+
+@st.composite
+def random_fp_presentations(draw, ring):
+    """A shape of the random-fp workload with random entries."""
+    gens, degrees = draw(st.sampled_from(RANDOM_FP_SHAPES))
+    return gens, tuple(tuple(draw(homog_polys(ring, c - e)) for e in gens) for c in degrees)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(FIELDS[:2]), data=st.data())
+def test_the_saturation_power_kills_all_torsion_of_a_presentation(field, data):
+    # ker x_v^(T_v) = ker x_v^(T_v + j), j = 1..3, in the first four degrees
+    ring = PolyRing(field, ("x", "y"))
+    shapes = data.draw(st.sampled_from((random_fp_presentations, binomial_presentations)))
+    gens, rels = data.draw(shapes(ring))
+    m = FPGradedModule(ring, gens, rels)
+    for v in (0, 1):
+        t = m.saturation(v)
+        for d in range(min(gens), min(gens) + 4):
+            want = kernel_basis(m.mono_act(tuple(t * e for e in ring.unit(v)), d))
+            for j in (1, 2, 3):
+                got = kernel_basis(m.mono_act(tuple((t + j) * e for e in ring.unit(v)), d))
+                assert got == want, (v, d, j)
 
 
 # --- proven caps ---------------------------------------------------------------
