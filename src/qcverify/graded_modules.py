@@ -495,6 +495,12 @@ class DegreewiseModule:
     def proven_power(self, f: HomogPoly) -> int | None:
         return None
 
+    def exact_power(self, f: HomogPoly) -> int | None:
+        """A power of f that kills all f-torsion: torsion_bound's where it
+        is certified, else proven_power; None where neither knows one."""
+        t, certified = self.torsion_bound(f)
+        return t if certified else self.proven_power(f)
+
     def __repr__(self):
         return f"DegreewiseModule({self.name})"
 
@@ -910,6 +916,11 @@ class _BasisBackedModule(DegreewiseModule):
         b = self.basis(d)
         return GradedPiece(self.ring.field, tuple(("ker", j) for j in range(b.ncols)))
 
+    def proven_power(self, f: HomogPoly) -> int | None:
+        """The source's power: one that kills all f-torsion of the source
+        kills that of each submodule."""
+        return self.f.source.exact_power(f)
+
     def _act(self, var: int, d: int) -> Mat:
         acted = self.f.source.act(var, d) @ self.basis(d)
         coords = kernel_coords(self.f.matrix(d + 1), acted)
@@ -974,8 +985,7 @@ class _DirectSum(DegreewiseModule):
         return max(t for t, _ in bounds), all(c for _, c in bounds)
 
     def proven_power(self, f: HomogPoly) -> int | None:
-        bounds = [m.torsion_bound(f) for m in self.mods]
-        powers = [t if c else m.proven_power(f) for m, (t, c) in zip(self.mods, bounds)]
+        powers = [m.exact_power(f) for m in self.mods]
         return None if None in powers else max(powers)
 
 

@@ -10,7 +10,9 @@ an honest subspace of the true piece that grows with N.  The stable kernel
 is ker f^t, and the status says how t was found: certified-in-window where
 module.torsion_bound(f) certifies it (free modules, monomial quotients);
 proven(t) where module.proven_power(f) proves it (a monomial f on a
-presentation, or a direct sum of such); else heuristic(t), the first power
+presentation; a direct sum, or a kernel, of modules with such powers; the
+sections of a module that localizes exactly on their own cover, see
+_proven_cap_floor); else heuristic(t), the first power
 from torsion_bound's on with ker f^t = ker f^(t+1).  Only the first counts
 as certified in flags.  A module bounded above (max_degree set, as for the
 graded dual of a finitely generated module) localizes to zero, certified,
@@ -45,6 +47,7 @@ restriction from M build it whole.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from weakref import WeakValueDictionary
 
@@ -170,15 +173,15 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
         return LocalizedPiece(d, cap, num_degree, "certified-in-window",
                               Mat.zeros(field, num.dim, 0), Mat.zeros(field, 0, num.dim))
 
-    # stable = ker f^t, from the module's torsion or proven power on; an
-    # uncertified power only starts the chain, which stops once ker f^t = ker f^(t+1)
+    # stable = ker f^t, from the module's certified or proven power on; any
+    # other power only starts the chain, which stops once ker f^t = ker f^(t+1)
     t, certified = module.torsion_bound(f)
-    proven = None if certified else module.proven_power(f)
-    t = t if proven is None else proven
+    exact = module.exact_power(f)
+    t = t if exact is None else exact
     first = t
     stable = (kernel_basis(module.power_act(f, t, num_degree)) if t
               else Mat.zeros(field, num.dim, 0))
-    while not certified and proven is None:
+    while exact is None:
         nxt = kernel_basis(module.power_act(f, t + 1, num_degree))
         if nxt.ncols == stable.ncols:
             break
@@ -186,7 +189,7 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
         if t - first > num.dim:  # the kernel chain cannot strictly grow this long
             raise ArithmeticError("stable kernel iteration failed to terminate")
     status = ("certified-in-window" if certified
-              else f"heuristic({t})" if proven is None else f"proven({t})")
+              else f"heuristic({t})" if exact is None else f"proven({t})")
 
     coset, proj, _ = _quotient_with_indices(stable, num.dim)
     return LocalizedPiece(d, cap, num_degree, status, coset, proj)
@@ -436,6 +439,17 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     at any cap is a graded submodule of the true N (each term at a cap
     injects into its limit), so the inherited torsion powers still kill
     all of its torsion and its certificates stay honest.
+
+    Proven powers need (b) alone, not the class: let every localization of
+    M at the products of W's members g_j be exact, certified or proven
+    (SectionsModule._base_exact).  Then each realized piece of N, at any
+    cap, is a subspace of the true N_d (each term injects into its limit)
+    with the true action restricted, as _express refuses anything else.
+    N embeds in prod_j M_(g_j), so by (b) with g_j for x_j a power of f
+    that kills all f-torsion of M kills that of N: N.proven_power(f) is
+    M.exact_power(f).  Where it is 0 (Gamma(W, I) is torsion-free), no
+    kernel is taken at all.  A heuristic localization of M need not inject
+    into its limit, so then N proves nothing.
     """
     while isinstance(module, SectionsModule) and module._cap_floor is not None:
         module = module.base
@@ -525,6 +539,17 @@ class SectionsModule(DegreewiseModule):
         if self._cap_floor is None:
             return super().torsion_bound(f)
         return self.base.torsion_bound(f)
+
+    def proven_power(self, f: HomogPoly) -> int | None:
+        """The base's certified or proven power where every localization of
+        the base on this module's cover is exact, decided once per module
+        (see _proven_cap_floor), else None."""
+        return self.base.exact_power(f) if self._base_exact else None
+
+    @cached_property
+    def _base_exact(self) -> bool:
+        return all(self.base.exact_power(self.cover.product(S)) is not None
+                   for level in self.cover.subsets for S in level)
 
     def _stable(self, what: str, d: int) -> tuple[int, int, _CechDegree]:
         """(cap, dimension, the complex's degree at cap) of what, "h0_dim" or

@@ -22,6 +22,7 @@ from qcverify import (
     CechComplexWindow,
     DegreewiseModule,
     DoubleGluedScheme,
+    DualizedModule,
     FieldSpec,
     FPGradedModule,
     GradedModuleMap,
@@ -130,6 +131,77 @@ def test_past_the_label_budget_the_kernel_chain_is_iterated():
     assert chain.dim == 1
 
 
+def test_a_kernel_localizes_at_the_power_of_its_source():
+    # the diagonal of R/(x^2 + x y) in its square is the kernel of the
+    # difference map, and it takes the power 1 that its source proves for
+    # x.  Past the label budget the source proves nothing, and the kernel
+    # chain finds the same stable kernel
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+
+    def localized(budget):
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(graded_modules, "_MAX_LABELS", budget)
+            m = FPGradedModule(ring, (0,), ((x * x + x * y,),))
+
+            def difference(d):
+                one = Mat.identity(ring.field, m.piece(d).dim)
+                return one.hstack(-one)
+            k = kernel_dw(GradedModuleMap(direct_sum((m, m)), m, difference))
+            return k.proven_power(x), localize_piece(k, x, 0, 1)
+
+    (t_chain, chain), (t, proven) = localized(5), localized(None)
+    assert (t_chain, chain.status, t, proven.status) == (None, "heuristic(1)", 1, "proven(1)")
+    assert (chain.incl, chain.proj) == (proven.incl, proven.proj)
+    assert chain.dim == 1
+
+
+def test_sections_of_a_base_past_the_label_budget_keep_the_kernel_chain():
+    # Gamma(W, R/(x^2 + x y)) on the cover x, y holds x + y, which x kills.
+    # A base whose saturation walk gave up at the label budget proves no
+    # power of x, so its sections decline theirs and iterate the kernel
+    # chain; it finds the stable kernel that the base's power 1 gives
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    cover = OpenSubset(ring, (x, y))
+
+    def localized(budget):
+        m = FPGradedModule(ring, (0,), ((x * x + x * y,),))
+        if budget is not None:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graded_modules, "_MAX_LABELS", budget)
+                assert m.saturation(0) is None
+        s = sections_window(m, cover, (-1, 1))
+        return s.proven_power(x), localize_piece(s, x, 0, 1)
+
+    (t_chain, chain), (t, proven) = localized(5), localized(None)
+    assert (t_chain, chain.status, t, proven.status) == (None, "heuristic(1)", 1, "proven(1)")
+    assert (chain.incl, chain.proj) == (proven.incl, proven.proj)
+    assert 0 < chain.dim < chain.incl.nrows
+
+
+def test_sections_on_a_cover_with_a_linear_form_keep_the_kernel_chain(ring, ideal_fp, x, y):
+    # the base's localizations at x + y and its products are heuristic, so
+    # the sections decline the base's power even at the monomial x
+    s = sections_window(ideal_fp, OpenSubset(ring, (x, y, x + y)), (0, 0))
+    assert (ideal_fp.exact_power(x), s.proven_power(x)) == (0, None)
+    assert localize_piece(s, x, 0, 1).status.startswith("heuristic(")
+
+
+def test_the_sections_gate_reads_every_cover_product(ring, x, y):
+    # a base that proves its powers for x and y but not for xy localizes
+    # at xy by the kernel chain, so its sections prove nothing
+    class NoProducts(FPGradedModule):
+        def proven_power(self, f):
+            return super().proven_power(f) if f.degree == 1 else None
+
+    m = NoProducts(ring, (0,), ((x * x + x * y,),))
+    s = sections_window(m, OpenSubset(ring, (x, y)), (-1, 1))
+    assert (m.exact_power(x), m.exact_power(y), m.exact_power(x * y)) == (1, 0, None)
+    assert s.proven_power(y) is None
+
+
 def test_a_direct_sum_takes_the_largest_power_of_its_summands():
     # R(-2)/(xy, x^2 + y^2) has finite length, and y^3 kills it while in
     # degree 2 ker y = ker y^2 = 0, where a kernel chain stops.  R + it
@@ -143,10 +215,11 @@ def test_a_direct_sum_takes_the_largest_power_of_its_summands():
     lp = localize_piece(total, y, 0, 2)
     assert (lp.status, lp.dim) == ("proven(3)", localize_piece(o, y, 0, 2).dim)
     assert localize_piece(n, y, 0, 2).dim == 0
-    # a summand that torsion_bound alone certifies counts with that power
-    s = sections_window(o, OpenSubset(ring, (x, y)), (-1, 1))
-    assert (s.torsion_bound(y), s.proven_power(y)) == ((0, True), None)
-    assert localize_piece(direct_sum((s, n)), y, 0, 2).status == "proven(3)"
+    # a summand that torsion_bound alone certifies counts with that power:
+    # the double dual of R delegates its certificate to R and proves nothing
+    dd = DualizedModule(DualizedModule(o))
+    assert (dd.torsion_bound(y), dd.proven_power(y)) == ((0, True), None)
+    assert localize_piece(direct_sum((dd, n)), y, 0, 2).status == "proven(3)"
 
 
 def test_a_bounded_above_module_localizes_to_zero():
@@ -668,6 +741,27 @@ def test_the_saturation_power_kills_all_torsion_of_a_presentation(field, data):
             for j in (1, 2, 3):
                 got = kernel_basis(m.mono_act(tuple((t + j) * e for e in ring.unit(v)), d))
                 assert got == want, (v, d, j)
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(FIELDS[:2]), data=st.data())
+def test_sections_power_kills_all_torsion_of_the_sections(field, data):
+    # over the cover x, y the sections take the base's certified or proven
+    # power T for x, y and xy: ker f^T = ker f^(T + j), j = 1..3, in four
+    # degrees
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+    shapes = data.draw(st.sampled_from((random_fp_presentations, binomial_presentations)))
+    gens, rels = data.draw(shapes(ring))
+    s = sections_window(FPGradedModule(ring, gens, rels), OpenSubset(ring, (x, y)), (-1, 2))
+    for f in (x, y, x * y):
+        t = s.exact_power(f)
+        status = localize_piece(s, f, 0, 1).status
+        assert status in ("certified-in-window", f"proven({t})")
+        for d in range(-1, 3):
+            want = kernel_basis(s.power_act(f, t, d))
+            for j in (1, 2, 3):
+                assert kernel_basis(s.power_act(f, t + j, d)) == want, (f, d, j)
 
 
 # --- proven caps ---------------------------------------------------------------

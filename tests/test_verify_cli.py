@@ -998,14 +998,15 @@ def test_three_variable_input_at_a_wider_window_reads_only_its_floors():
     # at -4:4 every degree of I, of Gamma(W, I), of the outer sections and
     # of O is proven, so each is built at max(1, floor - d) alone: the
     # lowest degree -4 at cap 5 rather than the start cap 10.  I is then
-    # realized up to degree 20 and O up to 10 (76 and 33 at the start cap),
-    # and the report keeps its bytes: I's localizations are proven(0), so
-    # no kernel chain reads I above their numerator degrees
+    # realized up to degree 14 and O up to 10 (76 and 33 at the start cap),
+    # and the report keeps its bytes: the localizations of I and of
+    # Gamma(W, I) are proven(0), so no kernel chain reads either module
+    # above the numerator degrees of its complexes
     s = parse_scenario(KOSZUL_3, window=(-4, 4))
     rep = run_scenario(s)
     assert [c.verdict for c in rep.checks] == ["table-computed", "table-computed", "obstructed"]
     assert report_digest(rep) == KOSZUL_3_DIGEST_4
-    assert {name: max(m._realizations) for name, m in s.modules.items()} == {"O": 10, "I": 20}
+    assert {name: max(m._realizations) for name, m in s.modules.items()} == {"O": 10, "I": 14}
 
 
 def _live(cls) -> int:
