@@ -394,8 +394,9 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     so every larger cap gives the same row, and escalation would accept
     the start cap with the same table; the start cap is reported.
     Elsewhere Gamma(W,-) pieces can be infinite-dimensional (affine
-    overlaps) or the caps unproven (presentations that are not
-    fine-graded), so the table is computed at the raw uniform caps of the
+    overlaps) or the caps unproven (presentations with x- or y-torsion
+    that are not fine-graded, or in three or more variables), so the
+    table is computed at the raw uniform caps of the
     W-sections' escalation (sections_m.caps) and accepted only when it is
     reproduced at three consecutive escalations.
     The kernels flag is the certificate of M's Cech degrees in the window,

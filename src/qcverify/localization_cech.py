@@ -24,16 +24,18 @@ Its diff(k) is d_k, the zero map to C^(k+1) = 0 past the top level, so
 H^0 = ker d0 and H^1 = dim C^1 - rank d1 - rank d0 on every cover, a
 single open included.
 Cohomology in a degree window is found at a cap in one of two ways.
-Where a theorem fixes the cap (a fine-graded presentation with exact
-localizations on the cover by all the variables, or its sections over
-such a cover; see _proven_cap_floor) degree d is built at its floor cap
-max(1, floor - d) alone, because every cap from there on gives the same
-dimensions.  Everywhere else the cap is found by escalation: start at the
-start cap (window width + 2 unless one is given), step by 2, accept once
-the dimensions are unchanged for two consecutive increments, give up
-(CapExhausted) after five escalations.  A proven degree is reported at
-the start cap, which escalation would accept with the same dimensions,
-so it reads exactly as an escalated one that settled at its start.
+Where a theorem fixes the cap (on the cover by all the variables, with
+exact localizations: a fine-graded presentation, or its sections over
+such a cover, or a two-variable presentation without x- or y-torsion,
+whose Cech complex is a Koszul complex; see _proven_cap_floor) degree d
+is built at its floor cap max(1, floor - d) alone, because every cap
+from there on gives the same dimensions.  Everywhere else the cap is
+found by escalation: start at the start cap (window width + 2 unless one
+is given), step by 2, accept once the dimensions are unchanged for two
+consecutive increments, give up (CapExhausted) after five escalations.
+A proven degree is reported at the start cap, which escalation would
+accept with the same dimensions, so it reads exactly as an escalated one
+that settled at its start.
 Sections over the cover then become an ordinary DegreewiseModule
 whose elements can be restricted to and expressed from C^0 vectors given
 at any cap.  It owns the cap schedule, keeps the cap of each degree and
@@ -363,16 +365,17 @@ def _stabilize(dims_at, caps, what: str):
 def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None:
     """t with c0(d) = max(0, t - d) when a theorem fixes the cap, else None.
 
-    The class: module is an FPGradedModule with at least one generator
-    whose presentation is fine-graded (FPGradedModule.fine_grading, with
-    components C, bounds b_C and torsion powers T_i), and the cover is
-    W = D(x_1) u ... u D(x_n) with every variable of R appearing exactly
-    once, up to a nonzero scalar.  Every localization is exact: the
-    kernel chain of localize_piece starts at T(f) = max over i in S of
-    T_i for each cover product f = x_S, and ker f^T(f) is the whole
-    f-torsion.  The class still asks that torsion_bound(f) certify T(f)
-    or that T(f) be at most 1, so a degree whose localizations are
-    flagged heuristic keeps its escalated caps.
+    Two classes, both of an FPGradedModule M with at least one generator on
+    the cover W = D(x_1) u ... u D(x_n) with every variable of R appearing
+    exactly once, up to a nonzero scalar, and both with every localization
+    exact: exact_power(f) is known for every cover product f, so
+    localize_piece takes ker f^T(f), the whole f-torsion, with no kernel
+    chain.  Whether torsion_bound certifies T(f) is left to the kernels
+    flag; it does not decide the cap.
+
+    The fine-graded class: the presentation is fine-graded
+    (FPGradedModule.fine_grading, with components C, bounds b_C and
+    torsion powers T_i), and t = max_C |b_C| - n + 1.
 
     Theorem.  Every H^p of the Cech complex in degree d is the same at
     every cap c >= c0(d) = max(0, max_C |b_C| - n + 1 - d), and the lift
@@ -403,6 +406,45 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     c.  For a free module each generator is its own component with
     |b| = e_k, and c0(d) reads max(0, max_k e_k - n + 1 - d).  QED.
 
+    The Koszul class: n = 2, the presentation is not fine-graded, and
+    saturation(0) == saturation(1) == 0 (no x- or y-torsion); t = top - 1,
+    top the largest generator or relation degree.
+
+    Theorem.  Every H^p of the Cech complex in degree d is the same at
+    every cap c >= max(1, top - 1 - d), and the lift from cap c to any
+    larger cap is an isomorphism on it.
+
+    Proof.  Every cover product is a nonzerodivisor on M, so T(f) is 0 and
+    no localization takes a kernel: at cap c the complex in degree d is
+    M_(d+c) + M_(d+c) -> M_(d+2c), (a, b) -> x^c b - y^c a (the order of
+    the cover changes signs only), the Koszul cochain complex
+    K(x^c, y^c; M)_d without its M term.  Sending a numerator m at the
+    S-term to m / x_S^c maps it to the Cech complex C(M)_d of the limit,
+    compatibly with the lifts between caps (multiplication by x_S^k).
+    Put the M term back on both sides: the map is the identity there, so it
+    is a quasi-isomorphism exactly when the truncated map is one.
+      (1) M = 0 is trivial.  Otherwise depth M >= 1, so pd M <= 1 by
+    Auslander-Buchsbaum (Eisenbud, GTM 150, Thm 19.9).  The kernel of
+    F0 = sum R(-e_i) -> M is then free and generated by the relation
+    columns, so by graded Nakayama it has a basis among them:
+    0 -> F1 = sum R(-s_l) -> F0 -> M -> 0 is a free resolution with every
+    e_i and s_l at most top.
+      (2) For R(-e) and c >= 1 both complexes have cohomology in H^2 alone
+    (x^c, y^c is a regular sequence, and the local cohomology of R
+    vanishes below H^2).  In degree d, K's H^2 is spanned by the
+    x^al y^be with 0 <= al, be <= c - 1 and al + be = d - e + 2c, C's by
+    the x^-a y^-b with a, b >= 1 and a + b = e - d, and the map sends
+    x^al y^be to x^(al-c) y^(be-c): injective, and onto once
+    c >= e - 1 - d, since a = c - al runs over 1..c and a <= e - d - 1.
+    So the map is then a quasi-isomorphism, and so is the lift between
+    two such caps.
+      (3) K(x^c, y^c; -)_d and C(-)_d are exact functors, so the
+    resolution gives short exact sequences of complexes on both sides,
+    mapped to each other.  At c >= max(1, top - 1 - d) the maps on F1 and
+    F0 are quasi-isomorphisms by (2), so by the five lemma the map on M is
+    one, and the lift between two such caps as well (Eisenbud, GTM 150,
+    A4; Brodmann-Sharp, Local Cohomology, ch. 5).  QED.
+
     So when c0(d) <= the start cap, escalation would return the start cap
     with these same dimensions, and one complex at any cap c >= c0(d) says
     it: SectionsModule builds degree d at c = max(1, c0(d)) = max(1, t - d)
@@ -410,11 +452,11 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     cap is at least 1 so that the gate below holds.
 
     Sections of sections.  Let N = Gamma(W', ~M) be a SectionsModule whose
-    base M is in the class on its own all-variable cover W', so that N has
-    a floor.  Then N is in the class on the cover W whenever M is, with
-    M's floor, and the answer for N is the answer for M on W.  N is the
-    equalizer of the localizations M_(x_j), so it is Z^n-graded and splits
-    over M's components C.
+    base M is in the fine-graded class on its own all-variable cover W', so
+    that N has a floor.  Then N is in the class on the cover W whenever M
+    is, with M's floor, and the answer for N is the answer for M on W.  N
+    is the equalizer of the localizations M_(x_j), so it is Z^n-graded and
+    splits over M's components C.
       (a) If a_i >= b_C,i, x_i : N_a -> N_(a+e_i) is an isomorphism: it is
     one on every (M_(x_S))_a, the colimit of the M_(a + c 1_S), whose i-th
     coordinates are all >= b_i, and it commutes with the differentials.
@@ -423,8 +465,11 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     kills all x^u-torsion of M kills x_j^l m and hence m / x_j^k.  So
     N.torsion_bound(f) is M.torsion_bound(f) (SectionsModule.torsion_bound),
     and every localization of N is exact as well.
-    Steps (1)-(3) read nothing but b and (a), so the theorem holds for N
-    with the same c0(d) = max(0, max_C |b_C| - n + 1 - d).
+    Steps (1)-(3) of the fine-graded proof read nothing but b and (a), so
+    the theorem holds for N with the same
+    c0(d) = max(0, max_C |b_C| - n + 1 - d).  The Koszul class does not pass on: there N is the ideal
+    transform of M, which need not be finitely generated (M = R/(x + y)
+    gives N = k[x, 1/x]), so Gamma(W, ~N) escalates.
 
     The gate.  The theorem speaks of the true N; the complexes read its
     realization, whose degree e is the true N_e when e is built at a cap
@@ -451,12 +496,10 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     kernel is taken at all.  A heuristic localization of M need not inject
     into its limit, so then N proves nothing.
     """
+    inherited = isinstance(module, SectionsModule)
     while isinstance(module, SectionsModule) and module._cap_floor is not None:
         module = module.base
     if not isinstance(module, FPGradedModule) or not module.gen_degrees:
-        return None
-    fine = module.fine_grading()
-    if fine is None:
         return None
     n = module.ring.nvars
     variables = []
@@ -466,12 +509,14 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
         variables.append(next(iter(f.terms)).index(1))
     if sorted(variables) != list(range(n)):
         return None
-    for level in cover.subsets:
-        for subset in level:
-            f = cover.product(subset)
-            t, certified = module.torsion_bound(f)
-            if not certified and t > 1:
-                return None
+    fine = module.fine_grading()
+    if fine is None and (inherited or n != 2 or module.saturation(0) != 0
+                         or module.saturation(1) != 0):
+        return None  # not the Koszul class, which sections do not inherit
+    if any(module.exact_power(cover.product(S)) is None for level in cover.subsets for S in level):
+        return None
+    if fine is None:
+        return max(module.gen_degrees + tuple(e for _, e in module.relations)) - 1
     return fine.top - n + 1
 
 
@@ -498,9 +543,11 @@ class SectionsModule(DegreewiseModule):
     caps[0] (flags, and the witness's cap).
 
     Where the base has a proven floor, so does this module, with the
-    base's floor and torsion powers (floor_cap, torsion_bound): its own
-    sections over a cover by all the variables are built at proven caps
-    too (see _proven_cap_floor, sections of sections).
+    base's floor and torsion powers (floor_cap, torsion_bound).  Where the
+    base is a fine-graded presentation, this module's own sections over a
+    cover by all the variables are built at proven caps too; where it is
+    in the Koszul class, they escalate (see _proven_cap_floor, sections of
+    sections).
     """
 
     def __init__(self, base: DegreewiseModule, cover: OpenSubset, window=DEFAULT_WINDOW,

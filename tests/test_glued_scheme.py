@@ -158,15 +158,24 @@ def test_structure_sheaf_is_unobstructed(scheme):
     assert cert.verdict == "no-obstruction-in-window"
 
 
-@pytest.mark.parametrize("case", ["binomial", "affine"])
+@pytest.mark.parametrize("case", ["binomial", "x-torsion", "affine"])
 def test_the_obstruction_escalates_outside_the_proven_class(complexes_built, ring, x, y, case):
     # the ideal (x, y) on the generators x + y and x - y has a binomial
-    # column, and the overlap D(x) is affine: neither has proven caps, so
-    # the table is accepted only once three caps agree
+    # column but no x- or y-torsion, so its caps are proven (the Koszul
+    # class of _proven_cap_floor) and O is built at its floor caps 1, 2, 3
+    # alone.  R/(x^2 + xy) has x-torsion and the overlap D(x) is affine:
+    # neither has proven caps, so the table is accepted only once three
+    # caps agree
+    caps = [6, 8, 10]
     if case == "binomial":
         scheme = double_origin_plane(ring)
         m = FPGradedModule(ring, (1, 1), ((x - y, -(x + y)),), name="I")
         want = {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+        caps = [1, 2, 3]
+    elif case == "x-torsion":
+        scheme = double_origin_plane(ring)
+        m = FPGradedModule(ring, (0,), ((x * x + x * y,),), name="T")
+        want = {-2: 2, -1: 2, 0: 1, 1: 0, 2: 0}
     else:
         scheme = DoubleGluedScheme(OpenSubset(ring, (x,)))
         m = free_module(ring, (1,), name="I")
@@ -175,7 +184,7 @@ def test_the_obstruction_escalates_outside_the_proven_class(complexes_built, rin
     assert cert.codims == want
     assert cert.cap == 6
     caps_o = sorted({cap for module, _, cap in complexes_built if module.name == "O"})
-    assert caps_o == [6, 8, 10]
+    assert caps_o == caps
 
 
 def test_obstruction_needs_fp_module(scheme, ideal_fp, o_fp, x, y):

@@ -887,6 +887,80 @@ def test_proven_caps_agree_with_escalation(field, n, kind, lo, data):
     assert proven == expected
 
 
+# Two-variable presentations without x- or y-torsion: the Cech complex at
+# cap c is the Koszul complex K(x^c, y^c; M) without its M term, and the
+# floor is the top generator or relation degree less one.
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("p", ["x + y", "x^2 + 2*x*y + y^2", "x^2 - x*y + 3*y^2",
+                               "x^3 + y^3", "x^4 - x*y^3 + 2*y^4"])
+def test_a_curve_of_degree_k_has_k_sections_in_every_degree(field, p):
+    # R/(p) with no variable dividing p is, on W, the cone over a subscheme
+    # Z of P^1 of length k = deg p, so Gamma(W, ~M)_d = H^0(Z, O_Z(d)):
+    # h^0 = k and h^1 = 0 in every degree
+    ring, cover = _all_variable_cover(field, 2)
+    p = HomogPoly.parse(ring, p)
+    m = FPGradedModule(ring, (0,), ((p,),))
+    assert m.fine_grading() is None
+    window = (-4, 4)
+    s = sections_window(m, cover, window)
+    assert localization_cech._proven_cap_floor(m, cover) == p.degree - 1
+    for d in range(-4, 5):
+        assert s._caps(d) == [max(1, p.degree - 1 - d)]
+        assert s.piece(d).dim == p.degree
+        assert s.h1(d)[1] == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from((FIELDS[0], FIELDS[2])), lo=st.integers(-3, 0), data=st.data())
+def test_proven_caps_without_torsion_agree_with_escalation(field, lo, data):
+    # random two-variable presentations with T_x = T_y = 0 that are not
+    # fine-graded: the H^0 and H^1 tables at the floor caps are those of
+    # escalation, which accepts the start cap there; a degree whose floor
+    # cap is past the start cap escalates
+    ring = PolyRing(field, ("x", "y"))
+    shapes = data.draw(st.sampled_from((random_fp_presentations, binomial_presentations)))
+    presentation = data.draw(shapes(ring))
+    m = FPGradedModule(ring, *presentation)
+    assume(m.fine_grading() is None and m.saturation(0) == m.saturation(1) == 0)
+    window = (lo, lo + 2)
+    denoms = [ring.var_poly(i) for i in data.draw(st.permutations(range(2)))]
+    s = sections_window(m, OpenSubset(ring, denoms), window)
+    proven = _caps_and_dims(m, s.cover, window)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localization_cech, "_proven_cap_floor", lambda module, cover: None)
+        escalated = _caps_and_dims(FPGradedModule(ring, *presentation),
+                                   OpenSubset(ring, denoms), window)
+    top = max(m.gen_degrees + tuple(e for _, e in m.relations))
+    expected = {}
+    for d, (h0, h0_cap, h1, h1_cap) in escalated.items():
+        if top - 1 - d <= s.caps[0]:
+            assert s.floor_cap(d) == max(1, top - 1 - d)
+            assert h0_cap == h1_cap == s.caps[0]
+            h0_cap = h1_cap = s.floor_cap(d)
+        else:
+            assert s.floor_cap(d) is None
+        expected[d] = (h0, h0_cap, h1, h1_cap)
+    assert proven == expected
+
+
+def test_sections_of_sections_of_the_koszul_class_escalate(ring, x, y):
+    # M = R/(x + y) has floor 0, but N = Gamma(W, ~M) is k[x, 1/x], which is
+    # not finitely generated, so Gamma(W, ~N), the V side of the sections
+    # over W of the direct image, inherits no floor: it escalates, with one
+    # section in every degree, and the tables are those of the parent
+    m = FPGradedModule(ring, (0,), ((x + y,),), name="L")
+    sections, certified, obstruction, floor, start, floor_caps = \
+        _sections_of_sections_and_obstruction(m, OpenSubset(ring, (x, y)), (-2, 2))
+    assert (floor, start) == (0, 6)
+    assert floor_caps == dict.fromkeys(range(-2, 3))
+    assert sections == dict.fromkeys(range(-2, 3), (1, 6))
+    assert certified == dict.fromkeys(range(-2, 3), False)
+    assert obstruction == ({-2: 1, -1: 1, 0: 0, 1: 0, 2: 0}, 6,
+                           ["cap:6", "stabilized", "kernels-heuristic"])
+
+
 @settings(max_examples=30, deadline=None)
 @given(field=st.sampled_from(FIELDS), n=st.integers(2, 3), data=st.data())
 def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
@@ -1102,10 +1176,20 @@ PUNCTURED_AT_CAP_6 = {
 
 def test_a_module_with_relations_escalates(complexes_built, ring, x, y, w):
     # the same ideal on the generators x + y and x - y: its Koszul column
-    # has binomial entries, so the presentation is not fine-graded
+    # has binomial entries, so the presentation is not fine-graded, but it
+    # has no x- or y-torsion, so it takes the floors of the Koszul
+    # presentation of (x, y) with the same dimensions
     ideal = FPGradedModule(ring, (1, 1), ((x - y, -(x + y)),), name="I")
-    got = _assert_escalates(complexes_built, ideal, w, (-2, 2))
-    assert got == PUNCTURED_AT_CAP_6
+    floor_caps = {-2: 3, -1: 2, 0: 1, 1: 1, 2: 1}
+    assert _caps_and_dims(ideal, w, (-2, 2)) == {
+        d: (h0, floor_caps[d], h1, floor_caps[d])
+        for d, (h0, _, h1, _) in PUNCTURED_AT_CAP_6.items()
+    }
+    # R/(x^2 + xy) has x-torsion, so it escalates: the cone over two
+    # points of P^1, with two sections in every degree
+    torsion = FPGradedModule(ring, (0,), ((x * x + x * y,),), name="T")
+    got = _assert_escalates(complexes_built, torsion, w, (-2, 2))
+    assert got == {d: (2, 6, 0, 6) for d in range(-2, 3)}
 
 
 def test_the_ideal_is_held_to_the_start_cap(complexes_built, ring, x, y, w):
@@ -1178,14 +1262,29 @@ def test_the_floors_of_the_builtin_quotients(ideal_fp, sky_fp, kx_fp, w):
 
 def test_no_floor_outside_the_class(ring, x, y, w, ideal_fp):
     floor = localization_cech._proven_cap_floor
-    # a binomial entry
-    assert floor(FPGradedModule(ring, (0,), ((x + y,),)), w) is None
-    # two columns that put the generators at conflicting multidegrees
-    conflict = FPGradedModule(ring, (1, 1), ((y, -x), (x, -y)))
-    assert conflict.fine_grading() is None
-    assert floor(conflict, w) is None
+    # x-torsion: x kills x + y in R/(x^2 + xy)
+    torsion = FPGradedModule(ring, (0,), ((x * x + x * y,),))
+    assert (torsion.saturation(0), torsion.saturation(1)) == (1, 0)
+    assert floor(torsion, w) is None
+    # three variables, with no torsion
+    ring3, cover3 = _all_variable_cover(ring.field, 3)
+    plane = FPGradedModule(ring3, (0,), ((HomogPoly.parse(ring3, "x + y + z"),),))
+    assert (plane.saturation(0), plane.saturation(1), plane.saturation(2)) == (0, 0, 0)
+    assert floor(plane, cover3) is None
     # a cover that is not the variables
     assert floor(ideal_fp, OpenSubset(ring, (x, x + y))) is None
+    assert floor(FPGradedModule(ring, (0,), ((x + y,),)), OpenSubset(ring, (x, x + y))) is None
+
+
+def test_the_floor_of_a_presentation_without_torsion_is_its_top_degree_less_one(ring, x, y, w):
+    floor = localization_cech._proven_cap_floor
+    # a binomial entry: R/(x + y) has top degree 1
+    assert floor(FPGradedModule(ring, (0,), ((x + y,),)), w) == 0
+    # two columns that put the generators at conflicting multidegrees:
+    # not fine-graded, without torsion, top degree 2
+    conflict = FPGradedModule(ring, (1, 1), ((y, -x), (x, -y)))
+    assert conflict.fine_grading() is None
+    assert floor(conflict, w) == 1
 
 
 PLATEAU = """\
@@ -1206,16 +1305,32 @@ patch = M
 
 def test_the_plateau_presentation_keeps_escalating():
     # R/(x^20, y) on two generators glued by the column 1; 1: fine-graded
-    # with T = (20, 1), but its torsion is not certified, so the kernel chain
-    # is a heuristic and its caps must not be proven
+    # with T = (20, 1).  Its torsion is not certified, but the saturation
+    # walk proves the powers, so its localizations are exact and its floor
+    # is 20: every degree but the top one of the window still escalates,
+    # and the kernels flag stays heuristic, as torsion_bound does not
+    # certify
     scenario = parse_scenario(PLATEAU)
     m = scenario.modules["M"]
     assert m.fine_grading() == (21, (20, 1))
-    assert localization_cech._proven_cap_floor(m, scenario.overlap) is None
+    assert localization_cech._proven_cap_floor(m, scenario.overlap) == 20
     s = sections_window(m, scenario.overlap, scenario.window)
-    assert all(len(s._caps(d)) == 6 for d in range(-6, 7))
+    assert [len(s._caps(d)) for d in range(-6, 7)] == [6] * 12 + [1]
     check = run_scenario(scenario).checks[0]
     assert "kernels-heuristic" in check.flags
+
+
+def test_a_saturation_walk_past_the_budget_proves_no_floor(monkeypatch, ring, x, y, w):
+    # one exactness gate for both classes: where the walk gives up, no
+    # power of x is proven, the localization at x is not exact, and the
+    # caps escalate
+    monkeypatch.setattr(graded_modules, "_MAX_LABELS", 5)
+    plateau = parse_scenario(PLATEAU)
+    koszul = FPGradedModule(ring, (0,), ((x ** 3 + y ** 3,),))
+    for m, cover in ((plateau.modules["M"], plateau.overlap), (koszul, w)):
+        assert m.saturation(0) is None
+        assert m.exact_power(cover.denoms[0]) is None
+        assert localization_cech._proven_cap_floor(m, cover) is None
 
 
 def test_the_plateau_reads_the_table_of_its_monomial_presentation():
