@@ -30,6 +30,7 @@ from .localization_cech import (
     _cochain_apply,
     _lift,
     _stabilize,
+    kernels_flag,
     restriction_to_sections,
     sections_induced_map,
     sections_window,
@@ -454,9 +455,8 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
                                 f"obstruction table for {s.name}")
         row_caps = dict.fromkeys(degrees, cap)
         codims = dict(zip(degrees, table))
-    certified = all(complexes_m[row_caps[d]].degree(d).certified for d in degrees)
     flags = [f"cap:{cap}", "stabilized",
-             "kernels-certified" if certified else "kernels-heuristic"]
+             kernels_flag(complexes_m[row_caps[d]].degree(d) for d in degrees)]
     return ObstructionCertificate(codims, cap, flags)
 
 

@@ -79,6 +79,7 @@ class CapExhausted(RuntimeError):
 
 
 _MAX_LABELS = 100_000  # free labels that one FPGradedModule._realize may build
+_HOWS = ("heuristic", "proven", "certified")  # how a torsion power is known, weakest first
 
 
 class PolyRing:
@@ -404,14 +405,14 @@ class DegreewiseModule:
     its very matrix, so the rref cached on that matrix is shared.  A
     subclass defines the module by overriding _piece and either _act, the
     variable actions that the default _mono_act chains, or _mono_act
-    itself when it can multiply by a monomial directly (and torsion_bound,
-    when it can certify one).
+    itself when it can multiply by a monomial directly (and torsion, when
+    it knows more than the default).
 
-    torsion_bound(f) returns (t, certified) for the f-power-torsion of
-    the module.  When certified, ker(f^t) is all of it in every degree;
-    otherwise t only starts the kernel chain of a localization, which says
-    so, unless proven_power(f) is such a t, proven but not reported as
-    certified.  The defaults, (1, False) and None, know nothing.
+    torsion(f) returns (t, how) for the f-power-torsion of the module.
+    Where how is "certified" or "proven", ker(f^t) is all of it in every
+    degree, and only a certified t is reported as such in flags; where it
+    is "heuristic", t only starts the kernel chain of a localization.  The
+    default, (1, "heuristic"), knows nothing.
     """
 
     def __init__(self, ring: PolyRing, name: str = "M", min_degree: int | None = None,
@@ -489,17 +490,8 @@ class DegreewiseModule:
         """Matrix of multiplication by f^t from degree d."""
         return self.poly_act(f ** t, d)
 
-    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
-        return 1, False
-
-    def proven_power(self, f: HomogPoly) -> int | None:
-        return None
-
-    def exact_power(self, f: HomogPoly) -> int | None:
-        """A power of f that kills all f-torsion: torsion_bound's where it
-        is certified, else proven_power; None where neither knows one."""
-        t, certified = self.torsion_bound(f)
-        return t if certified else self.proven_power(f)
+    def torsion(self, f: HomogPoly) -> tuple[int, str]:
+        return 1, "heuristic"
 
     def __repr__(self):
         return f"DegreewiseModule({self.name})"
@@ -516,10 +508,15 @@ class FineGrading(NamedTuple):
     top: int
     torsion: tuple
 
-    def power(self, mono) -> int:
-        """t such that (x^mono)^t kills all x^mono-torsion: the largest
-        ceil(T_i / u_i) over the support of u = mono."""
-        return max((-(-t // u) for t, u in zip(self.torsion, mono) if u), default=0)
+
+def _torsion_power(powers, mono) -> int:
+    """t such that (x^mono)^t kills all x^mono-torsion, given powers T_i
+    of x_i that kill all x_i-torsion: the largest ceil(T_i / u_i) over the
+    support of u = mono.  If x_i^k x_j^l g is in the relation submodule N,
+    x_j^l g is x_i-torsion, so x_i^(T_i) g is x_j-torsion, and
+    x_i^(T_i) x_j^(T_j), which divides (x^mono)^t, kills g; likewise for
+    more."""
+    return max((-(-t // u) for t, u in zip(powers, mono) if u), default=0)
 
 
 class _Realization:
@@ -683,30 +680,22 @@ class FPGradedModule(DegreewiseModule):
         """The i-th generator as an element of its piece."""
         return self.gen_mult(i, 0)
 
-    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
+    def torsion(self, f: HomogPoly) -> tuple[int, str]:
         if not self.relations:
-            return 0, True  # free module over a domain: no f-torsion
-        fine = self.fine_grading()
-        if fine is None or not f.is_monomial():
-            return 1, False
-        t = fine.power(next(iter(f.terms)))
-        # a monomial quotient (every relation column one term on one
-        # generator) is where this power is certified
-        if all(sum(p is not None for p in entries) == 1 for entries, _ in self.relations):
-            return t, True
-        return max(1, t), False
-
-    def proven_power(self, f: HomogPoly) -> int | None:
-        """The largest ceil(T_i / u_i) over supp u for a monomial f = x^u
-        whose saturation powers T_i are proven.  If x_i^k x_j^l g is in N,
-        x_j^l g is x_i-torsion, so x_i^(T_i) g is x_j-torsion, and
-        x_i^(T_i) x_j^(T_j), which divides f^t, kills g; likewise for more."""
+            return 0, "certified"  # free module over a domain: no f-torsion
         if not f.is_monomial():
-            return None
+            return 1, "heuristic"
         mono = next(iter(f.terms))
+        fine = self.fine_grading()
+        # a monomial quotient (every relation column one term on one
+        # generator) is where the fine grading's power is certified
+        if fine is not None and all(sum(p is not None for p in entries) == 1
+                                    for entries, _ in self.relations):
+            return _torsion_power(fine.torsion, mono), "certified"
         powers = [self.saturation(i) if u else 0 for i, u in enumerate(mono)]
         if None not in powers:
-            return max((-(-t // u) for t, u in zip(powers, mono) if u), default=0)
+            return _torsion_power(powers, mono), "proven"
+        return (1 if fine is None else max(1, _torsion_power(fine.torsion, mono))), "heuristic"
 
     def saturation(self, v: int) -> int | None:
         """T_v, the least power of x_v that kills all x_v-torsion, or None
@@ -916,10 +905,11 @@ class _BasisBackedModule(DegreewiseModule):
         b = self.basis(d)
         return GradedPiece(self.ring.field, tuple(("ker", j) for j in range(b.ncols)))
 
-    def proven_power(self, f: HomogPoly) -> int | None:
-        """The source's power: one that kills all f-torsion of the source
-        kills that of each submodule."""
-        return self.f.source.exact_power(f)
+    def torsion(self, f: HomogPoly) -> tuple[int, str]:
+        """The source's power, certified read as proven: one that kills all
+        f-torsion of the source kills that of each submodule."""
+        t, how = self.f.source.torsion(f)
+        return t, "proven" if how == "certified" else how
 
     def _act(self, var: int, d: int) -> Mat:
         acted = self.f.source.act(var, d) @ self.basis(d)
@@ -980,13 +970,10 @@ class _DirectSum(DegreewiseModule):
     def _act(self, var: int, d: int) -> Mat:
         return Mat.block(self.ring.field, {(k, k): m.act(var, d) for k, m in enumerate(self.mods)})
 
-    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
-        bounds = [m.torsion_bound(f) for m in self.mods]
-        return max(t for t, _ in bounds), all(c for _, c in bounds)
-
-    def proven_power(self, f: HomogPoly) -> int | None:
-        powers = [m.exact_power(f) for m in self.mods]
-        return None if None in powers else max(powers)
+    def torsion(self, f: HomogPoly) -> tuple[int, str]:
+        """The largest power of the summands, known as the weakest is."""
+        pairs = [m.torsion(f) for m in self.mods]
+        return max(t for t, _ in pairs), min((how for _, how in pairs), key=_HOWS.index)
 
 
 def direct_sum(mods, name: str | None = None) -> DegreewiseModule:

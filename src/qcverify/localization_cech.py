@@ -7,16 +7,17 @@ multiplication by f.  We realize the colimit at a finite stage, the "cap":
     (M_f)_d at cap N  :=  M_{d + N deg f} / (stable kernel of f-powers),
 
 an honest subspace of the true piece that grows with N.  The stable kernel
-is ker f^t, and the status says how t was found: certified-in-window where
-module.torsion_bound(f) certifies it (free modules, monomial quotients);
-proven(t) where module.proven_power(f) proves it (a monomial f on a
+is ker f^t for the pair (t, how) = module.torsion(f), and the status says
+how t was found: certified-in-window where it is certified (free modules,
+monomial quotients); proven(t) where it is proven (a monomial f on a
 presentation; a direct sum, or a kernel, of modules with such powers; the
 sections of a module that localizes exactly on their own cover, see
-_proven_cap_floor); else heuristic(t), the first power
-from torsion_bound's on with ker f^t = ker f^(t+1).  Only the first counts
-as certified in flags.  A module bounded above (max_degree set, as for the
-graded dual of a finitely generated module) localizes to zero, certified,
-at every f of positive degree: some power of f kills each element.
+_proven_cap_floor); else heuristic(t), the first power from t on with
+ker f^t = ker f^(t+1), found by the kernel chain.  Only the first counts
+as certified in flags (kernels_flag).  A module bounded above (max_degree
+set, as for the graded dual of a finitely generated module) localizes to
+zero, certified, at every f of positive degree: some power of f kills
+each element.
 
 Cech complexes on a cover {D(f_1), ..., D(f_n)} use one uniform cap for
 every intersection; the degree-d realization checks d o d = 0 outright.
@@ -75,6 +76,7 @@ __all__ = [
     "sections_window",
     "restriction_to_sections",
     "sections_induced_map",
+    "kernels_flag",
 ]
 
 DEFAULT_WINDOW = (-6, 6)
@@ -175,23 +177,21 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
         return LocalizedPiece(d, cap, num_degree, "certified-in-window",
                               Mat.zeros(field, num.dim, 0), Mat.zeros(field, 0, num.dim))
 
-    # stable = ker f^t, from the module's certified or proven power on; any
-    # other power only starts the chain, which stops once ker f^t = ker f^(t+1)
-    t, certified = module.torsion_bound(f)
-    exact = module.exact_power(f)
-    t = t if exact is None else exact
+    # stable = ker f^t, at the module's certified or proven power; a
+    # heuristic power only starts the chain, which stops once
+    # ker f^t = ker f^(t+1)
+    t, how = module.torsion(f)
     first = t
     stable = (kernel_basis(module.power_act(f, t, num_degree)) if t
               else Mat.zeros(field, num.dim, 0))
-    while exact is None:
+    while how == "heuristic":
         nxt = kernel_basis(module.power_act(f, t + 1, num_degree))
         if nxt.ncols == stable.ncols:
             break
         stable, t = nxt, t + 1
         if t - first > num.dim:  # the kernel chain cannot strictly grow this long
             raise ArithmeticError("stable kernel iteration failed to terminate")
-    status = ("certified-in-window" if certified
-              else f"heuristic({t})" if exact is None else f"proven({t})")
+    status = "certified-in-window" if how == "certified" else f"{how}({t})"
 
     coset, proj, _ = _quotient_with_indices(stable, num.dim)
     return LocalizedPiece(d, cap, num_degree, status, coset, proj)
@@ -270,6 +270,13 @@ class _CechDegree:
         """Whether every localization in this degree carried a certified
         torsion bound (as opposed to the kernel-chain heuristic)."""
         return all(p.status.startswith("certified") for level in self.levels for p in level)
+
+
+def kernels_flag(cech_degrees) -> str:
+    """The flag of a check that reads the given Cech degrees: certified
+    where every localization in them is, else heuristic."""
+    return ("kernels-certified" if all(deg.certified for deg in cech_degrees)
+            else "kernels-heuristic")
 
 
 class CechComplexWindow:
@@ -362,16 +369,23 @@ def _stabilize(dims_at, caps, what: str):
     )
 
 
+def _exact_on(module: DegreewiseModule, cover: OpenSubset) -> bool:
+    """Whether every localization of module at a product of cover members
+    is exact: its torsion power certified or proven, so no kernel chain."""
+    return all(module.torsion(cover.product(S))[1] != "heuristic"
+               for level in cover.subsets for S in level)
+
+
 def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None:
     """t with c0(d) = max(0, t - d) when a theorem fixes the cap, else None.
 
     Two classes, both of an FPGradedModule M with at least one generator on
     the cover W = D(x_1) u ... u D(x_n) with every variable of R appearing
     exactly once, up to a nonzero scalar, and both with every localization
-    exact: exact_power(f) is known for every cover product f, so
-    localize_piece takes ker f^T(f), the whole f-torsion, with no kernel
-    chain.  Whether torsion_bound certifies T(f) is left to the kernels
-    flag; it does not decide the cap.
+    exact (_exact_on): torsion(f) is certified or proven for every cover
+    product f, so localize_piece takes ker f^T(f), the whole f-torsion,
+    with no kernel chain.  Whether T(f) is certified is left to the
+    kernels flag; it does not decide the cap.
 
     The fine-graded class: the presentation is fine-graded
     (FPGradedModule.fine_grading, with components C, bounds b_C and
@@ -463,8 +477,8 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
       (b) N embeds in prod_j M_(x_j).  If m / x_j^k is x^u-torsion there,
     then x_j^l m is x^u-torsion in M for some l, so a power (x^u)^t that
     kills all x^u-torsion of M kills x_j^l m and hence m / x_j^k.  So
-    N.torsion_bound(f) is M.torsion_bound(f) (SectionsModule.torsion_bound),
-    and every localization of N is exact as well.
+    N.torsion(f) is M.torsion(f) (SectionsModule.torsion), and every
+    localization of N is exact as well.
     Steps (1)-(3) of the fine-graded proof read nothing but b and (a), so
     the theorem holds for N with the same
     c0(d) = max(0, max_C |b_C| - n + 1 - d).  The Koszul class does not pass on: there N is the ideal
@@ -487,14 +501,15 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
 
     Proven powers need (b) alone, not the class: let every localization of
     M at the products of W's members g_j be exact, certified or proven
-    (SectionsModule._base_exact).  Then each realized piece of N, at any
-    cap, is a subspace of the true N_d (each term injects into its limit)
-    with the true action restricted, as _express refuses anything else.
-    N embeds in prod_j M_(g_j), so by (b) with g_j for x_j a power of f
-    that kills all f-torsion of M kills that of N: N.proven_power(f) is
-    M.exact_power(f).  Where it is 0 (Gamma(W, I) is torsion-free), no
-    kernel is taken at all.  A heuristic localization of M need not inject
-    into its limit, so then N proves nothing.
+    (SectionsModule._base_exact, the same _exact_on).  Then each realized
+    piece of N, at any cap, is a subspace of the true N_d (each term
+    injects into its limit) with the true action restricted, as _express
+    refuses anything else.  N embeds in prod_j M_(g_j), so by (b) with g_j
+    for x_j a power of f that kills all f-torsion of M kills that of N:
+    N.torsion(f) is M's power, proven, or certified where N has a floor.
+    Where it is 0 (Gamma(W, I) is torsion-free), no kernel is taken at
+    all.  A heuristic localization of M need not inject into its limit,
+    so then N proves nothing.
     """
     inherited = isinstance(module, SectionsModule)
     while isinstance(module, SectionsModule) and module._cap_floor is not None:
@@ -513,7 +528,7 @@ def _proven_cap_floor(module: DegreewiseModule, cover: OpenSubset) -> int | None
     if fine is None and (inherited or n != 2 or module.saturation(0) != 0
                          or module.saturation(1) != 0):
         return None  # not the Koszul class, which sections do not inherit
-    if any(module.exact_power(cover.product(S)) is None for level in cover.subsets for S in level):
+    if not _exact_on(module, cover):
         return None
     if fine is None:
         return max(module.gen_degrees + tuple(e for _, e in module.relations)) - 1
@@ -543,7 +558,7 @@ class SectionsModule(DegreewiseModule):
     caps[0] (flags, and the witness's cap).
 
     Where the base has a proven floor, so does this module, with the
-    base's floor and torsion powers (floor_cap, torsion_bound).  Where the
+    base's floor and torsion powers (floor_cap, torsion).  Where the
     base is a fine-graded presentation, this module's own sections over a
     cover by all the variables are built at proven caps too; where it is
     in the Koszul class, they escalate (see _proven_cap_floor, sections of
@@ -579,24 +594,20 @@ class SectionsModule(DegreewiseModule):
         c = self.floor_cap(d)
         return self.caps if c is None else [c]
 
-    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
-        """The base's torsion power where the base's floor is proven: a
-        power that kills all f-torsion of the base kills that of its
-        sections (see _proven_cap_floor, sections of sections)."""
-        if self._cap_floor is None:
-            return super().torsion_bound(f)
-        return self.base.torsion_bound(f)
-
-    def proven_power(self, f: HomogPoly) -> int | None:
-        """The base's certified or proven power where every localization of
-        the base on this module's cover is exact, decided once per module
-        (see _proven_cap_floor), else None."""
-        return self.base.exact_power(f) if self._base_exact else None
+    def torsion(self, f: HomogPoly) -> tuple[int, str]:
+        """The base's power where every localization of the base on this
+        module's cover is exact, decided once per module: a power that
+        kills all f-torsion of the base kills that of its sections.  It is
+        certified only where the floor is proven too (see
+        _proven_cap_floor, sections of sections), and proven otherwise."""
+        if not self._base_exact:
+            return super().torsion(f)
+        t, how = self.base.torsion(f)
+        return t, "proven" if how == "certified" and self._cap_floor is None else how
 
     @cached_property
     def _base_exact(self) -> bool:
-        return all(self.base.exact_power(self.cover.product(S)) is not None
-                   for level in self.cover.subsets for S in level)
+        return _exact_on(self.base, self.cover)
 
     def _stable(self, what: str, d: int) -> tuple[int, int, _CechDegree]:
         """(cap, dimension, the complex's degree at cap) of what, "h0_dim" or
@@ -619,10 +630,9 @@ class SectionsModule(DegreewiseModule):
         dim = self._stable("h0_dim", d)[1]
         return GradedPiece(self.ring.field, tuple(("sec", j) for j in range(dim)))
 
-    def certified(self, d: int) -> bool:
-        """Whether every localization entering degree d carried a certified
-        torsion bound (as opposed to the kernel-chain heuristic)."""
-        return self._stable("h0_dim", d)[2].certified
+    def h0(self, d: int) -> tuple[int, int, _CechDegree]:
+        """(cap, H^0 dimension, the complex's degree at cap) in degree d."""
+        return self._stable("h0_dim", d)
 
     def _locs(self, d: int, cap: int) -> list[LocalizedPiece]:
         """The cover pieces of degree d at cap, read from the complexes after
@@ -688,16 +698,12 @@ class SectionsModule(DegreewiseModule):
 
     def flags(self) -> list[str]:
         lo, hi = self.window
-        caps = []
-        heuristic = False
-        for d in range(lo, hi + 1):
-            cap, _dim, cech = self._stable("h0_dim", d)
-            # a proven degree reads as escalation would accept it: at the start cap
-            caps.append(cap if self.floor_cap(d) is None else self.caps[0])
-            heuristic = heuristic or not cech.certified
-        out = [f"caps:{min(caps)}..{max(caps)}", "stabilized"]
-        out.append("kernels-heuristic" if heuristic else "kernels-certified")
-        return out
+        stable = {d: self.h0(d) for d in range(lo, hi + 1)}
+        # a proven degree reads as escalation would accept it: at the start cap
+        caps = [cap if self.floor_cap(d) is None else self.caps[0]
+                for d, (cap, _dim, _cech) in stable.items()]
+        return [f"caps:{min(caps)}..{max(caps)}", "stabilized",
+                kernels_flag(cech for _cap, _dim, cech in stable.values())]
 
 
 _live_sections: "WeakValueDictionary[tuple, SectionsModule]" = WeakValueDictionary()

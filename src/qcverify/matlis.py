@@ -83,12 +83,12 @@ class DualizedModule(DegreewiseModule):
     def _mono_act(self, mono: tuple, d: int):
         return self.base.mono_act(mono, -d - sum(mono)).transpose()
 
-    def torsion_bound(self, f: HomogPoly) -> tuple[int, bool]:
+    def torsion(self, f: HomogPoly) -> tuple[int, str]:
         if isinstance(self.base, DualizedModule):
             # double transpose: the action matrices equal the origin's
-            return self.base.base.torsion_bound(f)
+            return self.base.base.torsion(f)
         # a nonzero constant is a unit; see the class docstring for the rest
-        return (0, True) if f.degree == 0 else (1, False)
+        return (0, "certified") if f.degree == 0 else super().torsion(f)
 
 
 # a dual holds its base, so the memo must hold neither: an entry goes when

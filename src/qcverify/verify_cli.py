@@ -70,6 +70,7 @@ from .localization_cech import (
     CapExhausted,
     OpenSubset,
     SectionsModule,
+    kernels_flag,
     sections_window,
 )
 from .glued_scheme import (
@@ -634,8 +635,7 @@ class _Runner:
                 else "identity-gluing"
             )
         if isinstance(mod, SectionsModule):
-            ok = all(mod.certified(d) for d in range(lo, hi + 1))
-            flags.append("kernels-certified" if ok else "kernels-heuristic")
+            flags.append(kernels_flag(mod.h0(d)[2] for d in range(lo, hi + 1)))
         return {"sections": dims}, flags, "table-computed"
 
     def _h1_dims(self, modname):
@@ -649,8 +649,7 @@ class _Runner:
 
     def _h1(self, modname):
         sw, dims = self._h1_dims(modname)
-        ok = all(sw.h1(d)[2].certified for d in dims)
-        flags = ["kernels-certified" if ok else "kernels-heuristic"]
+        flags = [kernels_flag(sw.h1(d)[2] for d in dims)]
         return {"h1": dims}, flags, "table-computed"
 
     def _obstruction(self, sheaf_name):

@@ -1,6 +1,7 @@
 """Export lists and imports: every exported name exists, the package
-re-exports only what its layer exports, and every name a layer imports is
-used there, so a deleted helper cannot linger in either."""
+re-exports only what its layer exports, every name a layer imports is used
+there, and every method and stored value is read somewhere, so a deleted
+or superseded helper cannot linger."""
 
 import ast
 import importlib
@@ -91,5 +92,23 @@ def test_every_stored_value_is_read(layer):
         if isinstance(node, ast.ClassDef) and not issubclass(getattr(mod, node.name), BaseException)
         for name in _stored_names(node)
         if name not in reads
+    }
+    assert unread == set()
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_method_is_read(layer):
+    # a method that nothing in src/ or tests/ reads as .name is dead code;
+    # dunder methods are called by Python itself
+    path = Path(qcverify.__file__).with_name(f"{layer}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = _attribute_reads()
+    unread = {
+        f"{cls.name}.{node.name}"
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in reads
     }
     assert unread == set()

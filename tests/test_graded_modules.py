@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from qcverify import (
     CapExhausted,
     DegreewiseModule,
+    DualizedModule,
     FPGradedModule,
     FieldSpec,
     GradedModuleMap,
     HomogPoly,
     Mat,
     NonHomogeneousError,
+    OpenSubset,
     PolyRing,
     RelationNotKilled,
     direct_sum,
@@ -25,6 +27,7 @@ from qcverify import (
     localize_piece,
     map_from_gen_images,
     matlis_dual,
+    sections_window,
     verify_action_commutation,
     verify_naturality,
 )
@@ -314,15 +317,67 @@ def test_direct_sum_rejects_empty():
 # --- torsion bookkeeping ----------------------------------------------------
 
 
-def test_torsion_bounds(ring, sky_fp, kx_fp, ideal_fp, x, y):
+class _NoSaturation(FPGradedModule):
+    """A presentation whose saturation walk gives up, as past the label
+    budget: it proves no power."""
+
+    def saturation(self, v):
+        return None
+
+
+def _zero_kernel(m):
+    return kernel_dw(GradedModuleMap(m, m, lambda d: Mat.zeros(
+        m.ring.field, m.piece(d).dim, m.piece(d).dim)))
+
+
+def test_torsion_of_every_module_kind(ring, sky_fp, kx_fp, ideal_fp, x, y):
+    one = HomogPoly.constant(ring, ring.field.one)
     free = free_module(ring, (0,))
-    assert free.torsion_bound(x) == (0, True)
-    assert sky_fp.torsion_bound(x) == (1, True)
-    assert kx_fp.torsion_bound(y) == (1, True)
-    # not a monomial quotient: no certificate, the caller must iterate
-    assert ideal_fp.torsion_bound(x) == (1, False)
-    assert free.torsion_bound(x + y) == (0, True)
-    assert kx_fp.torsion_bound(x + y) == (1, False)
+    binomial = ((x * x + x * y,),)  # x kills x + y; not fine-graded
+    plateau = _NoSaturation(ring, (0, 0), ((x ** 20, None), (y, None), (one, one)))
+    w = OpenSubset(ring, (x, y))
+    table = [
+        (DegreewiseModule(ring), x, (1, "heuristic")),
+        # a free module: no torsion at any f
+        (free, x, (0, "certified")),
+        (free, x + y, (0, "certified")),
+        # a presentation at a non-monomial f
+        (kx_fp, x + y, (1, "heuristic")),
+        # monomial quotients: the fine grading's power
+        (sky_fp, x, (1, "certified")),
+        (kx_fp, y, (1, "certified")),
+        (kx_fp, x, (0, "certified")),
+        # the saturation walk proves the powers, fine-graded or not
+        (ideal_fp, x, (0, "proven")),
+        (ideal_fp, x * y, (0, "proven")),
+        (FPGradedModule(ring, (0,), binomial), x, (1, "proven")),
+        # without it: max(1, the fine grading's power), or 1
+        (_NoSaturation(ring, (1, 1), ((y, -x),)), x, (1, "heuristic")),
+        (plateau, x, (20, "heuristic")),
+        (plateau, x * y, (20, "heuristic")),
+        (_NoSaturation(ring, (0,), binomial), x, (1, "heuristic")),
+        # a direct sum: the largest power, known as the weakest summand's
+        (direct_sum((free, sky_fp)), x, (1, "certified")),
+        (direct_sum((sky_fp, ideal_fp)), x, (1, "proven")),
+        (direct_sum((ideal_fp, plateau)), x, (20, "heuristic")),
+        # a kernel: its source's power, certified read as proven
+        (_zero_kernel(sky_fp), x, (1, "proven")),
+        (_zero_kernel(ideal_fp), x, (0, "proven")),
+        (_zero_kernel(plateau), x, (20, "heuristic")),
+        # sections: the base's power where the base is exact on the cover,
+        # certified only with a proven floor
+        (sections_window(kx_fp, w, (0, 0)), y, (1, "certified")),
+        (sections_window(kx_fp, OpenSubset(ring, (x,)), (0, 0)), y, (1, "proven")),
+        (sections_window(ideal_fp, OpenSubset(ring, (x, y, x + y)), (0, 0)), x,
+         (1, "heuristic")),
+        # duals: a constant is a unit, and a double dual is its origin
+        (matlis_dual(free), one, (0, "certified")),
+        (matlis_dual(free), x, (1, "heuristic")),
+        (DualizedModule(DualizedModule(sky_fp)), x, (1, "certified")),
+        (DualizedModule(DualizedModule(ideal_fp)), x, (0, "proven")),
+    ]
+    got = [(m.name, f, m.torsion(f)) for m, f, _ in table]
+    assert got == [(m.name, f, want) for m, f, want in table]
 
 
 # --- multiplicativity as a property test -----------------------------------
@@ -430,16 +485,17 @@ def test_a_monomial_acts_by_the_memoized_mono_act(m, a, t, d):
 
 @given(fp_modules(), fp_modules(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_direct_sums_combine_torsion_bounds_and_add_localizations(m, n, data):
-    # (max t, all certified) of the summands; the kernel chain of the sum
+def test_direct_sums_combine_torsion_powers_and_add_localizations(m, n, data):
+    # (max t, the weakest how) of the summands; the kernel chain of the sum
     # stops exactly where both summands' chains are stable together
     assume(m.ring == n.ring)
     ring = m.ring
     f = data.draw(homog_polys(ring, data.draw(st.integers(1, 2))).filter(
         lambda p: not p.is_zero()))
     total = direct_sum((m, n))
-    (tm, cm), (tn, cn) = m.torsion_bound(f), n.torsion_bound(f)
-    assert total.torsion_bound(f) == (max(tm, tn), cm and cn)
+    (tm, hm), (tn, hn) = m.torsion(f), n.torsion(f)
+    weakest = min(hm, hn, key=("heuristic", "proven", "certified").index)
+    assert total.torsion(f) == (max(tm, tn), weakest)
     for d, cap in ((-1, 1), (0, 2), (1, 1), (2, 3)):
         got = localize_piece(total, f, d, cap).dim
         assert got == localize_piece(m, f, d, cap).dim + localize_piece(n, f, d, cap).dim

@@ -80,7 +80,7 @@ def test_localized_piece_projection_splits_inclusion(kx_fp, x):
 
 
 def test_heuristic_status_without_certificate(ideal_fp, x, y):
-    # the Koszul relation is not monomial, so torsion_bound certifies nothing;
+    # the Koszul relation is not monomial, so torsion certifies nothing;
     # the saturation walk proves that x kills no torsion of I
     lp = localize_piece(ideal_fp, x, 1, 2)
     assert lp.status == "proven(0)"
@@ -149,10 +149,11 @@ def test_a_kernel_localizes_at_the_power_of_its_source():
                 one = Mat.identity(ring.field, m.piece(d).dim)
                 return one.hstack(-one)
             k = kernel_dw(GradedModuleMap(direct_sum((m, m)), m, difference))
-            return k.proven_power(x), localize_piece(k, x, 0, 1)
+            return k.torsion(x), localize_piece(k, x, 0, 1)
 
     (t_chain, chain), (t, proven) = localized(5), localized(None)
-    assert (t_chain, chain.status, t, proven.status) == (None, "heuristic(1)", 1, "proven(1)")
+    assert (t_chain, chain.status, t, proven.status) == (
+        (1, "heuristic"), "heuristic(1)", (1, "proven"), "proven(1)")
     assert (chain.incl, chain.proj) == (proven.incl, proven.proj)
     assert chain.dim == 1
 
@@ -173,10 +174,11 @@ def test_sections_of_a_base_past_the_label_budget_keep_the_kernel_chain():
                 patch.setattr(graded_modules, "_MAX_LABELS", budget)
                 assert m.saturation(0) is None
         s = sections_window(m, cover, (-1, 1))
-        return s.proven_power(x), localize_piece(s, x, 0, 1)
+        return s.torsion(x), localize_piece(s, x, 0, 1)
 
     (t_chain, chain), (t, proven) = localized(5), localized(None)
-    assert (t_chain, chain.status, t, proven.status) == (None, "heuristic(1)", 1, "proven(1)")
+    assert (t_chain, chain.status, t, proven.status) == (
+        (1, "heuristic"), "heuristic(1)", (1, "proven"), "proven(1)")
     assert (chain.incl, chain.proj) == (proven.incl, proven.proj)
     assert 0 < chain.dim < chain.incl.nrows
 
@@ -185,7 +187,7 @@ def test_sections_on_a_cover_with_a_linear_form_keep_the_kernel_chain(ring, idea
     # the base's localizations at x + y and its products are heuristic, so
     # the sections decline the base's power even at the monomial x
     s = sections_window(ideal_fp, OpenSubset(ring, (x, y, x + y)), (0, 0))
-    assert (ideal_fp.exact_power(x), s.proven_power(x)) == (0, None)
+    assert (ideal_fp.torsion(x), s.torsion(x)) == ((0, "proven"), (1, "heuristic"))
     assert localize_piece(s, x, 0, 1).status.startswith("heuristic(")
 
 
@@ -193,13 +195,14 @@ def test_the_sections_gate_reads_every_cover_product(ring, x, y):
     # a base that proves its powers for x and y but not for xy localizes
     # at xy by the kernel chain, so its sections prove nothing
     class NoProducts(FPGradedModule):
-        def proven_power(self, f):
-            return super().proven_power(f) if f.degree == 1 else None
+        def torsion(self, f):
+            return super().torsion(f) if f.degree == 1 else (1, "heuristic")
 
     m = NoProducts(ring, (0,), ((x * x + x * y,),))
     s = sections_window(m, OpenSubset(ring, (x, y)), (-1, 1))
-    assert (m.exact_power(x), m.exact_power(y), m.exact_power(x * y)) == (1, 0, None)
-    assert s.proven_power(y) is None
+    assert (m.torsion(x), m.torsion(y), m.torsion(x * y)) == (
+        (1, "proven"), (0, "proven"), (1, "heuristic"))
+    assert s.torsion(y) == (1, "heuristic")
 
 
 def test_a_direct_sum_takes_the_largest_power_of_its_summands():
@@ -211,15 +214,35 @@ def test_a_direct_sum_takes_the_largest_power_of_its_summands():
     n = FPGradedModule(ring, (2,), ((x * y,), (x * x + y * y,)))
     o = free_module(ring, (0,))
     total = direct_sum((o, n))
-    assert total.torsion_bound(y) == (1, False)
+    assert total.torsion(y) == (3, "proven")
     lp = localize_piece(total, y, 0, 2)
     assert (lp.status, lp.dim) == ("proven(3)", localize_piece(o, y, 0, 2).dim)
     assert localize_piece(n, y, 0, 2).dim == 0
-    # a summand that torsion_bound alone certifies counts with that power:
-    # the double dual of R delegates its certificate to R and proves nothing
+    # a certified summand counts with its power: the double dual of R
+    # delegates its certificate to R
     dd = DualizedModule(DualizedModule(o))
-    assert (dd.torsion_bound(y), dd.proven_power(y)) == ((0, True), None)
+    assert dd.torsion(y) == (0, "certified")
     assert localize_piece(direct_sum((dd, n)), y, 0, 2).status == "proven(3)"
+
+
+def test_a_direct_sum_starts_the_chain_at_the_power_its_summands_know():
+    # a free summand that knows no power starts the kernel chain at 1 on
+    # its own; the sum starts it at the power 3 that R(-2)/(xy, x^2 + y^2)
+    # proves, past the plateau ker y = ker y^2 = 0 of that summand in
+    # degree 2, and localizes at y as R alone does
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    x, y = ring.var_poly(0), ring.var_poly(1)
+
+    class Unknown(FPGradedModule):
+        torsion = DegreewiseModule.torsion
+
+    n = FPGradedModule(ring, (2,), ((x * y,), (x * x + y * y,)))
+    total = direct_sum((Unknown(ring, (0,), ()), n))
+    assert total.torsion(y) == (3, "heuristic")
+    for d, cap in ((0, 2), (1, 1), (-1, 3)):
+        lp = localize_piece(total, y, d, cap)
+        assert (lp.status, lp.dim) == ("heuristic(3)", 3), (d, cap)
+        assert localize_piece(free_module(ring, (0,)), y, d, cap).dim == 3
 
 
 def test_a_bounded_above_module_localizes_to_zero():
@@ -313,7 +336,7 @@ def test_sections_of_structure_sheaf(ring, w):
     s = sections_window(free_module(ring, (0,)), w, window=WINDOW)
     dims = {d: s.piece(d).dim for d in range(-4, 5)}
     assert dims == {-4: 0, -3: 0, -2: 0, -1: 0, 0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
-    assert s.certified(0)
+    assert s.h0(0)[2].certified
     assert "kernels-certified" in s.flags()
     assert "stabilized" in s.flags()
 
@@ -755,7 +778,8 @@ def test_sections_power_kills_all_torsion_of_the_sections(field, data):
     gens, rels = data.draw(shapes(ring))
     s = sections_window(FPGradedModule(ring, gens, rels), OpenSubset(ring, (x, y)), (-1, 2))
     for f in (x, y, x * y):
-        t = s.exact_power(f)
+        t, how = s.torsion(f)
+        assert how != "heuristic"
         status = localize_piece(s, f, 0, 1).status
         assert status in ("certified-in-window", f"proven({t})")
         for d in range(-1, 3):
@@ -965,8 +989,8 @@ def test_sections_of_sections_of_the_koszul_class_escalate(ring, x, y):
 @given(field=st.sampled_from(FIELDS), n=st.integers(2, 3), data=st.data())
 def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
     # ker f^T = ker f^(T+k) in every numerator degree of a range, for every
-    # cover product f = x_S, with T = fine.power(1_S); where the monomial
-    # quotient bound also applies, T does not exceed it
+    # cover product f = x_S, with T the fine grading's power for 1_S; where
+    # the monomial quotient bound also applies, T does not exceed it
     ring = PolyRing(field, ("x", "y", "z")[:n])
     m = FPGradedModule(ring, *data.draw(fine_graded(ring, top=2, bump=2)))
     fine = m.fine_grading()
@@ -976,9 +1000,9 @@ def test_fine_grading_torsion_power_is_the_stable_kernel(field, n, data):
         for subset in combinations(range(n), k):
             u = tuple(int(i in subset) for i in range(n))
             f = HomogPoly.monomial(ring, u)
-            t = fine.power(u)
-            bound, certified = m.torsion_bound(f)
-            if certified:
+            t = graded_modules._torsion_power(fine.torsion, u)
+            bound, how = m.torsion(f)
+            if how == "certified":
                 assert t <= bound
             for d in range(lo, lo + 4):
                 stable = kernel_basis(m.power_act(f, t, d)).ncols
@@ -996,7 +1020,7 @@ def _sections_of_sections_and_obstruction(module, cover, window):
     outer = sections_window(sheaf.m_V, cover, window)
     lo, hi = window
     sections = {d: (outer.piece(d).dim, outer._stable("h0_dim", d)[0]) for d in range(lo, hi + 1)}
-    certified = {d: outer.certified(d) for d in range(lo, hi + 1)}
+    certified = {d: outer.h0(d)[2].certified for d in range(lo, hi + 1)}
     cert = flat_quotient_obstruction(sheaf, sections_window(free_module(ring), cover, window))
     floor_caps = {d: outer.floor_cap(d) for d in range(lo, hi + 1)}
     return (sections, certified, (cert.codims, cert.cap, cert.flags), sheaf.m_V._cap_floor,
@@ -1105,8 +1129,8 @@ def test_inherited_torsion_power_is_the_stable_kernel_of_the_sections(field, n, 
     for k in range(1, n + 1):
         for subset in combinations(range(n), k):
             f = cover.product(subset)
-            t, certified = sections.torsion_bound(f)
-            assert (t, certified) == (m.torsion_bound(f) if inherited else (1, False))
+            t, how = sections.torsion(f)
+            assert (t, how) == (m.torsion(f) if inherited else (1, "heuristic"))
             if not inherited:
                 continue
             for d in range(lo, lo + 3):
@@ -1119,12 +1143,12 @@ class _TopExponentBound(FPGradedModule):
     """A monomial quotient with the certified bound it had before
     fine_grading: max(1, the largest exponent of a relation monomial)."""
 
-    def torsion_bound(self, f):
-        got, certified = super().torsion_bound(f)
-        if not self.relations or not certified:
-            return got, certified
+    def torsion(self, f):
+        got, how = super().torsion(f)
+        if not self.relations or how != "certified":
+            return got, how
         return max(1, max(max(next(iter(p.terms)))
-                          for entries, _ in self.relations for p in entries if p is not None)), True
+                          for entries, _ in self.relations for p in entries if p is not None)), how
 
 
 @settings(max_examples=30, deadline=None)
@@ -1146,7 +1170,7 @@ def test_monomial_quotient_bound_gives_the_top_exponent_kernel(field, n, data):
     for u in data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
                                 min_size=1, max_size=3)):
         f = HomogPoly.monomial(ring, u, data.draw(scalars(field)))
-        (t_new, _), (t_old, _) = m.torsion_bound(f), old.torsion_bound(f)
+        (t_new, _), (t_old, _) = m.torsion(f), old.torsion(f)
         assert t_new <= t_old
         for d in range(min(gens), min(gens) + 4):
             assert (kernel_basis(m.power_act(f, t_new, d))
@@ -1308,7 +1332,7 @@ def test_the_plateau_presentation_keeps_escalating():
     # with T = (20, 1).  Its torsion is not certified, but the saturation
     # walk proves the powers, so its localizations are exact and its floor
     # is 20: every degree but the top one of the window still escalates,
-    # and the kernels flag stays heuristic, as torsion_bound does not
+    # and the kernels flag stays heuristic, as torsion proves but does not
     # certify
     scenario = parse_scenario(PLATEAU)
     m = scenario.modules["M"]
@@ -1320,6 +1344,23 @@ def test_the_plateau_presentation_keeps_escalating():
     assert "kernels-heuristic" in check.flags
 
 
+def test_a_kernel_starts_the_chain_at_the_power_of_its_source(monkeypatch):
+    # with no saturation walk, the plateau presentation localizes at x by
+    # the kernel chain from its fine grading's power 20, to zero.  The
+    # kernel of its zero map is the same module and starts the chain at 20
+    # too, where a start at 1 stops on the plateau ker x = ker x^2
+    monkeypatch.setattr(FPGradedModule, "saturation", lambda self, v: None)
+    m = parse_scenario(PLATEAU).modules["M"]
+    x = m.ring.var_poly(0)
+    k = kernel_dw(GradedModuleMap(m, m, lambda d: Mat.zeros(
+        m.ring.field, m.piece(d).dim, m.piece(d).dim)))
+    assert m.torsion(x) == k.torsion(x) == (20, "heuristic")
+    for d, cap in ((0, 1), (2, 1), (5, 2)):
+        for module in (m, k):
+            lp = localize_piece(module, x, d, cap)
+            assert (lp.status, lp.dim) == ("heuristic(20)", 0), (module.name, d, cap)
+
+
 def test_a_saturation_walk_past_the_budget_proves_no_floor(monkeypatch, ring, x, y, w):
     # one exactness gate for both classes: where the walk gives up, no
     # power of x is proven, the localization at x is not exact, and the
@@ -1329,7 +1370,7 @@ def test_a_saturation_walk_past_the_budget_proves_no_floor(monkeypatch, ring, x,
     koszul = FPGradedModule(ring, (0,), ((x ** 3 + y ** 3,),))
     for m, cover in ((plateau.modules["M"], plateau.overlap), (koszul, w)):
         assert m.saturation(0) is None
-        assert m.exact_power(cover.denoms[0]) is None
+        assert m.torsion(cover.denoms[0])[1] == "heuristic"
         assert localization_cech._proven_cap_floor(m, cover) is None
 
 

@@ -136,7 +136,7 @@ def test_sections_of_an_explicit_double_dual_match_the_origin(m):
         else:
             assert cap_dd == s_m.caps[0], d
             assert s_m._stable("h0_dim", d)[:2] == (floor, dim_dd), d
-        assert s_dd.certified(d) == s_m.certified(d), d
+        assert s_dd.h0(d)[2].certified == s_m.h0(d)[2].certified, d
 
 
 @given(fp_modules())
@@ -163,9 +163,9 @@ def test_torsion_certificates(ring, kx_fp, x, y):
         assert loc.dim == 0 and loc.status == "certified-in-window", d
     from qcverify import HomogPoly
 
-    assert dual.torsion_bound(HomogPoly.constant(ring, ring.field.one)) == (0, True)
+    assert dual.torsion(HomogPoly.constant(ring, ring.field.one)) == (0, "certified")
     bidual = DualizedModule(DualizedModule(kx_fp))
-    assert bidual.torsion_bound(y) == kx_fp.torsion_bound(y) == (1, True)
+    assert bidual.torsion(y) == kx_fp.torsion(y) == (1, "certified")
 
 
 # --- dual maps ------------------------------------------------------------------
