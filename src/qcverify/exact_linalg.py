@@ -14,13 +14,12 @@ inputs give byte-identical results.
 Every operation visits the stored nonzero entries only.  The matrices
 that arise in practice (monomial multiplication, Cech restriction) are
 signed-incidence-like, with a few entries per row, and this keeps
-elimination close to linear time on them.
+elimination close to linear time on them.  Rows are shared (see Mat).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import accumulate
 
 __all__ = [
@@ -101,7 +100,10 @@ class FieldSpec:
             if a % self.p == 0:
                 raise ZeroDivisionError(f"division by zero in F_{self.p}")
             return pow(a, self.p - 2, self.p)
-        return a if a == 1 or a == -1 else Fraction(1, a)
+        if a == 1 or a == -1:
+            return a
+        from fractions import Fraction  # here, so that start-up never imports it
+        return Fraction(1, a)
 
     def parse_scalar(self, text: str):
         """Parse 'n' or 'n/m' (the latter inverted mod p for prime fields)."""
@@ -129,9 +131,12 @@ class Mat:
 
     data holds one {column: entry} dict per row with the nonzero entries
     only; rows are shared between matrices and never changed after
-    construction.  The reduced row echelon form is cached on the instance,
-    which matters: the degreewise machinery asks for the rank and kernel of
-    the same matrix repeatedly.
+    construction.  Shared, not copied: the unit rows of identities and their
+    selections, empty rows, rows that block and hstack take from one block
+    at column 0, and rows a product takes through one unit term; rows whose
+    entries move or change are built fresh.  The reduced row echelon form is
+    cached on the instance, which matters: the degreewise machinery asks for
+    the rank and kernel of the same matrix repeatedly.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_ident")
@@ -174,36 +179,33 @@ class Mat:
         return m
 
     @classmethod
-    def from_cols(cls, field: FieldSpec, cols, nrows: int) -> "Mat":
-        """The matrix with the given columns, each a dense sequence or a
-        {row: entry} mapping."""
-        cols = list(cols)
-        rows = [{} for _ in range(nrows)]
-        for j, c in enumerate(cols):
-            for i, v in _sparse_row(c, nrows).items():
-                rows[i][j] = v
-        return cls._of(field, nrows, len(cols), rows)
-
-    @classmethod
     def block(cls, field: FieldSpec, blocks: dict, row_dims=None, col_dims=None) -> "Mat":
         """The matrix with blocks[i, j] in block row i and block column j.
 
         Absent blocks are zero.  row_dims and col_dims are the heights of
         the block rows and the widths of the block columns; either may be
         left out when every block row (column) holds a block to read it
-        from.  Only the nonzero entries of the blocks are visited.
+        from.  Only nonzero entries are visited; a row that one block feeds
+        at column 0 is that block's own row, others are shifted or merged.
         """
         row_dims = _block_dims(blocks, row_dims, 0)
         col_dims = _block_dims(blocks, col_dims, 1)
         row_off = list(accumulate(row_dims, initial=0))
         col_off = list(accumulate(col_dims, initial=0))
-        rows = [{} for _ in range(row_off[-1])]
+        rows = [_EMPTY_ROW] * row_off[-1]
+        merged = set()  # rows built here from two or more blocks
         for (i, j), b in blocks.items():
             if (b.nrows, b.ncols) != (row_dims[i], col_dims[j]):
                 raise ValueError(f"block ({i}, {j}) does not fit its block row and column")
-            r0, c0 = row_off[i], col_off[j]
-            for r, row in enumerate(b.data, r0):
-                rows[r].update((c0 + c, e) for c, e in row.items())
+            c0 = col_off[j]
+            for r, row in enumerate(b.data, row_off[i]):
+                if row and rows[r] is _EMPTY_ROW:
+                    rows[r] = {c0 + c: e for c, e in row.items()} if c0 else row
+                elif row:
+                    if r not in merged:
+                        merged.add(r)
+                        rows[r] = dict(rows[r])
+                    rows[r].update({c0 + c: e for c, e in row.items()})
         return cls._of(field, row_off[-1], col_off[-1], rows)
 
     def entry(self, i: int, j: int):
@@ -213,11 +215,7 @@ class Mat:
         return not any(self.data)
 
     def transpose(self) -> "Mat":
-        rows = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.data):
-            for j, v in row.items():
-                rows[j][i] = v
-        return Mat._of(self.field, self.ncols, self.nrows, rows)
+        return self.transpose_rows(range(self.nrows))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -277,6 +275,9 @@ class Mat:
         orows = other.data
         out = []
         for row in self.data:
+            if not row:
+                out.append(_EMPTY_ROW)
+                continue
             if len(row) == 1:
                 # one term cannot cancel; a unit coefficient shares the row
                 ((k, a),) = row.items()
@@ -323,6 +324,18 @@ class Mat:
             {new[j]: v for j, v in row.items() if j in new} for row in self.data
         )
         return Mat._of(self.field, self.nrows, len(new), rows)
+
+    def transpose_rows(self, indices) -> "Mat":
+        """take_cols of the transpose, visiting only the rows at indices."""
+        if self._ident:
+            return self.take_cols(indices)
+        rows = [_EMPTY_ROW] * self.ncols
+        for k, i in enumerate(indices):
+            for j, v in self.data[i].items():
+                if rows[j] is _EMPTY_ROW:
+                    rows[j] = {}
+                rows[j][k] = v
+        return Mat._of(self.field, self.ncols, len(indices), rows)
 
     def take_rows(self, lo: int, hi: int) -> "Mat":
         """Rows lo, ..., hi - 1."""
@@ -541,7 +554,8 @@ def _quotient_with_indices(sub: Mat, amb_dim: int) -> tuple[Mat, Mat, tuple[int,
 
 def _quotient_by_rules(rules: dict, vecs: list, n: int, field: FieldSpec) -> tuple:
     """The indices and projection of _quotient_with_indices for k^n modulo
-    the span S of the rules and vecs, without row-reducing the rules.
+    the span S of the rules and vecs, without row-reducing the rules; the
+    projection comes by columns (row k is the image of e_k).
 
     rules[k] = {j: c} with every j < k says that e_k - sum c e_j is in S:
     rows in echelon form, each led by its k.  One pass up the indices gives
@@ -552,12 +566,12 @@ def _quotient_by_rules(rules: dict, vecs: list, n: int, field: FieldSpec) -> tup
     it keeps for the normal forms of the vecs.  The projection, which
     kills S and fixes the kept indices, is unique.
     """
-    cand, proj, mod = range(n), Mat.identity(field, n), field.p
+    cand, cols, mod = range(n), Mat.identity(field, n), field.p
     if rules:
         cand, nf = [], []  # nf[k]: e_k modulo the rules, on the candidates
         for k in range(n):
             if k not in rules:
-                nf.append({len(cand): 1})
+                nf.append(cols.data[len(cand)])  # a shared unit row
                 cand.append(k)
                 continue
             acc: dict = {}
@@ -565,11 +579,11 @@ def _quotient_by_rules(rules: dict, vecs: list, n: int, field: FieldSpec) -> tup
                 for r, v in nf[j].items():
                     acc[r] = acc.get(r, 0) + c * v
             nf.append({r: e for r, v in acc.items() if (e := v % mod if mod else v)})
-        proj = Mat._of(field, n, len(cand), nf).transpose()
-    if vecs and not (res := proj @ Mat.from_cols(field, vecs, n)).is_zero():
-        _, sub, idx = _quotient_with_indices(res, len(cand))
-        cand, proj = [cand[j] for j in idx], sub @ proj
-    return cand, proj
+        cols = Mat._of(field, n, len(cand), nf)
+    if vecs and not (res := Mat(field, len(vecs), n, vecs) @ cols).is_zero():
+        _, sub, idx = _quotient_with_indices(res.transpose(), len(cand))
+        cand, cols = [cand[j] for j in idx], cols @ sub.transpose()
+    return cand, cols
 
 
 def solve(a: Mat, rhs: Mat) -> Mat | None:

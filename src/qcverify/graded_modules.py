@@ -520,11 +520,11 @@ def _torsion_power(powers, mono) -> int:
 
 
 class _Realization:
-    __slots__ = ("free_index", "proj", "piece", "reach")
+    __slots__ = ("free_index", "proj_cols", "piece", "reach")
 
-    def __init__(self, free_index, proj, piece, reach):
+    def __init__(self, free_index, proj_cols, piece, reach):
         self.free_index = free_index
-        self.proj = proj
+        self.proj_cols = proj_cols  # the projection by columns: row k is free label k's image
         self.piece = piece
         self.reach = reach  # see FPGradedModule._lift
 
@@ -640,7 +640,7 @@ class FPGradedModule(DegreewiseModule):
         if prev is not None and prev.piece.dim < len(prev.free_index):
             coset = set(prev.piece.labels)
             cols = [(p, lab, col) for p, (lab, col) in
-                    enumerate(zip(prev.free_index, prev.proj.transpose().data)) if lab not in coset]
+                    enumerate(zip(prev.free_index, prev.proj_cols.data)) if lab not in coset]
             for v in range(ring.nvars):
                 u = ring.unit(v)
                 up = [free_index[i, _mono_mul(m, u)] for i, m in prev.piece.labels]
@@ -652,15 +652,15 @@ class FPGradedModule(DegreewiseModule):
                         rules[k] = {up[pos]: c for pos, c in col.items()}
                     elif not prev.reach.get(p, 0) & seen:
                         checks.append({k: 1, **{up[pos]: field.norm(-c) for pos, c in col.items()}})
-        cand, proj = _quotient_by_rules(rules, checks, n, field)
+        cand, proj_cols = _quotient_by_rules(rules, checks, n, field)
         piece = GradedPiece(field, [free_labels[j] for j in cand])
-        return _Realization(free_index, proj, piece, reach)
+        return _Realization(free_index, proj_cols, piece, reach)
 
     def _images(self, d: int, free_labels) -> Mat:
         """The images in the degree-d piece of the given free basis
-        vectors: columns of the projection."""
+        vectors: columns of the projection, which is kept by columns."""
         r = self._realize(d)
-        return r.proj.take_cols([r.free_index[lab] for lab in free_labels])
+        return r.proj_cols.transpose_rows([r.free_index[lab] for lab in free_labels])
 
     def _piece(self, d: int) -> GradedPiece:
         return self._realize(d).piece

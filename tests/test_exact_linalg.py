@@ -1,5 +1,8 @@
 """Exact linear algebra: hand-checked oracles plus algebraic property tests."""
 
+import os
+import subprocess
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcverify
 from qcverify import FieldSpec, Mat, exact_linalg, kernel_basis, kernel_coords, rref, solve
 from qcverify.exact_linalg import _quotient_by_rules, _quotient_with_indices, rank
 
@@ -39,6 +43,25 @@ def test_prime_field_arithmetic():
     assert type(Q.inv(-1)) is int and Q.inv(-1) == -1
     assert Q.inv(3) == Fraction(1, 3) and Q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
     assert type(Q.parse_scalar("6")) is int
+
+
+def test_fractions_is_imported_only_to_invert_a_non_unit():
+    # in a fresh interpreter, since pytest's plugins import fractions here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcverify.__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from qcverify.verify_cli import BUILTIN_SCENARIOS, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for name in sorted(BUILTIN_SCENARIOS):\n"
+        "        main(['builtin', name, '--window=-1:1'])\n"
+        "print('fractions' in sys.modules)\n"
+        "from fractions import Fraction\n"
+        "from qcverify import FieldSpec\n"
+        "print(FieldSpec().inv(2) == Fraction(1, 2), FieldSpec().inv(-1))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue -1\n", "")
 
 
 def test_prime_field_division_by_zero():
@@ -251,6 +274,33 @@ def test_block_matches_stack_folds(grid):
         assert Mat.block(field, blocks) == want
 
 
+@given(block_grids())
+@settings(max_examples=80, deadline=None)
+def test_assembly_shares_rows_and_changes_none(grid):
+    # rows are shared, never changed: a row that one block feeds at column 0
+    # is that block's own row, an unfed row is the shared empty row, and no
+    # operation alters a row of its inputs
+    field, blocks, row_dims, col_dims = grid
+    before = [(m, [dict(row) for row in m.data]) for m in blocks.values()]
+    got = Mat.block(field, blocks, row_dims, col_dims)
+    assert got == folded(field, blocks, row_dims, col_dims)
+    before.append((got, [dict(row) for row in got.data]))
+    if len(col_dims) == 1:
+        row_off = [sum(row_dims[:i]) for i in range(len(row_dims))]
+        for (i, _), b in blocks.items():
+            for r, row in enumerate(b.data, row_off[i]):
+                assert not row or got.data[r] is row
+    assert all(row for row in got.data if row is not exact_linalg._EMPTY_ROW)
+    twice = got.hstack(got)
+    assert twice == folded(field, {(0, 0): got, (0, 1): got}, [got.nrows], [got.ncols] * 2)
+    square = got @ got.transpose()
+    assert all(row is exact_linalg._EMPTY_ROW for row, src in zip(square.data, got.data) if not src)
+    got.take_cols(list(range(got.ncols))[::-1])
+    rref(got), kernel_basis(got), _quotient_with_indices(got, got.nrows)
+    for m, rows in before:
+        assert [dict(row) for row in m.data] == rows
+
+
 def test_block_diagonal_with_empty_blocks():
     a = mat([[1, 2]])
     e = Mat.zeros(Q, 0, 3)
@@ -339,10 +389,11 @@ def test_quotient_by_rules_is_the_quotient_by_their_span(inputs):
     # vecs after gives what row-reducing the whole span gives
     field, n, rules, vecs = inputs
     rows = [{k: 1, **{j: field.norm(-c) for j, c in rule.items()}} for k, rule in rules.items()]
-    _, want_proj, want_idx = _quotient_with_indices(Mat.from_cols(field, rows + vecs, n), n)
-    idx, proj = _quotient_by_rules(rules, vecs, n, field)
-    assert (tuple(idx), proj) == (want_idx, want_proj)
-    assert_sparse(proj)
+    span = Mat(field, len(rows + vecs), n, rows + vecs).transpose()
+    _, want_proj, want_idx = _quotient_with_indices(span, n)
+    idx, proj_cols = _quotient_by_rules(rules, vecs, n, field)
+    assert (tuple(idx), proj_cols.transpose()) == (want_idx, want_proj)
+    assert_sparse(proj_cols)
 
 
 def assert_sparse(x: Mat):
@@ -448,7 +499,7 @@ def test_a_coset_basis_is_a_selection_of_unit_rows(field):
     for rows in ([[1], [1], [0], [0]], [[1, 0], [2, 1], [0, 3], [0, 0]], [[0], [0], [0], [5]]):
         sub = Mat(field, len(rows), len(rows[0]), rows)
         coset, _proj, idx = exact_linalg._quotient_with_indices(sub, sub.nrows)
-        assert coset == Mat.from_cols(field, [{j: 1} for j in idx], sub.nrows)
+        assert coset == Mat(field, len(idx), sub.nrows, [{j: 1} for j in idx]).transpose()
         for j, row in enumerate(coset.data):
             want = exact_linalg._UNIT_ROWS[idx.index(j)] if j in idx else exact_linalg._EMPTY_ROW
             assert row is want

@@ -210,7 +210,7 @@ def test_a_generator_multiple_outside_h0_is_refused(monkeypatch, scheme, ideal_f
         cols = [{}] * vecs.ncols
         if cols and pieces_to[0].dim:
             cols[0] = {0: 1}
-        return Mat.from_cols(vecs.field, cols, sum(p.dim for p in pieces_to))
+        return Mat(vecs.field, len(cols), sum(p.dim for p in pieces_to), cols).transpose()
 
     monkeypatch.setattr(glued_scheme, "_cochain_apply", off_h0)
     with pytest.raises(ArithmeticError, match="a generator multiple is not a section"):

@@ -1,6 +1,9 @@
 """Graded rings, finitely presented modules, and degreewise maps."""
 
+import importlib
+import os
 import re
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -27,6 +30,7 @@ from qcverify import (
     localize_piece,
     map_from_gen_images,
     matlis_dual,
+    parse_scenario,
     sections_window,
     verify_action_commutation,
     verify_naturality,
@@ -163,22 +167,69 @@ def presentation_cokernel(fp: FPGradedModule):
     return cokernel_dw(map_from_gen_images(rels, gens, images))
 
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+workloads = importlib.import_module("workloads")
+
+
+def assert_fp_is_cokernel(fp: FPGradedModule, cok, degrees):
+    # pieces, actions of monomials of degree 1 to 3 and generator products,
+    # each degree realized in the order given
+    ring, field = fp.ring, fp.ring.field
+    monos = [m for k in (1, 2, 3) for m in ring.monomials(k)]
+    for d in degrees:
+        assert fp.piece(d).labels == cok.piece(d).labels, (fp, d)
+        for mono in monos:
+            assert fp.mono_act(mono, d) == cok.mono_act(mono, d), (fp, d, mono)
+        free = cok.ambient.piece(d).labels
+        for i, e in enumerate(fp.gen_degrees):
+            units = [{free.index((i, m)): 1} for m in ring.monomials(d - e)]
+            want = cok.project(d) @ Mat(field, len(units), len(free), units).transpose()
+            assert fp.gen_mult(i, d - e) == want, (fp, d, i)
+
+
 def test_fp_module_is_the_cokernel_of_its_presentation():
+    # hand presentations over Q and F_7; the eight presentations of the
+    # random-fp benchmark at seed 1 over Q and F_65537; and R/(x^2, y^3),
+    # whose degree 3 reduces the relation y^3 by the rules lifted from x^2
+    # (the vecs branch of _quotient_by_rules)
+    cases = []
     for field in (FieldSpec.rationals(), FieldSpec.prime(7)):
         ring = PolyRing(field, ("x", "y"))
         x, y = ring.var_poly(0), ring.var_poly(1)
         q = HomogPoly.parse(ring, "2*x^2 - 3*x*y + 5*y^2")
         lin = HomogPoly.parse(ring, "7*x - 2*y")
-        for fp in (
-            FPGradedModule(ring, (1, 1), ((y, -x),)),
-            FPGradedModule(ring, (0,), ((x,), (y,))),
-            FPGradedModule(ring, (0, 1), ((q, lin),)),
-        ):
-            cok = presentation_cokernel(fp)
-            for d in range(-1, 6):
-                assert fp.piece(d).labels == cok.piece(d).labels, (field, fp, d)
-                for v in range(2):
-                    assert fp.act(v, d) == cok.act(v, d), (field, fp, d, v)
+        cases += [(ring, (1, 1), ((y, -x),)), (ring, (0,), ((x,), (y,))), (ring, (0, 1), ((q, lin),))]
+    text = workloads.random_fp_text(1, (-1, 8))
+    for field in (FieldSpec.rationals(), FieldSpec.prime(65537)):
+        modules = parse_scenario(text, field=field).modules
+        ring = modules["O"].ring
+        for k in range(len(workloads.RANDOM_SHAPES)):
+            m = modules[f"M{k}"]
+            cases.append((ring, m.gen_degrees, [entries for entries, _ in m.relations]))
+        cases.append((ring, (0,), [(HomogPoly.parse(ring, "x^2"),), (HomogPoly.parse(ring, "y^3"),)]))
+    for ring, gens, rels in cases:
+        cok = presentation_cokernel(FPGradedModule(ring, gens, rels))
+        for degrees in (range(-1, 9), range(8, -2, -1)):
+            assert_fp_is_cokernel(FPGradedModule(ring, gens, rels), cok, degrees)
+
+
+def test_the_oracles_presentation_reduces_vecs_after_rules():
+    # R/(x^2, y^3) in degree 3: the rules for x^3 and x^2 y, lifted from
+    # degree 2, leave y^3 nonzero, which drops one more candidate
+    ring = PolyRing(FieldSpec.rationals(), ("x", "y"))
+    real, seen = exact_linalg._quotient_by_rules, []
+
+    def spy(rules, vecs, n, field):
+        cand, proj_cols = real(rules, vecs, n, field)
+        seen.append((len(rules), n - len(rules) - len(cand)))
+        return cand, proj_cols
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded_modules, "_quotient_by_rules", spy)
+        m = FPGradedModule(ring, (0,), ((HomogPoly.parse(ring, "x^2"),),
+                                        (HomogPoly.parse(ring, "y^3"),)))
+        assert [m.piece(d).dim for d in range(5)] == [1, 2, 2, 1, 0]
+    assert seen[3] == (2, 1)
 
 
 def test_gen_element_shape(ideal_fp):
@@ -540,7 +591,8 @@ def macaulay(m: FPGradedModule, d: int, v=None):
                     k = index[i, tuple(a + b for a, b in zip(u, mono))]
                     v[k] = ring.field.norm(v.get(k, 0) + coeff)
             vecs.append(v)
-    _, proj, idx = _quotient_with_indices(Mat.from_cols(ring.field, vecs, len(labels)), len(labels))
+    _, proj, idx = _quotient_with_indices(Mat(ring.field, len(vecs), len(labels), vecs).transpose(),
+                                          len(labels))
     return tuple(labels[j] for j in idx), proj
 
 
@@ -581,7 +633,7 @@ def test_the_lift_matches_the_macaulay_construction(walk, m, degrees):
             patch.setattr(graded_modules, "_MAX_LABELS", m._labels(8, 8))
         for d in degrees:
             r = m._realize(d)
-            assert (r.piece.labels, r.proj) == macaulay(m, d), d
+            assert (r.piece.labels, r.proj_cols.transpose()) == macaulay(m, d), d
 
 
 @given(presentations(), st.data())
@@ -593,7 +645,7 @@ def test_the_lift_in_a_variable_order_matches_the_macaulay_construction(m, data)
     prev = None
     for d in range(min(m.gen_degrees), 7):
         prev = m._lift(d, prev, v)
-        assert (prev.piece.labels, prev.proj) == macaulay(m, d, v), d
+        assert (prev.piece.labels, prev.proj_cols.transpose()) == macaulay(m, d, v), d
 
 
 @given(st.sampled_from(LIFT_FIELDS), st.sampled_from((2, 3)), st.data())
