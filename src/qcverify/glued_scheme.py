@@ -8,7 +8,7 @@ flat-cover obstruction, explicit H^1 witnesses of non-affineness, and
 per-degree exactness reports for three-term sequences of sheaves.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_linalg import Mat, _quotient_with_indices, kernel_basis, kernel_coords, rank
 from .graded_modules import (
@@ -55,6 +55,10 @@ __all__ = [
     "exactness_tables",
     "sequence_report",
 ]
+
+
+OPENS = ("X", "U", "V", "W")  # the opens that sheaf_sections and on_sections take
+_UNKNOWN_OPEN = "unknown open {!r}: expected one of " + ", ".join(OPENS)
 
 
 class GluingMismatch(RuntimeError):
@@ -212,7 +216,7 @@ def sheaf_sections(s: QcohSheafOnX, open_name: str) -> DegreewiseModule:
         return sw_u
     if open_name == "X":
         return s.x_sections()
-    raise ValueError(f"unknown open {open_name!r}: expected one of X, U, V, W")
+    raise ValueError(_UNKNOWN_OPEN.format(open_name))
 
 
 class SheafMap:
@@ -261,7 +265,7 @@ class SheafMap:
             return self._w_map
         if open_name == "X":
             return self._x_map()
-        raise ValueError(f"unknown open {open_name!r}: expected one of X, U, V, W")
+        raise ValueError(_UNKNOWN_OPEN.format(open_name))
 
     def _x_map(self) -> GradedModuleMap:
         ks = self.source.x_sections()
@@ -283,8 +287,7 @@ class SheafMap:
         return f"SheafMap({self.name}: {self.source.name} -> {self.target.name})"
 
 
-@dataclass
-class DefectTable:
+class DefectTable(NamedTuple):
     """Per-degree kernel/cokernel of (F tensor Gamma(W,O))_d -> Gamma(W, ~F)_d."""
 
     kernel: dict
@@ -359,8 +362,7 @@ def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> Defec
     return DefectTable(kernel, cokernel, flags=s_f.flags())
 
 
-@dataclass
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     """Codimension table of the section-generated submodule of Gamma(W, M)."""
 
     codims: dict
@@ -460,8 +462,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
     return ObstructionCertificate(codims, cap, flags)
 
 
-@dataclass
-class NonaffineWitness:
+class NonaffineWitness(NamedTuple):
     """An H^1 class exhibited by an explicit Cech 1-cocycle."""
 
     degree: int
@@ -589,8 +590,7 @@ def _component_string(module: DegreewiseModule, labels, numer_col: Mat,
     return "(" + " + ".join(entries) + f") / ({f_s})^{cap}"
 
 
-@dataclass
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     """Per-degree kernel / middle-homology / cokernel of a three-term sequence."""
 
     kernel: dict

@@ -27,6 +27,7 @@ a sheaf is computed on the sheaf's own modules, sharing their sections
 (and Cech complexes) with every other check on them.
 """
 
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from .graded_modules import (
@@ -136,7 +137,7 @@ def injective_hull(ring: PolyRing) -> DualizedModule:
     return DualizedModule(free_module(ring, name="R"), name="E")
 
 
-class BidualReport:
+class BidualReport(NamedTuple):
     """Result of the double-dual pipeline on a short exact sequence.
 
     plus_over_U is the exactness table of the single-dual sequence
@@ -146,9 +147,8 @@ class BidualReport:
     genuinely fail on the right.
     """
 
-    def __init__(self, plus_over_U: ExactnessReport, bidual_over_V: ExactnessReport):
-        self.plus_over_U = plus_over_U
-        self.bidual_over_V = bidual_over_V
+    plus_over_U: ExactnessReport
+    bidual_over_V: ExactnessReport
 
     @property
     def verdict(self) -> str:

@@ -51,7 +51,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from . import __version__
 from .exact_linalg import FieldSpec, Mat
@@ -74,6 +74,7 @@ from .localization_cech import (
     sections_window,
 )
 from .glued_scheme import (
+    OPENS,
     DoubleGluedScheme,
     GluingMismatch,
     QcohSheafOnX,
@@ -119,7 +120,6 @@ VERDICTS = frozenset(
     }
 )
 
-OPENS = ("X", "U", "V", "W")
 _OPEN = "|".join(OPENS)  # the grammar word for a choice of open
 
 
@@ -140,15 +140,13 @@ class UnknownName(ParseError):
         self.name = name
 
 
-@dataclass
-class _CheckSpec:
+class _CheckSpec(NamedTuple):
     kind: str
     args: tuple
     name: str  # canonical text, also the JSON check name
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A parsed and validated scenario, ready to run."""
 
     name: str
@@ -517,35 +515,25 @@ def _parse_check(rest: str, lineno: int, modules, maps, sheaves) -> _CheckSpec:
     return _CheckSpec(toks[0], tuple(args), " ".join(toks))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     tables: dict  # table name -> {str(degree): int}, degrees ascending
     flags: list
     verdict: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scenario: str
     window: tuple
     checks: list
     version: str = __version__
-    expects: list = dc_field(default_factory=list)
+    expects: tuple = ()
 
     def to_obj(self) -> dict:
         return {
             "scenario": self.scenario,
             "window": [self.window[0], self.window[1]],
-            "checks": [
-                {
-                    "name": c.name,
-                    "tables": c.tables,
-                    "flags": list(c.flags),
-                    "verdict": c.verdict,
-                }
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "version": self.version,
         }
 
@@ -710,7 +698,7 @@ def run_scenario(s: Scenario) -> Report:
     runner = _Runner(s)
     results = [runner.run_check(spec) for spec in s.checks]
     return Report(
-        scenario=s.name, window=s.window, checks=results, expects=list(s.expects)
+        scenario=s.name, window=s.window, checks=results, expects=tuple(s.expects)
     )
 
 

@@ -65,8 +65,8 @@ def _attribute_reads():
 
 
 def _stored_names(cls: ast.ClassDef):
-    """The attributes a class sets on self, and its dataclass fields."""
-    if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in cls.decorator_list):
+    """The attributes a class sets on self, and its NamedTuple fields."""
+    if any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases):
         for node in cls.body:
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 yield node.target.id
