@@ -515,11 +515,16 @@ def _parse_check(rest: str, lineno: int, modules, maps, sheaves) -> _CheckSpec:
     return _CheckSpec(toks[0], tuple(args), " ".join(toks))
 
 
-class CheckResult(NamedTuple):
-    name: str
-    tables: dict  # table name -> {str(degree): int}, degrees ascending
-    flags: list
-    verdict: str
+class CheckResult:
+    # mutable, unlike the other records: bench/test_bench.py assigns a
+    # verdict that contradicts [expect]
+    __slots__ = ("name", "tables", "flags", "verdict")
+
+    def __init__(self, name: str, tables: dict, flags: list, verdict: str):
+        self.name = name
+        self.tables = tables  # table name -> {str(degree): int}, degrees ascending
+        self.flags = flags
+        self.verdict = verdict
 
 
 class Report(NamedTuple):
@@ -533,7 +538,10 @@ class Report(NamedTuple):
         return {
             "scenario": self.scenario,
             "window": [self.window[0], self.window[1]],
-            "checks": [c._asdict() for c in self.checks],
+            "checks": [
+                {"name": c.name, "tables": c.tables, "flags": c.flags, "verdict": c.verdict}
+                for c in self.checks
+            ],
             "version": self.version,
         }
 
