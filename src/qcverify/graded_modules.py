@@ -413,6 +413,10 @@ class DegreewiseModule:
     degree, and only a certified t is reported as such in flags; where it
     is "heuristic", t only starts the kernel chain of a localization.  The
     default, (1, "heuristic"), knows nothing.
+
+    The memos are keyed by degree minus shift, which is 0 except on a
+    twist (FPGradedModule.twist): a twist by s shares its source's memos,
+    and its degree d is their key d - s.
     """
 
     def __init__(self, ring: PolyRing, name: str = "M", min_degree: int | None = None,
@@ -421,11 +425,13 @@ class DegreewiseModule:
         self.name = name
         self.min_degree = min_degree
         self.max_degree = max_degree
+        self.shift = 0
         self._pieces: dict[int, GradedPiece] = {}
         self._mono_acts: dict[tuple, Mat] = {}
 
     def piece(self, d: int) -> GradedPiece:
-        got = self._pieces.get(d)
+        key = d - self.shift
+        got = self._pieces.get(key)
         if got is None:
             if (self.min_degree is not None and d < self.min_degree) or (
                 self.max_degree is not None and d > self.max_degree
@@ -433,7 +439,7 @@ class DegreewiseModule:
                 got = GradedPiece(self.ring.field, ())
             else:
                 got = self._piece(d)
-            self._pieces[d] = got
+            self._pieces[key] = got
         return got
 
     def act(self, var: int, d: int) -> Mat:
@@ -441,7 +447,7 @@ class DegreewiseModule:
 
     def mono_act(self, mono: tuple, d: int) -> Mat:
         """Matrix of multiplication by the monomial x^mono from degree d."""
-        key = (mono, d)
+        key = (mono, d - self.shift)
         got = self._mono_acts.get(key)
         if got is None:
             src, tgt = self.piece(d), self.piece(d + sum(mono))
@@ -541,6 +547,13 @@ class FPGradedModule(DegreewiseModule):
     and only what they miss is row-reduced (_lift).  Where that walk would
     build over _MAX_LABELS free labels, the degree is built alone from all
     relation multiples; where the degree alone has more, CapExhausted.
+
+    A twist M(-s) (see twist) has a source M and a shift s: its degree d
+    is the source's degree d - s, label for label.  It keeps no memo of its
+    own; it reads and fills the source's by key d - s (see
+    DegreewiseModule), and what it builds there it builds in its own
+    degrees and under its own name, so an error names the twist.  A module
+    that is no twist has source None and shift 0.
     """
 
     def __init__(self, ring: PolyRing, gen_degrees, relations=(), name: str = "M"):
@@ -574,8 +587,27 @@ class FPGradedModule(DegreewiseModule):
                 continue  # a zero column imposes nothing
             cleaned.append((tuple(entries), degree))
         self.relations = tuple(cleaned)
+        self.source: FPGradedModule | None = None
         self._realizations: dict[int, _Realization] = {}
         self._saturation: dict[int, int | None] = {}  # v -> T_v, see saturation
+
+    def twist(self, s: int, name: str | None = None) -> "FPGradedModule":
+        """M(-s), this presentation on the generator degrees e_i + s.
+
+        Its source is this module's source, or this module where it is no
+        twist, and it shares that source's realizations, actions and
+        saturation powers.  It holds its source, never the other way
+        round, so no reference cycle forms.
+        """
+        source = self if self.source is None else self.source
+        s += self.shift
+        out = FPGradedModule(self.ring, [e + s for e in source.gen_degrees],
+                             [entries for entries, _ in source.relations],
+                             name=name or f"{source.name}({-s})")
+        out.source, out.shift = source, s
+        out._pieces, out._mono_acts = source._pieces, source._mono_acts
+        out._realizations, out._saturation = source._realizations, source._saturation
+        return out
 
     @property
     def ngens(self) -> int:
@@ -588,11 +620,12 @@ class FPGradedModule(DegreewiseModule):
                    for e in self.gen_degrees)
 
     def _realize(self, d: int) -> _Realization:
-        got = self._realizations.get(d)
+        done, s = self._realizations, self.shift  # keyed by degree - shift
+        got = done.get(d - s)
         if got is None:
             lo = d  # each degree is lifted from the one below, up from the highest realized
             if self.relations:
-                lo = min(d, 1 + max((k for k in self._realizations if k < d),
+                lo = min(d, 1 + max((k + s for k in done if k + s < d),
                                     default=self.min_degree - 1))
             if self._labels(lo, d) > _MAX_LABELS:
                 if self._labels(d, d) > _MAX_LABELS:
@@ -600,7 +633,7 @@ class FPGradedModule(DegreewiseModule):
                         f"{self.name}: degree {d} has over {_MAX_LABELS} free labels")
                 lo = d
             for k in range(lo, d + 1):
-                got = self._realizations[k] = self._lift(k, self._realizations.get(k - 1))
+                got = done[k - s] = self._lift(k, done.get(k - 1 - s))
         return got
 
     def _lift(self, d: int, prev: _Realization | None, v: int | None = None) -> _Realization:
@@ -715,10 +748,12 @@ class FPGradedModule(DegreewiseModule):
         to degree D to zero.  Once D is at least the top relation degree and
         every S-pair of two on one generator has degree at most D, they
         generate N and are a Groebner basis by Buchberger's criterion.
+        The walk moves with the generator degrees, so a twist shares T_v.
         """
         if v not in self._saturation:
             prev, found = None, []
-            d, top = self.min_degree, max((e for _, e in self.relations), default=0)
+            d = self.min_degree
+            top = max((e for _, e in self.relations), default=d)
             while d <= top and self._labels(self.min_degree, d) <= _MAX_LABELS:
                 r = prev = self._lift(d, prev, v)
                 for i, m in set(r.free_index).difference(r.piece.labels):

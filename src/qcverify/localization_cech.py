@@ -161,6 +161,12 @@ class LocalizedPiece:
     def dim(self) -> int:
         return self.incl.ncols
 
+    def shifted(self, s: int) -> "LocalizedPiece":
+        """This piece as a twist by s reads it: degree and numerator degree
+        moved by s, the same incl and proj."""
+        return LocalizedPiece(self.d + s, self.cap, self.num_degree + s, self.status,
+                              self.incl, self.proj)
+
     def __repr__(self):
         return f"LocalizedPiece(d={self.d}, cap={self.cap}, dim={self.dim}, {self.status})"
 
@@ -232,15 +238,25 @@ def _lift(module: DegreewiseModule, cover: OpenSubset, level: int, pieces_from, 
 
 
 class _CechDegree:
-    """All realized pieces and differentials of the complex in one degree."""
+    """All realized pieces and differentials of the complex in one degree.
 
-    __slots__ = ("levels", "diffs", "field", "_h0_basis")
+    A shifted copy (shifted) has the same differentials and reads its H^0
+    basis from the degree it was copied from, its origin.
+    """
 
-    def __init__(self, levels, diffs, field):
+    __slots__ = ("levels", "diffs", "field", "_h0_basis", "_origin")
+
+    def __init__(self, levels, diffs, field, origin=None):
         self.levels = levels
         self.diffs = diffs
         self.field = field
         self._h0_basis = None
+        self._origin = origin
+
+    def shifted(self, s: int) -> "_CechDegree":
+        """This degree as a twist by s reads it (see _TwistWindow)."""
+        return _CechDegree([[lp.shifted(s) for lp in level] for level in self.levels],
+                           self.diffs, self.field, self)
 
     def level_dim(self, k: int) -> int:
         return sum(p.dim for p in self.levels[k]) if k < len(self.levels) else 0
@@ -254,7 +270,8 @@ class _CechDegree:
 
     def h0_basis(self) -> Mat:
         if self._h0_basis is None:
-            self._h0_basis = kernel_basis(self.diff(0))
+            self._h0_basis = (kernel_basis(self.diff(0)) if self._origin is None
+                              else self._origin.h0_basis())
         return self._h0_basis
 
     @property
@@ -332,6 +349,44 @@ class CechComplexWindow:
         return got
 
 
+class _TwistWindow(CechComplexWindow):
+    """The Cech complex of a twist M(-s) (FPGradedModule.twist) at one cap,
+    kept in its source's complex at that cap, the origin.
+
+    Degree d is the origin's degree d - s, shifted: the same localizations
+    (incl, proj, status), differentials and H^0 basis, with every degree
+    and numerator degree moved by s.  The caps agree too: the start cap
+    and the escalation do not depend on d, and the twist's floor is the
+    source's plus s, so its floor cap max(1, floor - d) at d is the
+    source's at d - s.  Where
+    the origin lacks that degree, the twist builds it on its own
+    numerators, as an error there must name the twist and its degree, and
+    hands the origin a copy shifted back.  A twist window is no complex of
+    its own: it builds nothing that its source has built.
+    """
+
+    def __init__(self, module: FPGradedModule, origin: CechComplexWindow):
+        # not CechComplexWindow.__init__: a view is not a new complex
+        self.module = module
+        self.cover = origin.cover
+        self.window = origin.window
+        self.cap = origin.cap
+        self.origin = origin
+        self._degrees: dict[int, _CechDegree] = {}
+
+    def degree(self, d: int) -> _CechDegree:
+        got = self._degrees.get(d)
+        if got is None:
+            s = self.module.shift
+            had = self.origin._degrees.get(d - s)
+            if had is None:
+                got = super().degree(d)
+                self.origin._degrees[d - s] = got.shifted(-s)
+            else:
+                got = self._degrees[d] = had.shifted(s)
+        return got
+
+
 class _CechComplexes(dict):
     """cap -> CechComplexWindow of one module on one cover, built on first use.
 
@@ -340,17 +395,25 @@ class _CechComplexes(dict):
     it; H^1, the witness and the obstruction scan read the complexes of
     the sections module that sections_window hands them, and the
     complexes die with that module: a cache kept on the module object
-    would hold every complex of a run until the run ends.
+    would hold every complex of a run until the run ends.  The complexes
+    of a twist are _TwistWindows on origin, those of its source's sections
+    module on the same cover, window and start cap, which it holds.
     """
 
-    def __init__(self, module: DegreewiseModule, cover: OpenSubset, window):
+    def __init__(self, module: DegreewiseModule, cover: OpenSubset, window,
+                 origin: "_CechComplexes | None" = None):
         super().__init__()
         self.module = module
         self.cover = cover
         self.window = tuple(window)
+        self.origin = origin
 
     def __missing__(self, cap: int) -> CechComplexWindow:
-        got = self[cap] = CechComplexWindow(self.module, self.cover, self.window, cap)
+        if self.origin is None:
+            got = CechComplexWindow(self.module, self.cover, self.window, cap)
+        else:
+            got = _TwistWindow(self.module, self.origin[cap])
+        self[cap] = got
         return got
 
 
@@ -557,6 +620,12 @@ class SectionsModule(DegreewiseModule):
     A proven degree is built at its floor cap (floor_cap) and reported at
     caps[0] (flags, and the witness's cap).
 
+    Where the base is a twist M(-s) of a source M (FPGradedModule.twist),
+    self.complexes are _TwistWindows on those of Gamma(W, ~M) over the same
+    window and start cap, which this module holds: degree d at a cap is
+    M's degree d - s there.  Its own caps, memo and messages are those of
+    its own degrees.
+
     Where the base has a proven floor, so does this module, with the
     base's floor and torsion powers (floor_cap, torsion).  Where the
     base is a fine-graded presentation, this module's own sections over a
@@ -572,7 +641,10 @@ class SectionsModule(DegreewiseModule):
         self.window = tuple(window)
         c0 = _start_cap(self.window, start)
         self.caps = [c0 + _CAP_STEP * k for k in range(_MAX_ESCALATIONS + 1)]
-        self.complexes = _CechComplexes(base, cover, self.window)
+        source = base.source if isinstance(base, FPGradedModule) else None
+        self.complexes = _CechComplexes(
+            base, cover, self.window,
+            None if source is None else sections_window(source, cover, self.window, c0).complexes)
         self._cap_floor = _proven_cap_floor(base, cover)
         # ("h0_dim" or "h1_dim", d) -> (cap, dimension, the complex's degree
         # there), the cap proven or stabilized

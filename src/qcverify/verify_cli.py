@@ -33,7 +33,10 @@ and a list of checks to run over a degree window:
     sections ideal over W = table-computed
     obstruction ideal = obstructed
 
-The module O (free, rank one, generator in degree 0) is predefined.
+The module O (free, rank one, generator in degree 0) is predefined.  A
+module with the relation columns of an earlier one (O included) on its
+generator degrees plus one constant s is built as that module's twist
+(FPGradedModule.twist) and shares its work; its reports are unchanged.
 The check forms are declared, grammar and handler, in _CHECK_FORMS.
 
 Every check ends in a verdict from a closed set (see VERDICTS); cap
@@ -315,6 +318,9 @@ def parse_scenario(text: str, name: str = "scenario",
         raise ParseError("[scheme] must set overlap", scheme_sec[0])
 
     modules: dict = {"O": free_module(ring, (0,), name="O")}
+    # (generator degrees minus their least, relation columns) -> the first
+    # module with that presentation, of which a later one is a twist
+    presentations: dict = {((0,), ()): modules["O"]}
     maps: dict = {}
     sheaves: dict = {}
     checks: list = []
@@ -356,8 +362,14 @@ def parse_scenario(text: str, name: str = "scenario",
                         lineno,
                     )
                 relations.append(tuple(entries))
+            low = min(gen_degrees, default=0)
+            key = (tuple(e - low for e in gen_degrees), tuple(relations))
+            source = presentations.get(key)
+            if source is not None:
+                modules[mname] = source.twist(low - source.min_degree, name=mname)
+                continue
             try:
-                modules[mname] = FPGradedModule(
+                modules[mname] = presentations[key] = FPGradedModule(
                     ring, gen_degrees, tuple(relations), name=mname
                 )
             except NonHomogeneousError as e:
@@ -568,11 +580,15 @@ class _Runner:
         self.scheme = DoubleGluedScheme(s.overlap)
         self._sheaves: dict = {}
         self._module_sheaves: dict = {}
-        # Gamma(W, O), held for the whole run: lemma21 and obstruction read
-        # it, and through sections_window every other check on O shares its
-        # complexes; its pieces are still built on first use
-        self.sections_o = sections_window(s.modules["O"], s.overlap,
-                                          s.window, s.start)
+        # Gamma(W, O) and Gamma(W, M) of every module M that another twists,
+        # held for the whole run: lemma21 and obstruction read Gamma(W, O),
+        # and through sections_window every other check on O, on M or on a
+        # twist of either shares their complexes; no piece or complex is
+        # built before its first use
+        sources = dict.fromkeys([s.modules["O"]] + [m.source for m in s.modules.values()
+                                                    if m.source is not None])
+        self.sections_o, *self._held = [sections_window(m, s.overlap, s.window, s.start)
+                                           for m in sources]
 
     def _table(self, dims) -> dict:
         lo, hi = self.s.window

@@ -755,3 +755,32 @@ def test_a_far_degree_within_the_budget_is_built_alone(ring, x):
     assert [m.piece(d).dim for d in (1200, 1201, 3)] == [3, 3, 3]
     assert sorted(m._realizations) == [0, 1, 2, 3, 1200, 1201]
     assert free_module(ring, (0,)).piece(1200).dim == 1201
+
+
+def test_a_twist_reads_its_sources_pieces_and_actions(ring, x, y):
+    # M(-s) in degree d is M in degree d - s, label for label: the twist
+    # keys its source's memos by d - s, so it reads the very same objects,
+    # and a twist of a twist twists the source
+    m = FPGradedModule(ring, (0, 1), ((x * y, -x),), name="M")
+    t = m.twist(2, "T")
+    assert (t.source, t.shift, t.gen_degrees, t.name) == (m, 2, (2, 3), "T")
+    tt = t.twist(-1)
+    assert (tt.source, tt.shift, tt.gen_degrees, tt.name) == (m, 1, (1, 2), "M(-1)")
+    assert t._realizations is m._realizations and t._mono_acts is m._mono_acts
+    for d in range(-1, 5):
+        assert t.piece(d + 2) is m.piece(d)
+        assert t.act(0, d + 2) is m.act(0, d)
+        assert tt.poly_act(x + y, d + 1) == m.poly_act(x + y, d)
+        assert t.gen_mult(1, d) == m.gen_mult(1, d)
+    fine = m.fine_grading()
+    assert t.fine_grading() == graded_modules.FineGrading(fine.top + 2, fine.torsion)
+    assert [t.saturation(v) for v in (0, 1)] == [m.saturation(v) for v in (0, 1)] == [1, 0]
+    assert [t.torsion(f) for f in (x, y, x * y)] == [m.torsion(f) for f in (x, y, x * y)]
+
+
+def test_a_twist_past_the_label_budget_names_its_own_degree(ring, x):
+    m = FPGradedModule(ring, (0,), ((x ** 3,),), name="M")
+    t = m.twist(-5, "T")
+    with pytest.raises(CapExhausted, match=r"^T: degree 99999 has over 100000 "):
+        t.piece(99_999)
+    assert m._realizations == {}

@@ -1385,3 +1385,32 @@ def test_the_plateau_reads_the_table_of_its_monomial_presentation():
     tables = [run_scenario(parse_scenario(text)).checks[0].tables["sections"]
               for text in (PLATEAU, monomial)]
     assert tables[0] == tables[1] == {str(d): 0 for d in range(-6, 7)}
+
+
+def test_a_twists_cech_degrees_are_its_sources_shifted(ring, x, y, w):
+    # T = M(-3) reads M's Cech degree d - 3 at the same cap: the same
+    # localizations, differentials and H^0 basis, numerator degrees moved
+    # by 3, whichever of the two builds the degree first
+    m = FPGradedModule(ring, (0,), ((x * y ** 2,),), name="M")
+    t = m.twist(3, "T")
+    s_m, s_t = sections_window(m, w, (-2, 2)), sections_window(t, w, (-2, 2))
+    assert s_t.complexes.origin is s_m.complexes
+    for d in range(-2, 3):
+        for cap in (1, 4):
+            if d % 2:
+                deg_t = s_t.complexes[cap].degree(d)
+                deg_m = s_m.complexes[cap].degree(d - 3)
+            else:
+                deg_m = s_m.complexes[cap].degree(d - 3)
+                deg_t = s_t.complexes[cap].degree(d)
+            assert s_t.complexes[cap].origin is s_m.complexes[cap]
+            assert deg_t.diffs is deg_m.diffs
+            assert deg_t.h0_basis() is deg_m.h0_basis()
+            for lp_t, lp_m in zip(deg_t.levels[0] + deg_t.levels[1],
+                                  deg_m.levels[0] + deg_m.levels[1]):
+                assert (lp_t.incl, lp_t.proj, lp_t.status) == (lp_m.incl, lp_m.proj, lp_m.status)
+                assert lp_t.incl is lp_m.incl and lp_t.proj is lp_m.proj
+                assert (lp_t.d, lp_t.num_degree) == (lp_m.d + 3, lp_m.num_degree + 3)
+    for d in range(-2, 3):
+        assert s_t.piece(d).dim == s_m.piece(d - 3).dim
+        assert s_t.h1(d)[1] == s_m.h1(d - 3)[1]

@@ -12,8 +12,8 @@ import time
 import pytest
 
 import qcverify
-from qcverify import FieldSpec, FPGradedModule, GradedPiece, NonHomogeneousError
-from qcverify import localization_cech
+from qcverify import FieldSpec, FPGradedModule, GradedPiece, Mat, NonHomogeneousError
+from qcverify import graded_modules, localization_cech
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
@@ -826,24 +826,65 @@ def _caps_per_module(complexes_built):
 
 
 def test_lemma21_free_builds_one_complex_per_free_module(complexes_built):
-    # 28 free modules and O get one complex per floor cap they read, and
-    # so does the skyscraper R/(x, y): its monomial presentation is
-    # fine-graded with certified torsion, so its caps are proven too.  The
-    # floor of R(-e)^r is e - 1, so window degree d sits at max(1, e - 1 - d)
+    # The 28 free modules R(-a)^r are twists of four presentations: O, and
+    # R^2, R^3, R^4 on generators in degree -3 (free_m3_r2 ...).  A twist
+    # by s builds nothing its source has built: its degree d at cap c is
+    # the source's degree d - s at cap c.  The floor of R(-e)^r is e - 1, so
+    # window degree d of a module sits at max(1, e - 1 - d), which is cap
+    # max(1, -1 - k) at k = d - e for O and max(1, -4 - j) at j = d - e - 3
+    # for the others; O's own degrees d - e, read by the defect, sit at the
+    # same caps.  So each source is built at the caps 1 to 4 once, and the
+    # skyscraper R/(x, y), fine-graded with certified torsion and a twist of
+    # nothing, at its floor caps 3, 2, 1
     rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
     assert rep.exit_code() == 0
     per_module = _caps_per_module(complexes_built)
-    assert len(per_module) == 30
     assert per_module.pop("sky") == [3, 2, 1]
-    # O is read in degrees d - e, at caps 1 to 4 as e grows
-    assert per_module.pop("O") == [1, 2, 3, 4]
     lemma = parse_scenario(BUILTIN_SCENARIOS["lemma21-free"]).modules
-    assert per_module == {
-        name: list(dict.fromkeys(max(1, lemma[name].gen_degrees[0] - 1 - d)
-                                 for d in range(-2, 3)))
-        for name in per_module
-    }
-    assert len(complexes_built) == 59
+    want = {}
+    for m in lemma.values():
+        if m.name != "sky":
+            source = m.source or m
+            caps = want.setdefault(source.name, set())
+            caps.update(max(1, m.gen_degrees[0] - 1 - d) for d in range(-2, 3))
+    assert want == dict.fromkeys(["O", "free_m3_r2", "free_m3_r3", "free_m3_r4"], {1, 2, 3, 4})
+    assert {name: sorted(caps) for name, caps in per_module.items()} == {
+        name: sorted(caps) for name, caps in want.items()}
+    assert len(complexes_built) == 19
+
+
+def test_lemma21_free_localizes_each_source_degree_once(monkeypatch):
+    # every localization is one of a source's, at (cover member, cap,
+    # degree - s), and none is made twice: 11 degrees of each of the four
+    # sources (k = -5..5 for O, j = -8..2 for the others, see above) and the
+    # skyscraper's 5, each at the three members x, y and x*y of its Cech
+    # complex, 3 * (4 * 11 + 5) = 147
+    calls = []
+    real = localization_cech.localize_piece
+
+    def spy(module, f, d, cap):
+        source = module.source or module
+        calls.append((source, str(f), d - module.shift, cap))
+        return real(module, f, d, cap)
+
+    monkeypatch.setattr(localization_cech, "localize_piece", spy)
+    rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
+    assert rep.exit_code() == 0
+    assert len(calls) == len(set(calls)) == 147
+    assert len({source for source, *_ in calls}) == 5
+
+
+def test_scenarios_parsed_apart_share_nothing(complexes_built):
+    # a twist shares only within its run: a second parse of the same text
+    # builds the same complexes again, on modules of its own
+    runs = []
+    for _ in range(2):
+        run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
+        runs.append(list(complexes_built))
+        complexes_built.clear()
+    first, second = runs
+    assert [(m.name, cap) for m, _, cap in first] == [(m.name, cap) for m, _, cap in second]
+    assert not {id(m) for m, _, _ in first} & {id(m) for m, _, _ in second}
 
 
 @pytest.mark.parametrize("check, caps", [
@@ -1171,15 +1212,145 @@ def test_no_cech_complex_is_built_twice(complexes_built, text, code):
     assert keys and len(keys) == len(set(keys))
 
 
+# --- twists: a module that differs from an earlier one by a degree shift -----
+
+# (cover, generator degrees of M, relation lines, s): T is M's relations on
+# every generator degree plus s.  A free module, a fine-graded monomial
+# quotient, a Koszul-class presentation (no x- or y-torsion, not
+# fine-graded) and, on a cover with the member x + y, heuristic torsion
+TWIST_CASES = {
+    "free": ("x, y", "0, 1", [], 1),
+    "monomial": ("x, y", "0", ["x^2", "x*y"], 1),
+    "koszul": ("x, y", "0", ["x^2 + y^2"], -1),
+    "heuristic": ("x, x + y", "0", ["x^2*y"], 1),
+}
+
+TWIST_FORMS = ("sections S{} over W", "sections S{} over X", "h1 {}", "lemma21 {}",
+               "obstruction S{}", "nonaffine-witness {}")
+
+
+def twist_text(cover, gens, relations, s, t_relations=None):
+    """M and T with a direct-image sheaf each, and every check form on
+    both, T's before M's: each builds Cech degrees that the other reads."""
+    t_gens = ", ".join(str(int(e) + s) for e in gens.split(","))
+    text = HEAD.replace("window = -2:2", "window = -3:3").replace("overlap = x, y",
+                                                                   f"overlap = {cover}")
+    for name, g, rels in (("M", gens, relations), ("T", t_gens, t_relations or relations)):
+        text += f"\n[module {name}]\ngenerators = {g}\n"
+        text += "".join(f"relation = {r}\n" for r in rels)
+        text += f"\n[sheaf S{name}]\ndirect-image = {name}\n"
+    for form in TWIST_FORMS:
+        text += f"[check {form.format('T')}]\n[check {form.format('M')}]\n"
+    return text
+
+
+def unshared(text, **kw):
+    """The scenario with every twist replaced by a module of the same
+    presentation that shares nothing."""
+    s = parse_scenario(text, **kw)
+    for name, m in s.modules.items():
+        if m.source is not None:
+            s.modules[name] = FPGradedModule(m.ring, m.gen_degrees,
+                                             [entries for entries, _ in m.relations], name=name)
+    return s
+
+
+FIELDS = [None, FieldSpec.prime(65537)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F65537"])
+@pytest.mark.parametrize("case", sorted(TWIST_CASES))
+def test_a_twist_reads_its_sources_tables_shifted(case, field):
+    # Gamma(W, M(-s))_d is Gamma(W, M)_(d-s), and so are H^1, the defect
+    # and the obstruction codims: every table of T is M's moved by s on the
+    # degrees both windows hold
+    cover, gens, relations, s = TWIST_CASES[case]
+    scenario = parse_scenario(twist_text(cover, gens, relations, s), field=field)
+    mods = scenario.modules
+    assert (mods["T"].source, mods["T"].shift) == (mods["M"], s)
+    checks = {c.name: c for c in run_scenario(scenario).checks}
+    for form in TWIST_FORMS:
+        t_check, m_check = checks[form.format("T")], checks[form.format("M")]
+        assert t_check.verdict not in ("check-error", "inconclusive"), t_check.flags
+        assert t_check.tables.keys() == m_check.tables.keys()
+        for name, table in t_check.tables.items():
+            for d in range(-3, 4):
+                if -3 <= d - s <= 3:
+                    assert table[str(d)] == m_check.tables[name][str(d - s)], (form, name, d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F65537"])
+@pytest.mark.parametrize("case", sorted(TWIST_CASES))
+def test_a_twist_that_shares_reports_the_bytes_of_one_that_does_not(case, field):
+    text = twist_text(*TWIST_CASES[case])
+    for fmt in ("json", "table"):
+        shared = emit_report(run_scenario(parse_scenario(text, field=field)), fmt)
+        assert shared == emit_report(run_scenario(unshared(text, field=field)), fmt)
+
+
+def test_a_near_twist_is_not_shared(complexes_built):
+    # one coefficient differs, so T is a presentation of its own: it gets
+    # complexes of its own and no source
+    cover, gens, relations, s = TWIST_CASES["koszul"]
+    text = twist_text(cover, gens, relations, s, t_relations=["x^2 + 2*y^2"])
+    scenario = parse_scenario(text)
+    assert scenario.modules["T"].source is None
+    assert scenario.modules["T"].shift == 0
+    rep = run_scenario(scenario)
+    assert {m.name for m, _, _ in complexes_built} >= {"M", "T"}
+    assert emit_report(rep) == emit_report(run_text(text))
+
+
+# M = R/(x^3) and its twist T = M(-3), the source's checks first
+TWIST_OF_CUBE = HEAD + """
+[module M]
+generators = 0
+relation = x^3
+
+[module T]
+generators = 3
+relation = x^3
+
+[check h1 M]
+[check h1 T]
+[check nonaffine-witness T]
+"""
+
+
+def _bad_shape(real):
+    def mono_act(self, mono, d):
+        got = real(self, mono, d)
+        return Mat.zeros(got.field, got.nrows + 1, got.ncols)
+    return mono_act
+
+
+@pytest.mark.parametrize("patch, flag", [
+    # past the label budget, T fails in its own degree 16, not as M in degree 13
+    ((graded_modules, "_MAX_LABELS", 12), "cap-exhausted: T: degree 16 has over 12 free labels"),
+    # escalation that cannot stabilize: T's own message and degree
+    ((localization_cech, "_MAX_ESCALATIONS", 1),
+     "cap-exhausted: H1 of T in degree -2: dimensions [0, 0] did not stabilize at caps [6, 8]"),
+    ((FPGradedModule, "_mono_act", _bad_shape(FPGradedModule._mono_act)),
+     "error: action matrix shape mismatch for T, x^(3, 0), degree 4"),
+], ids=["labels", "escalation", "shape"])
+def test_a_twist_names_itself_and_its_degree_in_a_failure(monkeypatch, patch, flag):
+    monkeypatch.setattr(*patch)
+    rep = run_text(TWIST_OF_CUBE)
+    assert rep.checks[1].flags == [flag]
+    assert emit_report(rep) == emit_report(run_scenario(unshared(TWIST_OF_CUBE)))
+
+
 def test_matlis_bidual_builds_three_complexes(complexes_built):
     # A and O are free on the all-variable cover and C = R/(y) is a
-    # fine-graded monomial quotient, so each is built at its floor caps
-    # alone over the window -2:2: 1 and 2 for A and C, 1 for O.  The map
-    # A -> O reads no complex of O at A's cap 2, as A is zero in degree -2
+    # fine-graded monomial quotient, so each is read at its floor caps
+    # alone over the window -2:2: 1 and 2 for A and C, 1 for O.  A = O(-1)
+    # is a twist of O and builds nothing O has built: its caps 1 and 2 are
+    # O's complexes at caps 1 and 2, so O's cap 1 is built once for both
+    # and O's cap 2 takes the place of A's
     rep = run_scenario(parse_scenario(BUILTIN_SCENARIOS["matlis-bidual"], window=(-2, 2)))
     assert rep.exit_code() == 0
     built = sorted((m.name, cap) for m, _, cap in complexes_built)
-    assert built == [("A", 1), ("A", 2), ("C", 1), ("C", 2), ("O", 1)]
+    assert built == [("C", 1), ("C", 2), ("O", 1), ("O", 2)]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
