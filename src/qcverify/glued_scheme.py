@@ -29,6 +29,7 @@ from .localization_cech import (
     _CAP_STEP,
     _cochain_apply,
     _lift,
+    _num_degrees,
     _stabilize,
     kernels_flag,
     restriction_to_sections,
@@ -436,6 +437,7 @@ def flat_quotient_obstruction(s: QcohSheafOnX,
             deg_o = complexes_o[cap].degree(d - e)
             # a * gen_i for each a in the H^0 basis of O; see flat_sections_defect
             blocks[0, i] = _cochain_apply(deg_o.levels[0], deg_m.levels[0],
+                                          _num_degrees(sections_o.cover, 0, d - e, cap),
                                           lambda j, b: fp.gen_mult(i, b), deg_o.h0_basis())
         p_mat = Mat.block(field, blocks)
         if not (deg_m.diff(0) @ p_mat).is_zero():
@@ -537,7 +539,7 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
     # isomorphism on H^1, so there is nothing to see
     if not proven:
         cech2 = s.complexes[cap + _CAP_STEP].degree(found)
-        lifted = _lift(module, w, 1, pieces, cech2.levels[1], _CAP_STEP, witness)
+        lifted = _lift(module, w, 1, found, cap, pieces, cech2.levels[1], _CAP_STEP, witness)
         d0_next = cech2.diff(0)
         if rank(d0_next.hstack(lifted)) != rank(d0_next) + 1:
             raise ArithmeticError("witness class dies at the next cap")
@@ -545,16 +547,16 @@ def witness_nonaffine(s: SectionsModule) -> NonaffineWitness | None:
     reps = []
     comps = []
     pos = 0
-    for k, lp in enumerate(pieces):
+    for k, (lp, a) in enumerate(zip(pieces, _num_degrees(w, 1, found, cap))):
         block = witness.take_rows(pos, pos + lp.dim)
         pos += lp.dim
         if block.is_zero():
             continue
         f_s = w.product(w.subsets[1][k])
         numer_col = lp.incl @ block
-        labels = module.piece(lp.num_degree).labels
+        labels = module.piece(a).labels
         comps.append("D(" + str(f_s) + ")")
-        reps.append(_component_string(module, labels, numer_col, lp.num_degree, f_s, cap))
+        reps.append(_component_string(module, labels, numer_col, a, f_s, cap))
     representative = reps[0] if len(reps) == 1 else "; ".join(
         f"{c}: {r}" for c, r in zip(comps, reps)
     )

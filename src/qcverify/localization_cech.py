@@ -118,6 +118,9 @@ class OpenSubset:
         # subsets[k]: the index sets of size k + 1, in the order of Cech level k
         self.subsets = [tuple(combinations(range(len(denoms)), k + 1))
                         for k in range(len(denoms))]
+        # degrees[k]: deg f_S for each S in subsets[k], a sum of member degrees
+        self.degrees = [tuple(sum(denoms[i].degree for i in S) for S in level)
+                        for level in self.subsets]
         self._products: dict[tuple, HomogPoly] = {}
 
     @property
@@ -145,14 +148,14 @@ class LocalizedPiece:
     M_{d + cap deg f}, one column per basis vector, so dim is its column
     count; proj is the quotient projection the other way.  status is
     certified-in-window, proven(t) or heuristic(t) (module docstring).
+    Neither d nor the cap is kept: a twist M(-s) in degree d reads the very
+    piece of M in degree d - s, and the numerator degree is the reader's
+    (_num_degrees).
     """
 
-    __slots__ = ("d", "cap", "num_degree", "status", "incl", "proj")
+    __slots__ = ("status", "incl", "proj")
 
-    def __init__(self, d, cap, num_degree, status, incl, proj):
-        self.d = d
-        self.cap = cap
-        self.num_degree = num_degree
+    def __init__(self, status, incl, proj):
         self.status = status
         self.incl = incl
         self.proj = proj
@@ -161,14 +164,8 @@ class LocalizedPiece:
     def dim(self) -> int:
         return self.incl.ncols
 
-    def shifted(self, s: int) -> "LocalizedPiece":
-        """This piece as a twist by s reads it: degree and numerator degree
-        moved by s, the same incl and proj."""
-        return LocalizedPiece(self.d + s, self.cap, self.num_degree + s, self.status,
-                              self.incl, self.proj)
-
     def __repr__(self):
-        return f"LocalizedPiece(d={self.d}, cap={self.cap}, dim={self.dim}, {self.status})"
+        return f"LocalizedPiece(dim={self.dim}, {self.status})"
 
 
 def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> LocalizedPiece:
@@ -180,7 +177,7 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     num = module.piece(num_degree)
     if num.dim == 0 or (module.max_degree is not None and f.degree >= 1):
         # nothing to localize, or bounded above: a power of f kills it all
-        return LocalizedPiece(d, cap, num_degree, "certified-in-window",
+        return LocalizedPiece("certified-in-window",
                               Mat.zeros(field, num.dim, 0), Mat.zeros(field, 0, num.dim))
 
     # stable = ker f^t, at the module's certified or proven power; a
@@ -200,63 +197,61 @@ def localize_piece(module: DegreewiseModule, f: HomogPoly, d: int, cap: int) -> 
     status = "certified-in-window" if how == "certified" else f"{how}({t})"
 
     coset, proj, _ = _quotient_with_indices(stable, num.dim)
-    return LocalizedPiece(d, cap, num_degree, status, coset, proj)
+    return LocalizedPiece(status, coset, proj)
 
 
-def _cochain_apply(pieces_from, pieces_to, numer, vecs: Mat, after=None) -> Mat:
+def _num_degrees(cover: OpenSubset, level: int, d: int, cap: int) -> list[int]:
+    """The numerator degrees d + cap deg f_S of the pieces of Cech level
+    `level` in degree d at cap, one per subset S in cover.subsets[level]."""
+    return [d + cap * e for e in cover.degrees[level]]
+
+
+def _cochain_apply(pieces_from, pieces_to, num_degrees, numer, vecs: Mat, after=None) -> Mat:
     """Carry cochains through a map given on numerators.
 
-    vecs stacks one block of rows per piece of pieces_from; block k goes
-    to tgt.proj @ numer(k, src.num_degree) @ src.incl @ block, stacked
-    over pieces_to, with after(k, src.num_degree) applied after numer when
+    vecs stacks one block of rows per piece of pieces_from, whose numerator
+    degrees are num_degrees; block k goes to
+    tgt.proj @ numer(k, num_degrees[k]) @ src.incl @ block, stacked over
+    pieces_to, with after(k, num_degrees[k]) applied after numer when
     given.  The maps are applied to the vectors first, so no product the
     size of a whole piece is built.
     """
     blocks = {}
     pos = 0
-    for k, (src, tgt) in enumerate(zip(pieces_from, pieces_to)):
+    for k, (src, tgt, a) in enumerate(zip(pieces_from, pieces_to, num_degrees)):
         rows = vecs.take_rows(pos, pos + src.dim)
         pos += src.dim
-        image = numer(k, src.num_degree) @ (src.incl @ rows)
+        image = numer(k, a) @ (src.incl @ rows)
         if after is not None:
-            image = after(k, src.num_degree) @ image
+            image = after(k, a) @ image
         blocks[k, 0] = tgt.proj @ image
     return Mat.block(vecs.field, blocks)
 
 
-def _lift(module: DegreewiseModule, cover: OpenSubset, level: int, pieces_from, pieces_to,
-          t: int, vecs: Mat) -> Mat:
-    """Cochains of Cech level `level` lifted from cap c (pieces_from) to
-    cap c + t (pieces_to): the piece of the subset S is multiplied by f_S^t."""
+def _lift(module: DegreewiseModule, cover: OpenSubset, level: int, d: int, cap: int,
+          pieces_from, pieces_to, t: int, vecs: Mat) -> Mat:
+    """Cochains of Cech level `level` in degree d lifted from cap
+    (pieces_from) to cap + t (pieces_to): the piece of the subset S is
+    multiplied by f_S^t."""
     if t == 0:
         return vecs
     subsets = cover.subsets[level]
     return _cochain_apply(
-        pieces_from, pieces_to,
+        pieces_from, pieces_to, _num_degrees(cover, level, d, cap),
         lambda k, a: module.power_act(cover.product(subsets[k]), t, a), vecs,
     )
 
 
 class _CechDegree:
-    """All realized pieces and differentials of the complex in one degree.
+    """All realized pieces and differentials of the complex in one degree."""
 
-    A shifted copy (shifted) has the same differentials and reads its H^0
-    basis from the degree it was copied from, its origin.
-    """
+    __slots__ = ("levels", "diffs", "field", "_h0_basis")
 
-    __slots__ = ("levels", "diffs", "field", "_h0_basis", "_origin")
-
-    def __init__(self, levels, diffs, field, origin=None):
+    def __init__(self, levels, diffs, field):
         self.levels = levels
         self.diffs = diffs
         self.field = field
         self._h0_basis = None
-        self._origin = origin
-
-    def shifted(self, s: int) -> "_CechDegree":
-        """This degree as a twist by s reads it (see _TwistWindow)."""
-        return _CechDegree([[lp.shifted(s) for lp in level] for level in self.levels],
-                           self.diffs, self.field, self)
 
     def level_dim(self, k: int) -> int:
         return sum(p.dim for p in self.levels[k]) if k < len(self.levels) else 0
@@ -270,8 +265,7 @@ class _CechDegree:
 
     def h0_basis(self) -> Mat:
         if self._h0_basis is None:
-            self._h0_basis = (kernel_basis(self.diff(0)) if self._origin is None
-                              else self._origin.h0_basis())
+            self._h0_basis = kernel_basis(self.diff(0))
         return self._h0_basis
 
     @property
@@ -300,7 +294,10 @@ class CechComplexWindow:
     """The Cech complex of a module on a cover, at one uniform cap.
 
     Degree realizations are lazy and memoized; building one verifies
-    d o d = 0 on the spot.
+    d o d = 0 on the spot.  The memo is keyed by d - module.shift, as the
+    module's own memos are, so a twist M(-s) and its source M can read one
+    memo (_CechComplexes): the twist's degree d is M's degree d - s, the
+    very object, built on the numerators of whichever asked first.
     """
 
     def __init__(self, module: DegreewiseModule, cover: OpenSubset, window, cap: int):
@@ -311,7 +308,8 @@ class CechComplexWindow:
         self._degrees: dict[int, _CechDegree] = {}
 
     def degree(self, d: int) -> _CechDegree:
-        got = self._degrees.get(d)
+        key = d - self.module.shift
+        got = self._degrees.get(key)
         if got is not None:
             return got
         field = self.module.ring.field
@@ -323,6 +321,7 @@ class CechComplexWindow:
         diffs = []
         for k in range(self.cover.n - 1):
             src_pieces, tgt_pieces = levels[k], levels[k + 1]
+            num_degrees = _num_degrees(self.cover, k, d, self.cap)
             blocks = {}
             for ti, T in enumerate(subsets[k + 1]):
                 tgt = tgt_pieces[ti]
@@ -334,7 +333,8 @@ class CechComplexWindow:
                     src = src_pieces[si]
                     if src.dim == 0:
                         continue
-                    mult = self.module.power_act(self.cover.denoms[i], self.cap, src.num_degree)
+                    mult = self.module.power_act(self.cover.denoms[i], self.cap,
+                                                 num_degrees[si])
                     block = tgt.proj @ mult @ src.incl
                     blocks[ti, si] = -block if pos % 2 else block
             diffs.append(Mat.block(field, blocks, [p.dim for p in tgt_pieces],
@@ -345,45 +345,7 @@ class CechComplexWindow:
                     f"Cech differential square is nonzero in degree {d} at cap {self.cap}"
                 )
         got = _CechDegree(levels, diffs, field)
-        self._degrees[d] = got
-        return got
-
-
-class _TwistWindow(CechComplexWindow):
-    """The Cech complex of a twist M(-s) (FPGradedModule.twist) at one cap,
-    kept in its source's complex at that cap, the origin.
-
-    Degree d is the origin's degree d - s, shifted: the same localizations
-    (incl, proj, status), differentials and H^0 basis, with every degree
-    and numerator degree moved by s.  The caps agree too: the start cap
-    and the escalation do not depend on d, and the twist's floor is the
-    source's plus s, so its floor cap max(1, floor - d) at d is the
-    source's at d - s.  Where
-    the origin lacks that degree, the twist builds it on its own
-    numerators, as an error there must name the twist and its degree, and
-    hands the origin a copy shifted back.  A twist window is no complex of
-    its own: it builds nothing that its source has built.
-    """
-
-    def __init__(self, module: FPGradedModule, origin: CechComplexWindow):
-        # not CechComplexWindow.__init__: a view is not a new complex
-        self.module = module
-        self.cover = origin.cover
-        self.window = origin.window
-        self.cap = origin.cap
-        self.origin = origin
-        self._degrees: dict[int, _CechDegree] = {}
-
-    def degree(self, d: int) -> _CechDegree:
-        got = self._degrees.get(d)
-        if got is None:
-            s = self.module.shift
-            had = self.origin._degrees.get(d - s)
-            if had is None:
-                got = super().degree(d)
-                self.origin._degrees[d - s] = got.shifted(-s)
-            else:
-                got = self._degrees[d] = had.shifted(s)
+        self._degrees[key] = got
         return got
 
 
@@ -396,8 +358,12 @@ class _CechComplexes(dict):
     the sections module that sections_window hands them, and the
     complexes die with that module: a cache kept on the module object
     would hold every complex of a run until the run ends.  The complexes
-    of a twist are _TwistWindows on origin, those of its source's sections
-    module on the same cover, window and start cap, which it holds.
+    of a twist read those of origin, its source's sections module on the
+    same cover, window and start cap, which it holds: its window at a cap
+    shares the memo of origin's window there, keyed by d - shift.  The
+    caps agree: the start cap and the escalation do not depend on d, and
+    the twist's floor is the source's plus s, so its floor cap at d is the
+    source's at d - s.
     """
 
     def __init__(self, module: DegreewiseModule, cover: OpenSubset, window,
@@ -412,7 +378,10 @@ class _CechComplexes(dict):
         if self.origin is None:
             got = CechComplexWindow(self.module, self.cover, self.window, cap)
         else:
-            got = _TwistWindow(self.module, self.origin[cap])
+            # origin's complex at cap, read by this module: not a new
+            # complex, so CechComplexWindow.__init__ does not run
+            got = object.__new__(CechComplexWindow)
+            got.__dict__.update(vars(self.origin[cap]), module=self.module)
         self[cap] = got
         return got
 
@@ -621,10 +590,10 @@ class SectionsModule(DegreewiseModule):
     caps[0] (flags, and the witness's cap).
 
     Where the base is a twist M(-s) of a source M (FPGradedModule.twist),
-    self.complexes are _TwistWindows on those of Gamma(W, ~M) over the same
+    self.complexes share the memos of those of Gamma(W, ~M) over the same
     window and start cap, which this module holds: degree d at a cap is
-    M's degree d - s there.  Its own caps, memo and messages are those of
-    its own degrees.
+    M's degree d - s there, the same object.  Its own caps, _stable memo
+    and messages are those of its own degrees.
 
     Where the base has a proven floor, so does this module, with the
     base's floor and torsion powers (floor_cap, torsion).  Where the
@@ -717,8 +686,8 @@ class SectionsModule(DegreewiseModule):
         than the one piece(d) was read at."""
         own, _dim, cech = self._stable("h0_dim", d)
         if cap > own:
-            basis = _lift(self.base, self.cover, 0, cech.levels[0], self._locs(d, cap),
-                          cap - own, cech.h0_basis())
+            basis = _lift(self.base, self.cover, 0, d, own, cech.levels[0],
+                          self._locs(d, cap), cap - own, cech.h0_basis())
             coords = solve(basis, vecs)
         else:
             coords = kernel_coords(cech.diff(0), vecs)
@@ -740,6 +709,7 @@ class SectionsModule(DegreewiseModule):
         own, dim_to, _ = target._stable("h0_dim", d_to)
         if not dim:
             return Mat.zeros(self.ring.field, dim_to, 0)
+        num_degrees = _num_degrees(self.cover, 0, d, cap)
         after = None
         if own > cap:
             # lift on the numerators, by f_i^(own - cap) after numer, so that
@@ -750,8 +720,8 @@ class SectionsModule(DegreewiseModule):
             def after(i, a):
                 return target.base.power_act(denoms[i], t, a + shift)
             cap = own
-        vecs = _cochain_apply(cech.levels[0], target._locs(d_to, cap), numer, cech.h0_basis(),
-                              after)
+        vecs = _cochain_apply(cech.levels[0], target._locs(d_to, cap), num_degrees, numer,
+                              cech.h0_basis(), after)
         return target._express(d_to, vecs, cap)
 
     def _act(self, var: int, d: int) -> Mat:

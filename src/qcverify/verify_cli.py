@@ -583,8 +583,9 @@ class _Runner:
         # Gamma(W, O) and Gamma(W, M) of every module M that another twists,
         # held for the whole run: lemma21 and obstruction read Gamma(W, O),
         # and through sections_window every other check on O, on M or on a
-        # twist of either shares their complexes; no piece or complex is
-        # built before its first use
+        # twist of either reads their complexes, a twist's degree d being
+        # its source's d - s; no piece or complex is built before its first
+        # use
         sources = dict.fromkeys([s.modules["O"]] + [m.source for m in s.modules.values()
                                                     if m.source is not None])
         self.sections_o, *self._held = [sections_window(m, s.overlap, s.window, s.start)

@@ -47,7 +47,8 @@ def test_prime_field_arithmetic():
 
 def test_fractions_is_imported_only_to_invert_a_non_unit():
     # in a fresh interpreter, since pytest's plugins import fractions here;
-    # and a run loads neither dataclasses nor the inspect it brings
+    # and a run loads neither dataclasses nor the inspect it brings, nor
+    # copy: a twist's Cech complexes share their source's memo, no copies
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcverify.__file__)))
     script = (
         "import contextlib, io, sys\n"
@@ -56,14 +57,15 @@ def test_fractions_is_imported_only_to_invert_a_non_unit():
         "    for name in sorted(BUILTIN_SCENARIOS):\n"
         "        main(['builtin', name, '--window=-1:1'])\n"
         "print('fractions' in sys.modules)\n"
-        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules, 'copy' in sys.modules)\n"
         "from fractions import Fraction\n"
         "from qcverify import FieldSpec\n"
         "print(FieldSpec().inv(2) == Fraction(1, 2), FieldSpec().inv(-1))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nFalse False\nTrue -1\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "False\nFalse False False\nTrue -1\n", "")
 
 
 def test_prime_field_division_by_zero():

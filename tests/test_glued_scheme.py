@@ -39,6 +39,7 @@ from qcverify import (
 )
 from qcverify import glued_scheme
 from qcverify.exact_linalg import rank, solve
+from qcverify.localization_cech import _num_degrees
 from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario, run_scenario
 from test_graded_modules import FIELDS, RINGS, fp_modules
 from test_localization_cech import binomial_presentations, fine_graded
@@ -206,7 +207,7 @@ def test_a_generator_multiple_outside_h0_is_refused(monkeypatch, scheme, ideal_f
     # every a * gen_i made one nonzero entry in chart 0's block: the ideal is
     # torsion-free, so that cochain restricts to nonzero on D(xy) and is not
     # a section; the check says so, and a run reports a check-error
-    def off_h0(pieces_from, pieces_to, numer, vecs, after=None):
+    def off_h0(pieces_from, pieces_to, num_degrees, numer, vecs, after=None):
         cols = [{}] * vecs.ncols
         if cols and pieces_to[0].dim:
             cols[0] = {0: 1}
@@ -277,10 +278,11 @@ def _survives_lift(s, wit, step=2):
     cech2 = s.complexes[cap + step].degree(wit.degree)
     blocks = {}
     pos = 0
-    for k, (pair, lp) in enumerate(zip(combinations(range(w.n), 2), cech.levels[1])):
+    pieces = zip(combinations(range(w.n), 2), cech.levels[1], _num_degrees(w, 1, wit.degree, cap))
+    for k, (pair, lp, num_degree) in enumerate(pieces):
         block = wit.cocycle.take_rows(pos, pos + lp.dim)
         pos += lp.dim
-        mult = module.power_act(w.product(pair), step, lp.num_degree)
+        mult = module.power_act(w.product(pair), step, num_degree)
         blocks[k, 0] = cech2.levels[1][k].proj @ (mult @ (lp.incl @ block))
     lifted = Mat.block(module.ring.field, blocks)
     d0 = cech2.diffs[0]

@@ -47,6 +47,7 @@ from qcverify import (
     map_from_gen_images,
 )
 from qcverify import graded_modules, localization_cech
+from qcverify.localization_cech import _num_degrees
 from qcverify.exact_linalg import kernel_basis, rank, solve
 from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario, run_scenario
 from test_graded_modules import FIELDS, homog_polys, scalars
@@ -107,7 +108,8 @@ def test_a_torsion_free_presentation_localizes_without_a_power(monkeypatch):
     for f in (x, y, x * y):
         for d, cap in ((-1, 2), (0, 1), (2, 3)):
             lp = localize_piece(m, f, d, cap)
-            assert (lp.status, lp.dim) == ("proven(0)", m.piece(lp.num_degree).dim)
+            (num_degree,) = _num_degrees(OpenSubset(ring, (f,)), 0, d, cap)
+            assert (lp.status, lp.dim) == ("proven(0)", m.piece(num_degree).dim)
     assert calls == []
 
 
@@ -256,7 +258,8 @@ def test_a_bounded_above_module_localizes_to_zero():
     k = kernel_dw(zero)
     for d in (-5, -3):
         lp = localize_piece(k, ring.var_poly(0), d, 2)
-        assert k.piece(lp.num_degree).dim > 0
+        (num_degree,) = _num_degrees(OpenSubset(ring, (ring.var_poly(0),)), 0, d, 2)
+        assert k.piece(num_degree).dim > 0
         assert (lp.dim, lp.status) == (0, "certified-in-window"), d
 
 
@@ -519,16 +522,18 @@ def test_only_the_complexes_localize(monkeypatch):
         from_degree.append(caller.f_code is degree_code)
         return localize(*args)
 
+    # (pieces, their numerator degrees as passed, or None where none are)
     read = []
     lift, apply = localization_cech._lift, localization_cech._cochain_apply
 
-    def spy_lift(module, cover, level, pieces_from, pieces_to, t, vecs):
-        read.extend(pieces_from + pieces_to)
-        return lift(module, cover, level, pieces_from, pieces_to, t, vecs)
+    def spy_lift(module, cover, level, d, cap, pieces_from, pieces_to, t, vecs):
+        read.append((pieces_from, _num_degrees(cover, level, d, cap)))
+        read.append((pieces_to, _num_degrees(cover, level, d, cap + t)))
+        return lift(module, cover, level, d, cap, pieces_from, pieces_to, t, vecs)
 
-    def spy_apply(pieces_from, pieces_to, numer, vecs, after=None):
-        read.extend(pieces_from + pieces_to)
-        return apply(pieces_from, pieces_to, numer, vecs, after)
+    def spy_apply(pieces_from, pieces_to, num_degrees, numer, vecs, after=None):
+        read.extend(((pieces_from, num_degrees), (pieces_to, None)))
+        return apply(pieces_from, pieces_to, num_degrees, numer, vecs, after)
 
     monkeypatch.setattr(localization_cech, "localize_piece", spy_localize)
     monkeypatch.setattr(localization_cech, "_lift", spy_lift)
@@ -545,9 +550,16 @@ def test_only_the_complexes_localize(monkeypatch):
             for deg in cx._degrees.values() for level in deg.levels for lp in level]
     assert all(from_degree) and len(from_degree) == len(held)
     assert read
-    for lp in read:
-        assert any(lp is piece for s in (s_o, s_c)
-                   for piece in s.complexes[lp.cap].degree(lp.d).levels[0])
+    # every piece read is a held cover piece, at the numerator degree of the
+    # degree and cap that hold it
+    where = {id(lp): (cap, d, k) for s in (s_o, s_c) for cap, cx in s.complexes.items()
+             for d, deg in cx._degrees.items() for k, lp in enumerate(deg.levels[0])}
+    for pieces, num_degrees in read:
+        for k, lp in enumerate(pieces):
+            cap, d, pos = where[id(lp)]
+            assert pos == k
+            if num_degrees is not None:
+                assert num_degrees[k] == _num_degrees(cover, 0, d, cap)[k]
 
 
 # --- maps given on numerators -------------------------------------------------
@@ -573,7 +585,8 @@ def _ref_lift(s, d, cap_from, cap_to):
     blocks = {}
     for i in range(s.cover.n):
         src, tgt = _ref_loc(s, i, d, cap_from), _ref_loc(s, i, d, cap_to)
-        mult = s.base.power_act(s.cover.denoms[i], cap_to - cap_from, src.num_degree)
+        mult = s.base.power_act(s.cover.denoms[i], cap_to - cap_from,
+                                _num_degrees(s.cover, 0, d, cap_from)[i])
         blocks[i, i] = tgt.proj @ mult @ src.incl
     return Mat.block(s.ring.field, blocks)
 
@@ -589,20 +602,21 @@ def _ref_map(s_src, s_tgt, d, d_to, numer):
     blocks = {}
     for i in range(s_src.cover.n):
         src, tgt = _ref_loc(s_src, i, d, cap), _ref_loc(s_tgt, i, d_to, cap)
-        blocks[i, i] = tgt.proj @ numer(i, src.num_degree) @ src.incl
+        blocks[i, i] = tgt.proj @ numer(i, _num_degrees(s_src.cover, 0, d, cap)[i]) @ src.incl
     return _ref_express(s_tgt, d_to, Mat.block(s_src.ring.field, blocks) @ basis, cap)
 
 
-def _ref_generator_multiples(fp, i, deg_o, pieces_m):
+def _ref_generator_multiples(fp, i, deg_o, num_degrees, pieces_m):
     """The C^0 vectors of a * gen_i over pieces_m, a running over the H^0
-    basis of the Cech degree deg_o of O at the same cap."""
+    basis of the Cech degree deg_o of O at the same cap, whose cover pieces
+    have the numerator degrees num_degrees."""
     basis = deg_o.h0_basis()
     blocks = {}
     off = 0
     for j, (lp_o, lp_m) in enumerate(zip(deg_o.levels[0], pieces_m)):
         numer = lp_o.incl @ basis.take_rows(off, off + lp_o.dim)
         off += lp_o.dim
-        blocks[j, 0] = lp_m.proj @ (fp.gen_mult(i, lp_o.num_degree) @ numer)
+        blocks[j, 0] = lp_m.proj @ (fp.gen_mult(i, num_degrees[j]) @ numer)
     return Mat.block(fp.ring.field, blocks, [lp.dim for lp in pieces_m], [basis.ncols])
 
 
@@ -662,7 +676,7 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
             got = s_o._map_into(d - e, s_m, d, lambda j, a: m.gen_mult(i, a))
             cap_o = s_o._stable("h0_dim", d - e)[0]
             vecs = _ref_generator_multiples(
-                m, i, s_o.complexes[cap_o].degree(d - e),
+                m, i, s_o.complexes[cap_o].degree(d - e), _num_degrees(cover, 0, d - e, cap_o),
                 [_ref_loc(s_m, j, d, cap_o) for j in range(cover.n)])
             assert got == _ref_express(s_m, d, vecs, cap_o)
 
@@ -672,9 +686,11 @@ def test_maps_on_numerators_match_the_block_formulas(field, data):
         for d in range(lo, hi + 1):
             for i, e in enumerate(gens):
                 deg_o, pieces_m = co.degree(d - e), cm.degree(d).levels[0]
+                num_degrees = _num_degrees(cover, 0, d - e, cap)
                 got = localization_cech._cochain_apply(
-                    deg_o.levels[0], pieces_m, lambda j, b: m.gen_mult(i, b), deg_o.h0_basis())
-                assert got == _ref_generator_multiples(m, i, deg_o, pieces_m)
+                    deg_o.levels[0], pieces_m, num_degrees, lambda j, b: m.gen_mult(i, b),
+                    deg_o.h0_basis())
+                assert got == _ref_generator_multiples(m, i, deg_o, num_degrees, pieces_m)
 
 
 # --- coordinates in the H^0 basis ----------------------------------------------
@@ -1387,30 +1403,42 @@ def test_the_plateau_reads_the_table_of_its_monomial_presentation():
     assert tables[0] == tables[1] == {str(d): 0 for d in range(-6, 7)}
 
 
-def test_a_twists_cech_degrees_are_its_sources_shifted(ring, x, y, w):
-    # T = M(-3) reads M's Cech degree d - 3 at the same cap: the same
-    # localizations, differentials and H^0 basis, numerator degrees moved
-    # by 3, whichever of the two builds the degree first
+def _twist_and_source(ring, x, y, w):
+    """Gamma(W, ~M) and Gamma(W, ~T) for M = R/(x y^2) and T = M(-3)."""
     m = FPGradedModule(ring, (0,), ((x * y ** 2,),), name="M")
     t = m.twist(3, "T")
-    s_m, s_t = sections_window(m, w, (-2, 2)), sections_window(t, w, (-2, 2))
-    assert s_t.complexes.origin is s_m.complexes
+    return sections_window(m, w, (-2, 2)), sections_window(t, w, (-2, 2))
+
+
+@pytest.mark.parametrize("twist_first", [True, False], ids=["twist-first", "source-first"])
+def test_a_twist_reads_its_sources_cech_degrees(ring, x, y, w, twist_first):
+    # T = M(-3) in degree d at a cap is M's degree d - 3 there, the very
+    # object, whichever of the two builds it: its localizations,
+    # differentials and H^0 basis are built once
+    s_m, s_t = _twist_and_source(ring, x, y, w)
+    asks = [(s_t, 0), (s_m, -3)] if twist_first else [(s_m, -3), (s_t, 0)]
     for d in range(-2, 3):
         for cap in (1, 4):
-            if d % 2:
-                deg_t = s_t.complexes[cap].degree(d)
-                deg_m = s_m.complexes[cap].degree(d - 3)
-            else:
-                deg_m = s_m.complexes[cap].degree(d - 3)
-                deg_t = s_t.complexes[cap].degree(d)
-            assert s_t.complexes[cap].origin is s_m.complexes[cap]
-            assert deg_t.diffs is deg_m.diffs
-            assert deg_t.h0_basis() is deg_m.h0_basis()
-            for lp_t, lp_m in zip(deg_t.levels[0] + deg_t.levels[1],
-                                  deg_m.levels[0] + deg_m.levels[1]):
-                assert (lp_t.incl, lp_t.proj, lp_t.status) == (lp_m.incl, lp_m.proj, lp_m.status)
-                assert lp_t.incl is lp_m.incl and lp_t.proj is lp_m.proj
-                assert (lp_t.d, lp_t.num_degree) == (lp_m.d + 3, lp_m.num_degree + 3)
+            first, second = (s.complexes[cap].degree(d + off) for s, off in asks)
+            assert first is second
+            assert s_t.complexes[cap].degree(d).h0_basis() is \
+                s_m.complexes[cap].degree(d - 3).h0_basis()
     for d in range(-2, 3):
         assert s_t.piece(d).dim == s_m.piece(d - 3).dim
         assert s_t.h1(d)[1] == s_m.h1(d - 3)[1]
+
+
+@pytest.mark.parametrize("twist_first", [True, False], ids=["twist-first", "source-first"])
+def test_a_cech_degree_past_the_label_budget_names_who_asked(monkeypatch, ring, x, y, w,
+                                                             twist_first):
+    # T's degree 12 at cap 4 reads T in numerator degree 16, M's degree 9
+    # reads M in degree 13: the same 13 free labels.  Each failure names the
+    # module and the degree that were asked for, in either order, and
+    # leaves nothing for the other to read
+    monkeypatch.setattr(graded_modules, "_MAX_LABELS", 12)
+    s_m, s_t = _twist_and_source(ring, x, y, w)
+    asks = [(s_t, 12, "T: degree 16 "), (s_m, 9, "M: degree 13 ")]
+    for s, d, name in asks if twist_first else asks[::-1]:
+        with pytest.raises(CapExhausted, match=f"^{name}has over 12 free labels"):
+            s.complexes[4].degree(d)
+    assert s_m.complexes[4]._degrees == {}

@@ -13,6 +13,7 @@ from qcverify import (
     DualizedModule,
     FPGradedModule,
     GradedModuleMap,
+    OpenSubset,
     SheafMap,
     QcohSheafOnX,
     SectionsModule,
@@ -33,6 +34,7 @@ from qcverify import (
     verify_naturality,
 )
 from qcverify.exact_linalg import rank
+from qcverify.localization_cech import _num_degrees
 from test_graded_modules import FIELDS, RINGS, fp_modules, homog_polys
 
 WINDOW = (-4, 4)
@@ -159,7 +161,8 @@ def test_torsion_certificates(ring, kx_fp, x, y):
     # to zero, certified
     for d in range(-6, -1):
         loc = localize_piece(dual, x, d, 2)
-        assert dual.piece(loc.num_degree).dim > 0
+        (num_degree,) = _num_degrees(OpenSubset(ring, (x,)), 0, d, 2)
+        assert dual.piece(num_degree).dim > 0
         assert loc.dim == 0 and loc.status == "certified-in-window", d
     from qcverify import HomogPoly
 
