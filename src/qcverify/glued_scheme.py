@@ -333,15 +333,26 @@ def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> Defec
     (tensor_relations; checked), so its rank on the tensor piece is its
     rank on the free part, and the piece has dimension nrows - rank of
     the relation matrix.
+
+    The ranks of each degree are kept on sections_o, keyed by f's source
+    (f itself where it is no twist) and d - f.shift: a twist M(-s) has
+    M's tensor relations, sections and comparison map in degree d - s, so
+    it compares only the degrees that neither M nor another twist of M has
+    compared against sections_o.  The flags are s_f's over f's own window.
     """
     _structure_sections(sections_o)
     lo, hi = sections_o.window
     s_f = sections_window(f, sections_o.cover, sections_o.window, sections_o.caps[0])
 
     field = f.ring.field
+    source = f.source or f
     kernel: dict = {}
     cokernel: dict = {}
     for d in range(lo, hi + 1):
+        key = (source, d - f.shift)
+        if key in sections_o._defects:
+            kernel[d], cokernel[d] = sections_o._defects[key]
+            continue
         rel = tensor_relations(f, sections_o, d)
         tgt_dim = s_f.piece(d).dim
         blocks = {}
@@ -358,8 +369,8 @@ def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> Defec
                 f"comparison map fails to kill a tensor relation in degree {d}"
             )
         r = rank(free_map)
-        kernel[d] = rel.nrows - rank(rel) - r
-        cokernel[d] = tgt_dim - r
+        kernel[d], cokernel[d] = sections_o._defects[key] = (rel.nrows - rank(rel) - r,
+                                                             tgt_dim - r)
     return DefectTable(kernel, cokernel, flags=s_f.flags())
 
 

@@ -363,7 +363,8 @@ class _CechComplexes(dict):
     shares the memo of origin's window there, keyed by d - shift.  The
     caps agree: the start cap and the escalation do not depend on d, and
     the twist's floor is the source's plus s, so its floor cap at d is the
-    source's at d - s.
+    source's at d - s; so the sections module shares its stabilized caps
+    (SectionsModule._stable) the same way.
     """
 
     def __init__(self, module: DegreewiseModule, cover: OpenSubset, window,
@@ -592,8 +593,11 @@ class SectionsModule(DegreewiseModule):
     Where the base is a twist M(-s) of a source M (FPGradedModule.twist),
     self.complexes share the memos of those of Gamma(W, ~M) over the same
     window and start cap, which this module holds: degree d at a cap is
-    M's degree d - s there, the same object.  Its own caps, _stable memo
-    and messages are those of its own degrees.
+    M's degree d - s there, the same object.  Its _stable memo is that
+    module's dict, keyed by d - s too: the start cap, the floor cap and the
+    escalation all move with d, so degree d stabilizes at M's cap of
+    degree d - s.  Only a success is memoized, so a failure is raised in
+    the name and degree of whichever module asked.
 
     Where the base has a proven floor, so does this module, with the
     base's floor and torsion powers (floor_cap, torsion).  Where the
@@ -611,13 +615,18 @@ class SectionsModule(DegreewiseModule):
         c0 = _start_cap(self.window, start)
         self.caps = [c0 + _CAP_STEP * k for k in range(_MAX_ESCALATIONS + 1)]
         source = base.source if isinstance(base, FPGradedModule) else None
-        self.complexes = _CechComplexes(
-            base, cover, self.window,
-            None if source is None else sections_window(source, cover, self.window, c0).complexes)
+        origin = None if source is None else sections_window(source, cover, self.window, c0)
+        self.complexes = _CechComplexes(base, cover, self.window,
+                                        None if origin is None else origin.complexes)
         self._cap_floor = _proven_cap_floor(base, cover)
-        # ("h0_dim" or "h1_dim", d) -> (cap, dimension, the complex's degree
-        # there), the cap proven or stabilized
-        self._stable_memo: dict[tuple[str, int], tuple[int, int, _CechDegree]] = {}
+        # ("h0_dim" or "h1_dim", d - base.shift) -> (cap, dimension, the
+        # complex's degree there), the cap proven or stabilized; a twist's
+        # is its source's
+        self._stable_memo: dict[tuple[str, int], tuple[int, int, _CechDegree]] = (
+            {} if origin is None else origin._stable_memo)
+        # (source, d - shift) -> (kernel, cokernel) of the defect of the
+        # source or a twist of it against these sections (flat_sections_defect)
+        self._defects: dict[tuple[FPGradedModule, int], tuple[int, int]] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")
 
     def floor_cap(self, d: int) -> int | None:
@@ -653,14 +662,15 @@ class SectionsModule(DegreewiseModule):
     def _stable(self, what: str, d: int) -> tuple[int, int, _CechDegree]:
         """(cap, dimension, the complex's degree at cap) of what, "h0_dim" or
         "h1_dim", in degree d."""
-        got = self._stable_memo.get((what, d))
+        key = (what, d - self.base.shift)
+        got = self._stable_memo.get(key)
         if got is None:
             cap, dim = _stabilize(
                 lambda c: getattr(self.complexes[c].degree(d), what),
                 self._caps(d),
                 f"{what[:2].upper()} of {self.base.name} in degree {d}",
             )
-            got = self._stable_memo[what, d] = (cap, dim, self.complexes[cap].degree(d))
+            got = self._stable_memo[key] = (cap, dim, self.complexes[cap].degree(d))
         return got
 
     def h1(self, d: int) -> tuple[int, int, _CechDegree]:

@@ -342,6 +342,40 @@ def test_defect_is_additive_on_presentations(ring, w, x, y, sky_fp):
     assert t.defect == single.defect
 
 
+def test_a_defect_is_kept_on_the_structure_sections_it_was_taken_against(
+        monkeypatch, ring, w, x, y):
+    # a twist's defect in degree d is its source's in degree d - s, kept on
+    # the Gamma(W, O) it was taken against: the twist compares only the
+    # degree its source has not, and Gamma(W, O) at another start cap, or
+    # of another O, reads nothing of the first and compares every degree
+    calls = []
+    real = glued_scheme.tensor_relations
+
+    def spy(module, n, d):
+        calls.append((module.source or module, d - module.shift))
+        return real(module, n, d)
+
+    monkeypatch.setattr(glued_scheme, "tensor_relations", spy)
+    window = (-2, 2)
+    m = FPGradedModule(ring, (1, 1), ((y, -x),), name="I")
+    twist = m.twist(1)
+    o = o_sections(w, window)
+    first = [flat_sections_defect(f, o) for f in (m, twist)]
+    assert [k for _, k in calls] == [-2, -1, 0, 1, 2, -3]
+    assert {source for source, _ in calls} == {m}
+    tables = [(t.kernel, t.cokernel) for t in first]
+    assert tables[0][1] == {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
+    # they are those of two presentations that share nothing
+    for e, table in zip((1, 2), tables):
+        t = flat_sections_defect(FPGradedModule(ring, (e, e), ((y, -x),)), o_sections(w, window))
+        assert (t.kernel, t.cokernel) == table
+    for other in (sections_window(o.base, w, window, start=9), o_sections(w, window)):
+        calls.clear()
+        again = [flat_sections_defect(f, other) for f in (m, twist)]
+        assert [k for _, k in calls] == [-2, -1, 0, 1, 2, -3]
+        assert [(t.kernel, t.cokernel) for t in again] == tables
+
+
 @pytest.mark.parametrize("shifts", [(0, 0), (1,)], ids=["O^2", "O(-1)"])
 def test_wrong_structure_sections_are_rejected(scheme, ideal_fp, shifts):
     # Gamma(W, O^2) or Gamma(W, O(-1)) in place of Gamma(W, O): both checks

@@ -1429,6 +1429,32 @@ def test_a_twist_reads_its_sources_cech_degrees(ring, x, y, w, twist_first):
 
 
 @pytest.mark.parametrize("twist_first", [True, False], ids=["twist-first", "source-first"])
+def test_a_twist_reads_its_sources_stabilized_caps(monkeypatch, ring, x, y, w, twist_first):
+    # T = M(-3) in degree d reads M's (cap, dimension, Cech degree) of
+    # degree d - 3, the very tuple, whichever of the two asks first: each
+    # H^0 and H^1 is stabilized once, in the name and degree of who asked
+    stabilized = []
+    real = localization_cech._stabilize
+
+    def spy(dims_at, caps, what):
+        stabilized.append(what)
+        return real(dims_at, caps, what)
+
+    monkeypatch.setattr(localization_cech, "_stabilize", spy)
+    s_m, s_t = _twist_and_source(ring, x, y, w)
+    assert s_t._stable_memo is s_m._stable_memo
+    asks = [(s_t, 0, "T"), (s_m, -3, "M")] if twist_first else [(s_m, -3, "M"), (s_t, 0, "T")]
+    for d in range(-2, 3):
+        first, second = (s.h0(d + off) for s, off, _ in asks)
+        assert first is second
+        first, second = (s.h1(d + off) for s, off, _ in asks)
+        assert first is second
+    name, off = asks[0][2], asks[0][1]
+    assert stabilized == [f"{what} of {name} in degree {d + off}"
+                          for d in range(-2, 3) for what in ("H0", "H1")]
+
+
+@pytest.mark.parametrize("twist_first", [True, False], ids=["twist-first", "source-first"])
 def test_a_cech_degree_past_the_label_budget_names_who_asked(monkeypatch, ring, x, y, w,
                                                              twist_first):
     # T's degree 12 at cap 4 reads T in numerator degree 16, M's degree 9
@@ -1442,3 +1468,55 @@ def test_a_cech_degree_past_the_label_budget_names_who_asked(monkeypatch, ring, 
         with pytest.raises(CapExhausted, match=f"^{name}has over 12 free labels"):
             s.complexes[4].degree(d)
     assert s_m.complexes[4]._degrees == {}
+
+
+# --- graded local duality in three variables -------------------------------------
+#
+# On W = D(x) u D(y) u D(z) in k[x, y, z], Cech H^1 is H^2_m(M), and
+# 0 -> H^0_m(M) -> M -> Gamma(W, ~M) -> H^1_m(M) -> 0 is exact.  A
+# Cohen-Macaulay M of dimension m has H^i_m(M) = 0 for i != m and
+# H^m_m(M)_d dual to (omega_M)_(-d) (Bruns-Herzog 3.6.19).  A hypersurface
+# R/(p), deg p = e, has omega = M(e - 3): Gamma(W, ~M) = M and
+# h^1(d) = dim M_(e-3-d).  A complete intersection R/(p, q) of degrees e1,
+# e2 has omega = M(e1 + e2 - 3): h^1 = 0 and dim Gamma(W, ~M)_d =
+# dim M_d + dim M_(e1+e2-3-d).  dim M_k is the Koszul complex's alternating
+# sum of dim R_(k - sum of a subset of the degrees).
+
+LOCAL_DUALITY = {
+    "hypersurface": ["x^2 + y*z"],
+    "cubic-hypersurface": ["x^3 + y^2*z - 2*x*y*z"],
+    "complete-intersection": ["x^2 + y*z", "y^2 + x*z"],
+    "linear-quadric": ["x + y - z", "x*y + z^2"],
+}
+
+
+def ci_dim(degrees, k: int) -> int:
+    """dim (k[x, y, z]/(p_1, ..., p_r))_k for a complete intersection of
+    the given degrees."""
+    return sum((-1) ** len(sub) * comb(k - sum(sub) + 2, 2)
+               for r in range(len(degrees) + 1) for sub in combinations(degrees, r)
+               if k - sum(sub) >= 0)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:7", "Fp:65537"])
+@pytest.mark.parametrize("case", sorted(LOCAL_DUALITY))
+def test_sections_and_h1_in_three_variables_obey_local_duality(case, field):
+    relations = LOCAL_DUALITY[case]
+    text = (f"[ring]\nvariables = x, y, z\nfield = {field}\n\n[options]\nwindow = -3:3\n\n"
+            "[scheme]\noverlap = x, y, z\n\n[module M]\ngenerators = 0\n"
+            + "".join(f"relation = {r}\n" for r in relations)
+            + "\n[sheaf S]\npatch = M\n\n[check sections S over W]\n[check h1 M]\n")
+    scenario = parse_scenario(text)
+    degrees = [c for _, c in scenario.modules["M"].relations]
+    rep = run_scenario(scenario)
+    assert [c.verdict for c in rep.checks] == ["table-computed"] * 2
+    sections, h1 = ({int(d): v for d, v in c.tables[name].items()}
+                    for c, name in zip(rep.checks, ("sections", "h1")))
+    dual = sum(degrees) - 3
+    if len(degrees) == 1:
+        assert sections == {d: ci_dim(degrees, d) for d in range(-3, 4)}
+        assert h1 == {d: ci_dim(degrees, dual - d) for d in range(-3, 4)}
+    else:
+        assert sections == {d: ci_dim(degrees, d) + ci_dim(degrees, dual - d)
+                            for d in range(-3, 4)}
+        assert h1 == dict.fromkeys(range(-3, 4), 0)

@@ -13,7 +13,7 @@ import pytest
 
 import qcverify
 from qcverify import FieldSpec, FPGradedModule, GradedPiece, Mat, NonHomogeneousError
-from qcverify import graded_modules, localization_cech
+from qcverify import glued_scheme, graded_modules, localization_cech
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
@@ -662,6 +662,17 @@ def test_builtin_report_bytes_at_the_full_window(name):
     assert report_digest(rep) == GOLDEN_DIGESTS_FULL_WINDOW[name]
 
 
+# lemma21-free at -10:10, recorded from the program before a twist's
+# defect was read from its source's: its twists read source degrees from
+# -16 to 13, far past the windows above
+LEMMA21_FREE_WIDE_DIGEST = "d16318f101ba1570f822729da08914199f6851fd2c4838518684b34ed6a32071"
+
+
+def test_lemma21_free_report_bytes_at_a_wide_window():
+    rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-10, 10))
+    assert report_digest(rep) == LEMMA21_FREE_WIDE_DIGEST
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_an_explicit_default_cap_policy_changes_no_byte(name):
     # 6 is the default start cap at -2:2, so naming it must not change the
@@ -872,6 +883,24 @@ def test_lemma21_free_localizes_each_source_degree_once(monkeypatch):
     assert rep.exit_code() == 0
     assert len(calls) == len(set(calls)) == 147
     assert len({source for source, *_ in calls}) == 5
+
+
+def test_lemma21_free_compares_each_source_degree_once(monkeypatch):
+    # the defect of a twist in degree d is its source's in degree d - s,
+    # kept on Gamma(W, O): the comparison is made once for each of the 11
+    # source degrees of the four sources (see above) and the skyscraper's
+    # 5, 4 * 11 + 5 = 49, where taking every module's window apart makes 145
+    calls = []
+    real = glued_scheme.tensor_relations
+
+    def spy(module, n, d):
+        calls.append((module.source or module, d - module.shift))
+        return real(module, n, d)
+
+    monkeypatch.setattr(glued_scheme, "tensor_relations", spy)
+    rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
+    assert rep.exit_code() == 0
+    assert len(calls) == len(set(calls)) == 49
 
 
 def test_scenarios_parsed_apart_share_nothing(complexes_built):
@@ -1301,7 +1330,8 @@ def test_a_near_twist_is_not_shared(complexes_built):
     assert emit_report(rep) == emit_report(run_text(text))
 
 
-# M = R/(x^3) and its twist T = M(-3), the source's checks first
+# M = R/(x^3) and its twist T = M(-3), the source's checks first, then
+# their defects, in both orders: T's degrees 1, 2 are M's -2, -1
 TWIST_OF_CUBE = HEAD + """
 [module M]
 generators = 0
@@ -1314,6 +1344,8 @@ relation = x^3
 [check h1 M]
 [check h1 T]
 [check nonaffine-witness T]
+[check lemma21 M]
+[check lemma21 T]
 """
 
 
@@ -1335,9 +1367,12 @@ def _bad_shape(real):
 ], ids=["labels", "escalation", "shape"])
 def test_a_twist_names_itself_and_its_degree_in_a_failure(monkeypatch, patch, flag):
     monkeypatch.setattr(*patch)
-    rep = run_text(TWIST_OF_CUBE)
-    assert rep.checks[1].flags == [flag]
-    assert emit_report(rep) == emit_report(run_scenario(unshared(TWIST_OF_CUBE)))
+    twist_first = TWIST_OF_CUBE.replace("[check lemma21 M]\n[check lemma21 T]",
+                                        "[check lemma21 T]\n[check lemma21 M]")
+    for text in (TWIST_OF_CUBE, twist_first):
+        rep = run_text(text)
+        assert rep.checks[1].flags == [flag]
+        assert emit_report(rep) == emit_report(run_scenario(unshared(text)))
 
 
 def test_matlis_bidual_builds_three_complexes(complexes_built):
