@@ -9,6 +9,7 @@ per-degree exactness reports for three-term sequences of sheaves.
 """
 
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from .exact_linalg import Mat, _quotient_with_indices, kernel_basis, kernel_coords, rank
 from .graded_modules import (
@@ -224,7 +225,10 @@ class SheafMap:
     """A morphism of sheaves on X, recorded as one map per patch.
 
     Its maps on sections are taken over the window and start cap of its
-    source and target sheaves, fixed when those were built.
+    source and target sheaves, fixed when those were built.  It keeps the
+    reports sequence_report makes with it as the first map, per (g, open),
+    holding g weakly: g may be this map itself, and a strong key would then
+    be a reference cycle that only the cyclic collector frees.
     """
 
     def __init__(self, source: QcohSheafOnX, target: QcohSheafOnX,
@@ -241,6 +245,7 @@ class SheafMap:
         self.u_V = u_V
         self.name = name or u_U.name
         self._w_map: GradedModuleMap | None = None
+        self._reports: WeakKeyDictionary = WeakKeyDictionary()
 
     @classmethod
     def glued(cls, source: QcohSheafOnX, target: QcohSheafOnX,
@@ -658,9 +663,16 @@ def exactness_tables(f: GradedModuleMap, g: GradedModuleMap, window) -> Exactnes
 
 def sequence_report(f: SheafMap, g: SheafMap, open_name: str) -> ExactnessReport:
     """Exactness of the section sequence of A -f-> B -g-> C over one open,
-    over the window of A."""
+    over the window of A.
+
+    The report is computed once and kept on f for as long as f and g live
+    (see SheafMap), so every check on the same two maps and open, the
+    bidual pipeline's included, reads one computation."""
     if f.target is not g.source:
         raise ValueError("the sheaf maps are not composable")
-    uf = f.on_sections(open_name)
-    ug = g.on_sections(open_name)
-    return exactness_tables(uf, ug, f.source.window)
+    by_open = f._reports.setdefault(g, {})
+    got = by_open.get(open_name)
+    if got is None:
+        got = by_open[open_name] = exactness_tables(
+            f.on_sections(open_name), g.on_sections(open_name), f.source.window)
+    return got

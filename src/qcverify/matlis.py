@@ -144,7 +144,10 @@ class BidualReport(NamedTuple):
     C+ -> B+ -> A+ over the patch U (expected exact: degreewise duality
     of finite-dimensional pieces is exact).  bidual_over_V is the table
     of A++ -> B++ -> C++ over the other patch V, where exactness can
-    genuinely fail on the right.
+    genuinely fail on the right.  That table is sequence_report(f, g, "W"),
+    shared with any star-sequence check on the same maps, so the two agree
+    by construction; the independent computation of it is the test oracle
+    reference_bidual_over_v in tests/test_matlis.py.
     """
 
     plus_over_U: ExactnessReport
@@ -180,6 +183,10 @@ def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
     Gamma(W, C) under the maps f and g induce, over the window of A:
     no sheaf is built, and the W-sections are those every other check on
     A, B and C reads.
+
+    The U-table checked above and the V-table are sequence_report's over
+    U and W, shared with any star-sequence check on f and g; only
+    C+ -> B+ -> A+ is computed here.
     """
     base = sequence_report(f, g, "U")
     if base.verdict != "exact":
@@ -189,5 +196,4 @@ def bidual_pipeline(f: SheafMap, g: SheafMap) -> BidualReport:
         )
     plus_u = exactness_tables(matlis_dual_map(g.u_U), matlis_dual_map(f.u_U),
                               g.target.window)
-    bidual_v = exactness_tables(f.on_sections("W"), g.on_sections("W"), f.source.window)
-    return BidualReport(plus_u, bidual_v)
+    return BidualReport(plus_u, sequence_report(f, g, "W"))

@@ -580,6 +580,7 @@ class _Runner:
         self.scheme = DoubleGluedScheme(s.overlap)
         self._sheaves: dict = {}
         self._module_sheaves: dict = {}
+        self._maps: dict = {}
         # Gamma(W, O) and Gamma(W, M) of every module M that another twists,
         # held for the whole run: lemma21 and obstruction read Gamma(W, O),
         # and through sections_window every other check on O, on M or on a
@@ -620,9 +621,14 @@ class _Runner:
         return got
 
     def sheaf_map(self, mapname: str) -> SheafMap:
-        u = self.s.maps[mapname]
-        return SheafMap.glued(self.module_sheaf(u.source), self.module_sheaf(u.target), u,
-                              name=mapname)
+        """One SheafMap per map name, shared across checks as the sheaves
+        are, so its W-sections map and its sequence reports are built once."""
+        got = self._maps.get(mapname)
+        if got is None:
+            u = self.s.maps[mapname]
+            got = self._maps[mapname] = SheafMap.glued(
+                self.module_sheaf(u.source), self.module_sheaf(u.target), u, name=mapname)
+        return got
 
     def run_check(self, spec: _CheckSpec) -> CheckResult:
         try:

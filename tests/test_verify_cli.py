@@ -13,7 +13,7 @@ import pytest
 
 import qcverify
 from qcverify import FieldSpec, FPGradedModule, GradedPiece, Mat, NonHomogeneousError
-from qcverify import glued_scheme, graded_modules, localization_cech
+from qcverify import glued_scheme, graded_modules, localization_cech, matlis
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
@@ -1099,11 +1099,20 @@ relation = y
 """,
     BUILTIN_SCENARIOS["double-origin-flat"],
     BUILTIN_SCENARIOS["matlis-bidual"],
-], ids=["lemma21-h1", "double-origin-flat", "matlis-bidual"])
+    HEAD + """
+[map h: O -> O]
+1
+
+[check star-sequence h h over U]
+[check star-sequence h h over W]
+[check bidual h h]
+""",
+], ids=["lemma21-h1", "double-origin-flat", "matlis-bidual", "self-composed-map"])
 def test_finished_checks_are_freed_without_the_cyclic_collector(text):
     # sections modules, Cech complexes and Matlis duals sit in no reference
     # cycle and in no strong cache, so they go as soon as the run drops
-    # them, not at the next collection
+    # them, not at the next collection; a map composed with itself keeps
+    # its sequence reports without holding itself
     s = parse_scenario(text, window=(-1, 1))
     gc.collect()
     kinds = (SectionsModule, CechComplexWindow, DualizedModule)
@@ -1375,7 +1384,7 @@ def test_a_twist_names_itself_and_its_degree_in_a_failure(monkeypatch, patch, fl
         assert emit_report(rep) == emit_report(run_scenario(unshared(text)))
 
 
-def test_matlis_bidual_builds_three_complexes(complexes_built):
+def test_matlis_bidual_builds_four_complexes(complexes_built):
     # A and O are free on the all-variable cover and C = R/(y) is a
     # fine-graded monomial quotient, so each is read at its floor caps
     # alone over the window -2:2: 1 and 2 for A and C, 1 for O.  A = O(-1)
@@ -1435,7 +1444,10 @@ relation = {p}
 @pytest.mark.parametrize("field", ["Q", "Fp:7", "Fp:65537"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bidual_over_v_matches_the_star_sequence_over_w(field, seed):
-    # A++ -> O++ -> C++ over V is Gamma(W, A) -> Gamma(W, O) -> Gamma(W, C)
+    # A++ -> O++ -> C++ over V is Gamma(W, A) -> Gamma(W, O) -> Gamma(W, C),
+    # and the bidual reads the star sequence's own report over W; the
+    # independent computation of that table is test_matlis's
+    # reference_bidual_over_v
     rep = run_text(random_sequences_text(seed, field))
     by_name = {c.name: c for c in rep.checks}
     for k in range(2):
@@ -1445,3 +1457,53 @@ def test_bidual_over_v_matches_the_star_sequence_over_w(field, seed):
         for part in ("kernel", "homology", "cokernel"):
             assert bidual.tables[f"bidual-v-{part}"] == star.tables[part], (k, part)
         assert bidual.verdict == star.verdict
+
+
+# sections-star with the bidual of its sequence, after the star sequences
+# and before them
+STAR_AND_BIDUAL = BUILTIN_SCENARIOS["sections-star"].replace(
+    "[expect]", "[check bidual mult-y quot]\n\n[expect]")
+BIDUAL_FIRST = BUILTIN_SCENARIOS["sections-star"].replace(
+    "[check star-sequence mult-y quot over U]",
+    "[check bidual mult-y quot]\n[check star-sequence mult-y quot over U]")
+
+
+def test_bidual_reads_the_star_sequence_tables(monkeypatch):
+    # the star sequences over U and W and the bidual's base and V-tables
+    # are one pair of reports: only the dual sequence over U is added
+    calls = []
+    real = glued_scheme.exactness_tables
+
+    def spy(f, g, window):
+        calls.append((f.name, g.name))
+        return real(f, g, window)
+
+    monkeypatch.setattr(glued_scheme, "exactness_tables", spy)
+    monkeypatch.setattr(matlis, "exactness_tables", spy)
+    rep = run_text(STAR_AND_BIDUAL)
+    assert rep.exit_code() == 0
+    assert [c.verdict for c in rep.checks] == ["exact", "left-exact-only", "left-exact-only"]
+    assert len(calls) == 3
+
+
+def test_bidual_first_reports_the_bytes_of_bidual_last():
+    last = run_text(STAR_AND_BIDUAL)
+    first = run_text(BIDUAL_FIRST)
+    assert first.checks[0].name == "bidual mult-y quot"
+    reordered = first._replace(checks=first.checks[1:] + first.checks[:1])
+    for fmt in ("json", "table"):
+        assert emit_report(reordered, fmt) == emit_report(last, fmt)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shared_sequence_reports_give_the_bytes_of_checks_run_alone(seed):
+    # each check in a scenario of its own shares no map and no report
+    text = random_sequences_text(seed, "Fp:65537").replace(
+        "[check bidual f0 g0]",
+        "[check star-sequence f0 g0 over U]\n[check bidual f0 g0]")
+    head, *checks = text.split("[check ")
+    rep = run_text(text)
+    alone = [run_text(head + "[check " + c).checks[0] for c in checks]
+    assert len(alone) == len(rep.checks) == 5
+    for fmt in ("json", "table"):
+        assert emit_report(rep._replace(checks=alone), fmt) == emit_report(rep, fmt)
