@@ -321,6 +321,39 @@ def _structure_sections(sections_o: SectionsModule) -> None:
         )
 
 
+def _comparison(m: FPGradedModule, sections_o: SectionsModule, d: int) -> tuple[int, int]:
+    """(kernel, rank) of the comparison map of m in degree d, kept on
+    sections_o under m's source (m where it is no twist) and d - m.shift:
+    a twist M(-s) has M's relations, sections and map in degree d - s.
+
+    Only ranks are read.  The map is given on the free part
+    ⊕_i Gamma(W,O)_(d-e_i) and kills the span of the tensor relations
+    (tensor_relations; checked), so its rank on the tensor piece is its
+    rank on the free part, and the piece has dimension nrows - rank of
+    the relation matrix.
+    """
+    key = (m.source or m, d - m.shift)
+    got = sections_o._defects.get(key)
+    if got is not None:
+        return got
+    s_m = sections_window(m, sections_o.cover, sections_o.window, sections_o.caps[0])
+    rel = tensor_relations(m, sections_o, d)
+    tgt_dim = s_m.piece(d).dim
+    blocks, col_dims = {}, []
+    for i, e in enumerate(m.gen_degrees):
+        src_dim = sections_o.piece(d - e).dim
+        col_dims.append(src_dim)
+        if src_dim and tgt_dim:
+            blocks[0, i] = sections_o._map_into(d - e, s_m, d,
+                                                lambda j, a: m.gen_mult(i, a))
+    free_map = Mat.block(m.ring.field, blocks, [tgt_dim], col_dims)
+    if rel.ncols and not (free_map @ rel).is_zero():
+        raise ArithmeticError(f"comparison map fails to kill a tensor relation in degree {d}")
+    r = rank(free_map)
+    got = sections_o._defects[key] = (rel.nrows - rank(rel) - r, r)
+    return got
+
+
 def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> DefectTable:
     """Defect of the comparison map from tensored global sections.
 
@@ -333,49 +366,27 @@ def flat_sections_defect(f: FPGradedModule, sections_o: SectionsModule) -> Defec
     numerators at O's cap.  Free modules have zero defect; a nonzero entry
     certifies that restriction and tensoring do not commute for F over W.
 
-    Only ranks are read.  The map is given on the free part
-    ⊕_i Gamma(W,O)_(d-e_i) and kills the span of the tensor relations
-    (tensor_relations; checked), so its rank on the tensor piece is its
-    rank on the free part, and the piece has dimension nrows - rank of
-    the relation matrix.
-
-    The ranks of each degree are kept on sections_o, keyed by f's source
-    (f itself where it is no twist) and d - f.shift: a twist M(-s) has
-    M's tensor relations, sections and comparison map in degree d - s, so
-    it compares only the degrees that neither M nor another twist of M has
-    compared against sections_o.  The flags are s_f's over f's own window.
+    Kernel and rank are summed over f's summands (_comparison): the map
+    is additive in f, so a free f = ⊕_i R(-e_i) reads O's in degree
+    d - e_i for its i-th summand; a presented f is its own one summand.
+    The cokernel is read on f's own Gamma(W, ~F)_d, so a wrong Cech
+    complex of f shows, as a cokernel or, where negative, an
+    ArithmeticError.  The flags are s_f's over f's own window.
     """
     _structure_sections(sections_o)
     lo, hi = sections_o.window
     s_f = sections_window(f, sections_o.cover, sections_o.window, sections_o.caps[0])
-
-    field = f.ring.field
-    source = f.source or f
+    summands = [(f, 0)] if f.relations else [(sections_o.base, e) for e in f.gen_degrees]
     kernel: dict = {}
     cokernel: dict = {}
     for d in range(lo, hi + 1):
-        key = (source, d - f.shift)
-        if key in sections_o._defects:
-            kernel[d], cokernel[d] = sections_o._defects[key]
-            continue
-        rel = tensor_relations(f, sections_o, d)
-        tgt_dim = s_f.piece(d).dim
-        blocks = {}
-        col_dims = []
-        for i, e in enumerate(f.gen_degrees):
-            src_dim = sections_o.piece(d - e).dim
-            col_dims.append(src_dim)
-            if src_dim and tgt_dim:
-                blocks[0, i] = sections_o._map_into(d - e, s_f, d,
-                                                    lambda j, a: f.gen_mult(i, a))
-        free_map = Mat.block(field, blocks, [tgt_dim], col_dims)
-        if rel.ncols and not (free_map @ rel).is_zero():
+        parts = [_comparison(m, sections_o, d - e) for m, e in summands]
+        kernel[d] = sum(k for k, _ in parts)
+        cokernel[d] = s_f.piece(d).dim - sum(r for _, r in parts)
+        if cokernel[d] < 0:
             raise ArithmeticError(
-                f"comparison map fails to kill a tensor relation in degree {d}"
+                f"comparison map of {f.name} has rank above dim Gamma(W, ~F) in degree {d}"
             )
-        r = rank(free_map)
-        kernel[d], cokernel[d] = sections_o._defects[key] = (rel.nrows - rank(rel) - r,
-                                                             tgt_dim - r)
     return DefectTable(kernel, cokernel, flags=s_f.flags())
 
 

@@ -624,7 +624,7 @@ class SectionsModule(DegreewiseModule):
         # is its source's
         self._stable_memo: dict[tuple[str, int], tuple[int, int, _CechDegree]] = (
             {} if origin is None else origin._stable_memo)
-        # (source, d - shift) -> (kernel, cokernel) of the defect of the
+        # (source, d - shift) -> (kernel, rank) of the comparison map of the
         # source or a twist of it against these sections (flat_sections_defect)
         self._defects: dict[tuple[FPGradedModule, int], tuple[int, int]] = {}
         super().__init__(base.ring, name=name or f"sections({base.name})")

@@ -39,7 +39,8 @@ from qcverify import (
 )
 from qcverify import glued_scheme
 from qcverify.exact_linalg import rank, solve
-from qcverify.localization_cech import _num_degrees
+from qcverify.graded_modules import GradedPiece
+from qcverify.localization_cech import SectionsModule, _num_degrees
 from qcverify.verify_cli import BUILTIN_SCENARIOS, parse_scenario, run_scenario
 from test_graded_modules import FIELDS, RINGS, fp_modules
 from test_localization_cech import binomial_presentations, fine_graded
@@ -374,6 +375,73 @@ def test_a_defect_is_kept_on_the_structure_sections_it_was_taken_against(
         again = [flat_sections_defect(f, other) for f in (m, twist)]
         assert [k for _, k in calls] == [-2, -1, 0, 1, 2, -3]
         assert [(t.kernel, t.cokernel) for t in again] == tables
+
+
+@pytest.mark.parametrize("degrees", [(-1, 0, 2), (3, 3), (0, 0, 0, 1)], ids=str)
+@pytest.mark.parametrize("field", FIELDS[:2], ids=str)
+def test_a_free_modules_comparison_is_the_sum_of_os(monkeypatch, field, degrees):
+    # F = ⊕_i R(-e_i) compares nothing of its own: its kernel and rank in
+    # degree d are the sums of O's in degrees d - e_i, read under O, and
+    # they are those of the comparison map taken on F itself
+    ring = RINGS[field]
+    w = OpenSubset(ring, (ring.var_poly(0), ring.var_poly(1)))
+    window = (-2, 2)
+    f = free_module(ring, degrees)
+    o = o_sections(w, window)
+    s_f = sections_window(f, w, window)
+    calls = []
+    real = glued_scheme.tensor_relations
+
+    def spy(module, n, d):
+        calls.append(module)
+        return real(module, n, d)
+
+    monkeypatch.setattr(glued_scheme, "tensor_relations", spy)
+    t = flat_sections_defect(f, o)
+    assert calls and all(m is o.base for m in calls)
+    assert set(o._defects) == {(o.base, d - e) for d in range(-2, 3) for e in degrees}
+    calls.clear()
+    direct = {d: glued_scheme._comparison(f, o, d) for d in range(-2, 3)}
+    assert calls == [f] * 5
+    assert t.kernel == {d: k for d, (k, _) in direct.items()}
+    assert t.cokernel == {d: s_f.piece(d).dim - r for d, (_, r) in direct.items()}
+    assert t.total == 0
+
+
+LEMMA21_F = """[ring]
+variables = x, y
+field = Q
+
+[scheme]
+overlap = x, y
+
+[module F]
+generators = -1, 0, 2
+
+[check lemma21 F]
+"""
+
+
+@pytest.mark.parametrize("delta, verdict", [(1, "defect-found"), (-1, "check-error")])
+def test_a_free_modules_own_sections_close_its_cokernel(monkeypatch, delta, verdict):
+    # F's kernel and rank are O's, but its cokernel is read on Gamma(W, ~F):
+    # one dimension too many there in degree 1 shows as a cokernel of 1,
+    # one too few as a rank above the dimension, an ArithmeticError
+    real = SectionsModule.piece
+
+    def piece(self, d):
+        got = real(self, d)
+        if self.base.name != "F" or d != 1:
+            return got
+        return GradedPiece(got.field, got.labels + ("extra",) if delta > 0 else got.labels[1:])
+
+    monkeypatch.setattr(SectionsModule, "piece", piece)
+    (check,) = run_scenario(parse_scenario(LEMMA21_F, window=(-2, 2))).checks
+    assert check.verdict == verdict
+    if delta > 0:
+        assert check.tables["cokernel"] == {"-2": 0, "-1": 0, "0": 0, "1": 1, "2": 0}
+    else:
+        assert check.flags[0].startswith("error: comparison map of F has rank above")
 
 
 @pytest.mark.parametrize("shifts", [(0, 0), (1,)], ids=["O^2", "O(-1)"])

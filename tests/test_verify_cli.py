@@ -886,10 +886,13 @@ def test_lemma21_free_localizes_each_source_degree_once(monkeypatch):
 
 
 def test_lemma21_free_compares_each_source_degree_once(monkeypatch):
-    # the defect of a twist in degree d is its source's in degree d - s,
-    # kept on Gamma(W, O): the comparison is made once for each of the 11
-    # source degrees of the four sources (see above) and the skyscraper's
-    # 5, 4 * 11 + 5 = 49, where taking every module's window apart makes 145
+    # the comparison of a free module R(-a)^r in degree d is the sum of O's
+    # in degree d - a, one per generator, kept on Gamma(W, O) under O: so
+    # every free module's comparison is one of O's degrees d - a, for
+    # d = -2..2 and a = -3..3, that is -5..5, made once each, and the
+    # skyscraper, presented, compares its own 5: 11 + 5 = 16, where
+    # keying each twist by its source alone makes 49 and taking every
+    # module's window apart makes 145
     calls = []
     real = glued_scheme.tensor_relations
 
@@ -900,7 +903,10 @@ def test_lemma21_free_compares_each_source_degree_once(monkeypatch):
     monkeypatch.setattr(glued_scheme, "tensor_relations", spy)
     rep = run_text(BUILTIN_SCENARIOS["lemma21-free"], name="lemma21-free", window=(-2, 2))
     assert rep.exit_code() == 0
-    assert len(calls) == len(set(calls)) == 49
+    assert len(calls) == len(set(calls)) == 16
+    assert {m.name for m, _ in calls} == {"O", "sky"}
+    assert sorted(k for m, k in calls if m.name == "O") == list(range(-5, 6))
+    assert all(not m.relations and m.gen_degrees == (0,) for m, _ in calls if m.name == "O")
 
 
 def test_scenarios_parsed_apart_share_nothing(complexes_built):
