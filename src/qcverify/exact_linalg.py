@@ -593,7 +593,11 @@ def solve(a: Mat, rhs: Mat) -> Mat | None:
     are independent the solution is unique.  Coordinates in a kernel basis
     are read off by kernel_coords instead; this general solve serves only
     the basis that Gamma(W, -) lifts to a higher cap before expressing
-    vectors in it.
+    vectors in it.  Its one caller is SectionsModule._express, for a
+    vector given above its target degree's own cap: act reaches that when
+    degree d's cap exceeds degree d + 1's, as proven floor caps do (they
+    fall by one per degree) and escalated caps can, and an induced map
+    reaches it when its source's cap exceeds its target's.
     """
     if a.nrows != rhs.nrows:
         raise ValueError("row count mismatch in solve")

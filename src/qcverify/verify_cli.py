@@ -37,7 +37,13 @@ The module O (free, rank one, generator in degree 0) is predefined.  A
 module with the relation columns of an earlier one (O included) on its
 generator degrees plus one constant s is built as that module's twist
 (FPGradedModule.twist) and shares its work; its reports are unchanged.
-The check forms are declared, grammar and handler, in _CHECK_FORMS.
+
+The settings sections [ring], [options] and [scheme] may stand anywhere,
+each at most once; _SETTINGS reads them first, in that order.  The other
+sections are read in file order, each by its reader in _SECTIONS, so a
+name must be defined above its first use; [expect] lines may stand
+anywhere.  The check forms are declared, grammar and handler, in
+_CHECK_FORMS.
 
 Every check ends in a verdict from a closed set (see VERDICTS); cap
 exhaustion becomes the verdict "inconclusive" and domain failures become
@@ -54,6 +60,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import NamedTuple
 
 from . import __version__
@@ -163,7 +170,7 @@ class Scenario(NamedTuple):
     expects: list  # (check name, expected verdict) in file order
 
 
-def _parse_field_spec(text: str) -> FieldSpec:
+def _parse_field_spec(text: str, line: int | None = None) -> FieldSpec:
     t = text.strip()
     if t in ("Q", "q"):
         return FieldSpec.rationals()
@@ -171,22 +178,57 @@ def _parse_field_spec(text: str) -> FieldSpec:
         try:
             return FieldSpec.prime(int(t[3:]))
         except ValueError as e:
-            raise ParseError(f"bad prime field spec {text!r}: {e}")
-    raise ParseError(f"unknown field {text!r}: expected Q or Fp:P")
+            raise ParseError(f"bad prime field spec {text!r}: {e}", line)
+    raise ParseError(f"unknown field {text!r}: expected Q or Fp:P", line)
 
 
-def _parse_window(text: str) -> tuple:
+def _parse_window(text: str, line: int | None = None) -> tuple:
     t = text.strip()
     if ":" not in t:
-        raise ParseError(f"bad window {text!r}: expected LO:HI")
+        raise ParseError(f"bad window {text!r}: expected LO:HI", line)
     lo_s, hi_s = t.split(":", 1)
     try:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise ParseError(f"bad window {text!r}: expected integers LO:HI")
+        raise ParseError(f"bad window {text!r}: expected integers LO:HI", line)
     if lo > hi:
-        raise ParseError(f"bad window {text!r}: lo > hi")
+        raise ParseError(f"bad window {text!r}: lo > hi", line)
     return (lo, hi)
+
+
+def _parse_variables(text: str, line: int) -> tuple:
+    variables = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not variables:
+        raise ParseError("no variables listed", line)
+    if len(set(variables)) != len(variables):
+        raise ParseError("variables must be distinct", line)
+    for var in variables:
+        if not _VARIABLE_NAME.fullmatch(var):
+            raise ParseError(
+                f"variable name {var!r} is not an identifier ({_VARIABLE_NAME.pattern})", line)
+    return variables
+
+
+def _parse_overlap(ring: PolyRing, text: str, line: int) -> OpenSubset:
+    denoms = []
+    for part in text.split(","):
+        p = _poly(ring, part, line)
+        if p is None:
+            raise ParseError("overlap denominators must be nonzero", line)
+        denoms.append(p)
+    return OpenSubset(ring, denoms)
+
+
+# The settings sections, read in this order wherever they stand in the file:
+# the key each must set and the fault if it does not (None for a section
+# that may be left out), and the parser of each key's value, which takes the
+# value and its line; the scheme's parser takes the ring first
+_SETTINGS = {
+    "ring": ("variables", "[ring] must list variables",
+             {"variables": _parse_variables, "field": _parse_field_spec}),
+    "options": (None, None, {"window": _parse_window}),
+    "scheme": ("overlap", "[scheme] must set overlap", {"overlap": _parse_overlap}),
+}
 
 
 def _lines(text: str):
@@ -213,14 +255,6 @@ def _entries(body, section: str, keys, repeatable=()):
         yield k, lineno, v
 
 
-def _unique_section(sections, header: str):
-    """The one section with this header, or None; a second is an error."""
-    found = [s for s in sections if s[1] == header]
-    if len(found) > 1:
-        raise ParseError(f"duplicate [{header}] section", found[1][0])
-    return found[0] if found else None
-
-
 def _poly(ring: PolyRing, text: str, lineno: int) -> HomogPoly | None:
     """Parse one polynomial entry; '0' (or a zero result) means None."""
     try:
@@ -230,6 +264,201 @@ def _poly(ring: PolyRing, text: str, lineno: int) -> HomogPoly | None:
     except ValueError as e:
         raise ParseError(f"bad polynomial {text!r}: {e}", lineno)
     return None if p.is_zero() else p
+
+
+class _Names:
+    """The modules, maps, sheaves and checks a scenario has defined so far,
+    with a reader for each named section kind; a name is defined above its
+    first use."""
+
+    def __init__(self, ring: PolyRing):
+        self.ring = ring
+        self.modules: dict = {"O": free_module(ring, (0,), name="O")}
+        # (generator degrees minus their least, relation columns) -> the first
+        # module with that presentation, of which a later one is a twist
+        self.presentations: dict = {((0,), ()): self.modules["O"]}
+        self.maps: dict = {}
+        self.sheaves: dict = {}
+        self.checks: dict = {}  # canonical name -> _CheckSpec, in file order
+        self.expect_lines: list = []
+
+    @staticmethod
+    def _new(kind: str, space: dict, name: str, line: int) -> str:
+        """The name of a new [kind] section, which space must not hold yet."""
+        if not name:
+            raise ParseError(f"[{kind}] needs a name", line)
+        if name in space:
+            raise ParseError(f"duplicate {kind} name {name!r}", line)
+        return name
+
+    def _row(self, text: str, line: int, n: int, fault: str) -> list:
+        """The n polynomials of a ';'-separated row (None for a zero); fault
+        is the message, formatted with the count found and n, if not n."""
+        entries = [_poly(self.ring, part, line) for part in text.split(";")]
+        if len(entries) != n:
+            raise ParseError(fault.format(len(entries), n), line)
+        return entries
+
+    def _module(self, rest, sec_line, body):
+        mname = self._new("module", self.modules, rest, sec_line)
+        gen_degrees = None
+        relation_rows: list = []
+        for k, lineno, v in _entries(body, "module", ("generators", "relation"),
+                                     repeatable=("relation",)):
+            if k == "relation":
+                relation_rows.append((lineno, v))
+                continue
+            try:
+                gen_degrees = tuple(int(t) for t in v.split(",") if t.strip())
+            except ValueError:
+                raise ParseError("generator degrees must be integers", lineno)
+        if gen_degrees is None:
+            raise ParseError(f"module {mname!r} lists no generators", sec_line)
+        relations = tuple(
+            tuple(self._row(row, lineno, len(gen_degrees),
+                            "relation has {} entries, module has {} generators"))
+            for lineno, row in relation_rows)
+        low = min(gen_degrees, default=0)
+        key = (tuple(e - low for e in gen_degrees), relations)
+        source = self.presentations.get(key)
+        if source is not None:
+            self.modules[mname] = source.twist(low - source.min_degree, name=mname)
+            return
+        try:
+            self.modules[mname] = self.presentations[key] = FPGradedModule(
+                self.ring, gen_degrees, relations, name=mname
+            )
+        except NonHomogeneousError as e:
+            raise NonHomogeneousError(f"module {mname!r}: {e}", line=sec_line) from e
+
+    def _map(self, rest, sec_line, body):
+        mapname, colon, arrow = rest.partition(":")
+        src_name, to, tgt_name = (t.strip() for t in arrow.partition("->"))
+        if not (colon and to and mapname.strip() and src_name and tgt_name):
+            raise ParseError("expected [map NAME: SRC -> TGT]", sec_line)
+        mapname = self._new("map", self.maps, mapname.strip(), sec_line)
+        for end in (src_name, tgt_name):
+            if end not in self.modules:
+                raise UnknownName(end, sec_line)
+        src, tgt = self.modules[src_name], self.modules[tgt_name]
+        if len(body) != src.ngens:
+            raise ParseError(
+                f"map {mapname!r} needs one line per source generator "
+                f"({src.ngens}), got {len(body)}",
+                sec_line,
+            )
+        images = []
+        try:
+            for i, (lineno, line) in enumerate(body):
+                col = None
+                for j, p in enumerate(self._row(
+                        line, lineno, tgt.ngens,
+                        "image line has {} entries, target has {} generators")):
+                    if p is None:
+                        continue
+                    want = src.gen_degrees[i] - tgt.gen_degrees[j]
+                    if p.degree != want:
+                        raise NonHomogeneousError(
+                            f"line {lineno}: entry {j} has degree {p.degree}, "
+                            f"needs {want} to preserve degrees",
+                            line=lineno,
+                        )
+                    term = tgt.poly_act(p, tgt.gen_degrees[j]) @ tgt.gen_element(j)
+                    col = term if col is None else col + term
+                if col is None:
+                    col = Mat.zeros(
+                        self.ring.field, tgt.piece(src.gen_degrees[i]).dim, 1
+                    )
+                images.append(col)
+            gmap = map_from_gen_images(src, tgt, images)
+        except (RelationNotKilled, CapExhausted) as e:
+            raise ParseError(f"map {mapname!r}: {e}", sec_line)
+        gmap.name = mapname
+        self.maps[mapname] = gmap
+
+    def _sheaf(self, rest, sec_line, body):
+        sname = self._new("sheaf", self.sheaves, rest, sec_line)
+        spec = None
+        for k, lineno, v in _entries(body, "sheaf", ("patch", "direct-image")):
+            if spec is not None:
+                raise ParseError(
+                    f"sheaf {sname!r} sets both 'patch' and 'direct-image'", lineno
+                )
+            if v not in self.modules:
+                raise UnknownName(v, lineno)
+            spec = ("identity" if k == "patch" else "direct-image", v)
+        if spec is None:
+            raise ParseError(
+                f"sheaf {sname!r} needs 'patch = M' or 'direct-image = M'",
+                sec_line,
+            )
+        self.sheaves[sname] = spec
+
+    def _check(self, rest, lineno, body):
+        """Match a check line to its form's grammar: the shape first, then the
+        names left to right, then that the maps F and G compose, and last that
+        no earlier check has its name."""
+        toks = rest.split()
+        if not toks:
+            raise ParseError("[check] needs a check form", lineno)
+        if toks[0] not in _CHECK_FORMS:
+            raise ParseError(f"unknown check form {toks[0]!r}", lineno)
+        grammar = _CHECK_FORMS[toks[0]][0]
+        slots = grammar.split()
+        words = list(toks)
+        if slots[-1].startswith("[") and len(words) == len(slots) - 1:
+            words.append(None)
+        spaces = {"SHEAF": self.sheaves, "MODULE": self.modules, "F": self.maps, "G": self.maps}
+        if len(words) != len(slots) or not all(
+            (w in OPENS) if g == _OPEN else (g.strip("[]") in spaces or w == g)
+            for g, w in zip(slots, words)
+        ):
+            raise ParseError(f"expected: {grammar}", lineno)
+        args = []
+        for g, w in zip(slots, words):
+            space = spaces.get(g.strip("[]"))
+            if space is not None and w is not None and w not in space:
+                raise UnknownName(w, lineno)
+            if space is not None or g == _OPEN:
+                args.append(w)
+        named = dict(zip(slots, words))
+        if "F" in named and self.maps[named["F"]].target is not self.maps[named["G"]].source:
+            raise ParseError(
+                f"maps {named['F']!r} and {named['G']!r} do not compose", lineno
+            )
+        spec = _CheckSpec(toks[0], tuple(args), " ".join(toks))
+        if spec.name in self.checks:
+            raise ParseError(f"duplicate check {spec.name!r}", lineno)
+        self.checks[spec.name] = spec
+
+    def _expect(self, rest, sec_line, body):
+        self.expect_lines.extend(body)
+
+    def expects(self) -> list:
+        """(check name, verdict) for each [expect] line, wherever it stands."""
+        expects = []
+        for lineno, line in self.expect_lines:
+            if "=" not in line:
+                raise ParseError("expected '<check name> = <verdict>'", lineno)
+            cname, verdict = (t.strip() for t in line.rsplit("=", 1))
+            cname = " ".join(cname.split())
+            if cname not in self.checks:
+                raise UnknownName(cname, lineno)
+            if verdict not in VERDICTS:
+                raise ParseError(f"unknown verdict {verdict!r}", lineno)
+            expects.append((cname, verdict))
+        return expects
+
+
+# Every other section kind, once, with its reader, which takes the header's
+# text after the kind, the header's line and the body's lines.
+_SECTIONS = {
+    "module": _Names._module,
+    "map": _Names._map,
+    "sheaf": _Names._sheaf,
+    "check": _Names._check,
+    "expect": _Names._expect,
+}
 
 
 def parse_scenario(text: str, name: str = "scenario",
@@ -251,7 +480,7 @@ def parse_scenario(text: str, name: str = "scenario",
             if not header:
                 raise ParseError("empty section header", lineno)
             kind, *extra = header.split()
-            if extra and kind in ("ring", "options", "scheme"):
+            if extra and kind in _SETTINGS:
                 raise ParseError(f"[{kind}] takes no name, got [{header}]", lineno)
             current = (lineno, header, [])
             sections.append(current)
@@ -262,269 +491,46 @@ def parse_scenario(text: str, name: str = "scenario",
     if not sections:
         raise ParseError("empty scenario: no sections found")
 
-    # ring first: everything else needs it
-    ring_sec = _unique_section(sections, "ring")
-    if ring_sec is None:
-        raise ParseError("missing [ring] section")
-    variables = None
-    file_field = FieldSpec.rationals()
-    for k, lineno, v in _entries(ring_sec[2], "ring", ("variables", "field")):
-        if k == "variables":
-            variables = tuple(t.strip() for t in v.split(",") if t.strip())
-            if not variables:
-                raise ParseError("no variables listed", lineno)
-            if len(set(variables)) != len(variables):
-                raise ParseError("variables must be distinct", lineno)
-            for var in variables:
-                if not _VARIABLE_NAME.fullmatch(var):
-                    raise ParseError(
-                        f"variable name {var!r} is not an identifier "
-                        f"({_VARIABLE_NAME.pattern})", lineno)
-        else:
-            try:
-                file_field = _parse_field_spec(v)
-            except ParseError as e:
-                raise ParseError(e.message, lineno)
-    if variables is None:
-        raise ParseError("[ring] must list variables", ring_sec[0])
-    the_field = field if field is not None else file_field
-    ring = PolyRing(the_field, variables)
+    got = {"field": FieldSpec.rationals(), "window": DEFAULT_WINDOW}
+    for kind, (required, missing, parsers) in _SETTINGS.items():
+        if kind == "scheme":
+            # the overrides apply once [ring] and [options] are read, and
+            # the scheme's denominators are polynomials in the ring
+            if window is not None and window[0] > window[1]:
+                raise ParseError(f"bad window {tuple(window)!r}: lo > hi")
+            ring = PolyRing(field if field is not None else got["field"], got["variables"])
+            parsers = {k: partial(parse, ring) for k, parse in parsers.items()}
+        found = [s for s in sections if s[1] == kind]
+        if len(found) > 1:
+            raise ParseError(f"duplicate [{kind}] section", found[1][0])
+        if required and not found:
+            raise ParseError(f"missing [{kind}] section")
+        for sec_line, _, body in found:
+            for k, lineno, v in _entries(body, kind, parsers):
+                got[k] = parsers[k](v, lineno)
+            if required and required not in got:
+                raise ParseError(missing, sec_line)
 
-    file_window = DEFAULT_WINDOW
-    options_sec = _unique_section(sections, "options")
-    for _, lineno, v in _entries(options_sec[2] if options_sec else (), "options",
-                                 ("window",)):
-        try:
-            file_window = _parse_window(v)
-        except ParseError as e:
-            raise ParseError(e.message, lineno)
-    if window is not None and window[0] > window[1]:
-        raise ParseError(f"bad window {tuple(window)!r}: lo > hi")
-    the_window = tuple(window) if window is not None else file_window
-
-    scheme_sec = _unique_section(sections, "scheme")
-    if scheme_sec is None:
-        raise ParseError("missing [scheme] section")
-    overlap = None
-    for _, lineno, v in _entries(scheme_sec[2], "scheme", ("overlap",)):
-        denoms = []
-        for part in v.split(","):
-            p = _poly(ring, part, lineno)
-            if p is None:
-                raise ParseError("overlap denominators must be nonzero", lineno)
-            denoms.append(p)
-        overlap = OpenSubset(ring, denoms)
-    if overlap is None:
-        raise ParseError("[scheme] must set overlap", scheme_sec[0])
-
-    modules: dict = {"O": free_module(ring, (0,), name="O")}
-    # (generator degrees minus their least, relation columns) -> the first
-    # module with that presentation, of which a later one is a twist
-    presentations: dict = {((0,), ()): modules["O"]}
-    maps: dict = {}
-    sheaves: dict = {}
-    checks: list = []
-    expect_lines: list = []
-
+    names = _Names(ring)
     for sec_line, header, body in sections:
-        parts = header.split(None, 1)
-        kind = parts[0]
-        rest = parts[1].strip() if len(parts) > 1 else ""
-        if kind in ("ring", "options", "scheme"):
+        kind, *rest = header.split(None, 1)
+        if kind in _SETTINGS:
             continue
-
-        if kind == "module":
-            if not rest:
-                raise ParseError("[module] needs a name", sec_line)
-            mname = rest
-            if mname in modules:
-                raise ParseError(f"duplicate module name {mname!r}", sec_line)
-            gen_degrees = None
-            relation_rows: list = []
-            for k, lineno, v in _entries(body, "module", ("generators", "relation"),
-                                         repeatable=("relation",)):
-                if k == "generators":
-                    try:
-                        gen_degrees = tuple(int(t) for t in v.split(",") if t.strip())
-                    except ValueError:
-                        raise ParseError("generator degrees must be integers", lineno)
-                else:
-                    relation_rows.append((lineno, v))
-            if gen_degrees is None:
-                raise ParseError(f"module {mname!r} lists no generators", sec_line)
-            relations = []
-            for lineno, row in relation_rows:
-                entries = [_poly(ring, part, lineno) for part in row.split(";")]
-                if len(entries) != len(gen_degrees):
-                    raise ParseError(
-                        f"relation has {len(entries)} entries, module has "
-                        f"{len(gen_degrees)} generators",
-                        lineno,
-                    )
-                relations.append(tuple(entries))
-            low = min(gen_degrees, default=0)
-            key = (tuple(e - low for e in gen_degrees), tuple(relations))
-            source = presentations.get(key)
-            if source is not None:
-                modules[mname] = source.twist(low - source.min_degree, name=mname)
-                continue
-            try:
-                modules[mname] = presentations[key] = FPGradedModule(
-                    ring, gen_degrees, tuple(relations), name=mname
-                )
-            except NonHomogeneousError as e:
-                raise NonHomogeneousError(f"module {mname!r}: {e}", line=sec_line) from e
-
-        elif kind == "map":
-            if ":" not in rest:
-                raise ParseError("expected [map NAME: SRC -> TGT]", sec_line)
-            mapname, arrow = rest.split(":", 1)
-            mapname = mapname.strip()
-            if "->" not in arrow:
-                raise ParseError("expected [map NAME: SRC -> TGT]", sec_line)
-            src_name, tgt_name = (t.strip() for t in arrow.split("->", 1))
-            if not mapname or not src_name or not tgt_name:
-                raise ParseError("expected [map NAME: SRC -> TGT]", sec_line)
-            if mapname in maps:
-                raise ParseError(f"duplicate map name {mapname!r}", sec_line)
-            if src_name not in modules:
-                raise UnknownName(src_name, sec_line)
-            if tgt_name not in modules:
-                raise UnknownName(tgt_name, sec_line)
-            src, tgt = modules[src_name], modules[tgt_name]
-            if len(body) != src.ngens:
-                raise ParseError(
-                    f"map {mapname!r} needs one line per source generator "
-                    f"({src.ngens}), got {len(body)}",
-                    sec_line,
-                )
-            images = []
-            try:
-                for i, (lineno, line) in enumerate(body):
-                    entries = [_poly(ring, part, lineno) for part in line.split(";")]
-                    if len(entries) != tgt.ngens:
-                        raise ParseError(
-                            f"image line has {len(entries)} entries, target has "
-                            f"{tgt.ngens} generators",
-                            lineno,
-                        )
-                    col = None
-                    for j, p in enumerate(entries):
-                        if p is None:
-                            continue
-                        want = src.gen_degrees[i] - tgt.gen_degrees[j]
-                        if p.degree != want:
-                            raise NonHomogeneousError(
-                                f"line {lineno}: entry {j} has degree {p.degree}, "
-                                f"needs {want} to preserve degrees",
-                                line=lineno,
-                            )
-                        term = tgt.poly_act(p, tgt.gen_degrees[j]) @ tgt.gen_element(j)
-                        col = term if col is None else col + term
-                    if col is None:
-                        col = Mat.zeros(
-                            ring.field, tgt.piece(src.gen_degrees[i]).dim, 1
-                        )
-                    images.append(col)
-                gmap = map_from_gen_images(src, tgt, images)
-            except (RelationNotKilled, CapExhausted) as e:
-                raise ParseError(f"map {mapname!r}: {e}", sec_line)
-            gmap.name = mapname
-            maps[mapname] = gmap
-
-        elif kind == "sheaf":
-            if not rest:
-                raise ParseError("[sheaf] needs a name", sec_line)
-            sname = rest
-            if sname in sheaves:
-                raise ParseError(f"duplicate sheaf name {sname!r}", sec_line)
-            spec = None
-            for k, lineno, v in _entries(body, "sheaf", ("patch", "direct-image")):
-                if spec is not None:
-                    raise ParseError(
-                        f"sheaf {sname!r} sets both 'patch' and 'direct-image'", lineno
-                    )
-                if v not in modules:
-                    raise UnknownName(v, lineno)
-                gluing = "identity" if k == "patch" else "direct-image"
-                spec = (gluing, v)
-            if spec is None:
-                raise ParseError(
-                    f"sheaf {sname!r} needs 'patch = M' or 'direct-image = M'",
-                    sec_line,
-                )
-            sheaves[sname] = spec
-
-        elif kind == "check":
-            spec = _parse_check(rest, sec_line, modules, maps, sheaves)
-            if any(c.name == spec.name for c in checks):
-                raise ParseError(f"duplicate check {spec.name!r}", sec_line)
-            checks.append(spec)
-
-        elif kind == "expect":
-            expect_lines.extend(body)
-
-        else:
+        if kind not in _SECTIONS:
             raise ParseError(f"unknown section [{header}]", sec_line)
-
-    expects = []
-    check_names = {c.name for c in checks}
-    for lineno, line in expect_lines:
-        if "=" not in line:
-            raise ParseError("expected '<check name> = <verdict>'", lineno)
-        cname, verdict = (t.strip() for t in line.rsplit("=", 1))
-        cname = " ".join(cname.split())
-        if cname not in check_names:
-            raise UnknownName(cname, lineno)
-        if verdict not in VERDICTS:
-            raise ParseError(f"unknown verdict {verdict!r}", lineno)
-        expects.append((cname, verdict))
+        _SECTIONS[kind](names, rest[0] if rest else "", sec_line, body)
 
     return Scenario(
         name=name,
-        window=the_window,
+        window=tuple(window) if window is not None else got["window"],
         start=start,
-        overlap=overlap,
-        modules=modules,
-        maps=maps,
-        sheaves=sheaves,
-        checks=checks,
-        expects=expects,
+        overlap=got["overlap"],
+        modules=names.modules,
+        maps=names.maps,
+        sheaves=names.sheaves,
+        checks=list(names.checks.values()),
+        expects=names.expects(),
     )
-
-
-def _parse_check(rest: str, lineno: int, modules, maps, sheaves) -> _CheckSpec:
-    """Match a check line to its form's grammar: the shape first, then the
-    names left to right, then that the maps F and G compose."""
-    toks = rest.split()
-    if not toks:
-        raise ParseError("[check] needs a check form", lineno)
-    if toks[0] not in _CHECK_FORMS:
-        raise ParseError(f"unknown check form {toks[0]!r}", lineno)
-    grammar = _CHECK_FORMS[toks[0]][0]
-    slots = grammar.split()
-    words = list(toks)
-    if slots[-1].startswith("[") and len(words) == len(slots) - 1:
-        words.append(None)
-    spaces = {"SHEAF": sheaves, "MODULE": modules, "F": maps, "G": maps}
-    if len(words) != len(slots) or not all(
-        (w in OPENS) if g == _OPEN else (g.strip("[]") in spaces or w == g)
-        for g, w in zip(slots, words)
-    ):
-        raise ParseError(f"expected: {grammar}", lineno)
-    args = []
-    for g, w in zip(slots, words):
-        space = spaces.get(g.strip("[]"))
-        if space is not None and w is not None and w not in space:
-            raise UnknownName(w, lineno)
-        if space is not None or g == _OPEN:
-            args.append(w)
-    named = dict(zip(slots, words))
-    if "F" in named and maps[named["F"]].target is not maps[named["G"]].source:
-        raise ParseError(
-            f"maps {named['F']!r} and {named['G']!r} do not compose", lineno
-        )
-    return _CheckSpec(toks[0], tuple(args), " ".join(toks))
 
 
 class CheckResult:

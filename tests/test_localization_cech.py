@@ -720,6 +720,18 @@ def test_a_vector_above_the_own_cap_is_solved_for(coordinate_calls):
     for var in (0, 1):
         assert s.act(var, -2) == _ref_map(s, s, -2, -1, lambda i, a: m.act(var, a))
     assert coordinate_calls["solve"] == 2
+    # proven floor caps fall by one per degree down to the start cap, so the
+    # default caps reach the solve too: Gamma(W, (R/(x))~)_d = k y^d, with x
+    # acting by 0 and y by a nonzero scalar, and the caps at -6..-2 are 6..2
+    k_y = FPGradedModule(ring, (0,), ((x,),))
+    s = sections_window(k_y, OpenSubset(ring, (x, y)), (-6, 6))
+    assert [s._stable("h0_dim", d)[:2] for d in range(-6, 0)] == [
+        (6, 1), (5, 1), (4, 1), (3, 1), (2, 1), (1, 1)]
+    for d in range(-6, 6):
+        by_x, by_y = s.act(0, d), s.act(1, d)
+        assert (by_x.nrows, by_x.ncols, by_y.nrows, by_y.ncols) == (1, 1, 1, 1)
+        assert by_x.is_zero() and not by_y.is_zero()
+    assert coordinate_calls["solve"] == 2 + 10
 
 
 def test_a_vector_outside_h0_at_the_own_cap_is_rejected(o_fp, w):

@@ -5,15 +5,19 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcverify
 from qcverify import FieldSpec, FPGradedModule, GradedPiece, Mat, NonHomogeneousError
-from qcverify import glued_scheme, graded_modules, localization_cech, matlis
+from qcverify import glued_scheme, graded_modules, localization_cech, matlis, verify_cli
 from qcverify.localization_cech import CechComplexWindow, SectionsModule
 from qcverify.matlis import DualizedModule
 from qcverify.verify_cli import (
@@ -304,6 +308,275 @@ def test_a_repeated_key_is_rejected_at_its_second_line(text, repeated):
         parse_scenario(text)
     lines = text.splitlines()
     assert exc.value.line == len(lines) - lines[::-1].index(repeated)
+
+
+# Every fault the parser reports, by its exact type, message and line, with
+# any command-line overrides; faults already pinned exactly above are left
+# out.  The last rows pin which of several faults is reported first.
+PARSE_FAULTS = {
+    # section headers
+    "unterminated-header": ("[ring\nvariables = x\n", {}, ParseError,
+                            "unterminated section header", 1),
+    "empty-header": (HEAD + "[ ]\n", {}, ParseError, "empty section header", 10),
+    "content-first": ("x = 1\n" + HEAD, {}, ParseError, "content before the first section", 1),
+    "no-sections": ("# nothing\n\n", {}, ParseError, "empty scenario: no sections found", None),
+    "ring-named": (HEAD.replace("[ring]", "[ring k]"), {}, ParseError,
+                   "[ring] takes no name, got [ring k]", 1),
+    "options-named": (HEAD.replace("[options]", "[options extra]"), {}, ParseError,
+                      "[options] takes no name, got [options extra]", 5),
+    "unknown-section": (HEAD + "[foo bar]\n", {}, ParseError, "unknown section [foo bar]", 10),
+    # [ring]
+    "ring-duplicate": (HEAD + "[ring]\nvariables = x\n", {}, ParseError,
+                       "duplicate [ring] section", 10),
+    "ring-missing": ("[scheme]\noverlap = x\n", {}, ParseError, "missing [ring] section", None),
+    "ring-no-equals": (HEAD.replace("field = Q", "field Q"), {}, ParseError,
+                       "expected 'key = value', got 'field Q'", 3),
+    "ring-unknown-key": (HEAD.replace("field = Q", "fields = Q"), {}, ParseError,
+                         "unknown [ring] key 'fields'", 3),
+    "ring-repeated-key": (HEAD.replace("field = Q", "field = Q\nfield = Q"), {}, ParseError,
+                          "repeated [ring] key 'field'", 4),
+    "ring-no-variables": (HEAD.replace("variables = x, y\n", ""), {}, ParseError,
+                          "[ring] must list variables", 1),
+    "variable-name": (HEAD.replace("x, y", "1, y", 1), {}, ParseError,
+                      "variable name '1' is not an identifier ([A-Za-z_][A-Za-z_0-9]*)", 2),
+    "field-unknown": (HEAD.replace("field = Q", "field = R"), {}, ParseError,
+                      "unknown field 'R': expected Q or Fp:P", 3),
+    "field-composite": (HEAD.replace("field = Q", "field = Fp:6"), {}, ParseError,
+                        "bad prime field spec 'Fp:6': prime field needs a prime modulus, got 6",
+                        3),
+    "field-not-a-number": (HEAD.replace("field = Q", "field = Fp:x"), {}, ParseError,
+                           "bad prime field spec 'Fp:x': invalid literal for int() with base "
+                           "10: 'x'", 3),
+    # [options]
+    "options-duplicate": (HEAD + "[options]\nwindow = -1:1\n", {}, ParseError,
+                          "duplicate [options] section", 10),
+    "options-unknown-key": (HEAD.replace("window =", "windows ="), {}, ParseError,
+                            "unknown [options] key 'windows'", 6),
+    "window-no-colon": (HEAD.replace("-2:2", "2"), {}, ParseError,
+                        "bad window '2': expected LO:HI", 6),
+    "window-not-integers": (HEAD.replace("-2:2", "a:2"), {}, ParseError,
+                            "bad window 'a:2': expected integers LO:HI", 6),
+    "window-reversed": (HEAD.replace("-2:2", "3:-3"), {}, ParseError,
+                        "bad window '3:-3': lo > hi", 6),
+    "window-override-reversed": (HEAD, {"window": (2, -2)}, ParseError,
+                                 "bad window (2, -2): lo > hi", None),
+    # [scheme]
+    "scheme-duplicate": (HEAD + "[scheme]\noverlap = x\n", {}, ParseError,
+                         "duplicate [scheme] section", 10),
+    "scheme-missing": (HEAD.replace("[scheme]\noverlap = x, y\n", ""), {}, ParseError,
+                       "missing [scheme] section", None),
+    "scheme-no-overlap": (HEAD.replace("overlap = x, y\n", ""), {}, ParseError,
+                          "[scheme] must set overlap", 8),
+    "scheme-unknown-key": (HEAD.replace("overlap =", "overlaps ="), {}, ParseError,
+                           "unknown [scheme] key 'overlaps'", 9),
+    "overlap-bad-polynomial": (HEAD.replace("overlap = x, y", "overlap = x +"), {}, ParseError,
+                               "bad polynomial 'x +': expected a coefficient or a variable", 9),
+    "overlap-mixed-degrees": (HEAD.replace("overlap = x, y", "overlap = x + y^2"), {},
+                              NonHomogeneousError, "line 9: sum of different degrees", 9),
+    "overlap-zero": (HEAD.replace("overlap = x, y", "overlap = x, 0"), {}, ParseError,
+                     "overlap denominators must be nonzero", 9),
+    # [module]
+    "module-unnamed": (HEAD + "[module]\ngenerators = 0\n", {}, ParseError,
+                       "[module] needs a name", 10),
+    "module-duplicate": (HEAD + "[module M]\ngenerators = 0\n[module M]\ngenerators = 1\n", {},
+                         ParseError, "duplicate module name 'M'", 12),
+    "module-named-o": (HEAD + "[module O]\ngenerators = 0\n", {}, ParseError,
+                       "duplicate module name 'O'", 10),
+    "module-unknown-key": (HEAD + "[module M]\ngens = 0\n", {}, ParseError,
+                           "unknown [module] key 'gens'", 11),
+    "module-degrees": (HEAD + "[module M]\ngenerators = 0, a\n", {}, ParseError,
+                       "generator degrees must be integers", 11),
+    "module-no-generators": (HEAD + "[module M]\nrelation = x\n", {}, ParseError,
+                             "module 'M' lists no generators", 10),
+    "relation-length": (HEAD + "[module M]\ngenerators = 0, 0\nrelation = x\n", {}, ParseError,
+                        "relation has 1 entries, module has 2 generators", 12),
+    "relation-before-generators": (HEAD + "[module M]\nrelation = x; y\ngenerators = 0\n", {},
+                                   ParseError, "relation has 2 entries, module has 1 generators",
+                                   11),
+    "relation-bad-polynomial": (HEAD + "[module M]\ngenerators = 0\nrelation = 1/0*x\n", {},
+                                ParseError, "bad polynomial '1/0*x': denominator 0 vanishes in Q",
+                                12),
+    "relation-entry-mixed": (HEAD + "[module M]\ngenerators = 0\nrelation = x + y^2\n", {},
+                             NonHomogeneousError, "line 12: sum of different degrees", 12),
+    "relation-column-mixed": (HEAD + "[module M]\ngenerators = 0, 0\nrelation = x; y^2\n", {},
+                              NonHomogeneousError, "module 'M': relation 0 mixes degrees 1 and 2",
+                              10),
+    # [map]
+    "map-no-colon": (HEAD + "[map f O -> O]\n1\n", {}, ParseError,
+                     "expected [map NAME: SRC -> TGT]", 10),
+    "map-no-arrow": (HEAD + "[map f: O O]\n1\n", {}, ParseError,
+                     "expected [map NAME: SRC -> TGT]", 10),
+    "map-no-name": (HEAD + "[map : O -> O]\n1\n", {}, ParseError,
+                    "expected [map NAME: SRC -> TGT]", 10),
+    "map-duplicate": (HEAD + "[map f: O -> O]\n1\n[map f: O -> O]\n1\n", {}, ParseError,
+                      "duplicate map name 'f'", 12),
+    "map-unknown-target": (HEAD + "[map f: O -> M]\n1\n", {}, UnknownName,
+                           "unknown name 'M'", 10),
+    "map-line-count": (HEAD + "[map f: O -> O]\n1\n1\n", {}, ParseError,
+                       "map 'f' needs one line per source generator (1), got 2", 10),
+    "map-image-length": (HEAD + "[map f: O -> O]\n1; 1\n", {}, ParseError,
+                         "image line has 2 entries, target has 1 generators", 11),
+    "map-bad-polynomial": (HEAD + "[map f: O -> O]\nx +\n", {}, ParseError,
+                           "bad polynomial 'x +': expected a coefficient or a variable", 11),
+    "map-degree": (HEAD + "[map f: O -> O]\nx\n", {}, NonHomogeneousError,
+                   "line 11: entry 0 has degree 1, needs 0 to preserve degrees", 11),
+    "map-kills-no-relation": (HEAD + "[module k0]\ngenerators = 0\nrelation = x\n[map f: k0 -> O]\n1\n",
+                              {}, ParseError, "map 'f': relation column 0 is not sent to zero", 13),
+    "map-far-out": (HEAD + "[module M]\ngenerators = 0\nrelation = x^99999999999999999999\n"
+                    "[map f: M -> M]\n1\n", {}, ParseError,
+                    "map 'f': M: degree 99999999999999999999 has over 100000 free labels", 13),
+    # [sheaf]
+    "sheaf-unnamed": (HEAD + "[sheaf]\npatch = O\n", {}, ParseError, "[sheaf] needs a name", 10),
+    "sheaf-duplicate": (HEAD + "[sheaf s]\npatch = O\n[sheaf s]\npatch = O\n", {}, ParseError,
+                        "duplicate sheaf name 's'", 12),
+    "sheaf-unknown-key": (HEAD + "[sheaf s]\nglue = O\n", {}, ParseError,
+                          "unknown [sheaf] key 'glue'", 11),
+    "sheaf-repeated-key": (HEAD + "[sheaf s]\npatch = O\npatch = O\n", {}, ParseError,
+                           "repeated [sheaf] key 'patch'", 12),
+    "sheaf-both": (HEAD + "[sheaf s]\npatch = O\ndirect-image = O\n", {}, ParseError,
+                   "sheaf 's' sets both 'patch' and 'direct-image'", 12),
+    "sheaf-unknown-module": (HEAD + "[sheaf s]\npatch = M\n", {}, UnknownName,
+                             "unknown name 'M'", 11),
+    "sheaf-empty": (HEAD + "[sheaf s]\n", {}, ParseError,
+                    "sheaf 's' needs 'patch = M' or 'direct-image = M'", 10),
+    # [check] and [expect]
+    "check-duplicate": (HEAD + "[check h1 O]\n[check h1  O]\n", {}, ParseError,
+                        "duplicate check 'h1 O'", 11),
+    "expect-no-equals": (HEAD + "[check h1 O]\n[expect]\nh1 O\n", {}, ParseError,
+                         "expected '<check name> = <verdict>'", 12),
+    "expect-unknown-check": (HEAD + "[check h1 O]\n[expect]\nh1 P = exact\n", {}, UnknownName,
+                             "unknown name 'h1 P'", 12),
+    "expect-unknown-verdict": (HEAD + "[check h1 O]\n[expect]\nh1 O = plausible\n", {},
+                               ParseError, "unknown verdict 'plausible'", 12),
+    # the first of several faults: headers, then --den-cap, then [ring],
+    # [options], the window override and [scheme] wherever they stand, then
+    # the other sections in file order; [expect] lines last
+    "first-header": (HEAD.replace("field = Q", "field = R") + "[bad\n", {}, ParseError,
+                     "unterminated section header", 10),
+    "first-den-cap": ("[bad\n", {"start": 0}, ParseError, "--den-cap must be positive", None),
+    "first-ring": ("[scheme]\noverlap = x +\n[ring]\nvariables = x, y\nfield = R\n", {},
+                   ParseError, "unknown field 'R': expected Q or Fp:P", 5),
+    "first-ring-over-override": (HEAD.replace("field = Q", "field = R"), {"window": (2, -2)},
+                                 ParseError, "unknown field 'R': expected Q or Fp:P", 3),
+    "first-override-over-scheme": (HEAD.replace("overlap = x, y", "overlap = x +"),
+                                   {"window": (2, -2)}, ParseError, "bad window (2, -2): lo > hi",
+                                   None),
+    "first-settings": ("[module]\n" + HEAD.replace("-2:2", "2"), {}, ParseError,
+                       "bad window '2': expected LO:HI", 7),
+    "first-key-then-relations": (HEAD + "[module M]\ngenerators = 0\nrelation = x +\nfoo = 1\n",
+                                 {}, ParseError, "unknown [module] key 'foo'", 13),
+    "first-section-then-expect": (HEAD + "[expect]\nh1 O = exact\n[module]\n", {}, ParseError,
+                                  "[module] needs a name", 12),
+}
+
+
+@pytest.mark.parametrize("text, overrides, error, message, line", PARSE_FAULTS.values(),
+                         ids=PARSE_FAULTS)
+def test_each_parse_fault_has_its_type_message_and_line(text, overrides, error, message, line):
+    with pytest.raises((ParseError, NonHomogeneousError)) as exc:
+        parse_scenario(text, **overrides)
+    assert type(exc.value) is error
+    assert getattr(exc.value, "message", str(exc.value)) == message
+    assert exc.value.line == line
+
+
+# Whole sections for texts in any order: first the well-formed ones, which
+# define M, N, T (a twist of M), f: N -> O, g: O -> M and the sheaves s, t,
+# then, from "[ring k]" on, ones that each hold one fault.
+FRAGMENTS = (
+    "[ring]\nvariables = x, y\nfield = Q\n",
+    "[ring]\nvariables = x, y\nfield = Fp:7\n",
+    "[options]\nwindow = -2:2\n",
+    "[scheme]\noverlap = x, y\n",
+    "[scheme]\noverlap = x\n",
+    "[module M]\ngenerators = 0\nrelation = y\n",
+    "[module N]\ngenerators = 1, 1\nrelation = y; -x\n",
+    "[module T]\ngenerators = 2\nrelation = y\n",
+    "[map f: N -> O]\nx\ny\n",
+    "[map g: O -> M]\n1\n",
+    "[sheaf s]\ndirect-image = N\n",
+    "[sheaf t]\npatch = M\n",
+    "[check h1 M]\n",
+    "[check sections s over W]\n",
+    "[check star-sequence f g over U]\n",
+    "[check lemma21 T]\n",
+    "[check nonaffine-witness]\n",
+    "[expect]\nh1 M = table-computed\n",
+    "[expect]\nnonaffine-witness = witness-found\n",
+    "# a comment\n",
+    "[ring k]\n",
+    "[ring\n",
+    "x = 1\n",
+    "[ring]\nvariables = x, x\n",
+    "[ring]\nfield = R\nvariables = x, y\n",
+    "[options]\nwindow = 3:1\n",
+    "[scheme]\noverlap = x, 0\n",
+    "[scheme]\noverlap = x + y^2\n",
+    "[module P]\ngenerators = a\n",
+    "[module]\n",
+    "[module Q]\ngenerators = 0, 0\nrelation = x; y^2\n",
+    "[map h: O -> Z]\n1\n",
+    "[map k: O -> O]\nx\n",
+    "[map q: M -> O]\n1\n",
+    "[sheaf u]\n",
+    "[check euler O]\n",
+    "[expect]\nh1 Z = exact\n",
+    "[expect]\nh1 M = plausible\n",
+    "[foo]\n",
+    "[ ]\n",
+)
+
+# the faults of the whole file or of an override, which no line carries
+FILE_FAULTS = {"empty scenario: no sections found", "missing [ring] section",
+               "missing [scheme] section", "--den-cap must be positive",
+               "bad window (2, -2): lo > hi"}
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=10),
+       st.sampled_from([{}, {"window": (-1, 1)}, {"window": (2, -2)}, {"start": 0},
+                        {"field": FieldSpec.prime(7)}]))
+@settings(max_examples=60, deadline=None)
+def test_any_text_parses_or_is_refused_with_a_line(fragments, overrides):
+    try:
+        parse_scenario("\n".join(fragments), **overrides)
+    except (ParseError, NonHomogeneousError) as e:
+        assert e.line is not None or getattr(e, "message", None) in FILE_FAULTS, e
+
+
+@pytest.mark.parametrize("section, line", [
+    ("[map f: M -> O]\n1\n", 10),
+    ("[map f: O -> M]\n1\n", 10),
+    ("[check h1 M]\n", 10),
+    ("[sheaf s]\npatch = M\n", 11),
+], ids=["map-source", "map-target", "check", "sheaf"])
+def test_a_name_must_be_defined_above_its_first_use(section, line):
+    text = HEAD + section + "[module M]\ngenerators = 0\n"
+    with pytest.raises(UnknownName) as exc:
+        parse_scenario(text)
+    assert (exc.value.name, exc.value.line) == ("M", line)
+
+
+def test_expect_lines_may_stand_above_their_checks():
+    s = parse_scenario(HEAD + "[expect]\nh1 O = table-computed\n\n[check h1 O]\n")
+    assert s.expects == [("h1 O", "table-computed")]
+
+
+def _documented_scenarios():
+    """The scenario example in the README and in verify_cli's docstring."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        ini = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    doc = verify_cli.__doc__.split("degree window:\n", 1)[1].split("\nThe module O", 1)[0]
+    return {"readme": ini, "docstring": textwrap.dedent(doc)}
+
+
+@pytest.mark.parametrize("where", ["readme", "docstring"])
+def test_the_documented_scenario_runs_and_meets_its_expects(tmp_path, capsys, where):
+    f = tmp_path / "documented.qcv"
+    f.write_text(_documented_scenarios()[where])
+    assert main(["run", str(f)]) == 0
+    verdicts = [c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert verdicts == ["table-computed", "obstructed"]
 
 
 # --- running ------------------------------------------------------------------
@@ -642,6 +915,21 @@ def report_digest(rep) -> str:
 def test_builtin_report_bytes_are_unchanged(name):
     rep = run_text(BUILTIN_SCENARIOS[name], name=name, window=(-2, 2))
     assert report_digest(rep) == GOLDEN_DIGESTS[name]
+
+
+def _settings_last(text: str) -> str:
+    """The text with its [ring], [options] and [scheme] sections moved to
+    its end, each section with the comments below it."""
+    chunks = re.split(r"(?m)^(?=\[)", text)
+    moved = [c for c in chunks if c.startswith(("[ring]", "[options]", "[scheme]"))]
+    return "".join([c for c in chunks if c not in moved] + moved)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_settings_sections_may_stand_anywhere(name):
+    text = _settings_last(BUILTIN_SCENARIOS[name])
+    assert re.findall(r"(?m)^\[(\w+)", text)[-3:] == ["ring", "options", "scheme"]
+    assert report_digest(run_text(text, name=name, window=(-2, 2))) == GOLDEN_DIGESTS[name]
 
 
 # the same at each built-in's own window -6:6, recorded from the program
